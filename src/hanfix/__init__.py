@@ -28,7 +28,6 @@ from .desm import (
     featurize_sentences,
     lattice_records,
     lattice_to_feature_ids,
-    mark_suspects,
     sentence_features,
 )
 from .errors import (
@@ -66,20 +65,15 @@ from .model import (
     CHAR_PAD_ID,
     CHAR_UNK_ID,
     Batch,
-    CorrectionResult,
     ModelConfig,
     ModelParams,
     assemble_batch,
-    char_word_attention,
-    correct,
     correct_many,
-    encode,
     forward_batch,
     init_params,
     load_checkpoint,
     loss_and_grads,
     nll_loss,
-    output_distribution,
     save_checkpoint,
 )
 from .pinyin import (

@@ -7,7 +7,7 @@ degenerate evaluation (a metric denominator was zero and
 
 The pinyin table and fuzzy class file default to the bundled demo
 resources; --lexicon defaults to building one from the bundled word list
-where that makes sense (match, gen-data).  Set DESM_LOG=info|debug for
+where that makes sense (match, gen-data).  Set HANFIX_LOG=info|debug for
 progress logging on stderr.
 """
 
@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _setup_logging() -> None:
-    name = os.environ.get("DESM_LOG", "warning").upper()
+    name = os.environ.get("HANFIX_LOG", "warning").upper()
     level = getattr(logging, name, None)
     if not isinstance(level, int):
         level = logging.WARNING

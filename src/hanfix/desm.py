@@ -22,10 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from functools import lru_cache
-
 from .lexicon import Lexicon
-from .pinyin import FuzzyClassTable, PinyinTable, parse_syllable
+from .pinyin import FuzzyClassTable, PinyinTable
 
 # word-feature ids 0 and 1 are reserved in the model's word vocabulary
 WORD_UNK_ID = 0
@@ -71,22 +69,6 @@ class CharWordLattice:
         return len(self.sentence)
 
 
-def mark_suspects(lex: Lexicon, sentence: str) -> list[bool]:
-    """Position i is suspect iff no exact trie match of length >= 2 covers it.
-
-    Coverage failure is the only pre-model signal that a word was broken by
-    a bad character; single-character matches don't count as cover because
-    they cannot witness an intact word.
-    """
-    n = len(sentence)
-    covered = [False] * n
-    for start, end, _wid in lex.trie_match_all(sentence):
-        if end > start:
-            for i in range(start, end + 1):
-                covered[i] = True
-    return [not c for c in covered]
-
-
 def _candidate_sort_key(lex: Lexicon, cand: MatchCandidate):
     return (
         _PROV_RANK[cand.provenance],
@@ -124,36 +106,36 @@ def build_lattice(
         raise ValueError(f"m_max must be positive, got {m_max}")
     n = len(sentence)
     per_char: list[list[MatchCandidate]] = [[] for _ in range(n)]
+    # position i is suspect iff no exact match of length >= 2 covers it;
+    # single-char matches cannot witness an intact word
+    suspects = [True] * n
 
     for start, end, wid in lex.trie_match_all(sentence):
         cand = MatchCandidate(wid, (start, end), Provenance.EXACT, Direction.NONE)
         for i in range(start, end + 1):
             per_char[i].append(cand)
-
-    suspects = mark_suspects(lex, sentence)
+            if end > start:
+                suspects[i] = False
 
     if include_pinyin:
-        # toneless reading sets per character, () when unknown
-        char_readings = [
-            tuple(s.toneless() for s in ptable.get(ch)) for ch in sentence
-        ]
+        # reading syllables per character, () when unknown
+        char_syllables = [ptable.get(ch) for ch in sentence]
 
         def probe(lo: int, hi: int, direction: Direction):
-            ra, rb = char_readings[lo], char_readings[hi]
-            if not ra or not rb:
+            syls_a, syls_b = char_syllables[lo], char_syllables[hi]
+            if not syls_a or not syls_b:
                 return
             hits: set[int] = set()
-            for sa in ra:
-                for sb in rb:
-                    hits.update(
-                        lex.pinyin_2gram_lookup(
-                            _parse_cache(sa), _parse_cache(sb), fuzzy
-                        )
-                    )
+            for sa in syls_a:
+                for sb in syls_b:
+                    hits.update(lex.pinyin_2gram_lookup(sa, sb, fuzzy))
+            # PINYIN_EXACT compares toneless readings, as WordEntry stores them
+            ra = {s.toneless() for s in syls_a}
+            rb = {s.toneless() for s in syls_b}
             for wid in sorted(hits):
                 entry = lex.entries[wid]
-                exact = bool(set(ra) & set(entry.readings[0])) and bool(
-                    set(rb) & set(entry.readings[1])
+                exact = bool(ra & set(entry.readings[0])) and bool(
+                    rb & set(entry.readings[1])
                 )
                 prov = Provenance.PINYIN_EXACT if exact else Provenance.PINYIN_FUZZY
                 cand = MatchCandidate(wid, (lo, hi), prov, direction)
@@ -183,9 +165,6 @@ def build_lattice(
         ranked.append(best)
 
     return CharWordLattice(sentence=sentence, per_char=ranked, suspect=suspects)
-
-
-_parse_cache = lru_cache(maxsize=4096)(parse_syllable)
 
 
 def lattice_to_feature_ids(

@@ -171,21 +171,27 @@ class Lexicon:
                 f"{path}: unsupported version {payload.get('version')!r} "
                 f"(expected {_LEXICON_VERSION})"
             )
-        entries = [
-            WordEntry(
-                word_id=i,
-                surface=d["surface"],
-                pinyin=tuple(parse_syllable(p) for p in d["pinyin"]),
-                frequency=d["frequency"],
-                readings=tuple(tuple(r) for r in d["readings"]),
-            )
-            for i, d in enumerate(payload["entries"])
-        ]
+        try:
+            entries = [
+                WordEntry(
+                    word_id=i,
+                    surface=d["surface"],
+                    pinyin=tuple(parse_syllable(p) for p in d["pinyin"]),
+                    frequency=d["frequency"],
+                    readings=tuple(tuple(r) for r in d["readings"]),
+                )
+                for i, d in enumerate(payload["entries"])
+            ]
+            index = {
+                tuple(k.split(" ")): tuple(v)
+                for k, v in payload["pinyin2gram_index"].items()
+            }
+        except KeyError as e:
+            raise LexiconFormatError(f"{path}: missing field {e}") from e
+        except (TypeError, ValueError, AttributeError) as e:
+            raise LexiconFormatError(f"{path}: malformed field ({e})") from e
         lex = cls(entries)
-        lex.pinyin2gram_index = {
-            tuple(k.split(" ")): tuple(v)
-            for k, v in payload["pinyin2gram_index"].items()
-        }
+        lex.pinyin2gram_index = index
         return lex
 
 

@@ -113,13 +113,6 @@ class ModelParams:
         idx = self.char_index()
         return np.array([idx.get(c, CHAR_UNK_ID) for c in text], dtype=np.int64)
 
-    def id_to_char(self, i: int) -> str:
-        if i == CHAR_UNK_ID:
-            return "<unk>"
-        if i == CHAR_PAD_ID:
-            return "<pad>"
-        return self.chars[i - CHAR_ID_OFFSET]
-
 
 def init_params(config: ModelConfig, chars) -> ModelParams:
     chars = tuple(chars)
@@ -327,38 +320,7 @@ def loss_and_grads(params: ModelParams, batch: Batch, omega_override=None):
     return loss, grads, out
 
 
-# --------------------------------------------------- single-sentence wrappers
-
-
-def encode(params: ModelParams, char_ids: np.ndarray) -> np.ndarray:
-    """Encoder states for one unpadded sentence, [n] -> [n, d_c]."""
-    char_ids = np.asarray(char_ids, dtype=np.int64)
-    n = char_ids.shape[0]
-    cfg = params.config
-    if n > cfg.max_len:
-        raise SequenceTooLong(n, cfg.max_len)
-    if n == 0:
-        return np.zeros((0, cfg.d_c))
-    h, _ = encoder_forward(params.tensors, cfg, char_ids[None, :], np.ones((1, n)))
-    return h[0]
-
-
-def char_word_attention(params: ModelParams, h_c, word_ids, mask) -> np.ndarray:
-    """Fuse candidate-word features into character states, [n, d_c]."""
-    ht, _, _ = _fusion_forward(
-        params.tensors, h_c[None], np.asarray(word_ids, dtype=np.int64)[None],
-        np.asarray(mask, dtype=np.float64)[None],
-    )
-    return ht[0]
-
-
-def output_distribution(params: ModelParams, h_fused, char_ids, omega_override=None):
-    """Mixture distribution and copy weight per position: ([n, v], [n])."""
-    p, omega, _, _ = _head_forward(
-        params.tensors, params.config, h_fused[None],
-        np.asarray(char_ids, dtype=np.int64)[None], omega_override,
-    )
-    return p[0], omega[0]
+# ------------------------------------------------------ batching and decoding
 
 
 def assemble_batch(items) -> Batch:
@@ -396,8 +358,14 @@ def _decode_positions(params: ModelParams, sentence: str, p_row: np.ndarray) -> 
 
 
 def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
-    """Argmax decode for many sentences; feats[i] = (word_ids, word_mask)
-    from sentence_features on sentences[i].  Returns corrected strings."""
+    """Non-autoregressive correction: per-position argmax over the mixture.
+
+    feats is featurize_sentences(sentences, ...) at the checkpoint's m_max:
+    feats[i] = (word_ids, word_mask) for sentences[i].  Unknown characters
+    map to UNK, and a position whose argmax lands on a reserved id keeps its
+    input character, so each output is as long as its input.  Word ids at or
+    beyond word_vocab_size mean the lexicon and checkpoint disagree.
+    """
     limit = params.config.word_vocab_size
     for wid, _ in feats:
         if wid.size and int(wid.max()) >= limit:
@@ -417,54 +385,6 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
         for row, i in enumerate(chunk):
             out[i] = _decode_positions(params, sentences[i], res.p_out[row])
     return out
-
-
-@dataclass
-class CorrectionResult:
-    output: str
-    omega: np.ndarray                       # [n] copy weights
-    topk: list = None                       # per position [(char, prob), ...]
-
-
-def correct(params: ModelParams, lexicon, ptable, fuzzy, sentence: str,
-            topk: int = 0, mode: str = "desm") -> CorrectionResult:
-    """Non-autoregressive correction: per-position argmax over the mixture.
-
-    Unknown characters map to UNK; any position whose argmax lands on a
-    reserved id (UNK/PAD) keeps its input character, so output length always
-    equals input length.
-    """
-    from .desm import sentence_features
-
-    cfg = params.config
-    n = len(sentence)
-    if n == 0:
-        return CorrectionResult(output="", omega=np.zeros(0), topk=[] if topk else None)
-    if n > cfg.max_len:
-        raise SequenceTooLong(n, cfg.max_len)
-    if len(lexicon) + 2 > cfg.word_vocab_size:
-        raise HanfixError(
-            f"lexicon has {len(lexicon)} words but model was built for "
-            f"word_vocab_size={cfg.word_vocab_size}"
-        )
-    wid, wmask = sentence_features(sentence, lexicon, ptable, fuzzy, cfg.m_max, mode)
-    batch = Batch(
-        char_ids=params.char_to_ids(sentence)[None, :],
-        char_mask=np.ones((1, n)),
-        word_ids=wid[None, :, :],
-        word_mask=wmask[None, :, :],
-    )
-    out, _ = forward_batch(params, batch)
-    p = out.p_out[0]
-    output = _decode_positions(params, sentence, p)
-    result_topk = None
-    if topk > 0:
-        result_topk = []
-        k = min(topk, cfg.char_vocab_size)
-        for i in range(n):
-            order = np.argsort(-p[i], kind="stable")[:k]
-            result_topk.append([(params.id_to_char(int(j)), float(p[i, j])) for j in order])
-    return CorrectionResult(output=output, omega=out.omega[0], topk=result_topk)
 
 
 # ----------------------------------------------------------------- checkpoint
@@ -509,23 +429,29 @@ def load_checkpoint(path) -> ModelParams:
     hb = blob[off + 12 : off + 12 + hlen]
     if len(hb) != hlen or zlib.crc32(hb) != hcrc:
         raise CheckpointError(f"{path}: header checksum mismatch")
-    header = json.loads(hb.decode("utf-8"))
     try:
-        config = ModelConfig.from_dict(header["config"])
+        header = json.loads(hb.decode("utf-8"))
+        raw_config = header["config"]
+        chars = tuple(header["chars"])
+        payload_crc = header["payload_crc32"]
+        manifest = [(name, tuple(shape)) for name, shape in header["tensors"]]
+    except KeyError as e:
+        raise CheckpointError(f"{path}: header has no field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed header ({e})") from e
+    try:
+        config = ModelConfig.from_dict(raw_config)
+        expected = init_params(config, chars).tensors
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad config in header: {e}") from e
-    chars = tuple(header["chars"])
     payload = blob[off + 12 + hlen :]
-    if zlib.crc32(payload) != header["payload_crc32"]:
+    if zlib.crc32(payload) != payload_crc:
         raise CheckpointError(f"{path}: payload checksum mismatch")
-    expected = init_params(config, chars).tensors
-    manifest = header["tensors"]
-    if [m[0] for m in manifest] != list(expected.keys()):
+    if [name for name, _ in manifest] != list(expected.keys()):
         raise CheckpointError(f"{path}: tensor manifest does not match config")
     tensors: dict[str, np.ndarray] = {}
     pos = 0
     for name, shape in manifest:
-        shape = tuple(shape)
         if expected[name].shape != shape:
             raise CheckpointError(
                 f"{path}: tensor {name} has shape {shape}, config implies {expected[name].shape}"

@@ -1,11 +1,19 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import zlib
+from pathlib import Path
 
 import pytest
 
 from hanfix import data as bundled
 from hanfix.cli import main
 from hanfix.lexicon import Lexicon
+from hanfix.model import _CKPT_MAGIC
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CONFIG = {
     "d_c": 8, "d_w": 4, "layers": 1, "heads": 2, "ffn_dim": 16,
@@ -267,3 +275,41 @@ class TestAblate:
         assert main(["ablate", "--train-corpus", str(train_tsv),
                      "--test-corpus", str(test_tsv), "--lexicon", str(lex_path),
                      "--seeds", "0,x"]) == 2
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("what", ["lexicon-no-entries", "entry-no-pinyin",
+                                      "checkpoint-no-chars"])
+    def test_exit_2_with_one_line_error(self, what, work, tmp_path, capsys):
+        _, lex_path, _, _, _, ckpt = work
+        if what == "checkpoint-no-chars":
+            blob = ckpt.read_bytes()
+            off = len(_CKPT_MAGIC)
+            hlen = int.from_bytes(blob[off + 4 : off + 8], "little")
+            header = json.loads(blob[off + 12 : off + 12 + hlen])
+            del header["chars"]
+            hb = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
+            ckpt = tmp_path / "bad.ckpt"
+            ckpt.write_bytes(blob[: off + 4] + len(hb).to_bytes(4, "little")
+                             + zlib.crc32(hb).to_bytes(4, "little") + hb
+                             + blob[off + 12 + hlen :])
+        else:
+            payload = json.loads(lex_path.read_text(encoding="utf-8"))
+            if what == "lexicon-no-entries":
+                del payload["entries"]
+            else:
+                del payload["entries"][0]["pinyin"]
+            lex_path = tmp_path / "bad.lexicon"
+            lex_path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        assert main(["correct", "参家", "--checkpoint", str(ckpt),
+                     "--lexicon", str(lex_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_hanfix_log_enables_info_logging():
+    env = dict(os.environ, HANFIX_LOG="info", PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "hanfix.cli", "match", "参家"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "INFO hanfix.cli: no --lexicon given" in proc.stderr

@@ -12,7 +12,6 @@ from hanfix.desm import (
     featurize_sentences,
     lattice_records,
     lattice_to_feature_ids,
-    mark_suspects,
     sentence_features,
 )
 from hanfix.lexicon import lexicon_from_words
@@ -51,22 +50,45 @@ def lex(ptable, fuzzy):
     return lexicon_from_words(WORDS, ptable, fuzzy)
 
 
+def suspects(lex, ptable, fuzzy, sentence):
+    return build_lattice(lex, ptable, fuzzy, sentence).suspect
+
+
+def occurrences(lex, sentence):
+    """(start, end, word_id), end inclusive, wherever a lexicon surface
+    occurs; found with str.find, not with the trie."""
+    for e in lex.entries:
+        start = sentence.find(e.surface)
+        while start >= 0:
+            yield start, start + len(e.surface) - 1, e.word_id
+            start = sentence.find(e.surface, start + 1)
+
+
+def scan_suspects(lex, sentence):
+    covered = [False] * len(sentence)
+    for start, end, _ in occurrences(lex, sentence):
+        if end > start:
+            for i in range(start, end + 1):
+                covered[i] = True
+    return [not c for c in covered]
+
+
 class TestSuspects:
-    def test_broken_word_is_suspect(self, lex):
+    def test_broken_word_is_suspect(self, lex, ptable, fuzzy):
         # 参家 is 参加 with its second char swapped for a homophone, so no
         # multi-char word covers positions 1-2; 会议 keeps 3-4 covered
-        flags = mark_suspects(lex, "我参家会议")
+        flags = suspects(lex, ptable, fuzzy, "我参家会议")
         assert flags == [True, True, True, False, False]
 
-    def test_clean_sentence(self, lex):
-        assert mark_suspects(lex, "参加会议") == [False] * 4
+    def test_clean_sentence(self, lex, ptable, fuzzy):
+        assert suspects(lex, ptable, fuzzy, "参加会议") == [False] * 4
 
-    def test_single_char_word_does_not_cover(self, lex):
+    def test_single_char_word_does_not_cover(self, lex, ptable, fuzzy):
         # 参 alone matches the 1-char entry but stays suspect
-        assert mark_suspects(lex, "参") == [True]
+        assert suspects(lex, ptable, fuzzy, "参") == [True]
 
-    def test_empty(self, lex):
-        assert mark_suspects(lex, "") == []
+    def test_empty(self, lex, ptable, fuzzy):
+        assert suspects(lex, ptable, fuzzy, "") == []
 
 
 class TestLattice:
@@ -143,12 +165,15 @@ class TestLattice:
                      "我我我", "禅家会计"]
         for s in sentences:
             lat = build_lattice(lex, ptable, fuzzy, s, m_max=50)
-            suspects = mark_suspects(lex, s)
+            flags = scan_suspects(lex, s)
+            assert lat.suspect == flags, s
+            ttm = build_lattice(lex, ptable, fuzzy, s, include_pinyin=False)
+            assert ttm.suspect == flags, s
             expect: list[set] = [set() for _ in s]
-            for start, end, wid in lex.trie_match_all(s):
+            for start, end, wid in occurrences(lex, s):
                 for i in range(start, end + 1):
                     expect[i].add(wid)
-            for i, susp in enumerate(suspects):
+            for i, susp in enumerate(flags):
                 if not susp:
                     continue
                 for lo, hi in ((i, i + 1), (i - 1, i)):

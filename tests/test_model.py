@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from hanfix.desm import featurize_sentences
 from hanfix.errors import CheckpointError, HanfixError, SequenceTooLong
 from hanfix.lexicon import lexicon_from_words
 from hanfix.model import (
@@ -15,9 +16,7 @@ from hanfix.model import (
     ModelParams,
     assemble_batch,
     check_finite,
-    correct,
     correct_many,
-    encode,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -116,9 +115,6 @@ class TestInit:
         p = init_params(tiny_config(), CHARS)
         ids = p.char_to_ids(CHARS[0] + "絕" + CHARS[3])
         assert list(ids) == [2, CHAR_UNK_ID, 5]
-        assert p.id_to_char(2) == CHARS[0]
-        assert p.id_to_char(CHAR_UNK_ID) == "<unk>"
-        assert p.id_to_char(CHAR_PAD_ID) == "<pad>"
 
     def test_check_finite(self):
         p = init_params(tiny_config(), CHARS)
@@ -210,8 +206,9 @@ class TestForwardLaws:
         params = init_params(cfg, CHARS)
         with pytest.raises(SequenceTooLong):
             forward_batch(params, make_batch(cfg))
+        feats = [(np.ones((5, cfg.m_max), dtype=np.int64), np.zeros((5, cfg.m_max)))]
         with pytest.raises(SequenceTooLong):
-            encode(params, np.arange(2, 7))
+            correct_many(params, ["".join(CHARS[:5])], feats)
 
 
 class TestLoss:
@@ -331,31 +328,32 @@ def word_world():
     return ptable, fuzzy, lexicon, chars
 
 
+def correct_sentences(params, lexicon, ptable, fuzzy, sentences):
+    feats = featurize_sentences(sentences, lexicon, ptable, fuzzy, params.config.m_max)
+    return correct_many(params, sentences, feats)
+
+
 class TestCorrect:
     def test_fresh_model_copies(self, word_world):
         ptable, fuzzy, lexicon, chars = word_world
         cfg = tiny_config(char_vocab_size=len(chars) + 2,
                           word_vocab_size=len(lexicon) + 2)
         params = init_params(cfg, chars)
-        res = correct(params, lexicon, ptable, fuzzy, "参家会议", topk=3)
-        assert res.output == "参家会议"
-        assert res.omega.shape == (4,)
-        assert (res.omega > 0.5).all()
-        assert len(res.topk) == 4
-        for i, row in enumerate(res.topk):
-            assert len(row) == 3
-            probs = [p for _, p in row]
-            assert probs == sorted(probs, reverse=True)
-            assert row[0][0] == "参家会议"[i]  # copy-dominant start
+        s = "参家会议"
+        feats = featurize_sentences([s], lexicon, ptable, fuzzy, cfg.m_max)
+        assert correct_many(params, [s], feats) == [s]
+        (wid, wmask), = feats
+        out, _ = forward_batch(
+            params, assemble_batch([(params.char_to_ids(s), None, wid, wmask)]))
+        assert out.omega.shape == (1, 4)
+        assert (out.omega > 0.5).all()
 
     def test_empty_sentence(self, word_world):
         ptable, fuzzy, lexicon, chars = word_world
         cfg = tiny_config(char_vocab_size=len(chars) + 2,
                           word_vocab_size=len(lexicon) + 2)
         params = init_params(cfg, chars)
-        res = correct(params, lexicon, ptable, fuzzy, "")
-        assert res.output == ""
-        assert res.omega.shape == (0,)
+        assert correct_sentences(params, lexicon, ptable, fuzzy, [""]) == [""]
 
     def test_too_long(self, word_world):
         ptable, fuzzy, lexicon, chars = word_world
@@ -363,14 +361,14 @@ class TestCorrect:
                           word_vocab_size=len(lexicon) + 2, max_len=3)
         params = init_params(cfg, chars)
         with pytest.raises(SequenceTooLong):
-            correct(params, lexicon, ptable, fuzzy, "参家会议")
+            correct_sentences(params, lexicon, ptable, fuzzy, ["参家会议"])
 
     def test_lexicon_too_big_for_checkpoint(self, word_world):
         ptable, fuzzy, lexicon, chars = word_world
         cfg = tiny_config(char_vocab_size=len(chars) + 2, word_vocab_size=2)
         params = init_params(cfg, chars)
         with pytest.raises(HanfixError, match="word_vocab_size"):
-            correct(params, lexicon, ptable, fuzzy, "参家会议")
+            correct_sentences(params, lexicon, ptable, fuzzy, ["参家会议"])
 
     def test_correct_many_skips_empty(self, word_world):
         ptable, fuzzy, lexicon, chars = word_world
