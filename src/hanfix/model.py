@@ -37,8 +37,10 @@ from .encoder import (
     ln_backward,
     ln_forward,
     masked_softmax,
+    scatter_rows,
     sigmoid,
     softmax,
+    sum_outer,
 )
 from .errors import CheckpointError, HanfixError, SequenceTooLong
 
@@ -193,29 +195,26 @@ def _fusion_forward(tensors, h, word_ids, word_mask):
 
 def _fusion_backward(tensors, word_ids, fcache, dht, grads):
     ew, u, hW, a = fcache
-    dh = dht.copy()
     da = np.einsum("bnd,bnmd->bnm", dht, u)
     du = a[..., None] * dht[:, :, None, :]
     ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
     du += ds[..., None] * hW[:, :, None, :]
     dhW = np.einsum("bnm,bnmd->bnd", ds, u)
-    dh += dhW @ tensors["W_attn"].T
+    dh = dht + dhW @ tensors["W_attn"].T
     dpre = du * (1.0 - u * u)
-    grads["W_w"] = np.einsum("bnmd,bnmw->dw", dpre, ew)
+    grads["W_w"] = sum_outer(dpre, ew)
     grads["b_w"] = dpre.sum(axis=(0, 1, 2))
-    dew = dpre @ tensors["W_w"]
-    dEw = np.zeros_like(tensors["E_w"])
-    np.add.at(dEw, word_ids, dew)
-    grads["E_w"] = dEw
+    grads["E_w"] = scatter_rows(word_ids, dpre @ tensors["W_w"], len(tensors["E_w"]))
     return dh, dhW
 
 
 def _gate_act(cfg, x):
-    return gelu(x) if cfg.gate_activation == "gelu" else np.tanh(x)
+    """(activation, tanh term): gelu's tanh, or the tanh output itself."""
+    return gelu(x) if cfg.gate_activation == "gelu" else (np.tanh(x),) * 2
 
 
-def _gate_act_grad(cfg, x, y):
-    return gelu_grad(x) if cfg.gate_activation == "gelu" else 1.0 - y * y
+def _gate_act_grad(cfg, x, t):
+    return gelu_grad(x, t) if cfg.gate_activation == "gelu" else 1.0 - t * t
 
 
 def _head_forward(tensors, cfg, ht, char_ids, omega_override=None):
@@ -228,11 +227,10 @@ def _head_forward(tensors, cfg, ht, char_ids, omega_override=None):
         omega = np.zeros(char_ids.shape)
     else:
         g_pre = ht @ tensors["gate.W1"].T + tensors["gate.b1"]
-        g_act = _gate_act(cfg, g_pre)
+        g_act, g_t = _gate_act(cfg, g_pre)
         g_ln, lnc = ln_forward(g_act, tensors["gate.ln.g"], tensors["gate.ln.b"])
-        s = g_ln @ tensors["gate.w2"] + tensors["gate.b2"]
-        omega = sigmoid(s)
-        gcache = (g_pre, g_act, g_ln, lnc)
+        omega = sigmoid(g_ln @ tensors["gate.w2"] + tensors["gate.b2"])
+        gcache = (g_pre, g_t, g_ln, lnc)
     p = (1.0 - omega)[..., None] * p_gen
     idx = char_ids[..., None]
     np.put_along_axis(p, idx, np.take_along_axis(p, idx, -1) + omega[..., None], -1)
@@ -276,14 +274,12 @@ def loss_and_grads(params: ModelParams, batch: Batch, omega_override=None):
     t, cfg = params.tensors, params.config
     out, (ecache, fcache, gcache, ht) = forward_batch(params, batch, omega_override)
     p, p_gen, omega = out.p_out, out.p_gen, out.omega
-    gold = batch.gold_ids
-    mask = batch.char_mask
+    gold, mask = batch.gold_ids, batch.char_mask
 
     psel = np.take_along_axis(p, gold[..., None], -1)[..., 0]
     denom = max(float(mask.sum()), 1.0)
     loss = float(-(mask * np.log(psel + LOSS_EPS)).sum() / denom)
 
-    grads = {name: np.zeros_like(arr) for name, arr in t.items()}
     dpsel = -mask / ((psel + LOSS_EPS) * denom)
 
     pgen_gold = np.take_along_axis(p_gen, gold[..., None], -1)[..., 0]
@@ -296,27 +292,26 @@ def loss_and_grads(params: ModelParams, batch: Batch, omega_override=None):
         dlogits, gold[..., None],
         np.take_along_axis(dlogits, gold[..., None], -1) + tmp[..., None], -1,
     )
-    grads["W_gen"] = np.einsum("bnv,bnd->vd", dlogits, ht)
-    grads["b_gen"] = dlogits.sum(axis=(0, 1))
+    grads = {"W_gen": sum_outer(dlogits, ht), "b_gen": dlogits.sum(axis=(0, 1))}
     dht = dlogits @ t["W_gen"]
 
     if gcache is not None:
-        g_pre, g_act, g_ln, lnc = gcache
-        domega = dpsel * (copy_hit - pgen_gold)
-        dsg = domega * omega * (1.0 - omega)
-        grads["gate.w2"] = np.einsum("bn,bng->g", dsg, g_ln)
+        g_pre, g_t, g_ln, lnc = gcache
+        dsg = dpsel * (copy_hit - pgen_gold) * omega * (1.0 - omega)
+        grads["gate.w2"] = sum_outer(dsg[..., None], g_ln)[0]
         grads["gate.b2"] = np.array(dsg.sum())
         dg_ln = dsg[..., None] * t["gate.w2"]
         dg_act, grads["gate.ln.g"], grads["gate.ln.b"] = ln_backward(dg_ln, lnc)
-        dg_pre = dg_act * _gate_act_grad(cfg, g_pre, g_act)
-        grads["gate.W1"] = np.einsum("bng,bnd->gd", dg_pre, ht)
+        dg_pre = dg_act * _gate_act_grad(cfg, g_pre, g_t)
+        grads["gate.W1"] = sum_outer(dg_pre, ht)
         grads["gate.b1"] = dg_pre.sum(axis=(0, 1))
         dht = dht + dg_pre @ t["gate.W1"]
+    else:
+        grads.update((k, np.zeros_like(v)) for k, v in t.items() if k.startswith("gate."))
 
     dh, dhW = _fusion_backward(t, batch.word_ids, fcache, dht, grads)
-    grads["W_attn"] = np.einsum("bnd,bne->de", out.h, dhW)
-    enc_grads = encoder_backward(t, cfg, ecache, dh)
-    grads.update(enc_grads)
+    grads["W_attn"] = sum_outer(out.h, dhW)
+    grads.update(encoder_backward(t, cfg, ecache, dh))
     return loss, grads, out
 
 

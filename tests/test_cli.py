@@ -306,6 +306,29 @@ class TestMalformedInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
 
+    @pytest.mark.parametrize("field,value", [
+        ("surface", ""), ("surface", 7), ("frequency", "10"), ("frequency", True),
+        ("frequency", -1), ("pinyin", "can jia"), ("pinyin", [None, 5]),
+        ("readings", [["can"], 5]), ("readings", [["can"], [5]]), ("readings", []),
+        ("index", [999999]), ("index", [-1]), ("index", ["0"]), ("index", [True]),
+    ], ids=["surface-empty", "surface-int", "frequency-str", "frequency-bool",
+            "frequency-negative", "pinyin-str", "pinyin-items", "readings-int",
+            "readings-item-int", "readings-short", "index-too-big",
+            "index-negative", "index-str", "index-bool"])
+    def test_mistyped_lexicon_field_exits_2(self, field, value, work, tmp_path, capsys):
+        payload = json.loads(work[1].read_text(encoding="utf-8"))
+        if field == "index":
+            index = payload["pinyin2gram_index"]
+            payload["pinyin2gram_index"] = {k: value for k in index}
+        else:
+            for entry in payload["entries"]:
+                entry[field] = value
+        lex_path = tmp_path / "bad.lexicon"
+        lex_path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        assert main(["match", "参家", "--lexicon", str(lex_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
 
 def test_hanfix_log_enables_info_logging():
     env = dict(os.environ, HANFIX_LOG="info", PYTHONPATH=str(SRC))

@@ -9,9 +9,11 @@ from hanfix.encoder import (
     ln_backward,
     ln_forward,
     masked_softmax,
+    scatter_rows,
     sigmoid,
     softmax,
     softmax_backward,
+    sum_outer,
 )
 from hanfix.model import ModelConfig, init_params
 
@@ -33,24 +35,52 @@ def fd_grad(f, x, h=1e-6):
 
 class TestActivations:
     def test_gelu_values(self):
-        assert gelu(np.array(0.0)) == 0.0
-        assert abs(gelu(np.array(10.0)) - 10.0) < 1e-6
-        assert abs(gelu(np.array(-10.0))) < 1e-6
+        assert gelu(np.array(0.0))[0] == 0.0
+        assert abs(gelu(np.array(10.0))[0] - 10.0) < 1e-6
+        assert abs(gelu(np.array(-10.0))[0]) < 1e-6
         # tanh approximation of x*Phi(x): spot value at 1.0
-        assert abs(float(gelu(np.array(1.0))) - 0.841192) < 1e-5
+        assert abs(float(gelu(np.array(1.0))[0]) - 0.841192) < 1e-5
 
     def test_gelu_grad_matches_fd(self):
         x = np.linspace(-3, 3, 31)
         num = np.array([
-            (gelu(np.array(v + 1e-6)) - gelu(np.array(v - 1e-6))) / 2e-6
+            (gelu(np.array(v + 1e-6))[0] - gelu(np.array(v - 1e-6))[0]) / 2e-6
             for v in x
         ])
-        assert np.allclose(gelu_grad(x), num, atol=1e-7)
+        assert np.allclose(gelu_grad(x, gelu(x)[1]), num, atol=1e-7)
 
     def test_sigmoid_stable(self):
         assert sigmoid(np.array([800.0]))[0] == 1.0
         assert sigmoid(np.array([-800.0]))[0] == 0.0
         assert abs(sigmoid(np.array([0.0]))[0] - 0.5) < 1e-15
+
+
+class TestKernels:
+    @pytest.mark.parametrize("spec,a_shape,b_shape", [
+        ("bnd,bnf->df", (3, 5, 4), (3, 5, 6)),
+        ("bnmd,bnmw->dw", (3, 5, 2, 4), (3, 5, 2, 7)),
+        ("bnk,bng->kg", (4, 6, 1), (4, 6, 5)),  # the copy gate's w2
+    ])
+    def test_sum_outer_matches_einsum(self, spec, a_shape, b_shape):
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        want = np.einsum(spec, a, b)
+        assert np.allclose(sum_outer(a, b), want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("ids_shape,d", [((4, 7), 5), ((4, 7, 3), 6)])
+    def test_scatter_rows_matches_add_at(self, ids_shape, d):
+        rng = np.random.default_rng(2)
+        n = 20
+        ids = rng.choice([1, 2, 3, 5, 8, 13], size=ids_shape)  # repeats, PAD id 1
+        ids.reshape(-1)[:3] = 1
+        rows = rng.normal(size=ids_shape + (d,))
+        want = np.zeros((n, d))
+        np.add.at(want, ids, rows)
+        got = scatter_rows(ids, rows, n)
+        assert got.shape == (n, d)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        unseen = np.setdiff1d(np.arange(n), ids)
+        assert len(unseen) >= 14 and (got[unseen] == 0.0).all()
 
 
 class TestSoftmax:

@@ -267,16 +267,19 @@ class TestLoss:
 
 
 class TestGradients:
-    def test_spot_finite_differences(self):
-        cfg = tiny_config()
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("use_copy", [True, False])
+    @pytest.mark.parametrize("gate_activation", ["gelu", "tanh"])
+    def test_spot_finite_differences(self, gate_activation, use_copy, layers):
+        cfg = tiny_config(gate_activation=gate_activation, use_copy=use_copy, layers=layers)
         params = healthy_params(cfg, scale=0.35, seed=21)
         batch = make_batch(cfg, seed=4)
         _, grads, _ = loss_and_grads(params, batch)
         rng = np.random.default_rng(5)
         h = 1e-5
-        for name in ("E_w", "W_w", "b_w", "W_attn", "W_gen", "b_gen",
-                     "gate.W1", "gate.w2", "gate.b2", "E_c", "P",
-                     "blk0.Wq", "blk0.W2", "ln_f.g"):
+        blocks = [f"blk{l}.{w}" for l in range(layers) for w in ("Wq", "W1", "W2")]
+        for name in ["E_w", "W_w", "b_w", "W_attn", "W_gen", "b_gen", "gate.W1",
+                     "gate.b1", "gate.w2", "gate.b2", "E_c", "P", "ln_f.g", *blocks]:
             flat = params.tensors[name].reshape(-1)
             gflat = grads[name].reshape(-1)
             for i in rng.choice(flat.size, size=min(2, flat.size), replace=False):
