@@ -7,8 +7,14 @@ of characters" under the fuzzy confusion classes; it is what lets a
 mistyped character still pull in the word it belongs to.  Only 2-character
 entries are phonetically indexed — longer words still match via the trie.
 
-Both structures are frozen after build_lexicon() and safe to share across
-threads.
+A lexicon file stores the entries only, so lexicon_fingerprint() covers
+the entries only.  The trie is rebuilt from them at load, and the 2-gram
+index from their readings under the fuzzy table each query passes.
+
+The trie is frozen once built.  The index of the last table queried sits in
+one (table, index) slot that is replaced whole, never mutated, so threads
+may share a Lexicon: each reads the slot once and never pairs one table
+with another table's index.  Alternating tables rebuilds the index each time.
 """
 
 from __future__ import annotations
@@ -27,12 +33,19 @@ from .errors import (
     MissingPinyin,
     WordTooLong,
 )
-from .pinyin import FuzzyClassTable, PinyinSyllable, PinyinTable, fuzzy_key, parse_syllable
+from .pinyin import (
+    TONELESS_SYLLABLES,
+    FuzzyClassTable,
+    PinyinSyllable,
+    PinyinTable,
+    fuzzy_key,
+    parse_syllable,
+)
 
 MAX_WORD_LEN = 4
 
 _LEXICON_MAGIC = "hanfix-lexicon"
-_LEXICON_VERSION = 1
+_LEXICON_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -74,8 +87,7 @@ class Lexicon:
     def __init__(self, entries: list[WordEntry]):
         self.entries: tuple[WordEntry, ...] = tuple(entries)
         self._root = _TrieNode()
-        # (fuzzy_key_a, fuzzy_key_b) -> word_ids of 2-char entries, ranked
-        self.pinyin2gram_index: dict[tuple[str, str], tuple[int, ...]] = {}
+        self._index_memo: tuple[FuzzyClassTable | None, dict] = (None, {})
         self._by_surface: dict[str, int] = {}
         for e in self.entries:
             node = self._root
@@ -83,14 +95,6 @@ class Lexicon:
                 node = node.children.setdefault(ch, _TrieNode())
             node.word_ids.append(e.word_id)
             self._by_surface[e.surface] = e.word_id
-
-    def _freeze_index(self, raw: dict[tuple[str, str], set[int]]):
-        def rank(word_id: int):
-            return (-self.entries[word_id].frequency, word_id)
-
-        self.pinyin2gram_index = {
-            k: tuple(sorted(ids, key=rank)) for k, ids in raw.items()
-        }
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -121,6 +125,30 @@ class Lexicon:
                     out.append((start, end, wid))
         return out
 
+    def pinyin2gram_index(
+        self, fuzzy: FuzzyClassTable
+    ) -> dict[tuple[str, str], tuple[int, ...]]:
+        """(fuzzy_key_a, fuzzy_key_b) -> word_ids of 2-char entries, ranked
+        by descending frequency, then word_id.
+
+        Built from the entries' readings; only the last table's index is kept.
+        """
+        table, index = self._index_memo
+        if table is fuzzy:
+            return index
+        pairs = sorted((e for e in self.entries if len(e.surface) == 2),
+                       key=lambda e: (-e.frequency, e.word_id))
+        key = {r: fuzzy_key(parse_syllable(r), fuzzy)
+               for r in {r for e in pairs for rs in e.readings for r in rs}}
+        ranked: dict[tuple[str, str], dict[int, None]] = {}
+        for e in pairs:  # cross-product of polyphone readings
+            for ra in e.readings[0]:
+                for rb in e.readings[1]:
+                    ranked.setdefault((key[ra], key[rb]), {})[e.word_id] = None
+        index = {k: tuple(ids) for k, ids in ranked.items()}
+        self._index_memo = (fuzzy, index)
+        return index
+
     def pinyin_2gram_lookup(
         self, a: PinyinSyllable, b: PinyinSyllable, fuzzy: FuzzyClassTable
     ) -> list[int]:
@@ -129,13 +157,12 @@ class Lexicon:
         Ordered by descending frequency, then word_id.
         """
         key = (fuzzy_key(a, fuzzy), fuzzy_key(b, fuzzy))
-        return list(self.pinyin2gram_index.get(key, ()))
+        return list(self.pinyin2gram_index(fuzzy).get(key, ()))
 
     # ------------------------------------------------------------ persistence
 
     def to_json(self) -> str:
         """Deterministic serialization: same lexicon -> identical bytes."""
-        trie = _trie_to_dict(self._root)
         payload = {
             "magic": _LEXICON_MAGIC,
             "version": _LEXICON_VERSION,
@@ -148,11 +175,6 @@ class Lexicon:
                 }
                 for e in self.entries
             ],
-            "trie": trie,
-            "pinyin2gram_index": {
-                " ".join(k): list(v)
-                for k, v in sorted(self.pinyin2gram_index.items())
-            },
         }
         return json.dumps(payload, ensure_ascii=False, sort_keys=True,
                           separators=(",", ":"))
@@ -172,7 +194,7 @@ class Lexicon:
         if payload.get("version") != _LEXICON_VERSION:
             raise LexiconFormatError(
                 f"{path}: unsupported version {payload.get('version')!r} "
-                f"(expected {_LEXICON_VERSION})"
+                f"(expected {_LEXICON_VERSION}); rebuild it with `hanfix build-lexicon`"
             )
         try:
             _check_entries(payload["entries"])
@@ -186,17 +208,11 @@ class Lexicon:
                 )
                 for i, d in enumerate(payload["entries"])
             ]
-            index = {
-                tuple(k.split(" ")): _checked_word_ids(v, len(entries))
-                for k, v in payload["pinyin2gram_index"].items()
-            }
         except KeyError as e:
             raise LexiconFormatError(f"{path}: missing field {e}") from e
-        except (TypeError, ValueError, AttributeError, InvalidSyllable) as e:
+        except (TypeError, ValueError, AttributeError, InvalidSyllable, WordTooLong) as e:
             raise LexiconFormatError(f"{path}: malformed field ({e})") from e
-        lex = cls(entries)
-        lex.pinyin2gram_index = index
-        return lex
+        return cls(entries)
 
 
 _ENTRY_FIELDS = itemgetter("surface", "frequency", "pinyin", "readings")
@@ -209,7 +225,7 @@ def _only(kind: type, xs) -> bool:
 def _check_entries(raw) -> None:
     """ValueError unless every serialized entry has a non-empty string
     surface, a non-negative int frequency, a list of pinyin strings and one
-    list of reading strings per character.
+    list of toneless syllables per character.
 
     Each test is a C loop over one field of all entries: checking entry by
     entry in Python made Lexicon.load ~12% slower.
@@ -225,22 +241,10 @@ def _check_entries(raw) -> None:
         raise ValueError("an entry pinyin is not a list of strings")
     if (not _only(list, readings) or list(map(len, readings)) != list(map(len, surface))
             or not _only(list, chain.from_iterable(readings))
-            or not _only(str, chain.from_iterable(chain.from_iterable(readings)))):
-        raise ValueError("entry readings are not one list of strings per character")
-
-
-def _checked_word_ids(ids, n_entries: int) -> tuple[int, ...]:
-    ids = tuple(ids)
-    if not all(type(i) is int and 0 <= i < n_entries for i in ids):
-        raise ValueError(f"index word ids {list(ids)} not all in 0..{n_entries - 1}")
-    return ids
-
-
-def _trie_to_dict(node: _TrieNode):
-    d: dict = {ch: _trie_to_dict(child) for ch, child in node.children.items()}
-    if node.word_ids:
-        d[""] = list(node.word_ids)  # "" never collides with a real character
-    return d
+            or not TONELESS_SYLLABLES.issuperset(
+                chain.from_iterable(chain.from_iterable(readings)))):
+        raise ValueError("entry readings are not one list of toneless syllables "
+                         "per character")
 
 
 def _parse_word_file(path: Path):
@@ -315,19 +319,7 @@ def lexicon_from_words(
         by_surface[surface] = wid
 
     lex = Lexicon(entries)
-    raw_index: dict[tuple[str, str], set[int]] = {}
-    for e in entries:
-        if len(e.surface) != 2:
-            continue
-        # cross-product of polyphone readings, each normalized to fuzzy keys
-        for ra in e.readings[0]:
-            for rb in e.readings[1]:
-                key = (
-                    fuzzy_key(parse_syllable(ra), fuzzy),
-                    fuzzy_key(parse_syllable(rb), fuzzy),
-                )
-                raw_index.setdefault(key, set()).add(e.word_id)
-    lex._freeze_index(raw_index)
+    lex.pinyin2gram_index(fuzzy)  # ready to query under the build table
     return lex
 
 
@@ -346,5 +338,6 @@ def build_lexicon(
 
 
 def lexicon_fingerprint(lex: Lexicon) -> str:
-    """CRC32 of the canonical serialization; handy for determinism checks."""
+    """CRC32 of the canonical serialization (the entries only); handy for
+    determinism checks."""
     return f"{zlib.crc32(lex.to_json().encode('utf-8')):08x}"

@@ -49,6 +49,10 @@ FINALS = (
 _INITIAL_SET = frozenset(INITIALS)
 _FINAL_SET = frozenset(FINALS)
 
+# Every string parse_syllable accepts without a tone digit; each one parses
+# back into the initial and final it was built from.
+TONELESS_SYLLABLES = frozenset(i + f for i in ("",) + INITIALS for f in FINALS)
+
 
 @dataclass(frozen=True)
 class PinyinSyllable:

@@ -112,6 +112,20 @@ class TestMatch:
         _, lex_path, *_ = work
         assert main(["match", "参家", "--lexicon", str(lex_path)]) == 0
 
+    def test_lexicon_file_follows_runtime_fuzzy_table(self, work, tmp_path, capsys):
+        # the file was built under the default classes; with an empty table
+        # it must answer exactly like a lexicon built in-process
+        _, lex_path, *_ = work
+        empty = tmp_path / "empty.fuzzy"
+        empty.write_text("# no confusion classes\n", encoding="utf-8")
+        args = ["match", "参家", "--fuzzy-table", str(empty), "--format", "json"]
+        assert main(args + ["--lexicon", str(lex_path)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(args) == 0
+        in_process = capsys.readouterr().out
+        assert from_file == in_process
+        assert "禅家" not in from_file
+
 
 class TestGenData:
     def test_deterministic_by_seed(self, tmp_path, capsys):
@@ -310,19 +324,14 @@ class TestMalformedInputs:
         ("surface", ""), ("surface", 7), ("frequency", "10"), ("frequency", True),
         ("frequency", -1), ("pinyin", "can jia"), ("pinyin", [None, 5]),
         ("readings", [["can"], 5]), ("readings", [["can"], [5]]), ("readings", []),
-        ("index", [999999]), ("index", [-1]), ("index", ["0"]), ("index", [True]),
+        ("readings", lambda entry: [["cxn"]] * len(entry["surface"])),
     ], ids=["surface-empty", "surface-int", "frequency-str", "frequency-bool",
             "frequency-negative", "pinyin-str", "pinyin-items", "readings-int",
-            "readings-item-int", "readings-short", "index-too-big",
-            "index-negative", "index-str", "index-bool"])
+            "readings-item-int", "readings-short", "readings-bad-syllable"])
     def test_mistyped_lexicon_field_exits_2(self, field, value, work, tmp_path, capsys):
         payload = json.loads(work[1].read_text(encoding="utf-8"))
-        if field == "index":
-            index = payload["pinyin2gram_index"]
-            payload["pinyin2gram_index"] = {k: value for k in index}
-        else:
-            for entry in payload["entries"]:
-                entry[field] = value
+        for entry in payload["entries"]:
+            entry[field] = value(entry) if callable(value) else value
         lex_path = tmp_path / "bad.lexicon"
         lex_path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
         assert main(["match", "参家", "--lexicon", str(lex_path)]) == 2

@@ -1,4 +1,7 @@
 import itertools
+import json
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +54,31 @@ def fuzzy():
 @pytest.fixture(scope="module")
 def lex(ptable, fuzzy):
     return lexicon_from_words(WORDS, ptable, fuzzy)
+
+
+def equivalence_oracle(lex, a, b, fuzzy):
+    """2-char entries with some reading pair equivalent to (a, b) under
+    `fuzzy`, ranked like the index: descending frequency, then word_id."""
+    expect = set()
+    for e in lex.entries:
+        if len(e.surface) != 2:
+            continue
+        for ra in e.readings[0]:
+            for rb in e.readings[1]:
+                if syllables_equivalent(a, parse_syllable(ra), fuzzy) and \
+                   syllables_equivalent(b, parse_syllable(rb), fuzzy):
+                    expect.add(e.word_id)
+    return sorted(expect, key=lambda w: (-lex.entries[w].frequency, w))
+
+
+ORACLE_SYLLABLES = ["can", "chan", "shan", "shen", "jia", "hui", "kuai",
+                    "ji", "yi", "wo", "dan", "a"]
+
+
+def write_payload(payload, tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    return p
 
 
 def brute_force_spans(lex, sentence):
@@ -152,10 +180,10 @@ class TestPinyin2Gram:
         assert lex.word_id("参加") in ids
         assert lex.word_id("禅家") in ids  # chan ~ can under z/zh c/ch s/sh
 
-    def test_frequency_ranking(self, lex):
+    def test_frequency_ranking(self, lex, fuzzy):
         # 参加 (freq 80) must precede 禅家 (freq 5) in their shared bucket
         key = ("can", "jia")
-        ids = lex.pinyin2gram_index[key]
+        ids = lex.pinyin2gram_index(fuzzy)[key]
         assert list(ids).index(lex.word_id("参加")) < list(ids).index(
             lex.word_id("禅家")
         )
@@ -176,8 +204,8 @@ class TestPinyin2Gram:
         )
         assert lex.word_id("参加") in ids_shen
 
-    def test_only_two_char_words_indexed(self, lex):
-        for ids in lex.pinyin2gram_index.values():
+    def test_only_two_char_words_indexed(self, lex, fuzzy):
+        for ids in lex.pinyin2gram_index(fuzzy).values():
             for wid in ids:
                 assert len(lex.surface(wid)) == 2
 
@@ -186,34 +214,68 @@ class TestPinyin2Gram:
             parse_syllable("wo3"), parse_syllable("wo3"), fuzzy
         ) == []
 
-    @given(
-        st.sampled_from(["can", "chan", "shan", "shen", "jia", "hui", "kuai",
-                         "ji", "yi", "wo", "dan", "a"]),
-        st.sampled_from(["can", "chan", "shan", "shen", "jia", "hui", "kuai",
-                         "ji", "yi", "wo", "dan", "a"]),
-    )
+    @given(st.sampled_from(ORACLE_SYLLABLES), st.sampled_from(ORACLE_SYLLABLES))
     @settings(max_examples=150)
     def test_lookup_matches_equivalence_filter(self, lex, fuzzy, sa, sb):
         # oracle: filter 2-char entries by syllables_equivalent on any
         # reading combination, then rank like the index does
         a, b = parse_syllable(sa), parse_syllable(sb)
-        expect = set()
-        for e in lex.entries:
-            if len(e.surface) != 2:
-                continue
-            for ra in e.readings[0]:
-                for rb in e.readings[1]:
-                    if syllables_equivalent(a, parse_syllable(ra), fuzzy) and \
-                       syllables_equivalent(b, parse_syllable(rb), fuzzy):
-                        expect.add(e.word_id)
-        got = lex.pinyin_2gram_lookup(a, b, fuzzy)
-        assert set(got) == expect
-        ranked = sorted(got, key=lambda w: (-lex.entries[w].frequency, w))
-        assert got == ranked
+        assert lex.pinyin_2gram_lookup(a, b, fuzzy) == equivalence_oracle(lex, a, b, fuzzy)
+
+    def test_loaded_lexicon_follows_query_table(self, lex, tmp_path):
+        # the index is rebuilt for whichever table a query passes, so one
+        # loaded lexicon answers both tables, in any order
+        lex.save(tmp_path / "lex.json")
+        loaded = Lexicon.load(tmp_path / "lex.json")
+        tables = [FuzzyClassTable.default(), FuzzyClassTable()]
+        pairs = list(itertools.product(ORACLE_SYLLABLES, repeat=2))
+        for _ in range(2):
+            for table in tables:
+                for sa, sb in pairs:
+                    a, b = parse_syllable(sa), parse_syllable(sb)
+                    assert loaded.pinyin_2gram_lookup(a, b, table) == \
+                        equivalence_oracle(loaded, a, b, table), (sa, sb)
+        # 禅家 (chan) sounds like 参加 (can) only under the default classes
+        a, b = parse_syllable("can"), parse_syllable("jia")
+        assert loaded.word_id("禅家") in loaded.pinyin_2gram_lookup(a, b, tables[0])
+        assert loaded.word_id("禅家") not in loaded.pinyin_2gram_lookup(a, b, tables[1])
+
+    def test_index_kept_for_the_last_table(self, lex):
+        default, empty = FuzzyClassTable.default(), FuzzyClassTable()
+        first = lex.pinyin2gram_index(default)
+        assert lex.pinyin2gram_index(default) is first
+        assert lex.pinyin2gram_index(empty) is not first
+        assert lex.pinyin2gram_index(default) == first
+
+    def test_threads_sharing_a_lexicon_see_their_own_table(self, lex):
+        tables = [FuzzyClassTable.default(), FuzzyClassTable()]
+        a, b = parse_syllable("can"), parse_syllable("jia")
+        expect = [equivalence_oracle(lex, a, b, t) for t in tables]
+        assert expect[0] != expect[1]
+        wrong = []
+
+        def query(t: int):
+            for _ in range(300):
+                got = lex.pinyin_2gram_lookup(a, b, tables[t])
+                if got != expect[t]:
+                    wrong.append((t, got))
+
+        threads = [threading.Thread(target=query, args=(i % 2,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-lookup as often as possible
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []
 
 
 class TestSerialization:
-    def test_round_trip(self, lex, tmp_path):
+    def test_round_trip(self, lex, fuzzy, tmp_path):
         p = tmp_path / "lex.json"
         lex.save(p)
         lex2 = Lexicon.load(p)
@@ -221,7 +283,17 @@ class TestSerialization:
         assert lex2.to_json() == lex.to_json()
         assert lexicon_fingerprint(lex2) == lexicon_fingerprint(lex)
         assert lex2.trie_match_all("我参加会议") == lex.trie_match_all("我参加会议")
-        assert lex2.pinyin2gram_index == lex.pinyin2gram_index
+        assert lex2.pinyin2gram_index(fuzzy) == lex.pinyin2gram_index(fuzzy)
+
+    def test_file_holds_entries_only(self, lex):
+        assert sorted(json.loads(lex.to_json())) == ["entries", "magic", "version"]
+
+    @pytest.mark.parametrize("reading", ["cxn", "can1", "", "CAN", 5])
+    def test_rejects_reading_that_is_not_a_toneless_syllable(self, lex, tmp_path, reading):
+        payload = json.loads(lex.to_json())
+        payload["entries"][0]["readings"][0] = [reading]
+        with pytest.raises(LexiconFormatError, match="toneless"):
+            Lexicon.load(write_payload(payload, tmp_path))
 
     def test_deterministic_bytes(self, ptable, fuzzy):
         a = lexicon_from_words(WORDS, ptable, fuzzy)
@@ -240,12 +312,21 @@ class TestSerialization:
         with pytest.raises(LexiconFormatError):
             Lexicon.load(p)
 
-    def test_rejects_wrong_version(self, lex, tmp_path):
-        import json
-
+    def test_rejects_surface_longer_than_four(self, lex, tmp_path):
         payload = json.loads(lex.to_json())
-        payload["version"] = 99
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
-        with pytest.raises(LexiconFormatError):
-            Lexicon.load(p)
+        entry = payload["entries"][0]
+        for field in ("pinyin", "readings"):
+            entry[field] = entry[field] * 3
+        entry["surface"] *= 3
+        with pytest.raises(LexiconFormatError, match="too long"):
+            Lexicon.load(write_payload(payload, tmp_path))
+
+    def test_rejects_wrong_version(self, lex, tmp_path):
+        # version 1 files also stored the trie and a fuzzy index frozen
+        # under the build-time table
+        for version in (1, 99):
+            payload = json.loads(lex.to_json())
+            payload["version"] = version
+            with pytest.raises(LexiconFormatError,
+                               match="rebuild it with `hanfix build-lexicon`"):
+                Lexicon.load(write_payload(payload, tmp_path))
