@@ -163,6 +163,8 @@ def generate_synthetic(
     """
     if len(lex) == 0:
         raise ValueError("lexicon is empty")
+    if n_sentences < 0:
+        raise ValueError(f"n_sentences must be non-negative, got {n_sentences}")
     lo, hi = len_range
     if not 1 <= lo <= hi:
         raise ValueError(f"bad len_range {len_range}")

@@ -6,13 +6,14 @@ Two complementary strategies feed the lattice:
   characters they cover, so correct words (and correct characters inside
   broken words) keep pulling toward themselves;
 * error amplification — characters not covered by any exact multi-char
-  match are treated as suspects, and for each suspect the fuzzy-pinyin
-  2-gram index is probed in both directions (suspect+right neighbor,
+  match are treated as suspects, and the fuzzy-pinyin 2-gram index is
+  probed on both windows around each suspect (suspect+right neighbor,
   left neighbor+suspect), attaching phonetically plausible words to both
   characters of the window.
 
 A window of two non-suspect characters never triggers a pinyin probe, which
-keeps candidate lists small on clean text.
+keeps candidate lists small on clean text; a window with two suspect ends is
+probed once.
 """
 
 from __future__ import annotations
@@ -43,8 +44,10 @@ class Direction(str, Enum):
     BACKWARD = "BACKWARD"
 
 
-_PROV_RANK = {Provenance.EXACT: 0, Provenance.PINYIN_EXACT: 1, Provenance.PINYIN_FUZZY: 2}
-_DIR_RANK = {Direction.NONE: 0, Direction.FORWARD: 1, Direction.BACKWARD: 2}
+# rank -> member; a provenance or direction is stored by its rank while the
+# lattice is built, and ranks are what the ranking compares
+_PROVENANCES = (Provenance.EXACT, Provenance.PINYIN_EXACT, Provenance.PINYIN_FUZZY)
+_DIRECTIONS = (Direction.NONE, Direction.FORWARD, Direction.BACKWARD)
 
 
 @dataclass(frozen=True)
@@ -69,16 +72,6 @@ class CharWordLattice:
         return len(self.sentence)
 
 
-def _candidate_sort_key(lex: Lexicon, cand: MatchCandidate):
-    return (
-        _PROV_RANK[cand.provenance],
-        -lex.entries[cand.word_id].frequency,
-        cand.word_id,
-        _DIR_RANK[cand.direction],
-        cand.span,
-    )
-
-
 def build_lattice(
     lex: Lexicon,
     ptable: PinyinTable,
@@ -89,15 +82,19 @@ def build_lattice(
 ) -> CharWordLattice:
     """Assemble the candidate lattice for one sentence.
 
-    Exact matches are attached to every position they cover.  For each
-    suspect position the 2-gram pinyin index is probed forward and
-    backward; results land on both characters of the probed window, marked
-    PINYIN_EXACT when some reading of the word matches both characters'
-    readings literally (toneless) and PINYIN_FUZZY otherwise.
+    Exact matches are attached to every position they cover.  Each window
+    of two adjacent characters with a suspect end is probed in the 2-gram
+    pinyin index once: FORWARD when its first character is suspect, else
+    BACKWARD (a window probed from both ends would give the same words
+    twice, and the FORWARD copy outranks the BACKWARD one).  Hits land on
+    both characters of the window, marked PINYIN_EXACT when some reading of
+    the word matches both characters' readings literally (toneless) and
+    PINYIN_FUZZY otherwise.
 
-    Per position, candidates are deduplicated by word_id (best provenance
-    wins), ranked EXACT > PINYIN_EXACT > PINYIN_FUZZY with frequency and
-    word_id as tiebreakers, and truncated to `m_max`.
+    Per position, each word keeps its best candidate by (provenance,
+    direction, span), with EXACT > PINYIN_EXACT > PINYIN_FUZZY and NONE >
+    FORWARD > BACKWARD.  The distinct words are ranked by (provenance,
+    descending frequency, word_id) and truncated to `m_max`.
 
     Characters without pinyin readings simply contribute no phonetic
     candidates; they are never an error here.
@@ -105,66 +102,67 @@ def build_lattice(
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
     n = len(sentence)
-    per_char: list[list[MatchCandidate]] = [[] for _ in range(n)]
+    # per position: word_id -> its best (provenance rank, direction rank,
+    # span, word_id); one key object is shared by every position of its span
+    best: list[dict[int, tuple]] = [{} for _ in range(n)]
     # position i is suspect iff no exact match of length >= 2 covers it;
     # single-char matches cannot witness an intact word
     suspects = [True] * n
 
+    # sorted by (start, end): a word's first match at a position is its best
     for start, end, wid in lex.trie_match_all(sentence):
-        cand = MatchCandidate(wid, (start, end), Provenance.EXACT, Direction.NONE)
+        key = (0, 0, (start, end), wid)
         for i in range(start, end + 1):
-            per_char[i].append(cand)
+            best[i].setdefault(wid, key)
             if end > start:
                 suspects[i] = False
 
     if include_pinyin:
         # reading syllables per character, () when unknown
         char_syllables = [ptable.get(ch) for ch in sentence]
-
-        def probe(lo: int, hi: int, direction: Direction):
-            syls_a, syls_b = char_syllables[lo], char_syllables[hi]
-            if not syls_a or not syls_b:
-                return
-            hits: set[int] = set()
-            for sa in syls_a:
-                for sb in syls_b:
-                    hits.update(lex.pinyin_2gram_lookup(sa, sb, fuzzy))
-            # PINYIN_EXACT compares toneless readings, as WordEntry stores them
-            ra = {s.toneless() for s in syls_a}
-            rb = {s.toneless() for s in syls_b}
-            for wid in sorted(hits):
-                entry = lex.entries[wid]
-                exact = bool(ra & set(entry.readings[0])) and bool(
-                    rb & set(entry.readings[1])
-                )
-                prov = Provenance.PINYIN_EXACT if exact else Provenance.PINYIN_FUZZY
-                cand = MatchCandidate(wid, (lo, hi), prov, direction)
-                per_char[lo].append(cand)
-                per_char[hi].append(cand)
-
-        for i in range(n):
-            if not suspects[i]:
+        # PINYIN_EXACT compares toneless readings, as WordEntry stores them
+        char_readings = [frozenset(s.toneless() for s in syls) for syls in char_syllables]
+        entries = lex.entries
+        for lo in range(n - 1):
+            hi = lo + 1
+            if suspects[lo]:
+                direction = 1
+            elif suspects[hi]:
+                direction = 2
+            else:
                 continue
-            if i + 1 < n:
-                probe(i, i + 1, Direction.FORWARD)
-            if i - 1 >= 0:
-                probe(i - 1, i, Direction.BACKWARD)
+            span = (lo, hi)
+            ra, rb = char_readings[lo], char_readings[hi]
+            at_lo, at_hi = best[lo], best[hi]
+            for sa in char_syllables[lo]:
+                for sb in char_syllables[hi]:
+                    for wid in lex.pinyin_2gram_lookup(sa, sb, fuzzy):
+                        readings = entries[wid].readings
+                        exact = not (ra.isdisjoint(readings[0]) or rb.isdisjoint(readings[1]))
+                        key = (1 if exact else 2, direction, span, wid)
+                        old = at_lo.get(wid)
+                        if old is None or key < old:
+                            at_lo[wid] = key
+                        # hi meets no earlier window, so only an EXACT key precedes
+                        at_hi.setdefault(wid, key)
 
-    ranked: list[list[MatchCandidate]] = []
-    for cands in per_char:
-        cands.sort(key=lambda c: _candidate_sort_key(lex, c))
-        seen: set[int] = set()
-        best: list[MatchCandidate] = []
-        for c in cands:
-            if c.word_id in seen:
-                continue
-            seen.add(c.word_id)
-            best.append(c)
-            if len(best) == m_max:
-                break
-        ranked.append(best)
+    rank = lex.word_rank()
+    made: dict[tuple, MatchCandidate] = {}
+    per_char: list[list[MatchCandidate]] = []
+    for words in best:
+        top = sorted(words, key=lambda w: (words[w][0], rank[w]))[:m_max]
+        cands = []
+        for wid in top:
+            key = words[wid]
+            cand = made.get(key)
+            if cand is None:
+                prov, direction, span, _ = key
+                cand = made[key] = MatchCandidate(
+                    wid, span, _PROVENANCES[prov], _DIRECTIONS[direction])
+            cands.append(cand)
+        per_char.append(cands)
 
-    return CharWordLattice(sentence=sentence, per_char=ranked, suspect=suspects)
+    return CharWordLattice(sentence=sentence, per_char=per_char, suspect=suspects)
 
 
 def lattice_to_feature_ids(

@@ -15,6 +15,9 @@ The trie is frozen once built.  The index of the last table queried sits in
 one (table, index) slot that is replaced whole, never mutated, so threads
 may share a Lexicon: each reads the slot once and never pairs one table
 with another table's index.  Alternating tables rebuilds the index each time.
+The word rank (frequency order, for ranking lattice candidates) is built on
+first use, not at construction, and likewise stored whole in one slot: two
+threads may both build it, but each gets a complete and equal tuple.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ class Lexicon:
         self.entries: tuple[WordEntry, ...] = tuple(entries)
         self._root = _TrieNode()
         self._index_memo: tuple[FuzzyClassTable | None, dict] = (None, {})
+        self._rank_memo: tuple[int, ...] | None = None
         self._by_surface: dict[str, int] = {}
         for e in self.entries:
             node = self._root
@@ -104,6 +108,19 @@ class Lexicon:
 
     def surface(self, word_id: int) -> str:
         return self.entries[word_id].surface
+
+    def word_rank(self) -> tuple[int, ...]:
+        """rank[word_id]: the word's place when all entries are ordered by
+        descending frequency, then word_id.  Built on first use."""
+        rank = self._rank_memo
+        if rank is None:
+            entries = self.entries
+            order = sorted(range(len(entries)), key=lambda w: (-entries[w].frequency, w))
+            places = [0] * len(order)
+            for place, wid in enumerate(order):
+                places[wid] = place
+            rank = self._rank_memo = tuple(places)
+        return rank
 
     # ---------------------------------------------------------------- queries
 

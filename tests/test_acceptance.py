@@ -13,7 +13,13 @@ import pytest
 
 from hanfix import data as bundled
 from hanfix.cli import main
-from hanfix.corpus import NoiseSpec, generate_synthetic, make_toy_benchmark, make_toy_inventory
+from hanfix.corpus import (
+    NoiseSpec,
+    generate_synthetic,
+    make_toy_benchmark,
+    make_toy_inventory,
+    make_toy_words,
+)
 from hanfix.desm import build_lattice, featurize_sentences
 from hanfix.evaluation import DEFAULT_VARIANTS, run_ablation, score
 from hanfix.lexicon import build_lexicon, lexicon_from_words
@@ -179,6 +185,38 @@ def test_01_matching_equals_reference_on_random_instances():
     assert checked == 1000
     assert elapsed < 60.0, f"matching reference sweep took {elapsed:.1f}s"
     print(f"PASS 1: 1000 random matching instances equal reference ({elapsed:.1f}s)")
+
+
+def test_01b_matching_equals_reference_in_a_dense_world():
+    # fuzzy buckets of up to 16 words overflow every m_max here, so most
+    # lists are truncated and ties in the ranking decide what survives
+    t0 = time.monotonic()
+    fuzzy = FuzzyClassTable.default()
+    inv = make_toy_inventory(fuzzy=fuzzy)
+    ptable = PinyinTable.from_pairs(inv)
+    words = make_toy_words(inv, n_words=2000, word_len=2, seed=7, fuzzy=fuzzy,
+                           bucket_cap=16)
+    lex = lexicon_from_words(words, ptable, fuzzy)
+    pairs = generate_synthetic(lex, ptable, fuzzy, 12, (24, 60),
+                               NoiseSpec(0.3, 0.5, seed=8), filler_rate=0.2)
+    full = total = 0
+    for m_max in (1, 3, 8):
+        for pair in pairs:
+            lat = build_lattice(lex, ptable, fuzzy, pair.source, m_max=m_max)
+            got = [
+                [(c.word_id, c.span, c.provenance.value, c.direction.value)
+                 for c in cands]
+                for cands in lat.per_char
+            ]
+            want, suspects = reference_lattice(lex, ptable, fuzzy, pair.source, m_max)
+            assert got == want, (pair.source, m_max)
+            assert lat.suspect == suspects, pair.source
+            full += sum(len(cands) == m_max for cands in got)
+            total += len(got)
+    assert full > total / 2
+    elapsed = time.monotonic() - t0
+    print(f"PASS 1b: {len(pairs)} dense-world sentences x 3 m_max equal reference "
+          f"({elapsed:.1f}s, {full / total:.0%} of lists full)")
 
 
 def test_02_running_example_canjia():

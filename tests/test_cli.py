@@ -141,6 +141,12 @@ class TestGenData:
         assert main(["gen-data", "--n", "5", "--error-rate", "1.5",
                      "--out", str(tmp_path / "x.tsv")]) == 2
 
+    def test_negative_count_exits_2(self, tmp_path, capsys):
+        assert main(["gen-data", "--n", "-2", "--out", str(tmp_path / "x.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.tsv").exists()
+
 
 class TestTrain:
     def test_reports_epochs(self, work, capsys):

@@ -229,6 +229,8 @@ class TestGenerate:
             generate_synthetic(lex, ptable, fuzzy, 5, (0, 4), NoiseSpec(0.1))
         with pytest.raises(ValueError):
             generate_synthetic(lex, ptable, fuzzy, 5, (6, 4), NoiseSpec(0.1))
+        with pytest.raises(ValueError, match="n_sentences"):
+            generate_synthetic(lex, ptable, fuzzy, -2, (2, 4), NoiseSpec(0.1))
         with pytest.raises(ValueError):
             NoiseSpec(1.5)
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from hanfix.desm import (
     lattice_to_feature_ids,
     sentence_features,
 )
-from hanfix.lexicon import lexicon_from_words
+from hanfix.lexicon import Lexicon, lexicon_from_words
 from hanfix.pinyin import (
     FuzzyClassTable,
     PinyinTable,
@@ -150,6 +152,32 @@ class TestLattice:
         kuaiji = [c for c in lat.per_char[1]
                   if lex.surface(c.word_id) == "会计"]
         assert kuaiji and kuaiji[0].provenance == Provenance.EXACT
+
+    def test_each_window_probed_once(self, lex, ptable, fuzzy, monkeypatch):
+        # no multi-char word covers any position, so every window has two
+        # suspect ends; 参, 禅 and 会 have two readings each
+        sentence = "参家禅会"
+        assert suspects(lex, ptable, fuzzy, sentence) == [True] * 4
+        calls = Counter()
+        lookup = Lexicon.pinyin_2gram_lookup
+
+        def counted(self, a, b, fz):
+            calls[(a, b)] += 1
+            return lookup(self, a, b, fz)
+
+        monkeypatch.setattr(Lexicon, "pinyin_2gram_lookup", counted)
+        lat = build_lattice(lex, ptable, fuzzy, sentence, m_max=50)
+        want = Counter(
+            (a, b)
+            for lo in range(len(sentence) - 1)
+            for a in ptable.get(sentence[lo])
+            for b in ptable.get(sentence[lo + 1])
+        )
+        assert calls == want
+        pinyin = [c for cands in lat.per_char for c in cands
+                  if c.provenance != Provenance.EXACT]
+        assert pinyin
+        assert {c.direction for c in pinyin} == {Direction.FORWARD}
 
     def test_unreadable_char_contributes_nothing(self, lex, ptable, fuzzy):
         # X has no readings: suspect, but probes touching it return nothing

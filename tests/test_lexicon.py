@@ -145,6 +145,40 @@ class TestBuild:
             build_lexicon(p, ptable, fuzzy)
         assert ":2" in str(ei.value)
 
+    def test_word_rank_orders_by_frequency_then_id(self, lex, ptable, fuzzy):
+        # 参加 80, 禅家 5, 会议 60, 会计 15, 参 10, 家 20, 山单 1
+        assert lex.word_rank() == (0, 5, 1, 3, 4, 2, 6)
+        ties = lexicon_from_words([("参", 3), ("家", 3), ("加", 7)], ptable, fuzzy)
+        assert ties.word_rank() == (1, 2, 0)
+
+    def test_word_rank_is_built_on_first_use(self, lex):
+        fresh = Lexicon(lex.entries)
+        assert fresh._rank_memo is None
+        assert fresh.word_rank() is fresh.word_rank()
+
+    def test_threads_building_the_word_rank_agree(self, lex):
+        fresh = [Lexicon(lex.entries) for _ in range(200)]
+        expect = lex.word_rank()
+        wrong = []
+
+        def rank_all():
+            for other in fresh:
+                if other.word_rank() != expect:
+                    wrong.append(other.word_rank())
+
+        threads = [threading.Thread(target=rank_all) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []
+
 
 class TestTrie:
     def test_match_example(self, lex):
