@@ -39,7 +39,9 @@ held_out = generate_synthetic(
     lex, ptable, fuzzy, 8, (4, 10), NoiseSpec(error_rate=0.2, seed=99)
 )
 sources = [p.source for p in held_out]
-feats = featurize_sentences(sources, lex, ptable, fuzzy, over["m_max"], "desm")
+# featurize the way the model was trained: its m_max and lattice mode
+cfg = params.config
+feats = featurize_sentences(sources, lex, ptable, fuzzy, cfg.m_max, cfg.lattice_mode)
 fixed = correct_many(params, sources, feats)
 print("\nheld-out corrections (input -> output | gold)")
 for p, out in zip(held_out, fixed):

@@ -29,7 +29,7 @@ from .corpus import (
     load_parallel_tsv,
     save_parallel_tsv,
 )
-from .desm import LATTICE_MODES, build_lattice, featurize_sentences, lattice_records
+from .desm import build_lattice, featurize_sentences, lattice_records
 from .errors import HanfixError
 from .evaluation import (
     DEFAULT_VARIANTS,
@@ -66,17 +66,24 @@ def _setup_logging() -> None:
     )
 
 
-def _add_table_flags(p) -> None:
+def _add_pinyin_flag(p) -> None:
     p.add_argument("--pinyin-table", metavar="TSV",
                    help="char<TAB>reading table (default: bundled demo table)")
+
+
+def _add_table_flags(p) -> None:
+    _add_pinyin_flag(p)
     p.add_argument("--fuzzy-table", metavar="FILE",
                    help="fuzzy class file, one class per line (default: bundled)")
 
 
+def _load_pinyin(args) -> PinyinTable:
+    return PinyinTable.from_file(args.pinyin_table or _data.demo_pinyin_path())
+
+
 def _load_tables(args) -> tuple[PinyinTable, FuzzyClassTable]:
-    ptable = PinyinTable.from_file(args.pinyin_table or _data.demo_pinyin_path())
     fuzzy = FuzzyClassTable.from_file(args.fuzzy_table or _data.demo_fuzzy_path())
-    return ptable, fuzzy
+    return _load_pinyin(args), fuzzy
 
 
 def _load_lexicon(args, ptable, fuzzy, allow_default: bool) -> Lexicon:
@@ -105,8 +112,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_build_lexicon(args) -> int:
-    ptable, fuzzy = _load_tables(args)
-    lex = build_lexicon(args.words, ptable, fuzzy)
+    # the file holds entries only; the fuzzy table applies when it is queried
+    lex = build_lexicon(args.words, _load_pinyin(args), FuzzyClassTable.default())
     lex.save(args.out)
     print(f"{len(lex)} words -> {args.out} (fingerprint {lexicon_fingerprint(lex)})")
     return EXIT_OK
@@ -180,8 +187,6 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         tconf = replace(tconf, seed=args.seed)
         overrides["seed"] = args.seed
-    if args.lattice:
-        tconf = replace(tconf, lattice_mode=args.lattice)
     params, history = train(
         pairs, lex, ptable, fuzzy, tconf=tconf, model_overrides=overrides,
         log=lambda line: print(line, file=sys.stderr),
@@ -197,7 +202,7 @@ def cmd_correct(args) -> int:
     params = load_checkpoint(args.checkpoint)
     sentences = _read_sentences(args)
     feats = featurize_sentences(
-        sentences, lex, ptable, fuzzy, params.config.m_max, args.lattice
+        sentences, lex, ptable, fuzzy, params.config.m_max, params.config.lattice_mode
     )
     outputs = correct_many(params, sentences, feats)
     if args.format == "json":
@@ -215,7 +220,7 @@ def cmd_evaluate(args) -> int:
     pairs = load_parallel_tsv(args.test)
     sources = [p.source for p in pairs]
     feats = featurize_sentences(
-        sources, lex, ptable, fuzzy, params.config.m_max, args.lattice
+        sources, lex, ptable, fuzzy, params.config.m_max, params.config.lattice_mode
     )
     preds = correct_many(params, sources, feats)
     report = score(
@@ -272,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-lexicon", help="compile a word list into a lexicon file")
     p.add_argument("--words", required=True, metavar="TSV", help="surface<TAB>frequency lines")
-    _add_table_flags(p)
+    _add_pinyin_flag(p)
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=cmd_build_lexicon)
 
@@ -307,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_flags(p)
     p.add_argument("--config", metavar="JSON", help="flat key-value training config")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--lattice", choices=LATTICE_MODES, help="override the lattice mode")
     p.add_argument("--out", required=True, metavar="FILE", help="checkpoint path")
     p.set_defaults(func=cmd_train)
 
@@ -316,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, metavar="FILE")
     p.add_argument("--lexicon", required=False, metavar="FILE")
     _add_table_flags(p)
-    p.add_argument("--lattice", choices=LATTICE_MODES, default="desm")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="FILE", help="write here instead of stdout")
     p.set_defaults(func=cmd_correct)
@@ -326,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=False, metavar="FILE")
     _add_table_flags(p)
     p.add_argument("--test", required=True, metavar="TSV")
-    p.add_argument("--lattice", choices=LATTICE_MODES, default="desm")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="FILE", help="write here instead of stdout")
     p.add_argument("--allow-zero-denominators", action="store_true",

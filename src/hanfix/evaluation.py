@@ -178,7 +178,7 @@ def run_ablation(
         raise ValueError("need at least one seed")
     tconf = tconf or TrainConfig()
     base_over = dict(model_overrides or {})
-    m_max = base_over.get("m_max", ModelConfig.__dataclass_fields__["m_max"].default)
+    m_max = base_over.get("m_max", ModelConfig.m_max)
     chars = build_char_vocab(
         [p.source for p in train_pairs] + [p.target for p in train_pairs]
     )
@@ -203,13 +203,13 @@ def run_ablation(
         try:
             reports = []
             for seed in seeds:
-                tc = replace(tconf, seed=seed, lattice_mode=var.lattice_mode)
                 over = dict(base_over)
                 over["use_copy"] = var.use_copy
+                over["lattice_mode"] = var.lattice_mode
                 over["seed"] = seed
                 params, _ = train(
                     train_pairs, lexicon, ptable, fuzzy,
-                    tconf=tc, model_overrides=over, chars=chars,
+                    tconf=replace(tconf, seed=seed), model_overrides=over, chars=chars,
                     feats=feats_for(var.lattice_mode, "train"),
                 )
                 preds = correct_many(

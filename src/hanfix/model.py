@@ -40,8 +40,10 @@ from .encoder import (
     scatter_rows,
     sigmoid,
     softmax,
+    softmax_backward,
     sum_outer,
 )
+from .desm import LATTICE_MODES, WORD_ID_OFFSET, WORD_PAD_ID
 from .errors import CheckpointError, HanfixError, SequenceTooLong
 
 CHAR_UNK_ID = 0
@@ -51,6 +53,37 @@ CHAR_ID_OFFSET = 2
 LOSS_EPS = 1e-12
 
 _GATE_ACTS = ("gelu", "tanh")
+
+
+def check_fields(cfg, minimum: dict, choices: dict) -> None:
+    """Check every field of a config dataclass against its declared type.
+
+    An int field takes a non-bool int, a float field a finite int or float,
+    a bool field a bool, and a str field a member of choices[name].  A
+    number named in `minimum` must be at least that value.  Raises
+    ValueError naming the first bad field.
+    """
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        kind = f.type if isinstance(f.type, str) else f.type.__name__
+        where = f"{type(cfg).__name__}.{f.name}"
+        if kind == "str":
+            if v not in choices[f.name]:
+                raise ValueError(f"{where} must be one of {choices[f.name]}, got {v!r}")
+            continue
+        if kind == "bool":
+            ok = isinstance(v, bool)
+        elif isinstance(v, bool):
+            ok = False
+        elif kind == "int":
+            ok = isinstance(v, int)
+        else:
+            ok = isinstance(v, (int, float)) and math.isfinite(v)
+        if not ok:
+            expected = {"int": "an int", "float": "a finite number", "bool": "a bool"}[kind]
+            raise ValueError(f"{where} must be {expected}, got {v!r}")
+        if f.name in minimum and v < minimum[f.name]:
+            raise ValueError(f"{where} must be at least {minimum[f.name]}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -67,36 +100,37 @@ class ModelConfig:
     max_len: int = 512
     gate_activation: str = "gelu"
     use_copy: bool = True
+    lattice_mode: str = "desm"
     seed: int = 0
     gate_bias_init: float = 2.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name in ("gate_activation", "use_copy", "gate_bias_init"):
-                continue
-            v = getattr(self, f.name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < (0 if f.name == "seed" else 1):
-                raise ValueError(f"ModelConfig.{f.name} must be a positive int, got {v!r}")
-        if not isinstance(self.gate_bias_init, (int, float)) or isinstance(self.gate_bias_init, bool) \
-                or not math.isfinite(self.gate_bias_init):
-            raise ValueError(f"ModelConfig.gate_bias_init must be a finite float, got {self.gate_bias_init!r}")
-        if self.char_vocab_size < CHAR_ID_OFFSET or self.word_vocab_size < 2:
-            raise ValueError("vocab sizes must leave room for UNK/PAD ids 0 and 1")
+        check_fields(self, _MODEL_MINIMUM, _MODEL_CHOICES)
         if self.d_c % self.heads != 0:
             raise ValueError(f"d_c={self.d_c} not divisible by heads={self.heads}")
-        if self.gate_activation not in _GATE_ACTS:
-            raise ValueError(f"gate_activation must be one of {_GATE_ACTS}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
+        """Inverse of to_dict: every field must be present, none extra."""
+        known = {f.name for f in fields(cls)}
         extra = set(d) - known
         if extra:
             raise ValueError(f"unknown ModelConfig keys: {sorted(extra)}")
+        missing = known - set(d)
+        if missing:
+            raise ValueError(f"missing ModelConfig keys: {sorted(missing)}")
         return cls(**d)
+
+
+# vocab sizes leave room for the reserved UNK/PAD ids
+_MODEL_MINIMUM = dict(
+    char_vocab_size=CHAR_ID_OFFSET, word_vocab_size=WORD_ID_OFFSET, d_c=1, d_w=1,
+    layers=1, heads=1, ffn_dim=1, gate_dim=1, m_max=1, max_len=1, seed=0,
+)
+_MODEL_CHOICES = {"gate_activation": _GATE_ACTS, "lattice_mode": LATTICE_MODES}
 
 
 @dataclass
@@ -197,7 +231,7 @@ def _fusion_backward(tensors, word_ids, fcache, dht, grads):
     ew, u, hW, a = fcache
     da = np.einsum("bnd,bnmd->bnm", dht, u)
     du = a[..., None] * dht[:, :, None, :]
-    ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
+    ds = softmax_backward(a, da)
     du += ds[..., None] * hW[:, :, None, :]
     dhW = np.einsum("bnm,bnmd->bnd", ds, u)
     dh = dht + dhW @ tensors["W_attn"].T
@@ -322,14 +356,14 @@ def assemble_batch(items) -> Batch:
     """Pad per-sentence arrays into one Batch.
 
     items: (char_ids [n], gold_ids [n] or None, word_ids [n, m], word_mask
-    [n, m]) per sentence.  Pad slots get CHAR_PAD_ID / WORD_PAD (mask 0).
+    [n, m]) per sentence.  Pad slots get CHAR_PAD_ID / WORD_PAD_ID (mask 0).
     """
     B = len(items)
     n = max(len(it[0]) for it in items)
     m = items[0][2].shape[1]
     char_ids = np.full((B, n), CHAR_PAD_ID, dtype=np.int64)
     char_mask = np.zeros((B, n))
-    word_ids = np.ones((B, n, m), dtype=np.int64)  # 1 == word-side PAD id
+    word_ids = np.full((B, n, m), WORD_PAD_ID, dtype=np.int64)
     word_mask = np.zeros((B, n, m))
     has_gold = items[0][1] is not None
     gold_ids = np.full((B, n), CHAR_PAD_ID, dtype=np.int64) if has_gold else None
@@ -385,15 +419,23 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
 # ----------------------------------------------------------------- checkpoint
 
 _CKPT_MAGIC = b"hanfix-ckpt\x00"
-_CKPT_VERSION = 1
+# version 2 headers record the lattice mode the model was trained on
+_CKPT_VERSION = 2
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Versioned binary: header JSON (config, chars, tensor manifest, payload
-    crc) + little-endian float32 tensor payload in declared order."""
-    payload = b"".join(
-        np.ascontiguousarray(t, dtype="<f4").tobytes() for t in params.tensors.values()
-    )
+    crc) + little-endian float32 tensor payload in declared order.
+
+    Raises HanfixError, before the file is opened, when a tensor is not
+    finite as float32 (finite float64 values beyond ~3.4e38 overflow).
+    """
+    with np.errstate(over="ignore"):
+        arrays = {k: np.ascontiguousarray(t, dtype="<f4") for k, t in params.tensors.items()}
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise HanfixError(f"parameter {name} is not finite as float32; checkpoint not written")
+    payload = b"".join(a.tobytes() for a in arrays.values())
     header = {
         "config": params.config.to_dict(),
         "chars": list(params.chars),
@@ -418,7 +460,10 @@ def load_checkpoint(path) -> ModelParams:
     off = len(_CKPT_MAGIC)
     version = int.from_bytes(blob[off : off + 4], "little")
     if version != _CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint version {version} "
+            f"(expected {_CKPT_VERSION}); retrain it with `hanfix train`"
+        )
     hlen = int.from_bytes(blob[off + 4 : off + 8], "little")
     hcrc = int.from_bytes(blob[off + 8 : off + 12], "little")
     hb = blob[off + 12 : off + 12 + hlen]
@@ -456,6 +501,8 @@ def load_checkpoint(path) -> ModelParams:
         if len(raw) != 4 * count:
             raise CheckpointError(f"{path}: payload truncated at tensor {name}")
         tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+        if not np.all(np.isfinite(tensors[name])):
+            raise CheckpointError(f"{path}: tensor {name} has non-finite values")
         pos += 4 * count
     if pos != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - pos} trailing payload bytes")

@@ -1,7 +1,9 @@
 """Training loop: vocabulary building, Adam, seeded epochs.
 
-Candidate-word features are precomputed once per corpus (they depend only
-on the lexicon, not the model), so each training step is pure numpy.  One
+Candidate-word features are precomputed once per corpus (they depend on
+the lexicon and on the model's lattice_mode and m_max, not on its weights),
+so each training step is pure numpy.  Both settings live in ModelConfig and
+so travel in the checkpoint, where `correct` and `evaluate` read them.  One
 RNG seeded from TrainConfig.seed drives shuffling; model init has its own
 seed inside ModelConfig, so two runs with the same configs produce
 byte-identical parameters.
@@ -14,11 +16,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .desm import LATTICE_MODES, featurize_sentences
+from .desm import WORD_ID_OFFSET, featurize_sentences
 from .model import (
+    CHAR_ID_OFFSET,
     ModelConfig,
     ModelParams,
     assemble_batch,
+    check_fields,
     check_finite,
     init_params,
     loss_and_grads,
@@ -40,15 +44,11 @@ class TrainConfig:
     seed: int = 0
     shuffle: bool = True
     target_loss: float = 0.0  # >0: stop once epoch mean loss drops below
-    lattice_mode: str = "desm"
 
     def __post_init__(self):
-        if self.lattice_mode not in LATTICE_MODES:
-            raise ValueError(
-                f"lattice_mode must be one of {LATTICE_MODES}, got {self.lattice_mode!r}"
-            )
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("lr must be positive, batch_size/epochs at least 1")
+        check_fields(self, {"batch_size": 1, "epochs": 1, "seed": 0}, {})
+        if self.lr <= 0:
+            raise ValueError(f"TrainConfig.lr must be positive, got {self.lr!r}")
 
 
 # ModelConfig fields a training config file may set; vocab sizes are always
@@ -129,15 +129,15 @@ def train(
     over = dict(model_overrides or {})
     over.setdefault("seed", tconf.seed)
     cfg = ModelConfig(
-        char_vocab_size=len(chars) + 2,
-        word_vocab_size=len(lexicon) + 2,
+        char_vocab_size=len(chars) + CHAR_ID_OFFSET,
+        word_vocab_size=len(lexicon) + WORD_ID_OFFSET,
         **over,
     )
     params = init_params(cfg, chars)
     if feats is None:
         feats = featurize_sentences(
             [p.source for p in pairs], lexicon, ptable, fuzzy,
-            cfg.m_max, tconf.lattice_mode,
+            cfg.m_max, cfg.lattice_mode,
         )
     items = [
         (params.char_to_ids(p.source), params.char_to_ids(p.target),

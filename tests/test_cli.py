@@ -10,8 +10,12 @@ import pytest
 
 from hanfix import data as bundled
 from hanfix.cli import main
+from hanfix.corpus import load_parallel_tsv
+from hanfix.desm import featurize_sentences
+from hanfix.evaluation import score
 from hanfix.lexicon import Lexicon
-from hanfix.model import _CKPT_MAGIC
+from hanfix.model import _CKPT_MAGIC, correct_many, load_checkpoint
+from hanfix.pinyin import FuzzyClassTable, PinyinTable
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -61,6 +65,17 @@ class TestParsing:
         assert main(["--help"]) == 0
         assert "build-lexicon" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--corpus", "c.tsv", "--out", "m.ckpt", "--lattice", "ttm"],
+        ["correct", "参家", "--checkpoint", "m.ckpt", "--lattice", "ttm"],
+        ["evaluate", "--checkpoint", "m.ckpt", "--test", "t.tsv", "--lattice", "ttm"],
+        ["build-lexicon", "--words", "w.tsv", "--out", "x", "--fuzzy-table", "f"],
+    ], ids=["train", "correct", "evaluate", "build-lexicon"])
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        # the lattice mode comes from the config and then the checkpoint; a
+        # lexicon file does not depend on the fuzzy table
+        assert main(argv) == 1
+
 
 class TestBuildLexicon:
     def test_reports_and_is_loadable(self, work, capsys):
@@ -72,6 +87,7 @@ class TestBuildLexicon:
         assert "words ->" in msg and "fingerprint" in msg
         assert len(Lexicon.load(out2)) > 0
         assert out2.read_bytes() == lex_path.read_bytes()  # deterministic
+        assert "(fingerprint 4f4e2d6d)" in msg  # the bundled demo words
 
     def test_missing_words_file(self, tmp_path, capsys):
         assert main(["build-lexicon", "--words", str(tmp_path / "nope.tsv"),
@@ -223,10 +239,43 @@ class TestCorrect:
         assert main(["correct", "参家", "--checkpoint", str(d / "no.ckpt"),
                      "--lexicon", str(lex_path)]) == 2
 
-    def test_ttm_lattice_flag(self, work, capsys):
-        _, lex_path, _, _, _, ckpt = work
-        assert main(["correct", "参家", "--checkpoint", str(ckpt),
-                     "--lexicon", str(lex_path), "--lattice", "ttm"]) == 0
+    def test_trained_lattice_mode_drives_features(self, work, tmp_path, capsys):
+        # a checkpoint trained on ttm lattices is corrected and scored with
+        # ttm features, no flag needed; without the copy gate the two lattices
+        # give different outputs and scores after a few epochs
+        _, lex_path, _, train_tsv, test_tsv, _ = work
+        cfg = tmp_path / "ttm.json"
+        cfg.write_text(json.dumps(dict(CONFIG, lattice_mode="ttm", use_copy=False,
+                                       lr=0.01, epochs=5)), encoding="utf-8")
+        ckpt = tmp_path / "ttm.ckpt"
+        assert main(["train", "--corpus", str(train_tsv), "--lexicon", str(lex_path),
+                     "--config", str(cfg), "--out", str(ckpt)]) == 0
+        params = load_checkpoint(ckpt)
+        assert params.config.lattice_mode == "ttm"
+        pairs = load_parallel_tsv(test_tsv)
+        sources = [p.source for p in pairs]
+        lex = Lexicon.load(lex_path)
+        ptable = PinyinTable.from_file(bundled.demo_pinyin_path())
+        fuzzy = FuzzyClassTable.from_file(bundled.demo_fuzzy_path())
+
+        def library(mode):
+            feats = featurize_sentences(sources, lex, ptable, fuzzy,
+                                        params.config.m_max, mode)
+            preds = correct_many(params, sources, feats)
+            report = score([(p.source, p.target, yh) for p, yh in zip(pairs, preds)],
+                           tag=test_tsv.name)
+            return preds, report.to_dict()
+
+        ttm, desm = library("ttm"), library("desm")
+        assert ttm[0] != desm[0] and ttm[1] != desm[1]
+        capsys.readouterr()
+        assert main(["correct", *sources, "--checkpoint", str(ckpt),
+                     "--lexicon", str(lex_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == ttm[0]
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--lexicon", str(lex_path),
+                     "--test", str(test_tsv), "--format", "json",
+                     "--allow-zero-denominators"]) == 0
+        assert json.loads(capsys.readouterr().out) == ttm[1]
 
 
 class TestEvaluate:
@@ -299,18 +348,23 @@ class TestAblate:
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("what", ["lexicon-no-entries", "entry-no-pinyin",
-                                      "checkpoint-no-chars"])
+                                      "checkpoint-no-chars", "checkpoint-v1"])
     def test_exit_2_with_one_line_error(self, what, work, tmp_path, capsys):
         _, lex_path, _, _, _, ckpt = work
-        if what == "checkpoint-no-chars":
+        if what.startswith("checkpoint"):
             blob = ckpt.read_bytes()
             off = len(_CKPT_MAGIC)
             hlen = int.from_bytes(blob[off + 4 : off + 8], "little")
             header = json.loads(blob[off + 12 : off + 12 + hlen])
-            del header["chars"]
+            version = blob[off : off + 4]
+            if what == "checkpoint-no-chars":
+                del header["chars"]
+            else:  # a version 1 file: its config has no lattice mode
+                del header["config"]["lattice_mode"]
+                version = (1).to_bytes(4, "little")
             hb = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
             ckpt = tmp_path / "bad.ckpt"
-            ckpt.write_bytes(blob[: off + 4] + len(hb).to_bytes(4, "little")
+            ckpt.write_bytes(blob[:off] + version + len(hb).to_bytes(4, "little")
                              + zlib.crc32(hb).to_bytes(4, "little") + hb
                              + blob[off + 12 + hlen :])
         else:

@@ -4,13 +4,18 @@ Each saved file is truncated at seeded offsets and has seeded single bits
 flipped.  Loading a mutant may raise LexiconFormatError or CheckpointError
 and nothing else, and a mutated lexicon that still loads must be safe to
 query: the lattice rebuilds the fuzzy 2-gram index from its readings.
+
+A training config with a value of the wrong type, out of range or not
+finite makes `hanfix train` exit 2 with one error line before any epoch.
 """
 
+import json
 import random
 
 import pytest
 
 from hanfix import data as bundled
+from hanfix.cli import main
 from hanfix.desm import build_lattice
 from hanfix.errors import CheckpointError, LexiconFormatError
 from hanfix.lexicon import Lexicon, build_lexicon
@@ -85,3 +90,60 @@ def test_corrupt_checkpoint_fails_cleanly(tmp_path):
         except Exception as e:  # noqa: BLE001
             escapes.append((what, repr(e)))
     assert escapes == []
+
+
+# one bad value per case, each key on the model or the training side
+BAD_CONFIG_VALUES = [
+    ("epochs", 1e9), ("epochs", 0), ("epochs", "2"), ("batch_size", 2.5),
+    ("batch_size", True), ("lr", float("nan")), ("lr", float("inf")), ("lr", -1e-3),
+    ("lr", None), ("seed", -1), ("seed", 1.0), ("shuffle", "no"), ("shuffle", 1),
+    ("target_loss", float("nan")), ("target_loss", [0.5]), ("use_copy", "false"),
+    ("use_copy", 0), ("lattice_mode", "DESM"), ("lattice_mode", None),
+    ("gate_activation", "relu"), ("gate_bias_init", float("-inf")),
+    ("gate_bias_init", "2"), ("d_c", 8.0), ("d_c", 0), ("m_max", True),
+    ("max_len", {"n": 32}), ("heads", 3),
+]
+
+
+@pytest.fixture(scope="module")
+def train_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("config_fuzz")
+    lex, corpus = d / "demo.lexicon", d / "train.tsv"
+    assert main(["build-lexicon", "--words", str(bundled.demo_words_path()),
+                 "--out", str(lex)]) == 0
+    assert main(["gen-data", "--n", "8", "--seed", "0", "--out", str(corpus)]) == 0
+    return lex, corpus
+
+
+@pytest.mark.parametrize("key,value", BAD_CONFIG_VALUES,
+                         ids=[f"{k}={v!r}" for k, v in BAD_CONFIG_VALUES])
+def test_bad_config_value_exits_2_before_training(key, value, train_inputs, tmp_path,
+                                                  capsys):
+    lex, corpus = train_inputs
+    cfg = {"d_c": 8, "d_w": 4, "layers": 1, "heads": 2, "ffn_dim": 16, "gate_dim": 4,
+           "m_max": 3, "max_len": 32, "epochs": 1, key: value}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")  # NaN/Infinity allowed
+    capsys.readouterr()
+    code = main(["train", "--corpus", str(corpus), "--lexicon", str(lex),
+                 "--config", str(cfg_path), "--out", str(tmp_path / "m.ckpt")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_overflowing_training_writes_no_checkpoint(train_inputs, tmp_path, capsys):
+    # one Adam step at lr 1e300 leaves finite float64 weights that overflow
+    # the float32 payload
+    lex, corpus = train_inputs
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"d_c": 8, "d_w": 4, "layers": 1, "heads": 2,
+                                    "ffn_dim": 16, "gate_dim": 4, "m_max": 3,
+                                    "lr": 1e300, "epochs": 1}), encoding="utf-8")
+    code = main(["train", "--corpus", str(corpus), "--lexicon", str(lex),
+                 "--config", str(cfg_path), "--out", str(tmp_path / "m.ckpt")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert err[-1].startswith("error: ") and "float32" in err[-1], err
+    assert not (tmp_path / "m.ckpt").exists()

@@ -9,6 +9,7 @@ from hanfix.errors import CheckpointError, HanfixError, SequenceTooLong
 from hanfix.lexicon import lexicon_from_words
 from hanfix.model import (
     _CKPT_MAGIC,
+    _CKPT_VERSION,
     CHAR_PAD_ID,
     CHAR_UNK_ID,
     Batch,
@@ -67,11 +68,17 @@ class TestConfig:
         dict(d_c=0), dict(layers=-1), dict(heads=0), dict(d_c=7.5),
         dict(seed=-1), dict(layers=True), dict(char_vocab_size=1),
         dict(word_vocab_size=1), dict(d_c=10, heads=4),
-        dict(gate_activation="relu"),
+        dict(gate_activation="relu"), dict(use_copy="false"), dict(use_copy=1),
+        dict(gate_bias_init=float("nan")), dict(gate_bias_init="2"),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             tiny_config(**bad)
+
+    def test_lattice_mode_is_checked(self):
+        assert tiny_config(lattice_mode="ttm").lattice_mode == "ttm"
+        with pytest.raises(ValueError, match="lattice_mode"):
+            tiny_config(lattice_mode="DESM")
 
     def test_seed_zero_ok(self):
         assert tiny_config(seed=0).seed == 0
@@ -84,6 +91,12 @@ class TestConfig:
         d = tiny_config().to_dict()
         d["dropout"] = 0.1
         with pytest.raises(ValueError, match="dropout"):
+            ModelConfig.from_dict(d)
+
+    def test_from_dict_missing_key(self):
+        d = tiny_config().to_dict()
+        del d["lattice_mode"]
+        with pytest.raises(ValueError, match="lattice_mode"):
             ModelConfig.from_dict(d)
 
 
@@ -444,6 +457,34 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(p)
 
+    def test_version_1_is_rejected(self, saved, tmp_path):
+        # version 1 headers do not say which lattice the model was trained on
+        header, payload = self._split(saved[1].read_bytes())
+        del header["config"]["lattice_mode"]
+        p = tmp_path / "v1"
+        p.write_bytes(self._join(header, payload, version=1))
+        with pytest.raises(CheckpointError, match="version 1 .*retrain"):
+            load_checkpoint(p)
+
+    def test_save_refuses_float32_overflow(self, tmp_path):
+        # finite in float64, +inf once cast to the float32 payload
+        params = healthy_params(tiny_config(), seed=31)
+        params.tensors["W_attn"][0, 0] = 1e39
+        path = tmp_path / "big.ckpt"
+        with pytest.raises(HanfixError, match="W_attn"):
+            save_checkpoint(params, path)
+        assert not path.exists()
+
+    def test_load_refuses_non_finite_payload(self, saved, tmp_path):
+        header, payload = self._split(saved[1].read_bytes())
+        nan = np.array([np.nan], dtype="<f4").tobytes()
+        payload = nan + payload[len(nan):]
+        header["payload_crc32"] = zlib.crc32(payload)
+        p = tmp_path / "nan"
+        p.write_bytes(self._join(header, payload))
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(p)
+
     def test_header_corruption(self, saved, tmp_path):
         _, path = saved
         blob = bytearray(path.read_bytes())
@@ -470,9 +511,9 @@ class TestCheckpoint:
         return header, blob[off + 12 + hlen :]
 
     @staticmethod
-    def _join(header, payload):
+    def _join(header, payload, version=_CKPT_VERSION):
         hb = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
-        return (_CKPT_MAGIC + (1).to_bytes(4, "little")
+        return (_CKPT_MAGIC + version.to_bytes(4, "little")
                 + len(hb).to_bytes(4, "little")
                 + zlib.crc32(hb).to_bytes(4, "little") + hb + payload)
 

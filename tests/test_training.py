@@ -8,6 +8,7 @@ from hanfix.corpus import (
     make_toy_inventory,
     make_toy_words,
 )
+from hanfix.desm import featurize_sentences
 from hanfix.lexicon import lexicon_from_words
 from hanfix.model import correct_many
 from hanfix.pinyin import FuzzyClassTable, PinyinTable
@@ -28,17 +29,18 @@ def tiny_world():
 
 class TestConfigHandling:
     def test_train_config_validation(self):
-        with pytest.raises(ValueError, match="lattice_mode"):
-            TrainConfig(lattice_mode="DESM")
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+        assert TrainConfig(lr=1, target_loss=0).lr == 1  # a float field takes an int
 
     def test_split_config_routes_keys(self):
         over, tconf = split_config(
-            {"d_c": 8, "heads": 2, "lr": 0.01, "epochs": 3, "seed": 7})
-        assert over == {"d_c": 8, "heads": 2, "seed": 7}  # seed feeds both
+            {"d_c": 8, "heads": 2, "lattice_mode": "ttm", "lr": 0.01, "epochs": 3,
+             "seed": 7})
+        # seed feeds both; the lattice mode belongs to the model
+        assert over == {"d_c": 8, "heads": 2, "lattice_mode": "ttm", "seed": 7}
         assert tconf.lr == 0.01 and tconf.epochs == 3 and tconf.seed == 7
 
     def test_split_config_rejects_unknown(self):
@@ -104,6 +106,22 @@ class TestTrain:
         assert h1 == h2
         for name in p1.tensors:
             assert np.array_equal(p1.tensors[name], p2.tensors[name])
+
+    def test_features_follow_the_model_lattice_mode(self, tiny_world):
+        ptable, fuzzy, lexicon, pairs = tiny_world
+        sources = [p.source for p in pairs]
+        tconf = TrainConfig(lr=1e-3, batch_size=4, epochs=2)
+        over = dict(OVER, lattice_mode="ttm")
+
+        def history(feats=None):
+            return train(pairs, lexicon, ptable, fuzzy, tconf,
+                         model_overrides=over, feats=feats)[1]
+
+        def feats(mode):
+            return featurize_sentences(sources, lexicon, ptable, fuzzy, OVER["m_max"], mode)
+
+        assert history() == history(feats("ttm"))
+        assert history() != history(feats("desm"))
 
     def test_seed_changes_run(self, tiny_world):
         ptable, fuzzy, lexicon, pairs = tiny_world
