@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,9 +51,9 @@ _PROVENANCES = (Provenance.EXACT, Provenance.PINYIN_EXACT, Provenance.PINYIN_FUZ
 _DIRECTIONS = (Direction.NONE, Direction.FORWARD, Direction.BACKWARD)
 
 
-@dataclass(frozen=True)
-class MatchCandidate:
-    """One word hypothesis covering a span of the sentence."""
+class MatchCandidate(NamedTuple):
+    """One word hypothesis covering a span of the sentence.  A NamedTuple, not
+    a frozen dataclass: immutable and hashable alike, ~3x cheaper to build."""
 
     word_id: int
     span: tuple[int, int]  # (start, end) inclusive character positions
@@ -94,7 +95,11 @@ def build_lattice(
     Per position, each word keeps its best candidate by (provenance,
     direction, span), with EXACT > PINYIN_EXACT > PINYIN_FUZZY and NONE >
     FORWARD > BACKWARD.  The distinct words are ranked by (provenance,
-    descending frequency, word_id) and truncated to `m_max`.
+    descending frequency, word_id) and truncated to `m_max`.  Keys are
+    (provenance, Lexicon.word_rank, direction, span, word_id) tuples, so
+    plain tuple order does both: the rank is one per word, so it never
+    decides between two keys of the same word, and it decides between any
+    two words of equal provenance before the direction is compared.
 
     Characters without pinyin readings simply contribute no phonetic
     candidates; they are never an error here.
@@ -102,8 +107,9 @@ def build_lattice(
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
     n = len(sentence)
-    # per position: word_id -> its best (provenance rank, direction rank,
-    # span, word_id); one key object is shared by every position of its span
+    rank = lex.word_rank()
+    # per position: word_id -> its best (provenance rank, word rank, direction
+    # rank, span, word_id); one key object is shared by every position of its span
     best: list[dict[int, tuple]] = [{} for _ in range(n)]
     # position i is suspect iff no exact match of length >= 2 covers it;
     # single-char matches cannot witness an intact word
@@ -111,7 +117,7 @@ def build_lattice(
 
     # sorted by (start, end): a word's first match at a position is its best
     for start, end, wid in lex.trie_match_all(sentence):
-        key = (0, 0, (start, end), wid)
+        key = (0, rank[wid], 0, (start, end), wid)
         for i in range(start, end + 1):
             best[i].setdefault(wid, key)
             if end > start:
@@ -139,24 +145,21 @@ def build_lattice(
                     for wid in lex.pinyin_2gram_lookup(sa, sb, fuzzy):
                         readings = entries[wid].readings
                         exact = not (ra.isdisjoint(readings[0]) or rb.isdisjoint(readings[1]))
-                        key = (1 if exact else 2, direction, span, wid)
+                        key = (1 if exact else 2, rank[wid], direction, span, wid)
                         old = at_lo.get(wid)
                         if old is None or key < old:
                             at_lo[wid] = key
                         # hi meets no earlier window, so only an EXACT key precedes
                         at_hi.setdefault(wid, key)
 
-    rank = lex.word_rank()
     made: dict[tuple, MatchCandidate] = {}
     per_char: list[list[MatchCandidate]] = []
     for words in best:
-        top = sorted(words, key=lambda w: (words[w][0], rank[w]))[:m_max]
         cands = []
-        for wid in top:
-            key = words[wid]
+        for key in sorted(words.values())[:m_max]:
             cand = made.get(key)
             if cand is None:
-                prov, direction, span, _ = key
+                prov, _, direction, span, wid = key
                 cand = made[key] = MatchCandidate(
                     wid, span, _PROVENANCES[prov], _DIRECTIONS[direction])
             cands.append(cand)
@@ -174,14 +177,19 @@ def lattice_to_feature_ids(
     ids 0/1 are reserved for UNK/PAD).  Slots beyond the candidate list are
     WORD_PAD_ID with mask 0.
     """
-    n = len(lat.sentence)
-    ids = np.full((n, m_max), WORD_PAD_ID, dtype=np.int64)
-    mask = np.zeros((n, m_max), dtype=np.float64)
-    for i, cands in enumerate(lat.per_char):
-        for j, c in enumerate(cands[:m_max]):
-            ids[i, j] = c.word_id + WORD_ID_OFFSET
-            mask[i, j] = 1.0
-    return ids, mask
+    # slots go to one flat list, then into the array in one assignment, which
+    # beats two numpy item writes per candidate.  Filled, not
+    # np.array(list).reshape(...): that view keeps a second array object
+    # alive per cached feature (~1 MB over 5000 training sentences).
+    flat: list[int] = []
+    pad = [WORD_PAD_ID] * m_max
+    for cands in lat.per_char:
+        flat += [c.word_id + WORD_ID_OFFSET for c in cands[:m_max]]
+        flat += pad[len(cands):]
+    ids = np.empty((len(lat.sentence), m_max), dtype=np.int64)
+    ids.reshape(-1)[:] = flat
+    # every candidate id is at least WORD_ID_OFFSET, every pad id below it
+    return ids, (ids >= WORD_ID_OFFSET).astype(np.float64)
 
 
 LATTICE_MODES = ("desm", "ttm", "none")

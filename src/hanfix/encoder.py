@@ -50,18 +50,21 @@ def scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
+    never overflows; both branches share e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax into a new array; x is not modified.  ufunc.reduce runs the
+    same loops as x.max()/x.sum() without their Python wrappers, which cost
+    more than the arithmetic on small arrays; exp and the division run in
+    place, so a multi-MB input allocates one temporary, not three."""
+    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    return e
 
 
 def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -70,11 +73,15 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     Rows whose mask is all zero come back as all zeros (not NaN), which is
     exactly the no-candidate fallback the fusion layer relies on.
     """
-    s = np.where(mask > 0, scores, -1e30)
-    m = s.max(axis=-1, keepdims=True)
-    e = np.exp(s - m) * (mask > 0)
-    z = e.sum(axis=-1, keepdims=True)
-    return e / np.where(z == 0.0, 1.0, z)
+    keep = mask > 0
+    e = np.where(keep, scores, -1e30)
+    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e *= keep
+    z = np.add.reduce(e, axis=-1, keepdims=True)
+    z[z == 0.0] = 1.0
+    e /= z
+    return e
 
 
 def softmax_backward(a: np.ndarray, da: np.ndarray) -> np.ndarray:
@@ -90,24 +97,29 @@ def softmax_backward(a: np.ndarray, da: np.ndarray) -> np.ndarray:
 _LN_EPS = 1e-5
 
 
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=-1, keepdims=True), bit for bit: the same sum and division,
+    without ndarray.mean's Python wrapper."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def ln_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv
-    return xhat * g + b, (xhat, inv, g)
+    xc = x - _mean_last(x)
+    # x.var(axis=-1) is this same sum of squared deviations over d
+    inv = 1.0 / np.sqrt(_mean_last(xc * xc) + _LN_EPS)
+    xc *= inv
+    y = xc * g
+    y += b
+    return y, (xc, inv, g)
 
 
 def ln_backward(dy: np.ndarray, cache):
     xhat, inv, g = cache
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    lead = tuple(range(dy.ndim - 1))
+    dg = np.add.reduce(dy * xhat, axis=lead)
+    db = np.add.reduce(dy, axis=lead)
     dxhat = dy * g
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
     return dx, dg, db
 
 
@@ -157,7 +169,12 @@ def encoder_forward(tensors, cfg, char_ids: np.ndarray, cmask: np.ndarray):
     """
     B, n = char_ids.shape
     x = tensors["E_c"][char_ids] + tensors["P"][:n][None, :, :]
-    kmask = cmask[:, None, None, :]  # broadcast over heads and queries
+    # additive key bias over heads and queries: pad keys get -1e30, whose
+    # exp is exactly 0 beside any real key, so softmax(S + bias) equals
+    # masked_softmax(S, mask) bit for bit on rows with a real key.  Every row
+    # of a batch with a non-empty sentence has one; a sentence with no
+    # characters (correct_many skips them) has no positions that carry loss.
+    kbias = np.where(cmask > 0, 0.0, -1e30)[:, None, None, :]
     caches = []
     for l in range(cfg.layers):
         p = f"blk{l}."
@@ -165,8 +182,10 @@ def encoder_forward(tensors, cfg, char_ids: np.ndarray, cmask: np.ndarray):
         Qh, Kh, Vh = (_split_heads(t @ tensors[p + "W" + z].T + tensors[p + "b" + z], cfg.heads)
                       for z in "qkv")
         scale = 1.0 / np.sqrt(Qh.shape[-1])
-        S = (Qh @ Kh.transpose(0, 1, 3, 2)) * scale
-        A = masked_softmax(S, np.broadcast_to(kmask, S.shape))
+        S = Qh @ Kh.transpose(0, 1, 3, 2)
+        S *= scale
+        S += kbias
+        A = softmax(S)
         O = _merge_heads(A @ Vh)
         x1 = x + (O @ tensors[p + "Wo"].T + tensors[p + "bo"])
         t2, ln2c = ln_forward(x1, tensors[p + "ln2.g"], tensors[p + "ln2.b"])

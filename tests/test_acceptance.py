@@ -356,6 +356,7 @@ def test_05_overfits_ten_pairs_within_500_steps():
           f"after {steps} steps ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_06_ablation_orders_the_variants():
     t0 = time.monotonic()
     bench = make_toy_benchmark(n_words=500, n_train=5000, n_test=500,

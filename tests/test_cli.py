@@ -332,6 +332,19 @@ class TestAblate:
         assert code == 0
         assert "plain" in out and "desm+copy" in out
 
+    @pytest.mark.parametrize("key,value", [("use_copy", False), ("lattice_mode", "none")])
+    def test_variant_keys_in_config_are_rejected(self, key, value, work, capsys):
+        # run_ablation sets both per variant, so a config value would be ignored
+        d, lex_path, _, train_tsv, test_tsv, _ = work
+        cfg = d / f"ablate-{key}.json"
+        cfg.write_text(json.dumps(dict(CONFIG, epochs=1, **{key: value})), encoding="utf-8")
+        assert main(["ablate", "--train-corpus", str(train_tsv),
+                     "--test-corpus", str(test_tsv), "--lexicon", str(lex_path),
+                     "--config", str(cfg), "--seeds", "0", "--variants", "plain"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert repr(key) in err[0] and "each variant sets it" in err[0]
+
     def test_unknown_variant(self, work, capsys):
         d, lex_path, _, train_tsv, test_tsv, _ = work
         assert main(["ablate", "--train-corpus", str(train_tsv),

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ from hanfix.desm import (
     WORD_ID_OFFSET,
     WORD_PAD_ID,
     Direction,
+    MatchCandidate,
     Provenance,
     build_lattice,
     featurize_sentences,
@@ -261,6 +263,22 @@ class TestFeatures:
         feats = featurize_sentences(["我参家", "我参家"], lex, ptable, fuzzy, 3)
         assert feats[0][0] is feats[1][0]
 
+    def test_empty_sentence(self, lex, ptable, fuzzy):
+        ids, mask = lattice_to_feature_ids(build_lattice(lex, ptable, fuzzy, ""), 4)
+        assert ids.shape == mask.shape == (0, 4)
+        assert ids.dtype == np.int64 and mask.dtype == np.float64
+
+    def test_truncates_a_longer_lattice(self, lex, ptable, fuzzy):
+        lat = build_lattice(lex, ptable, fuzzy, "我参家会议", m_max=8)
+        assert max(len(c) for c in lat.per_char) == 3
+        ids, mask = lattice_to_feature_ids(lat, 2)
+        assert ids.shape == mask.shape == (5, 2)
+        for i, cands in enumerate(lat.per_char):
+            k = min(len(cands), 2)
+            assert ids[i, :k].tolist() == [c.word_id + WORD_ID_OFFSET for c in cands[:k]]
+            assert (ids[i, k:] == WORD_PAD_ID).all()
+            assert mask[i].tolist() == [1.0] * k + [0.0] * (2 - k)
+
     def test_records_shape(self, lex, ptable, fuzzy):
         lat = build_lattice(lex, ptable, fuzzy, "参家", m_max=3)
         recs = lattice_records(lat, lex)
@@ -268,4 +286,45 @@ class TestFeatures:
         assert all(
             set(c) == {"word", "span", "provenance", "direction"}
             for r in recs for c in r["candidates"]
+        )
+
+
+class TestMatchCandidate:
+    def test_positional_construction_and_default_direction(self):
+        c = MatchCandidate(3, (1, 2), Provenance.PINYIN_FUZZY)
+        assert (c.word_id, c.span, c.provenance, c.direction) == (
+            3, (1, 2), Provenance.PINYIN_FUZZY, Direction.NONE)
+        d = MatchCandidate(word_id=3, span=(1, 2), provenance=Provenance.PINYIN_FUZZY,
+                           direction=Direction.BACKWARD)
+        assert d.direction is Direction.BACKWARD
+
+    def test_immutable(self):
+        c = MatchCandidate(3, (1, 2), Provenance.EXACT)
+        with pytest.raises(AttributeError):
+            c.word_id = 4
+
+    def test_equal_candidates_hash_equal(self):
+        a = MatchCandidate(3, (1, 2), Provenance.EXACT, Direction.FORWARD)
+        b = MatchCandidate(3, (1, 2), Provenance.EXACT, Direction.FORWARD)
+        assert a == b and hash(a) == hash(b)
+        assert a != MatchCandidate(3, (1, 2), Provenance.EXACT, Direction.BACKWARD)
+        assert len({a, b}) == 1
+
+    def test_records_json_is_pinned(self, lex, ptable, fuzzy):
+        lat = build_lattice(lex, ptable, fuzzy, "我参家会议", m_max=3)
+        got = json.dumps(lattice_records(lat, lex), ensure_ascii=False, separators=(",", ":"))
+        assert got == (
+            '[{"pos":0,"char":"我","suspect":true,"candidates":[]},'
+            '{"pos":1,"char":"参","suspect":true,"candidates":['
+            '{"word":"参","span":[1,1],"provenance":"EXACT","direction":"NONE"},'
+            '{"word":"参加","span":[1,2],"provenance":"PINYIN_EXACT","direction":"FORWARD"},'
+            '{"word":"禅家","span":[1,2],"provenance":"PINYIN_FUZZY","direction":"FORWARD"}]},'
+            '{"pos":2,"char":"家","suspect":true,"candidates":['
+            '{"word":"家","span":[2,2],"provenance":"EXACT","direction":"NONE"},'
+            '{"word":"参加","span":[1,2],"provenance":"PINYIN_EXACT","direction":"FORWARD"},'
+            '{"word":"禅家","span":[1,2],"provenance":"PINYIN_FUZZY","direction":"FORWARD"}]},'
+            '{"pos":3,"char":"会","suspect":false,"candidates":['
+            '{"word":"会议","span":[3,4],"provenance":"EXACT","direction":"NONE"}]},'
+            '{"pos":4,"char":"议","suspect":false,"candidates":['
+            '{"word":"会议","span":[3,4],"provenance":"EXACT","direction":"NONE"}]}]'
         )

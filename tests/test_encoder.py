@@ -162,6 +162,138 @@ class TestLayerNorm:
         assert np.allclose(db, fd_grad(loss, b), atol=1e-7)
 
 
+# The expressions the kernels replaced.  The kernels must match them bit for
+# bit, so every output (losses, gradients, checkpoints, CLI bytes) stays the same.
+
+
+def old_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def old_softmax(x, axis=-1):
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def old_masked_softmax(scores, mask):
+    s = np.where(mask > 0, scores, -1e30)
+    m = s.max(axis=-1, keepdims=True)
+    e = np.exp(s - m) * (mask > 0)
+    z = e.sum(axis=-1, keepdims=True)
+    return e / np.where(z == 0.0, 1.0, z)
+
+
+def old_ln_forward(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mu) * inv
+    return xhat * g + b, (xhat, inv, g)
+
+
+def old_ln_backward(dy, cache):
+    xhat, inv, g = cache
+    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    dxhat = dy * g
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, dg, db
+
+
+def assert_same(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b)
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("shape", [(7,), (3, 8), (2, 5, 16), (64, 12, 16)])
+    def test_layernorm(self, shape):
+        rng = np.random.default_rng(20)
+        x = rng.normal(1.5, 3.0, shape)
+        g = rng.normal(1.0, 0.2, shape[-1])
+        b = rng.normal(0.0, 0.2, shape[-1])
+        y, cache = ln_forward(x, g, b)
+        y_old, cache_old = old_ln_forward(x, g, b)
+        assert_same(y, y_old)
+        for got, want in zip(cache[:2], cache_old[:2]):
+            assert_same(got, want)
+        dy = rng.normal(size=shape)
+        for got, want in zip(ln_backward(dy, cache), old_ln_backward(dy, cache_old)):
+            assert_same(got, want)
+
+    @pytest.mark.parametrize("shape,axis", [((4, 7), -1), ((4, 7), 0), ((8, 12, 182), -1)])
+    def test_softmax(self, shape, axis):
+        x = np.random.default_rng(21).normal(size=shape) * 30
+        assert_same(softmax(x, axis), old_softmax(x, axis))
+
+    def test_softmax_leaves_its_input_alone(self):
+        x = np.random.default_rng(22).normal(size=(3, 4, 5))
+        before = x.copy()
+        softmax(x)
+        masked_softmax(x, np.ones_like(x))
+        assert_same(x, before)
+
+    def test_masked_softmax_with_an_all_masked_row(self):
+        rng = np.random.default_rng(23)
+        scores = rng.normal(size=(4, 6)) * 10
+        mask = (rng.random((4, 6)) < 0.5).astype(float)
+        mask[2] = 0.0
+        a = masked_softmax(scores, mask)
+        assert_same(a, old_masked_softmax(scores, mask))
+        assert (a[2] == 0.0).all()
+
+    def test_masked_softmax_with_a_broadcast_mask(self):
+        rng = np.random.default_rng(24)
+        B, H, n = 3, 2, 6
+        scores = rng.normal(size=(B, H, n, n)) * 10
+        cmask = np.ones((B, n))
+        cmask[1, 4:] = 0.0
+        cmask[2, 1:] = 0.0
+        kmask = cmask[:, None, None, :]
+        assert_same(masked_softmax(scores, kmask),
+                    old_masked_softmax(scores, np.broadcast_to(kmask, scores.shape)))
+
+    @pytest.mark.parametrize("magnitude", [1.0, 1e3, 1e6])
+    def test_additive_key_bias_equals_masked_softmax(self, magnitude):
+        # the encoder's attention form; every row has at least one real key
+        rng = np.random.default_rng(25)
+        B, H, n, dh = 4, 2, 7, 4
+        Qh, Kh = rng.normal(size=(2, B, H, n, dh)) * np.sqrt(magnitude)
+        cmask = np.ones((B, n))
+        cmask[1, 3:] = 0.0
+        cmask[2, 1:] = 0.0
+        cmask[3, :6] = 0.0
+        scale = 1.0 / np.sqrt(dh)
+        S = Qh @ Kh.transpose(0, 1, 3, 2)
+        S *= scale
+        S += np.where(cmask > 0, 0.0, -1e30)[:, None, None, :]
+        want = old_masked_softmax((Qh @ Kh.transpose(0, 1, 3, 2)) * scale,
+                                  np.broadcast_to(cmask[:, None, None, :], S.shape))
+        assert_same(softmax(S), want)
+
+    def test_sigmoid(self):
+        x = np.concatenate([
+            [1e3, -1e3, 745.0, -745.0, 0.0, -0.0],
+            np.random.default_rng(26).normal(size=50) * 20,
+        ])
+        # overflow, invalid and divide-by-zero raise; exp(-1000) underflows
+        # to 0 in both forms by design
+        with np.errstate(all="raise", under="ignore"):
+            got, want = sigmoid(x), old_sigmoid(x)
+        assert_same(got, want)
+        assert got[0] == 1.0 and got[1] == 0.0 and got[4] == got[5] == 0.5
+
+
 @pytest.fixture(scope="module")
 def enc_setup():
     cfg = ModelConfig(char_vocab_size=12, word_vocab_size=6, d_c=8, d_w=4,

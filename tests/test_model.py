@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hanfix.desm import featurize_sentences
+from hanfix.encoder import sum_outer
 from hanfix.errors import CheckpointError, HanfixError, SequenceTooLong
 from hanfix.lexicon import lexicon_from_words
 from hanfix.model import (
@@ -12,6 +13,7 @@ from hanfix.model import (
     _CKPT_VERSION,
     CHAR_PAD_ID,
     CHAR_UNK_ID,
+    LOSS_EPS,
     Batch,
     ModelConfig,
     ModelParams,
@@ -277,6 +279,39 @@ class TestLoss:
         assert (grads["gate.W1"] == 0.0).all()
         assert (grads["gate.b2"] == 0.0).all()
         assert (grads["W_gen"] != 0.0).any()
+
+
+class TestGoldIndexing:
+    """The copy bonus and the gold picks use one flat fancy index; they match
+    the take_along_axis/put_along_axis form they replaced bit for bit."""
+
+    @pytest.mark.parametrize("use_copy", [True, False])
+    @pytest.mark.parametrize("omega_override", [None, 0.3])
+    def test_copy_bonus(self, use_copy, omega_override):
+        cfg = tiny_config(use_copy=use_copy)
+        batch = make_batch(cfg)
+        out, _ = forward_batch(healthy_params(cfg), batch, omega_override)
+        want = (1.0 - out.omega)[..., None] * out.p_gen
+        idx = batch.char_ids[..., None]
+        np.put_along_axis(want, idx, np.take_along_axis(want, idx, -1) + out.omega[..., None], -1)
+        assert np.array_equal(out.p_out, want)
+
+    def test_gold_picks_in_the_gradients(self):
+        cfg = tiny_config()
+        batch = make_batch(cfg)
+        _, grads, out = loss_and_grads(healthy_params(cfg), batch)
+        gold, mask = batch.gold_ids[..., None], batch.char_mask
+        psel = np.take_along_axis(out.p_out, gold, -1)[..., 0]
+        pgen_gold = np.take_along_axis(out.p_gen, gold, -1)[..., 0]
+        dpsel = -mask / ((psel + LOSS_EPS) * max(float(mask.sum()), 1.0))
+        tmp = dpsel * (1.0 - out.omega) * pgen_gold
+        dlogits = -out.p_gen * tmp[..., None]
+        np.put_along_axis(dlogits, gold, np.take_along_axis(dlogits, gold, -1) + tmp[..., None], -1)
+        assert np.array_equal(grads["b_gen"], dlogits.sum(axis=(0, 1)))
+        assert np.array_equal(grads["W_gen"], sum_outer(dlogits, out.h_fused))
+        copy_hit = (batch.char_ids == batch.gold_ids).astype(np.float64)
+        dsg = dpsel * (copy_hit - pgen_gold) * out.omega * (1.0 - out.omega)
+        assert np.array_equal(grads["gate.b2"], np.array(dsg.sum()))
 
 
 class TestGradients:

@@ -6,9 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
+@pytest.mark.slow
 def test_perfbench_smoke_exits_zero():
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "smoke.py")],
                           capture_output=True, text=True, cwd=ROOT, timeout=900)
