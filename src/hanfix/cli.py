@@ -246,10 +246,11 @@ def cmd_ablate(args) -> int:
     train_pairs = load_parallel_tsv(args.train_corpus)
     test_pairs = load_parallel_tsv(args.test_corpus)
     overrides, tconf = _load_train_config(args.config)
-    for key in ("use_copy", "lattice_mode"):
+    for key, setter in (("use_copy", "each variant"), ("lattice_mode", "each variant"),
+                        ("seed", "--seeds")):
         if key in overrides:
             raise HanfixError(
-                f"{args.config}: ablate does not take config key {key!r}; each variant sets it"
+                f"{args.config}: ablate does not take config key {key!r}; {setter} sets it"
             )
     seeds = tuple(int(s) for s in args.seeds.split(","))
     by_name = {v.name: v for v in DEFAULT_VARIANTS}

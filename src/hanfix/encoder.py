@@ -56,12 +56,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax into a new array; x is not modified.  ufunc.reduce runs the
-    same loops as x.max()/x.sum() without their Python wrappers, which cost
-    more than the arithmetic on small arrays; exp and the division run in
-    place, so a multi-MB input allocates one temporary, not three."""
-    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray = None) -> np.ndarray:
+    """Softmax into `out` (x itself may be passed), else into a new array.
+    ufunc.reduce runs the same loops as x.max()/x.sum() without their Python
+    wrappers, which cost more than the arithmetic on small arrays; exp and
+    the division run in place, so a multi-MB input allocates one temporary,
+    not three, and none with `out`."""
+    e = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=axis, keepdims=True)
     return e

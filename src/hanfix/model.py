@@ -216,31 +216,70 @@ class ForwardOut:
     p_out: np.ndarray    # [B, n, v]
 
 
-def _fusion_forward(tensors, h, word_ids, word_mask):
-    ew = tensors["E_w"][word_ids]                      # [B,n,m,dw]
-    u = ew @ tensors["W_w"].T                          # [B,n,m,d]
+class _Rows:
+    """The slots of a [B, n] batch that the fusion layer and the head compute
+    on.
+
+    _Rows() keeps every slot: take() and grid() hand arrays back as they are.
+    _Rows(mask) keeps the real slots as N rows: take() gathers them from a
+    [B, n, ...] grid, and grid() scatters N rows back into a [B, n, ...] grid
+    that is 0 at every pad slot, a new one or a spent C-contiguous `out`.
+    """
+
+    def __init__(self, mask=None):
+        self.shape = self.idx = self.pad = None
+        if mask is not None:
+            self.shape = mask.shape
+            self.idx, self.pad = np.flatnonzero(mask), np.flatnonzero(mask == 0)
+
+    def take(self, x: np.ndarray) -> np.ndarray:
+        return x if self.idx is None else x.reshape(-1, *x.shape[2:])[self.idx]
+
+    def grid(self, rows: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        if self.idx is None:
+            return rows
+        tail = rows.shape[1:]
+        if out is None:
+            out = np.zeros((*self.shape, *tail))
+        else:
+            out.reshape(-1, *tail)[self.pad] = 0.0
+        out.reshape(-1, *tail)[self.idx] = rows
+        return out
+
+
+# The fusion layer and the head compute on the slots `rows` keeps: [..., d]
+# stands for [B, n, d] or [N, d].  A matmul whose rows are positions runs on
+# the [B, n] grid all the same: numpy calls BLAS once per sentence there, and
+# BLAS rounds a row by where it sits in the call.  Matmuls over a position's
+# m candidate slots are one call per position either way, and elementwise
+# work and reductions along the last axis do not depend on where a row sits.
+
+def _fusion_forward(tensors, rows, h, word_ids, word_mask):
+    ew = tensors["E_w"][word_ids]                      # [...,m,dw]
+    u = ew @ tensors["W_w"].T                          # [...,m,d]
     u += tensors["b_w"]
     np.tanh(u, out=u)
-    hW = h @ tensors["W_attn"]                         # [B,n,d]
-    scores = np.einsum("bnmd,bnd->bnm", u, hW)
+    hW = rows.take(h @ tensors["W_attn"])              # [...,d]
+    scores = np.einsum("...md,...d->...m", u, hW)
     a = masked_softmax(scores, word_mask)
-    z = np.einsum("bnm,bnmd->bnd", a, u)
-    return h + z, a, (ew, u, hW, a)
+    z = np.einsum("...m,...md->...d", a, u)
+    return rows.take(h) + z, a, (ew, u, hW, a)
 
 
-def _fusion_backward(tensors, word_ids, fcache, dht, grads):
+def _fusion_backward(tensors, rows, word_ids, fcache, dht, grads):
+    """dht [N, d]; returns dhW [N, d]."""
     ew, u, hW, a = fcache
-    da = np.einsum("bnd,bnmd->bnm", dht, u)
-    du = a[..., None] * dht[:, :, None, :]
+    da = np.einsum("nd,nmd->nm", dht, u)
+    du = a[..., None] * dht[:, None, :]
     ds = softmax_backward(a, da)
-    du += ds[..., None] * hW[:, :, None, :]
-    dhW = np.einsum("bnm,bnmd->bnd", ds, u)
-    dh = dht + dhW @ tensors["W_attn"].T
-    dpre = du * (1.0 - u * u)
-    grads["W_w"] = sum_outer(dpre, ew)
-    grads["b_w"] = dpre.sum(axis=(0, 1, 2))
+    du += ds[..., None] * hW[:, None, :]
+    dhW = np.einsum("nm,nmd->nd", ds, u)
+    dpre = du  # in place: du is spent
+    dpre *= 1.0 - u * u
+    grads["W_w"] = sum_outer(rows.grid(dpre), rows.grid(ew))
+    grads["b_w"] = dpre.sum(axis=(0, 1))
     grads["E_w"] = scatter_rows(word_ids, dpre @ tensors["W_w"], len(tensors["E_w"]))
-    return dh, dhW
+    return dhW
 
 
 def _gate_act(cfg, x):
@@ -252,24 +291,26 @@ def _gate_act_grad(cfg, x, t):
     return gelu_grad(x, t) if cfg.gate_activation == "gelu" else 1.0 - t * t
 
 
-def _head_forward(tensors, cfg, ht, char_ids, omega_override=None):
-    logits = ht @ tensors["W_gen"].T
+def _head_forward(tensors, cfg, rows, ht, char_ids, omega_override=None):
+    """ht [B, n, d] grid; char_ids at rows.  Also returns the [B, n, v] grid
+    the logits were computed on, which is spent when rows are packed."""
+    logits_grid = ht @ tensors["W_gen"].T
+    logits = rows.take(logits_grid)
     logits += tensors["b_gen"]
-    p_gen = softmax(logits)
+    p_gen = softmax(logits, out=logits)
     gcache = None
     if omega_override is not None:
         omega = np.full(char_ids.shape, float(omega_override))
     elif not cfg.use_copy:
         omega = np.zeros(char_ids.shape)
     else:
-        g_pre = ht @ tensors["gate.W1"].T + tensors["gate.b1"]
+        g_pre = rows.take(ht @ tensors["gate.W1"].T) + tensors["gate.b1"]
         g_act, g_t = _gate_act(cfg, g_pre)
         g_ln, lnc = ln_forward(g_act, tensors["gate.ln.g"], tensors["gate.ln.b"])
-        omega = sigmoid(g_ln @ tensors["gate.w2"] + tensors["gate.b2"])
+        g_ln = rows.grid(g_ln)
+        omega = sigmoid(rows.take(g_ln @ tensors["gate.w2"] + tensors["gate.b2"]))
         gcache = (g_pre, g_t, g_ln, lnc)
-    p = (1.0 - omega)[..., None] * p_gen
-    p.reshape(-1)[_flat_index(p, char_ids)] += omega.reshape(-1)
-    return p, omega, p_gen, gcache
+    return omega, p_gen, gcache, logits_grid
 
 
 def _flat_index(p: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -279,17 +320,30 @@ def _flat_index(p: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.arange(0, ids.size * v, v) + ids.reshape(-1)
 
 
-def forward_batch(params: ModelParams, batch: Batch, omega_override=None):
-    """Run the full model. Returns (ForwardOut, cache for backward)."""
+def _forward(params: ModelParams, batch: Batch, rows: _Rows, omega_override):
+    """Encoder over the [B, n] grid (attention needs it), fusion and head
+    over `rows`.  Returns (h, ht grid, (ht, attn, omega, p_gen) at rows,
+    (encoder, fusion, gate) caches, logits grid)."""
     t, cfg = params.tensors, params.config
-    B, n = batch.char_ids.shape
+    n = batch.char_ids.shape[1]
     if n > cfg.max_len:
         raise SequenceTooLong(n, cfg.max_len)
     h, ecache = encoder_forward(t, cfg, batch.char_ids, batch.char_mask)
-    ht, a, fcache = _fusion_forward(t, h, batch.word_ids, batch.word_mask)
-    p, omega, p_gen, gcache = _head_forward(t, cfg, ht, batch.char_ids, omega_override)
-    out = ForwardOut(h=h, h_fused=ht, attn=a, omega=omega, p_gen=p_gen, p_out=p)
-    return out, (ecache, fcache, gcache, ht)
+    ht, a, fcache = _fusion_forward(
+        t, rows, h, rows.take(batch.word_ids), rows.take(batch.word_mask))
+    ht_grid = rows.grid(ht)
+    omega, p_gen, gcache, logits_grid = _head_forward(
+        t, cfg, rows, ht_grid, rows.take(batch.char_ids), omega_override)
+    return h, ht_grid, (ht, a, omega, p_gen), (ecache, fcache, gcache), logits_grid
+
+
+def forward_batch(params: ModelParams, batch: Batch, omega_override=None):
+    """Run the full model on every slot of the batch, pad slots included.
+    Returns (ForwardOut, (encoder, fusion, gate) caches)."""
+    h, _, (ht, a, omega, p_gen), caches, _ = _forward(params, batch, _Rows(), omega_override)
+    p = (1.0 - omega)[..., None] * p_gen
+    p.reshape(-1)[_flat_index(p, batch.char_ids)] += omega.reshape(-1)
+    return ForwardOut(h=h, h_fused=ht, attn=a, omega=omega, p_gen=p_gen, p_out=p), caches
 
 
 def nll_loss(p: np.ndarray, gold_ids: np.ndarray, mask: np.ndarray = None) -> float:
@@ -306,7 +360,15 @@ def nll_loss(p: np.ndarray, gold_ids: np.ndarray, mask: np.ndarray = None) -> fl
 
 
 def loss_and_grads(params: ModelParams, batch: Batch, omega_override=None):
-    """Forward + manual backward. Returns (loss, grads, ForwardOut).
+    """Forward + manual backward. Returns (loss, grads).
+
+    Fusion, head and loss compute on the real positions only (char_mask
+    nonzero), so whatever the pad slots hold leaves loss and grads alone.
+    Matmuls over positions and sums across positions still run on the
+    [B, n] grid, with pad slots 0: BLAS blocks a sum by its length and
+    rounds a row by where it sits in the call.  So loss and grads equal
+    those of the same step on every slot bit for bit, and loss equals
+    nll_loss(forward_batch(...).p_out).
 
     grads carries an entry for every tensor in params (zeros where a path
     is disabled, e.g. the gate under use_copy=False).
@@ -314,45 +376,61 @@ def loss_and_grads(params: ModelParams, batch: Batch, omega_override=None):
     if batch.gold_ids is None:
         raise ValueError("loss_and_grads needs batch.gold_ids")
     t, cfg = params.tensors, params.config
-    out, (ecache, fcache, gcache, ht) = forward_batch(params, batch, omega_override)
-    p, p_gen, omega = out.p_out, out.p_gen, out.omega
-    gold, mask = batch.gold_ids, batch.char_mask
+    mask = batch.char_mask
+    rows = _Rows(mask)
+    h, ht, (_, _, omega, p_gen), (ecache, fcache, gcache), spent = _forward(
+        params, batch, rows, omega_override)
+    gold, m = rows.take(batch.gold_ids), rows.take(mask)
+    copy_hit = (rows.take(batch.char_ids) == gold).astype(np.float64)
 
-    at_gold = _flat_index(p, gold)
-    psel = p.reshape(-1)[at_gold].reshape(gold.shape)
+    # the mixture at the gold ids only: the copy bonus lands there where the
+    # input character is the gold one (adding 0.0 elsewhere is exact)
+    at_gold = _flat_index(p_gen, gold)
+    pgen_gold = p_gen.reshape(-1)[at_gold]
+    psel = (1.0 - omega) * pgen_gold + omega * copy_hit
     denom = max(float(mask.sum()), 1.0)
-    loss = float(-(mask * np.log(psel + LOSS_EPS)).sum() / denom)
+    loss = float(-rows.grid(m * np.log(psel + LOSS_EPS)).sum() / denom)
 
-    dpsel = -mask / ((psel + LOSS_EPS) * denom)
+    dpsel = -m / ((psel + LOSS_EPS) * denom)
 
-    pgen_gold = p_gen.reshape(-1)[at_gold].reshape(gold.shape)
-    copy_hit = (batch.char_ids == gold).astype(np.float64)
-
-    # generator softmax (sparse upstream at the gold column)
+    # generator softmax (sparse upstream at the gold column).  The [.., v]
+    # arrays are a step's largest, so dlogits reuses spent ones and each is
+    # dropped once used: malloc hands a step's peak of fresh memory back to
+    # the kernel, and the next step faults it in again page by page
     tmp = dpsel * (1.0 - omega) * pgen_gold
-    dlogits = -p_gen * tmp[..., None]
-    dlogits.reshape(-1)[at_gold] += tmp.reshape(-1)
-    grads = {"W_gen": sum_outer(dlogits, ht), "b_gen": dlogits.sum(axis=(0, 1))}
+    dlogits = p_gen
+    dlogits *= -tmp[:, None]
+    del p_gen
+    dlogits.reshape(-1)[at_gold] += tmp
+    b_gen = dlogits.sum(axis=0)
+    dlogits = rows.grid(dlogits, out=spent)
+    del spent
+    grads = {"W_gen": sum_outer(dlogits, ht), "b_gen": b_gen}
     dht = dlogits @ t["W_gen"]
+    del dlogits
 
     if gcache is not None:
         g_pre, g_t, g_ln, lnc = gcache
         dsg = dpsel * (copy_hit - pgen_gold) * omega * (1.0 - omega)
-        grads["gate.w2"] = sum_outer(dsg[..., None], g_ln)[0]
-        grads["gate.b2"] = np.array(dsg.sum())
-        dg_ln = dsg[..., None] * t["gate.w2"]
+        dsg_grid = rows.grid(dsg)
+        grads["gate.w2"] = sum_outer(dsg_grid[..., None], g_ln)[0]
+        grads["gate.b2"] = np.array(dsg_grid.sum())
+        dg_ln = dsg[:, None] * t["gate.w2"]
         dg_act, grads["gate.ln.g"], grads["gate.ln.b"] = ln_backward(dg_ln, lnc)
-        dg_pre = dg_act * _gate_act_grad(cfg, g_pre, g_t)
+        dg_pre = rows.grid(dg_act * _gate_act_grad(cfg, g_pre, g_t))
         grads["gate.W1"] = sum_outer(dg_pre, ht)
         grads["gate.b1"] = dg_pre.sum(axis=(0, 1))
         dht = dht + dg_pre @ t["gate.W1"]
     else:
         grads.update((k, np.zeros_like(v)) for k, v in t.items() if k.startswith("gate."))
 
-    dh, dhW = _fusion_backward(t, batch.word_ids, fcache, dht, grads)
-    grads["W_attn"] = sum_outer(out.h, dhW)
+    dhW = rows.grid(_fusion_backward(t, rows, rows.take(batch.word_ids), fcache,
+                                     rows.take(dht), grads))
+    del fcache
+    dh = dht + dhW @ t["W_attn"].T
+    grads["W_attn"] = sum_outer(h, dhW)
     grads.update(encoder_backward(t, cfg, ecache, dh))
-    return loss, grads, out
+    return loss, grads
 
 
 # ------------------------------------------------------ batching and decoding

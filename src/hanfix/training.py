@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .desm import WORD_ID_OFFSET, featurize_sentences
+from .errors import SequenceTooLong
 from .model import (
     CHAR_ID_OFFSET,
     ModelConfig,
@@ -117,7 +118,8 @@ def train(
 
     chars/feats can be passed in to reuse a vocabulary or precomputed
     sentence features (the ablation harness shares features across seeds).
-    log, when given, receives one line per epoch.
+    log, when given, receives one line per epoch.  Raises SequenceTooLong,
+    before any featurization, when a source exceeds the model's max_len.
     """
     if not pairs:
         raise ValueError("empty training corpus")
@@ -133,6 +135,9 @@ def train(
         word_vocab_size=len(lexicon) + WORD_ID_OFFSET,
         **over,
     )
+    longest = max(len(p.source) for p in pairs)
+    if longest > cfg.max_len:
+        raise SequenceTooLong(longest, cfg.max_len)
     params = init_params(cfg, chars)
     if feats is None:
         feats = featurize_sentences(
@@ -154,7 +159,7 @@ def train(
         for start in range(0, len(items), tconf.batch_size):
             sel = order[start : start + tconf.batch_size]
             batch = assemble_batch([items[int(k)] for k in sel])
-            loss, grads, _ = loss_and_grads(params, batch)
+            loss, grads = loss_and_grads(params, batch)
             opt.step(params.tensors, grads)
             npos = float(batch.char_mask.sum())
             nll_sum += loss * npos

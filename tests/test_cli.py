@@ -185,6 +185,16 @@ class TestTrain:
                      "--out", str(d / "nope.ckpt")]) == 2
         assert "warmup" in capsys.readouterr().err
 
+    def test_too_long_corpus_exits_2(self, work, capsys):
+        d, lex_path, _, train_tsv, *_ = work
+        short = d / "short.json"
+        short.write_text(json.dumps(dict(CONFIG, max_len=2)), encoding="utf-8")
+        assert main(["train", "--corpus", str(train_tsv), "--lexicon",
+                     str(lex_path), "--config", str(short),
+                     "--out", str(d / "nope.ckpt")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "exceeds max_len 2" in err[0], err
+
     def test_rejects_non_object_config(self, work, capsys):
         d, lex_path, _, train_tsv, *_ = work
         bad = d / "list.json"
@@ -332,9 +342,11 @@ class TestAblate:
         assert code == 0
         assert "plain" in out and "desm+copy" in out
 
-    @pytest.mark.parametrize("key,value", [("use_copy", False), ("lattice_mode", "none")])
+    @pytest.mark.parametrize("key,value", [("use_copy", False), ("lattice_mode", "none"),
+                                           ("seed", 7)])
     def test_variant_keys_in_config_are_rejected(self, key, value, work, capsys):
-        # run_ablation sets both per variant, so a config value would be ignored
+        # run_ablation sets these per variant and per --seeds entry, so a
+        # config value would be ignored
         d, lex_path, _, train_tsv, test_tsv, _ = work
         cfg = d / f"ablate-{key}.json"
         cfg.write_text(json.dumps(dict(CONFIG, epochs=1, **{key: value})), encoding="utf-8")
@@ -343,7 +355,8 @@ class TestAblate:
                      "--config", str(cfg), "--seeds", "0", "--variants", "plain"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
-        assert repr(key) in err[0] and "each variant sets it" in err[0]
+        setter = "--seeds" if key == "seed" else "each variant"
+        assert repr(key) in err[0] and f"{setter} sets it" in err[0]
 
     def test_unknown_variant(self, work, capsys):
         d, lex_path, _, train_tsv, test_tsv, _ = work

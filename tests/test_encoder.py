@@ -235,6 +235,9 @@ class TestBitIdentity:
     def test_softmax(self, shape, axis):
         x = np.random.default_rng(21).normal(size=shape) * 30
         assert_same(softmax(x, axis), old_softmax(x, axis))
+        inplace = x.copy()
+        assert softmax(inplace, axis, out=inplace) is inplace
+        assert_same(inplace, old_softmax(x, axis))
 
     def test_softmax_leaves_its_input_alone(self):
         x = np.random.default_rng(22).normal(size=(3, 4, 5))

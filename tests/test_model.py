@@ -5,7 +5,20 @@ import numpy as np
 import pytest
 
 from hanfix.desm import featurize_sentences
-from hanfix.encoder import sum_outer
+from hanfix.encoder import (
+    encoder_backward,
+    encoder_forward,
+    gelu,
+    gelu_grad,
+    ln_backward,
+    ln_forward,
+    masked_softmax,
+    scatter_rows,
+    sigmoid,
+    softmax,
+    softmax_backward,
+    sum_outer,
+)
 from hanfix.errors import CheckpointError, HanfixError, SequenceTooLong
 from hanfix.lexicon import lexicon_from_words
 from hanfix.model import (
@@ -251,7 +264,8 @@ class TestLoss:
         cfg = tiny_config()
         params = healthy_params(cfg)
         batch = make_batch(cfg)
-        loss, grads, out = loss_and_grads(params, batch)
+        loss, grads = loss_and_grads(params, batch)
+        out, _ = forward_batch(params, batch)
         assert loss == nll_loss(out.p_out, batch.gold_ids, batch.char_mask)
         assert set(grads) == set(params.tensors)
 
@@ -259,10 +273,10 @@ class TestLoss:
         cfg = tiny_config()
         params = healthy_params(cfg)
         batch = make_batch(cfg)
-        loss1, _, _ = loss_and_grads(params, batch)
+        loss1, _ = loss_and_grads(params, batch)
         gold2 = batch.gold_ids.copy()
         gold2[1, 4] = 3  # padded position
-        loss2, _, _ = loss_and_grads(
+        loss2, _ = loss_and_grads(
             params, Batch(batch.char_ids, batch.char_mask, batch.word_ids,
                           batch.word_mask, gold2))
         assert loss1 == loss2
@@ -275,7 +289,7 @@ class TestLoss:
     def test_use_copy_false_zeroes_gate_grads(self):
         cfg = tiny_config(use_copy=False)
         params = healthy_params(cfg)
-        _, grads, _ = loss_and_grads(params, make_batch(cfg))
+        _, grads = loss_and_grads(params, make_batch(cfg))
         assert (grads["gate.W1"] == 0.0).all()
         assert (grads["gate.b2"] == 0.0).all()
         assert (grads["W_gen"] != 0.0).any()
@@ -299,7 +313,9 @@ class TestGoldIndexing:
     def test_gold_picks_in_the_gradients(self):
         cfg = tiny_config()
         batch = make_batch(cfg)
-        _, grads, out = loss_and_grads(healthy_params(cfg), batch)
+        params = healthy_params(cfg)
+        _, grads = loss_and_grads(params, batch)
+        out, _ = forward_batch(params, batch)
         gold, mask = batch.gold_ids[..., None], batch.char_mask
         psel = np.take_along_axis(out.p_out, gold, -1)[..., 0]
         pgen_gold = np.take_along_axis(out.p_gen, gold, -1)[..., 0]
@@ -322,7 +338,7 @@ class TestGradients:
         cfg = tiny_config(gate_activation=gate_activation, use_copy=use_copy, layers=layers)
         params = healthy_params(cfg, scale=0.35, seed=21)
         batch = make_batch(cfg, seed=4)
-        _, grads, _ = loss_and_grads(params, batch)
+        _, grads = loss_and_grads(params, batch)
         rng = np.random.default_rng(5)
         h = 1e-5
         blocks = [f"blk{l}.{w}" for l in range(layers) for w in ("Wq", "W1", "W2")]
@@ -333,13 +349,185 @@ class TestGradients:
             for i in rng.choice(flat.size, size=min(2, flat.size), replace=False):
                 orig = flat[i]
                 flat[i] = orig + h
-                lp, _, _ = loss_and_grads(params, batch)
+                lp, _ = loss_and_grads(params, batch)
                 flat[i] = orig - h
-                lm, _, _ = loss_and_grads(params, batch)
+                lm, _ = loss_and_grads(params, batch)
                 flat[i] = orig
                 num = (lp - lm) / (2 * h)
                 denom = max(abs(num), abs(gflat[i]), 1e-7)
                 assert abs(num - gflat[i]) / denom < 1e-4, f"{name}[{i}]"
+
+
+# ------------------------------------------------- the step on real rows only
+# The step as it ran when fusion, head and loss computed on every slot of
+# the padded [B, n] grid: the reference the packed step must equal bit for bit.
+
+
+def _grid_fusion_forward(t, h, word_ids, word_mask):
+    ew = t["E_w"][word_ids]
+    u = ew @ t["W_w"].T
+    u += t["b_w"]
+    np.tanh(u, out=u)
+    hW = h @ t["W_attn"]
+    scores = np.einsum("bnmd,bnd->bnm", u, hW)
+    a = masked_softmax(scores, word_mask)
+    z = np.einsum("bnm,bnmd->bnd", a, u)
+    return h + z, (ew, u, hW, a)
+
+
+def _grid_head_forward(t, cfg, ht, char_ids, omega_override):
+    logits = ht @ t["W_gen"].T
+    logits += t["b_gen"]
+    p_gen = softmax(logits)
+    gcache = None
+    if omega_override is not None:
+        omega = np.full(char_ids.shape, float(omega_override))
+    elif not cfg.use_copy:
+        omega = np.zeros(char_ids.shape)
+    else:
+        g_pre = ht @ t["gate.W1"].T + t["gate.b1"]
+        g_act, g_t = gelu(g_pre) if cfg.gate_activation == "gelu" else (np.tanh(g_pre),) * 2
+        g_ln, lnc = ln_forward(g_act, t["gate.ln.g"], t["gate.ln.b"])
+        omega = sigmoid(g_ln @ t["gate.w2"] + t["gate.b2"])
+        gcache = (g_pre, g_t, g_ln, lnc)
+    p = (1.0 - omega)[..., None] * p_gen
+    np.put_along_axis(p, char_ids[..., None],
+                      np.take_along_axis(p, char_ids[..., None], -1) + omega[..., None], -1)
+    return p, omega, p_gen, gcache
+
+
+def grid_loss_and_grads(params, batch, omega_override=None):
+    t, cfg = params.tensors, params.config
+    h, ecache = encoder_forward(t, cfg, batch.char_ids, batch.char_mask)
+    ht, (ew, u, hW, a) = _grid_fusion_forward(t, h, batch.word_ids, batch.word_mask)
+    p, omega, p_gen, gcache = _grid_head_forward(t, cfg, ht, batch.char_ids, omega_override)
+    gold, mask = batch.gold_ids, batch.char_mask
+    psel = np.take_along_axis(p, gold[..., None], -1)[..., 0]
+    denom = max(float(mask.sum()), 1.0)
+    loss = float(-(mask * np.log(psel + LOSS_EPS)).sum() / denom)
+    dpsel = -mask / ((psel + LOSS_EPS) * denom)
+    pgen_gold = np.take_along_axis(p_gen, gold[..., None], -1)[..., 0]
+    copy_hit = (batch.char_ids == gold).astype(np.float64)
+    tmp = dpsel * (1.0 - omega) * pgen_gold
+    dlogits = -p_gen * tmp[..., None]
+    np.put_along_axis(dlogits, gold[..., None],
+                      np.take_along_axis(dlogits, gold[..., None], -1) + tmp[..., None], -1)
+    grads = {"W_gen": sum_outer(dlogits, ht), "b_gen": dlogits.sum(axis=(0, 1))}
+    dht = dlogits @ t["W_gen"]
+    if gcache is not None:
+        g_pre, g_t, g_ln, lnc = gcache
+        dsg = dpsel * (copy_hit - pgen_gold) * omega * (1.0 - omega)
+        grads["gate.w2"] = sum_outer(dsg[..., None], g_ln)[0]
+        grads["gate.b2"] = np.array(dsg.sum())
+        dg_act, grads["gate.ln.g"], grads["gate.ln.b"] = ln_backward(
+            dsg[..., None] * t["gate.w2"], lnc)
+        act_grad = gelu_grad(g_pre, g_t) if cfg.gate_activation == "gelu" else 1.0 - g_t * g_t
+        dg_pre = dg_act * act_grad
+        grads["gate.W1"] = sum_outer(dg_pre, ht)
+        grads["gate.b1"] = dg_pre.sum(axis=(0, 1))
+        dht = dht + dg_pre @ t["gate.W1"]
+    else:
+        grads.update((k, np.zeros_like(v)) for k, v in t.items() if k.startswith("gate."))
+    da = np.einsum("bnd,bnmd->bnm", dht, u)
+    du = a[..., None] * dht[:, :, None, :]
+    ds = softmax_backward(a, da)
+    du += ds[..., None] * hW[:, :, None, :]
+    dhW = np.einsum("bnm,bnmd->bnd", ds, u)
+    dh = dht + dhW @ t["W_attn"].T
+    dpre = du * (1.0 - u * u)
+    grads["W_w"] = sum_outer(dpre, ew)
+    grads["b_w"] = dpre.sum(axis=(0, 1, 2))
+    grads["E_w"] = scatter_rows(batch.word_ids, dpre @ t["W_w"], len(t["E_w"]))
+    grads["W_attn"] = sum_outer(h, dhW)
+    grads.update(encoder_backward(t, cfg, ecache, dh))
+    return loss, grads
+
+
+def batch_of_lengths(cfg, lengths, seed=7):
+    """assemble_batch over random sentences of the given lengths."""
+    rng = np.random.default_rng(seed)
+    items = []
+    for k in lengths:
+        cid = rng.integers(2, cfg.char_vocab_size, size=k)
+        gid = np.where(rng.random(k) < 0.3, rng.integers(2, cfg.char_vocab_size, size=k), cid)
+        wid = rng.integers(2, cfg.word_vocab_size, size=(k, cfg.m_max))
+        wmask = (rng.random((k, cfg.m_max)) < 0.6).astype(float)
+        items.append((cid, gid, wid, wmask))
+    return assemble_batch(items)
+
+
+BATCH_SHAPES = {
+    "no_padding": [6, 6, 6],
+    "single_char_row": [7, 1, 5, 7],
+    "pad_heavy_row": [12, 2, 11, 12, 3],
+}
+
+
+def assert_same_step(got, want):
+    (loss, grads), (want_loss, want_grads) = got, want
+    assert loss == want_loss
+    assert list(grads) == list(want_grads)
+    for k in want_grads:
+        assert np.array_equal(grads[k], want_grads[k]), k
+
+
+class TestPackedStep:
+    """loss_and_grads computes fusion, head and loss on the real positions
+    only; its loss and every gradient equal the grid step's bit for bit."""
+
+    @pytest.mark.parametrize("shape", sorted(BATCH_SHAPES))
+    @pytest.mark.parametrize("omega_override", [None, 0.3])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("use_copy", [True, False])
+    @pytest.mark.parametrize("gate_activation", ["gelu", "tanh"])
+    def test_equals_grid_step(self, gate_activation, use_copy, layers, omega_override, shape):
+        cfg = tiny_config(gate_activation=gate_activation, use_copy=use_copy, layers=layers)
+        params = healthy_params(cfg)
+        batch = batch_of_lengths(cfg, BATCH_SHAPES[shape])
+        assert_same_step(loss_and_grads(params, batch, omega_override),
+                         grid_loss_and_grads(params, batch, omega_override))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_grid_step_at_training_shapes(self, seed):
+        # 64 sentences of 1-12 chars, at widths where OpenBLAS on AVX-512
+        # rounds a row by where it sits in a call and blocks a sum by its length
+        cfg = tiny_config(char_vocab_size=500, word_vocab_size=40, d_c=64, d_w=16,
+                          ffn_dim=32, gate_dim=32, m_max=5)
+        params = init_params(cfg, [chr(0x4E00 + i) for i in range(498)])
+        rng = np.random.default_rng(seed)
+        for arr in params.tensors.values():
+            arr[...] = rng.normal(0.0, 0.1, arr.shape)
+        batch = batch_of_lengths(cfg, rng.integers(1, 13, size=64), seed=seed)
+        assert_same_step(loss_and_grads(params, batch), grid_loss_and_grads(params, batch))
+
+    @pytest.mark.parametrize("use_copy", [True, False])
+    def test_pad_slots_do_not_matter(self, use_copy):
+        cfg = tiny_config(use_copy=use_copy)
+        params = healthy_params(cfg)
+        batch = batch_of_lengths(cfg, BATCH_SHAPES["pad_heavy_row"])
+        pad = batch.char_mask == 0
+        rng = np.random.default_rng(9)
+        noisy = Batch(batch.char_ids.copy(), batch.char_mask, batch.word_ids.copy(),
+                      batch.word_mask.copy(), batch.gold_ids.copy())
+        noisy.char_ids[pad] = rng.integers(0, cfg.char_vocab_size, size=pad.sum())
+        noisy.gold_ids[pad] = rng.integers(0, cfg.char_vocab_size, size=pad.sum())
+        noisy.word_ids[pad] = rng.integers(0, cfg.word_vocab_size, size=(pad.sum(), cfg.m_max))
+        noisy.word_mask[pad] = rng.random((pad.sum(), cfg.m_max)) < 0.5
+        assert_same_step(loss_and_grads(params, noisy), loss_and_grads(params, batch))
+
+    @pytest.mark.parametrize("shape", sorted(BATCH_SHAPES))
+    def test_loss_is_nll_of_forward_batch(self, shape):
+        cfg = tiny_config()
+        params = healthy_params(cfg)
+        batch = batch_of_lengths(cfg, BATCH_SHAPES[shape])
+        loss, _ = loss_and_grads(params, batch)
+        out, _ = forward_batch(params, batch)
+        assert loss == nll_loss(out.p_out, batch.gold_ids, batch.char_mask)
+
+    def test_too_long_rejected(self):
+        cfg = tiny_config(max_len=4)
+        with pytest.raises(SequenceTooLong):
+            loss_and_grads(init_params(cfg, CHARS), make_batch(cfg))
 
 
 class TestBatching:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hanfix import training
 from hanfix.corpus import (
     NoiseSpec,
     generate_synthetic,
@@ -9,6 +10,7 @@ from hanfix.corpus import (
     make_toy_words,
 )
 from hanfix.desm import featurize_sentences
+from hanfix.errors import SequenceTooLong
 from hanfix.lexicon import lexicon_from_words
 from hanfix.model import correct_many
 from hanfix.pinyin import FuzzyClassTable, PinyinTable
@@ -84,6 +86,21 @@ class TestTrain:
         ptable, fuzzy, lexicon, _ = tiny_world
         with pytest.raises(ValueError, match="empty"):
             train([], lexicon, ptable, fuzzy)
+
+    def test_too_long_fails_before_featurizing(self, tiny_world, monkeypatch):
+        ptable, fuzzy, lexicon, pairs = tiny_world
+        calls = []
+        monkeypatch.setattr(training, "featurize_sentences",
+                            lambda *a, **k: calls.append(a) or featurize_sentences(*a, **k))
+        longest = max(len(p.source) for p in pairs)
+        with pytest.raises(SequenceTooLong) as e:
+            train(pairs, lexicon, ptable, fuzzy, TrainConfig(epochs=1),
+                  model_overrides=dict(OVER, max_len=longest - 1))
+        assert (e.value.length, e.value.max_len) == (longest, longest - 1)
+        assert calls == []
+        train(pairs, lexicon, ptable, fuzzy, TrainConfig(epochs=1),
+              model_overrides=dict(OVER, max_len=longest))
+        assert len(calls) == 1
 
     def test_history_and_logging(self, tiny_world):
         ptable, fuzzy, lexicon, pairs = tiny_world
