@@ -14,11 +14,16 @@ Two complementary strategies feed the lattice:
 A window of two non-suspect characters never triggers a pinyin probe, which
 keeps candidate lists small on clean text; a window with two suspect ends is
 probed once.
+
+A built lattice keeps each position's ranked keys, (provenance, word rank,
+direction, span, word_id) tuples, and builds its `MatchCandidate` objects
+only when `per_char` is first read; featurization reads the word ids straight
+from the keys, so the lattice of a sentence that is only featurized never
+builds a candidate object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -49,6 +54,8 @@ class Direction(str, Enum):
 # lattice is built, and ranks are what the ranking compares
 _PROVENANCES = (Provenance.EXACT, Provenance.PINYIN_EXACT, Provenance.PINYIN_FUZZY)
 _DIRECTIONS = (Direction.NONE, Direction.FORWARD, Direction.BACKWARD)
+# index of the word id in a lattice key (prov, rank, dir, span, wid)
+_KEY_WID = 4
 
 
 class MatchCandidate(NamedTuple):
@@ -61,16 +68,57 @@ class MatchCandidate(NamedTuple):
     direction: Direction = Direction.NONE
 
 
-@dataclass
 class CharWordLattice:
-    """Ranked word candidates for every character of one sentence."""
+    """Ranked word candidates for every character of one sentence.
 
-    sentence: str
-    per_char: list[list[MatchCandidate]]
-    suspect: list[bool] = field(default_factory=list)
+    `build_lattice` stores each position's ranked keys and turns them into
+    `MatchCandidate` lists on the first read of `per_char` (one object per
+    key, shared by every position of its span); `lattice_to_feature_ids`
+    reads word ids from whichever rows the lattice holds, so featurization
+    builds no candidate objects.
+    """
+
+    __slots__ = ("sentence", "suspect", "_rows", "_wid")
+
+    def __init__(self, sentence: str, per_char: list[list[MatchCandidate]],
+                 suspect: list[bool] | None = None):
+        self.sentence = sentence
+        self.suspect = [] if suspect is None else suspect
+        # per position, MatchCandidates or build_lattice's keys; _wid is
+        # where a row item holds its word id
+        self._rows: list[list] = per_char
+        self._wid = 0
+
+    @property
+    def per_char(self) -> list[list[MatchCandidate]]:
+        if self._wid == _KEY_WID:
+            made: dict[tuple, MatchCandidate] = {}
+            per_char = []
+            for keys in self._rows:
+                cands = []
+                for key in keys:
+                    cand = made.get(key)
+                    if cand is None:
+                        prov, _, direction, span, wid = key
+                        cand = made[key] = MatchCandidate(
+                            wid, span, _PROVENANCES[prov], _DIRECTIONS[direction])
+                    cands.append(cand)
+                per_char.append(cands)
+            self._rows, self._wid = per_char, 0
+        return self._rows
 
     def __len__(self) -> int:
         return len(self.sentence)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CharWordLattice):
+            return NotImplemented
+        return (self.sentence, self.per_char, self.suspect) == (
+            other.sentence, other.per_char, other.suspect)
+
+    def __repr__(self) -> str:
+        return (f"CharWordLattice(sentence={self.sentence!r}, "
+                f"per_char={self.per_char!r}, suspect={self.suspect!r})")
 
 
 def build_lattice(
@@ -127,7 +175,8 @@ def build_lattice(
         # reading syllables per character, () when unknown
         char_syllables = [ptable.get(ch) for ch in sentence]
         # PINYIN_EXACT compares toneless readings, as WordEntry stores them
-        char_readings = [frozenset(s.toneless() for s in syls) for syls in char_syllables]
+        toneless = ptable.toneless_readings
+        char_readings = [toneless(ch) for ch in sentence]
         entries = lex.entries
         for lo in range(n - 1):
             hi = lo + 1
@@ -152,20 +201,10 @@ def build_lattice(
                         # hi meets no earlier window, so only an EXACT key precedes
                         at_hi.setdefault(wid, key)
 
-    made: dict[tuple, MatchCandidate] = {}
-    per_char: list[list[MatchCandidate]] = []
-    for words in best:
-        cands = []
-        for key in sorted(words.values())[:m_max]:
-            cand = made.get(key)
-            if cand is None:
-                prov, _, direction, span, wid = key
-                cand = made[key] = MatchCandidate(
-                    wid, span, _PROVENANCES[prov], _DIRECTIONS[direction])
-            cands.append(cand)
-        per_char.append(cands)
-
-    return CharWordLattice(sentence=sentence, per_char=per_char, suspect=suspects)
+    lat = CharWordLattice(sentence, [sorted(words.values())[:m_max] for words in best],
+                          suspects)
+    lat._wid = _KEY_WID
+    return lat
 
 
 def lattice_to_feature_ids(
@@ -181,11 +220,14 @@ def lattice_to_feature_ids(
     # beats two numpy item writes per candidate.  Filled, not
     # np.array(list).reshape(...): that view keeps a second array object
     # alive per cached feature (~1 MB over 5000 training sentences).
+    # a built lattice's rows are its keys until per_char is read, so this
+    # reads word ids without building a MatchCandidate
     flat: list[int] = []
     pad = [WORD_PAD_ID] * m_max
-    for cands in lat.per_char:
-        flat += [c.word_id + WORD_ID_OFFSET for c in cands[:m_max]]
-        flat += pad[len(cands):]
+    w = lat._wid
+    for row in lat._rows:
+        flat += [c[w] + WORD_ID_OFFSET for c in row[:m_max]]
+        flat += pad[len(row):]
     ids = np.empty((len(lat.sentence), m_max), dtype=np.int64)
     ids.reshape(-1)[:] = flat
     # every candidate id is at least WORD_ID_OFFSET, every pad id below it

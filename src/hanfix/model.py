@@ -494,9 +494,13 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
             [(params.char_to_ids(sentences[i]), None, feats[i][0], feats[i][1])
              for i in chunk]
         )
-        res, _ = forward_batch(params, batch)
+        # the caches, the ForwardOut and the batch go before the next batch's
+        # forward, so they never coexist with that batch's arrays
+        p_out = forward_batch(params, batch)[0].p_out
+        del batch
         for row, i in enumerate(chunk):
-            out[i] = _decode_positions(params, sentences[i], res.p_out[row])
+            out[i] = _decode_positions(params, sentences[i], p_out[row])
+        del p_out
     return out
 
 

@@ -217,6 +217,8 @@ class PinyinTable:
 
     def __init__(self, readings: dict[str, tuple[PinyinSyllable, ...]]):
         self._readings = dict(readings)
+        # char -> frozenset of toneless readings, filled on first request
+        self._toneless: dict[str, frozenset[str]] = {}
 
     @classmethod
     def from_pairs(cls, pairs) -> "PinyinTable":
@@ -263,6 +265,18 @@ class PinyinTable:
     def get(self, char: str) -> tuple[PinyinSyllable, ...]:
         """Like readings() but returns () for unknown characters."""
         return self._readings.get(char, ())
+
+    def toneless_readings(self, char: str) -> frozenset[str]:
+        """The toneless written forms of get(char), e.g. {'can', 'shen'} for
+        a 参 read can1 and shen1; empty for unknown characters.  Built on the
+        first request for a character and kept."""
+        found = self._toneless.get(char)
+        if found is None:
+            syllables = self._readings.get(char)
+            if syllables is None:
+                return frozenset()
+            found = self._toneless[char] = frozenset(s.toneless() for s in syllables)
+        return found
 
     def __contains__(self, char: str) -> bool:
         return char in self._readings

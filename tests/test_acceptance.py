@@ -20,7 +20,13 @@ from hanfix.corpus import (
     make_toy_inventory,
     make_toy_words,
 )
-from hanfix.desm import build_lattice, featurize_sentences
+from hanfix.desm import (
+    WORD_ID_OFFSET,
+    WORD_PAD_ID,
+    build_lattice,
+    featurize_sentences,
+    lattice_to_feature_ids,
+)
 from hanfix.evaluation import DEFAULT_VARIANTS, run_ablation, score
 from hanfix.lexicon import build_lexicon, lexicon_from_words
 from hanfix.model import (
@@ -203,6 +209,8 @@ def test_01b_matching_equals_reference_in_a_dense_world():
     for m_max in (1, 3, 8):
         for pair in pairs:
             lat = build_lattice(lex, ptable, fuzzy, pair.source, m_max=m_max)
+            # read before per_char, so these ids come from the lattice keys
+            ids, mask = lattice_to_feature_ids(lat, m_max)
             got = [
                 [(c.word_id, c.span, c.provenance.value, c.direction.value)
                  for c in cands]
@@ -211,6 +219,12 @@ def test_01b_matching_equals_reference_in_a_dense_world():
             want, suspects = reference_lattice(lex, ptable, fuzzy, pair.source, m_max)
             assert got == want, (pair.source, m_max)
             assert lat.suspect == suspects, pair.source
+            assert ids.tolist() == [
+                [c.word_id + WORD_ID_OFFSET for c in cands]
+                + [WORD_PAD_ID] * (m_max - len(cands))
+                for cands in lat.per_char
+            ], (pair.source, m_max)
+            assert mask.tolist() == (ids >= WORD_ID_OFFSET).tolist()
             full += sum(len(cands) == m_max for cands in got)
             total += len(got)
     assert full > total / 2

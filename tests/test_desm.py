@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hanfix.desm as desm
 from hanfix.desm import (
     WORD_ID_OFFSET,
     WORD_PAD_ID,
+    CharWordLattice,
     Direction,
     MatchCandidate,
     Provenance,
@@ -278,6 +280,49 @@ class TestFeatures:
             assert ids[i, :k].tolist() == [c.word_id + WORD_ID_OFFSET for c in cands[:k]]
             assert (ids[i, k:] == WORD_PAD_ID).all()
             assert mask[i].tolist() == [1.0] * k + [0.0] * (2 - k)
+
+    def test_featurization_builds_no_candidates(self, lex, ptable, fuzzy, monkeypatch):
+        built = Counter()
+
+        def counted(*args):
+            built["n"] += 1
+            return MatchCandidate(*args)
+
+        monkeypatch.setattr(desm, "MatchCandidate", counted)
+        sentences = ["我参家会议", "参会计好", "禅家会计", "很好我"]
+        for mode in ("desm", "ttm"):
+            featurize_sentences(sentences, lex, ptable, fuzzy, 8, mode)
+        assert built["n"] == 0
+        lat = build_lattice(lex, ptable, fuzzy, "我参家会议", m_max=8)
+        lattice_to_feature_ids(lat, 8)
+        assert built["n"] == 0
+        assert lat.per_char[1] and built["n"] > 0
+
+    def test_lattice_api(self, lex, ptable, fuzzy):
+        # per_char is built once, and the ends of a span share one candidate
+        lat = build_lattice(lex, ptable, fuzzy, "参家", m_max=3)
+        assert lat.per_char is lat.per_char
+        assert lat.per_char[0][1] is lat.per_char[1][1]
+        # CharWordLattice(sentence, per_char, suspect) is public: readers see
+        # its lists, and a candidate appended to one of them
+        hand = CharWordLattice("参家", [list(c) for c in lat.per_char], list(lat.suspect))
+        assert hand == lat and len(hand) == 2
+        assert lattice_records(hand, lex) == lattice_records(lat, lex)
+        assert (lattice_to_feature_ids(hand, 3)[0] ==
+                lattice_to_feature_ids(lat, 3)[0]).all()
+        extra = MatchCandidate(lex.word_id("会议"), (0, 0), Provenance.PINYIN_FUZZY,
+                               Direction.FORWARD)
+        hand.per_char[0].append(extra)
+        assert hand.per_char[0][-1] is extra
+        assert lattice_records(hand, lex)[0]["candidates"][-1] == {
+            "word": "会议", "span": [0, 0], "provenance": "PINYIN_FUZZY",
+            "direction": "FORWARD"}
+        ids, mask = lattice_to_feature_ids(hand, 8)
+        k = len(hand.per_char[0])
+        assert ids[0, k - 1] == extra.word_id + WORD_ID_OFFSET and mask[0, k - 1] == 1.0
+        assert hand != lat
+        # suspect defaults to an empty list, as it did on the dataclass
+        assert CharWordLattice("", []).suspect == []
 
     def test_records_shape(self, lex, ptable, fuzzy):
         lat = build_lattice(lex, ptable, fuzzy, "参家", m_max=3)

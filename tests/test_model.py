@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -628,6 +629,28 @@ class TestCorrect:
                   np.ones((2, cfg.m_max)))]
         with pytest.raises(HanfixError, match="out of range"):
             correct_many(params, ["参家"], feats)
+
+    def test_batches_do_not_overlap_in_memory(self, word_world):
+        # each batch's caches, outputs and inputs are dropped before the next
+        # batch's forward, so three batches peak about as high as one
+        ptable, fuzzy, lexicon, chars = word_world
+        cfg = tiny_config(char_vocab_size=len(chars) + 2,
+                          word_vocab_size=len(lexicon) + 2, max_len=64)
+        params = init_params(cfg, chars)
+        rng = np.random.default_rng(5)
+        sentences = ["".join(rng.choice(chars, 40)) for _ in range(96)]
+        feats = featurize_sentences(sentences, lexicon, ptable, fuzzy, cfg.m_max)
+
+        def peak(k):
+            tracemalloc.start()
+            try:
+                correct_many(params, sentences[:k], feats[:k], batch_size=32)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, three = peak(32), peak(96)
+        assert three < 1.2 * one, (one, three)
 
     def test_reserved_ids_never_surface(self, word_world):
         # force the generator's argmax onto UNK; the decoder must fall back

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hanfix.data import demo_pinyin_path
 from hanfix.errors import InvalidSyllable, MalformedLine, MissingPinyin
 from hanfix.pinyin import (
     FINALS,
@@ -216,3 +217,14 @@ class TestPinyinTable:
         with pytest.raises(MalformedLine) as ei:
             PinyinTable.from_file(p)
         assert "1" in str(ei.value)
+
+    def test_toneless_readings_match_get(self):
+        t = PinyinTable.from_file(demo_pinyin_path())
+        for ch in t.characters():
+            want = frozenset(s.toneless() for s in t.get(ch))
+            assert t.toneless_readings(ch) == want, ch
+            # kept, not rebuilt per call
+            assert t.toneless_readings(ch) is t.toneless_readings(ch)
+        assert t.toneless_readings("\u2603") == frozenset(
+            s.toneless() for s in t.get("\u2603")) == frozenset()
+        assert t.toneless_readings("参") == {"can", "shen", "cen"}
