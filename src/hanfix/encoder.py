@@ -8,8 +8,8 @@ weight convention: y = x @ W.T + b.  Pre-LN blocks plus a final LayerNorm:
     x = x + MHA(LN1(x));  x = x + FFN(LN2(x));  ...;  h = LNf(x)
 
 Forward functions return a cache consumed by the matching backward
-function; gradients come back in a flat {tensor_name: array} dict keyed
-exactly like the parameter dict.
+function (encoder_forward keeps none at inference); gradients come back in
+a flat {tensor_name: array} dict keyed exactly like the parameter dict.
 """
 
 from __future__ import annotations
@@ -162,11 +162,32 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(B, n, H * dh)
 
 
-def encoder_forward(tensors, cfg, char_ids: np.ndarray, cmask: np.ndarray):
-    """char ids [B, n] -> hidden states [B, n, d_c].
+def _block_forward(tensors, heads, p, x, kbias):
+    """One pre-LN block on x [B, n, d]: (its output, the block's cache)."""
+    t, ln1c = ln_forward(x, tensors[p + "ln1.g"], tensors[p + "ln1.b"])
+    Qh, Kh, Vh = (_split_heads(t @ tensors[p + "W" + z].T + tensors[p + "b" + z], heads)
+                  for z in "qkv")
+    scale = 1.0 / np.sqrt(Qh.shape[-1])
+    S = Qh @ Kh.transpose(0, 1, 3, 2)
+    S *= scale
+    S += kbias
+    A = softmax(S, out=S)
+    O = _merge_heads(A @ Vh)
+    x1 = x + (O @ tensors[p + "Wo"].T + tensors[p + "bo"])
+    t2, ln2c = ln_forward(x1, tensors[p + "ln2.g"], tensors[p + "ln2.b"])
+    pre = t2 @ tensors[p + "W1"].T + tensors[p + "c1"]
+    f, th = gelu(pre)
+    x = x1 + f @ tensors[p + "W2"].T + tensors[p + "c2"]
+    return x, (t, ln1c, Qh, Kh, Vh, A, O, t2, ln2c, pre, th, scale)
+
+
+def encoder_forward(tensors, cfg, char_ids: np.ndarray, cmask: np.ndarray, _keep_cache=True):
+    """char ids [B, n] -> (hidden states [B, n, d_c], cache for encoder_backward).
 
     cmask marks real (non-pad) positions; pad positions are excluded as
-    attention keys so they never leak into real positions.
+    attention keys so they never leak into real positions.  With
+    _keep_cache=False (inference) the cache is None, and each block's
+    intermediates are freed before the next block runs.
     """
     B, n = char_ids.shape
     x = tensors["E_c"][char_ids] + tensors["P"][:n][None, :, :]
@@ -178,24 +199,12 @@ def encoder_forward(tensors, cfg, char_ids: np.ndarray, cmask: np.ndarray):
     kbias = np.where(cmask > 0, 0.0, -1e30)[:, None, None, :]
     caches = []
     for l in range(cfg.layers):
-        p = f"blk{l}."
-        t, ln1c = ln_forward(x, tensors[p + "ln1.g"], tensors[p + "ln1.b"])
-        Qh, Kh, Vh = (_split_heads(t @ tensors[p + "W" + z].T + tensors[p + "b" + z], cfg.heads)
-                      for z in "qkv")
-        scale = 1.0 / np.sqrt(Qh.shape[-1])
-        S = Qh @ Kh.transpose(0, 1, 3, 2)
-        S *= scale
-        S += kbias
-        A = softmax(S)
-        O = _merge_heads(A @ Vh)
-        x1 = x + (O @ tensors[p + "Wo"].T + tensors[p + "bo"])
-        t2, ln2c = ln_forward(x1, tensors[p + "ln2.g"], tensors[p + "ln2.b"])
-        pre = t2 @ tensors[p + "W1"].T + tensors[p + "c1"]
-        f, th = gelu(pre)
-        x = x1 + f @ tensors[p + "W2"].T + tensors[p + "c2"]
-        caches.append((t, ln1c, Qh, Kh, Vh, A, O, t2, ln2c, pre, th, scale))
+        x, cache = _block_forward(tensors, cfg.heads, f"blk{l}.", x, kbias)
+        if _keep_cache:
+            caches.append(cache)
+        del cache
     h, lnfc = ln_forward(x, tensors["ln_f.g"], tensors["ln_f.b"])
-    return h, (char_ids, n, caches, lnfc)
+    return h, (char_ids, n, caches, lnfc) if _keep_cache else None
 
 
 def encoder_backward(tensors, cfg, cache, dh: np.ndarray) -> dict[str, np.ndarray]:

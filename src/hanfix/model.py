@@ -320,14 +320,18 @@ def _flat_index(p: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.arange(0, ids.size * v, v) + ids.reshape(-1)
 
 
-def _forward(params: ModelParams, batch: Batch, rows: _Rows, omega_override):
-    """Encoder over the [B, n] grid (attention needs it), fusion and head
-    over `rows`.  Returns (h, ht grid, (ht, attn, omega, p_gen) at rows,
-    (encoder, fusion, gate) caches, logits grid)."""
-    t, cfg = params.tensors, params.config
+def _check_length(params: ModelParams, batch: Batch) -> None:
     n = batch.char_ids.shape[1]
-    if n > cfg.max_len:
-        raise SequenceTooLong(n, cfg.max_len)
+    if n > params.config.max_len:
+        raise SequenceTooLong(n, params.config.max_len)
+
+
+def _forward(params: ModelParams, batch: Batch, rows: _Rows, omega_override):
+    """The training forward: encoder over the [B, n] grid (attention needs
+    it), fusion and head over `rows`.  Returns (h, ht grid, (ht, attn,
+    omega, p_gen) at rows, (encoder, fusion, gate) caches, logits grid)."""
+    t, cfg = params.tensors, params.config
+    _check_length(params, batch)
     h, ecache = encoder_forward(t, cfg, batch.char_ids, batch.char_mask)
     ht, a, fcache = _fusion_forward(
         t, rows, h, rows.take(batch.word_ids), rows.take(batch.word_mask))
@@ -337,13 +341,36 @@ def _forward(params: ModelParams, batch: Batch, rows: _Rows, omega_override):
     return h, ht_grid, (ht, a, omega, p_gen), (ecache, fcache, gcache), logits_grid
 
 
+def _infer(params: ModelParams, batch: Batch, omega_override):
+    """The inference forward over every slot: the same arithmetic as
+    _forward(params, batch, _Rows(), ...), but each stage's cache is dropped
+    as soon as the next stage has its input.  Returns (h, ht, attn, omega,
+    p_gen)."""
+    t, cfg = params.tensors, params.config
+    _check_length(params, batch)
+    rows = _Rows()
+    h = encoder_forward(t, cfg, batch.char_ids, batch.char_mask, _keep_cache=False)[0]
+    ht, a = _fusion_forward(t, rows, h, batch.word_ids, batch.word_mask)[:2]
+    omega, p_gen = _head_forward(t, cfg, rows, ht, batch.char_ids, omega_override)[:2]
+    return h, ht, a, omega, p_gen
+
+
+def _mix(p: np.ndarray, omega: np.ndarray, char_ids: np.ndarray) -> np.ndarray:
+    """P = omega * onehot(char_ids) + (1 - omega) * p, computed in place of
+    p.  Multiplying in place rounds exactly like (1 - omega)[..., None] * p."""
+    p *= (1.0 - omega)[..., None]
+    p.reshape(-1)[_flat_index(p, char_ids)] += omega.reshape(-1)
+    return p
+
+
 def forward_batch(params: ModelParams, batch: Batch, omega_override=None):
-    """Run the full model on every slot of the batch, pad slots included.
-    Returns (ForwardOut, (encoder, fusion, gate) caches)."""
-    h, _, (ht, a, omega, p_gen), caches, _ = _forward(params, batch, _Rows(), omega_override)
-    p = (1.0 - omega)[..., None] * p_gen
-    p.reshape(-1)[_flat_index(p, batch.char_ids)] += omega.reshape(-1)
-    return ForwardOut(h=h, h_fused=ht, attn=a, omega=omega, p_gen=p_gen, p_out=p), caches
+    """Run the full model on every slot of the batch, pad slots included,
+    keeping no backward cache.  Returns (ForwardOut, None): the second value
+    is always None, so callers that unpack two values, perfbench's held-out
+    NLL among them, keep working."""
+    h, ht, a, omega, p_gen = _infer(params, batch, omega_override)
+    p = _mix(p_gen.copy(), omega, batch.char_ids)
+    return ForwardOut(h=h, h_fused=ht, attn=a, omega=omega, p_gen=p_gen, p_out=p), None
 
 
 def nll_loss(p: np.ndarray, gold_ids: np.ndarray, mask: np.ndarray = None) -> float:
@@ -368,7 +395,7 @@ def loss_and_grads(params: ModelParams, batch: Batch, omega_override=None):
     [B, n] grid, with pad slots 0: BLAS blocks a sum by its length and
     rounds a row by where it sits in the call.  So loss and grads equal
     those of the same step on every slot bit for bit, and loss equals
-    nll_loss(forward_batch(...).p_out).
+    nll_loss(forward_batch(...)[0].p_out).
 
     grads carries an entry for every tensor in params (zeros where a path
     is disabled, e.g. the gate under use_copy=False).
@@ -494,10 +521,11 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
             [(params.char_to_ids(sentences[i]), None, feats[i][0], feats[i][1])
              for i in chunk]
         )
-        # the caches, the ForwardOut and the batch go before the next batch's
-        # forward, so they never coexist with that batch's arrays
-        p_out = forward_batch(params, batch)[0].p_out
-        del batch
+        # the mixture overwrites P_gen, so one [B, n, v] array is alive; it
+        # and the batch go before the next batch's forward
+        omega, p_out = _infer(params, batch, None)[3:]
+        _mix(p_out, omega, batch.char_ids)
+        del batch, omega
         for row, i in enumerate(chunk):
             out[i] = _decode_positions(params, sentences[i], p_out[row])
         del p_out

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hanfix.encoder import (
+    _merge_heads,
+    _split_heads,
     encoder_backward,
     encoder_forward,
     gelu,
@@ -368,3 +370,73 @@ class TestEncoder:
                 flat[i] = orig
                 num = (fp - fm) / 2e-6
                 assert abs(num - gflat[i]) <= 1e-6 + 1e-4 * abs(num), name
+
+
+def fresh_softmax_encoder_forward(tensors, cfg, char_ids, cmask):
+    """encoder_forward as it was before the attention softmax ran in place on
+    the scores: softmax(S) into a fresh array."""
+    B, n = char_ids.shape
+    x = tensors["E_c"][char_ids] + tensors["P"][:n][None, :, :]
+    kbias = np.where(cmask > 0, 0.0, -1e30)[:, None, None, :]
+    caches = []
+    for l in range(cfg.layers):
+        p = f"blk{l}."
+        t, ln1c = ln_forward(x, tensors[p + "ln1.g"], tensors[p + "ln1.b"])
+        Qh, Kh, Vh = (_split_heads(t @ tensors[p + "W" + z].T + tensors[p + "b" + z], cfg.heads)
+                      for z in "qkv")
+        scale = 1.0 / np.sqrt(Qh.shape[-1])
+        S = Qh @ Kh.transpose(0, 1, 3, 2)
+        S *= scale
+        S += kbias
+        A = softmax(S)
+        O = _merge_heads(A @ Vh)
+        x1 = x + (O @ tensors[p + "Wo"].T + tensors[p + "bo"])
+        t2, ln2c = ln_forward(x1, tensors[p + "ln2.g"], tensors[p + "ln2.b"])
+        pre = t2 @ tensors[p + "W1"].T + tensors[p + "c1"]
+        f, th = gelu(pre)
+        x = x1 + f @ tensors[p + "W2"].T + tensors[p + "c2"]
+        caches.append((t, ln1c, Qh, Kh, Vh, A, O, t2, ln2c, pre, th, scale))
+    h, lnfc = ln_forward(x, tensors["ln_f.g"], tensors["ln_f.b"])
+    return h, (char_ids, n, caches, lnfc)
+
+
+def assert_same_tree(got, want):
+    if isinstance(want, np.ndarray):
+        assert_same(got, want)
+    elif isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_tree(g, w)
+    elif isinstance(want, list):
+        assert isinstance(got, list)
+        assert_same_tree(tuple(got), tuple(want))
+    else:
+        assert got == want
+
+
+class TestInPlaceAttentionSoftmax:
+    """The attention softmax overwrites the scores; hidden states, the cached
+    attention weights A and every other cache entry stay bit for bit."""
+
+    @pytest.mark.parametrize("lengths", [[6, 6, 6], [7, 1, 5, 7], [12, 2, 11, 12, 3]])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_equals_fresh_array_softmax(self, lengths, layers):
+        cfg = ModelConfig(char_vocab_size=40, word_vocab_size=6, d_c=16, d_w=4,
+                          layers=layers, heads=2, ffn_dim=32, gate_dim=4, m_max=2,
+                          max_len=16, seed=0)
+        params = init_params(cfg, [chr(0x4E00 + i) for i in range(38)])
+        rng = np.random.default_rng(layers)
+        for arr in params.tensors.values():
+            arr[...] = rng.normal(0.0, 0.5, arr.shape)
+        n = max(lengths)
+        cmask = (np.arange(n)[None, :] < np.array(lengths)[:, None]).astype(float)
+        ids = np.where(cmask > 0, rng.integers(2, 40, size=cmask.shape), 1)
+        h, cache = encoder_forward(params.tensors, cfg, ids, cmask)
+        h_want, cache_want = fresh_softmax_encoder_forward(params.tensors, cfg, ids, cmask)
+        assert_same(h, h_want)
+        assert_same_tree(cache, cache_want)
+        for layer, layer_want in zip(cache[2], cache_want[2]):
+            assert_same(layer[5], layer_want[5])  # A
+        h_infer, none = encoder_forward(params.tensors, cfg, ids, cmask, _keep_cache=False)
+        assert_same(h_infer, h_want)
+        assert none is None

@@ -22,6 +22,7 @@ from hanfix.encoder import (
 )
 from hanfix.errors import CheckpointError, HanfixError, SequenceTooLong
 from hanfix.lexicon import lexicon_from_words
+import hanfix.model as model_module
 from hanfix.model import (
     _CKPT_MAGIC,
     _CKPT_VERSION,
@@ -29,6 +30,7 @@ from hanfix.model import (
     CHAR_UNK_ID,
     LOSS_EPS,
     Batch,
+    ForwardOut,
     ModelConfig,
     ModelParams,
     assemble_batch,
@@ -529,6 +531,123 @@ class TestPackedStep:
         cfg = tiny_config(max_len=4)
         with pytest.raises(SequenceTooLong):
             loss_and_grads(init_params(cfg, CHARS), make_batch(cfg))
+
+
+# ------------------------------------------------------ the inference pass
+# forward_batch and correct_many as they ran on the training forward: every
+# slot, every cache kept, and the mixture in a fresh array beside P_gen.  The
+# training encoder is pinned to a fresh-array attention softmax in
+# test_encoder.py.
+
+
+def training_forward_batch(params, batch, omega_override=None):
+    t, cfg = params.tensors, params.config
+    h, _ = encoder_forward(t, cfg, batch.char_ids, batch.char_mask)
+    ht, (_, _, _, a) = _grid_fusion_forward(t, h, batch.word_ids, batch.word_mask)
+    p, omega, p_gen, _ = _grid_head_forward(t, cfg, ht, batch.char_ids, omega_override)
+    return ForwardOut(h=h, h_fused=ht, attn=a, omega=omega, p_gen=p_gen, p_out=p)
+
+
+def inference_world(d_c, **over):
+    """Params of width d_c with every tensor random and clearly nonzero; their
+    chars spell the sentences."""
+    cfg = tiny_config(char_vocab_size=40, word_vocab_size=20, d_c=d_c, d_w=8,
+                      ffn_dim=2 * d_c, gate_dim=16, **over)
+    chars = [chr(0x4E00 + i) for i in range(cfg.char_vocab_size - 2)]
+    params = init_params(cfg, chars)
+    rng = np.random.default_rng(d_c)
+    for arr in params.tensors.values():
+        arr[...] = rng.normal(0.0, 0.3, arr.shape)
+    return params
+
+
+class TestInferencePass:
+    """forward_batch and correct_many keep no backward cache and mix in
+    place, with every output equal to the training forward's bit for bit."""
+
+    @pytest.mark.parametrize("shape", sorted(BATCH_SHAPES))
+    @pytest.mark.parametrize("omega_override", [None, 0.3])
+    @pytest.mark.parametrize("d_c", [16, 64])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("use_copy", [True, False])
+    @pytest.mark.parametrize("gate_activation", ["gelu", "tanh"])
+    def test_forward_batch_equals_training_forward(self, gate_activation, use_copy, layers,
+                                                   d_c, omega_override, shape):
+        params = inference_world(d_c, gate_activation=gate_activation, use_copy=use_copy,
+                                 layers=layers)
+        batch = batch_of_lengths(params.config, BATCH_SHAPES[shape])
+        got, rest = forward_batch(params, batch, omega_override)
+        want = training_forward_batch(params, batch, omega_override)
+        assert rest is None
+        for name in ("h", "h_fused", "attn", "omega", "p_gen", "p_out"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("d_c", [16, 64])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("use_copy", [True, False])
+    @pytest.mark.parametrize("gate_activation", ["gelu", "tanh"])
+    def test_correct_many_equals_training_forward(self, gate_activation, use_copy, layers,
+                                                  d_c, monkeypatch):
+        params = inference_world(d_c, gate_activation=gate_activation, use_copy=use_copy,
+                                 layers=layers)
+        cfg = params.config
+        rng = np.random.default_rng(4)
+        lengths = [7, 1, 0, 5, 7, 3, 0, 7]  # two batches of 3; one-char row; empties
+        sentences = ["".join(rng.choice(params.chars, k)) for k in lengths]
+        feats = [(rng.integers(2, cfg.word_vocab_size, size=(k, cfg.m_max)),
+                  (rng.random((k, cfg.m_max)) < 0.6).astype(float)) for k in lengths]
+        decoded = []
+
+        def recording_decode(params_, sentence, p_row):
+            decoded.append((sentence, p_row.copy()))
+            return decode(params_, sentence, p_row)
+
+        decode = model_module._decode_positions
+        monkeypatch.setattr(model_module, "_decode_positions", recording_decode)
+        got = correct_many(params, sentences, feats, batch_size=3)
+        monkeypatch.undo()
+
+        todo = [i for i, k in enumerate(lengths) if k]
+        want, rows = [""] * len(sentences), []
+        for lo in range(0, len(todo), 3):
+            chunk = todo[lo:lo + 3]
+            batch = assemble_batch([(params.char_to_ids(sentences[i]), None, *feats[i])
+                                    for i in chunk])
+            p_out = training_forward_batch(params, batch).p_out
+            for row, i in enumerate(chunk):
+                rows.append((sentences[i], p_out[row]))
+                want[i] = decode(params, sentences[i], p_out[row])
+        assert got == want
+        assert [s for s, _ in decoded] == [s for s, _ in rows]
+        for (_, p_got), (_, p_want) in zip(decoded, rows):
+            assert np.array_equal(p_got, p_want)
+
+    @pytest.mark.parametrize("d_c, layers, bound", [(16, 1, 3.0), (64, 2, 9.0)])
+    def test_correct_many_peak_memory(self, d_c, layers, bound):
+        # one 64-sentence call at correct_batch-like shapes (24-60 chars,
+        # m_max 8, v 182), measured in [B, n, v] float64 arrays: the
+        # training forward's caches and a second mixture array read 6.0x at
+        # d_c 16 and 17.2x at d_c 64 (2 layers); this pass reads 2.4x and 7.1x,
+        # where the fusion layer's [B, n, m, d_c] candidate states dominate
+        v, m = 182, 8
+        cfg = ModelConfig(char_vocab_size=v, word_vocab_size=2000, d_c=d_c, d_w=16,
+                          layers=layers, heads=2, ffn_dim=2 * d_c, gate_dim=16,
+                          m_max=m, max_len=64)
+        params = init_params(cfg, [chr(0x4E00 + i) for i in range(v - 2)])
+        rng = np.random.default_rng(0)
+        lengths = rng.integers(24, 61, size=64)
+        lengths[0] = 60
+        sentences = ["".join(rng.choice(params.chars, k)) for k in lengths]
+        feats = [(rng.integers(2, cfg.word_vocab_size, size=(k, m)),
+                  (rng.random((k, m)) < 0.7).astype(float)) for k in lengths]
+        tracemalloc.start()
+        try:
+            correct_many(params, sentences, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid = 64 * 60 * v * 8
+        assert peak < bound * grid, peak / grid
 
 
 class TestBatching:
