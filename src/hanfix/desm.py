@@ -13,7 +13,10 @@ Two complementary strategies feed the lattice:
 
 A window of two non-suspect characters never triggers a pinyin probe, which
 keeps candidate lists small on clean text; a window with two suspect ends is
-probed once.
+probed once.  A probe asks `Lexicon.window_hits`, which remembers a window's
+ranked hits under its two characters' toneless reading sets, so each pair of
+readings is looked up in the 2-gram index once per lexicon and fuzzy table;
+each window feeds only its `m_max` best hits into the lattice.
 
 A built lattice keeps each position's ranked keys, (provenance, word rank,
 direction, span, word_id) tuples, and builds its `MatchCandidate` objects
@@ -138,7 +141,10 @@ def build_lattice(
     twice, and the FORWARD copy outranks the BACKWARD one).  Hits land on
     both characters of the window, marked PINYIN_EXACT when some reading of
     the word matches both characters' readings literally (toneless) and
-    PINYIN_FUZZY otherwise.
+    PINYIN_FUZZY otherwise.  The hits come ranked from Lexicon.window_hits,
+    which remembers them per pair of reading sets, and only a window's
+    `m_max` best are fed in: any later one has `m_max` better words ahead
+    of it at both ends, so truncation would drop it anyway.
 
     Per position, each word keeps its best candidate by (provenance,
     direction, span), with EXACT > PINYIN_EXACT > PINYIN_FUZZY and NONE >
@@ -172,12 +178,7 @@ def build_lattice(
                 suspects[i] = False
 
     if include_pinyin:
-        # reading syllables per character, () when unknown
-        char_syllables = [ptable.get(ch) for ch in sentence]
-        # PINYIN_EXACT compares toneless readings, as WordEntry stores them
-        toneless = ptable.toneless_readings
-        char_readings = [toneless(ch) for ch in sentence]
-        entries = lex.entries
+        hits_of = lex.window_hits
         for lo in range(n - 1):
             hi = lo + 1
             if suspects[lo]:
@@ -187,19 +188,15 @@ def build_lattice(
             else:
                 continue
             span = (lo, hi)
-            ra, rb = char_readings[lo], char_readings[hi]
             at_lo, at_hi = best[lo], best[hi]
-            for sa in char_syllables[lo]:
-                for sb in char_syllables[hi]:
-                    for wid in lex.pinyin_2gram_lookup(sa, sb, fuzzy):
-                        readings = entries[wid].readings
-                        exact = not (ra.isdisjoint(readings[0]) or rb.isdisjoint(readings[1]))
-                        key = (1 if exact else 2, rank[wid], direction, span, wid)
-                        old = at_lo.get(wid)
-                        if old is None or key < old:
-                            at_lo[wid] = key
-                        # hi meets no earlier window, so only an EXACT key precedes
-                        at_hi.setdefault(wid, key)
+            # one window's keys share direction and span: they order as its hits do
+            for prov, word_rank, wid in hits_of(ptable, fuzzy, sentence[lo], sentence[hi])[:m_max]:
+                key = (prov, word_rank, direction, span, wid)
+                old = at_lo.get(wid)
+                if old is None or key < old:
+                    at_lo[wid] = key
+                # hi meets no earlier window, so only an EXACT key precedes
+                at_hi.setdefault(wid, key)
 
     lat = CharWordLattice(sentence, [sorted(words.values())[:m_max] for words in best],
                           suspects)

@@ -162,8 +162,10 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(B, n, H * dh)
 
 
-def _block_forward(tensors, heads, p, x, kbias):
-    """One pre-LN block on x [B, n, d]: (its output, the block's cache)."""
+def _block_forward(tensors, heads, p, x, kbias, keep=True):
+    """One pre-LN block on x [B, n, d]: (its output, the block's cache).  With
+    keep=False the cache is None and the attention half's intermediates are
+    freed before the FFN half runs."""
     t, ln1c = ln_forward(x, tensors[p + "ln1.g"], tensors[p + "ln1.b"])
     Qh, Kh, Vh = (_split_heads(t @ tensors[p + "W" + z].T + tensors[p + "b" + z], heads)
                   for z in "qkv")
@@ -174,11 +176,13 @@ def _block_forward(tensors, heads, p, x, kbias):
     A = softmax(S, out=S)
     O = _merge_heads(A @ Vh)
     x1 = x + (O @ tensors[p + "Wo"].T + tensors[p + "bo"])
+    attn = (t, ln1c, Qh, Kh, Vh, A, O) if keep else None
+    del t, ln1c, Qh, Kh, Vh, S, A, O
     t2, ln2c = ln_forward(x1, tensors[p + "ln2.g"], tensors[p + "ln2.b"])
     pre = t2 @ tensors[p + "W1"].T + tensors[p + "c1"]
     f, th = gelu(pre)
     x = x1 + f @ tensors[p + "W2"].T + tensors[p + "c2"]
-    return x, (t, ln1c, Qh, Kh, Vh, A, O, t2, ln2c, pre, th, scale)
+    return x, (*attn, t2, ln2c, pre, th, scale) if keep else None
 
 
 def encoder_forward(tensors, cfg, char_ids: np.ndarray, cmask: np.ndarray, _keep_cache=True):
@@ -199,7 +203,7 @@ def encoder_forward(tensors, cfg, char_ids: np.ndarray, cmask: np.ndarray, _keep
     kbias = np.where(cmask > 0, 0.0, -1e30)[:, None, None, :]
     caches = []
     for l in range(cfg.layers):
-        x, cache = _block_forward(tensors, cfg.heads, f"blk{l}.", x, kbias)
+        x, cache = _block_forward(tensors, cfg.heads, f"blk{l}.", x, kbias, _keep_cache)
         if _keep_cache:
             caches.append(cache)
         del cache

@@ -12,12 +12,17 @@ the entries only.  The trie is rebuilt from them at load, and the 2-gram
 index from their readings under the fuzzy table each query passes.
 
 The trie is frozen once built.  The index of the last table queried sits in
-one (table, index) slot that is replaced whole, never mutated, so threads
-may share a Lexicon: each reads the slot once and never pairs one table
-with another table's index.  Alternating tables rebuilds the index each time.
-The word rank (frequency order, for ranking lattice candidates) is built on
-first use, not at construction, and likewise stored whole in one slot: two
-threads may both build it, but each gets a complete and equal tuple.
+one (table, index, window hits) slot that is replaced whole, so threads may
+share a Lexicon: each reads the slot once and never pairs one table with
+another table's index or hits.  Alternating tables rebuilds the index and
+empties the hits each time.  The window-hits memo is the one part that
+grows in place: rows are added with dict.setdefault, each entry is computed
+whole and then stored in one dict assignment, and two threads that compute
+the same entry store equal values.
+The word rank (frequency order, for ranking lattice candidates) and the
+window-hit keys made from it are built on first use, not at construction,
+and likewise stored whole, each in one slot: two threads may both build
+one, but each gets a complete and equal tuple.
 """
 
 from __future__ import annotations
@@ -90,8 +95,9 @@ class Lexicon:
     def __init__(self, entries: list[WordEntry]):
         self.entries: tuple[WordEntry, ...] = tuple(entries)
         self._root = _TrieNode()
-        self._index_memo: tuple[FuzzyClassTable | None, dict] = (None, {})
+        self._index_memo: tuple[FuzzyClassTable | None, dict, dict] = (None, {}, {})
         self._rank_memo: tuple[int, ...] | None = None
+        self._hit_memo: tuple[tuple[tuple[int, int, int], ...], ...] | None = None
         self._by_surface: dict[str, int] = {}
         for e in self.entries:
             node = self._root
@@ -122,6 +128,17 @@ class Lexicon:
             rank = self._rank_memo = tuple(places)
         return rank
 
+    def _hit_keys(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """keys[word_id]: the word's two possible window hits, (1, rank,
+        word_id) and (2, rank, word_id).  Every window_hits entry shares
+        them, so it keeps one new tuple, not one per hit.  Built on first
+        use."""
+        keys = self._hit_memo
+        if keys is None:
+            keys = self._hit_memo = tuple(
+                ((1, r, wid), (2, r, wid)) for wid, r in enumerate(self.word_rank()))
+        return keys
+
     # ---------------------------------------------------------------- queries
 
     def trie_match_all(self, sentence: str) -> list[tuple[int, int, int]]:
@@ -150,9 +167,15 @@ class Lexicon:
 
         Built from the entries' readings; only the last table's index is kept.
         """
-        table, index = self._index_memo
-        if table is fuzzy:
-            return index
+        return self._index_slot(fuzzy)[1]
+
+    def _index_slot(self, fuzzy: FuzzyClassTable) -> tuple[FuzzyClassTable, dict, dict]:
+        """(fuzzy, its 2-gram index, its window-hits memo: first reading set
+        -> second reading set -> hits), built if the slot holds another
+        table."""
+        slot = self._index_memo
+        if slot[0] is fuzzy:
+            return slot
         pairs = sorted((e for e in self.entries if len(e.surface) == 2),
                        key=lambda e: (-e.frequency, e.word_id))
         key = {r: fuzzy_key(parse_syllable(r), fuzzy)
@@ -163,8 +186,8 @@ class Lexicon:
                 for rb in e.readings[1]:
                     ranked.setdefault((key[ra], key[rb]), {})[e.word_id] = None
         index = {k: tuple(ids) for k, ids in ranked.items()}
-        self._index_memo = (fuzzy, index)
-        return index
+        slot = self._index_memo = (fuzzy, index, {})
+        return slot
 
     def pinyin_2gram_lookup(
         self, a: PinyinSyllable, b: PinyinSyllable, fuzzy: FuzzyClassTable
@@ -175,6 +198,50 @@ class Lexicon:
         """
         key = (fuzzy_key(a, fuzzy), fuzzy_key(b, fuzzy))
         return list(self.pinyin2gram_index(fuzzy).get(key, ()))
+
+    def window_hits(
+        self, ptable: PinyinTable, fuzzy: FuzzyClassTable, a: str, b: str
+    ) -> tuple[tuple[int, int, int], ...]:
+        """The 2-char entries that sound like the window `a` `b`, as sorted
+        (provenance, word rank, word_id) tuples, one per word: provenance 1
+        (PINYIN_EXACT) when some reading of the word matches both characters'
+        toneless readings literally, else 2 (PINYIN_FUZZY).  The rank is
+        word_rank()'s.
+
+        The hits are those of pinyin_2gram_lookup over every reading pair of
+        the two characters, and they are remembered under the pair of the
+        characters' toneless reading sets, beside the 2-gram index of
+        `fuzzy`: a lookup reads only a syllable's fuzzy key, which reads
+        only its initial and final, and toneless() is initial + final,
+        which no other pair spells (no final starts with a consonant or
+        with h).  So two characters with equal toneless reading sets get
+        equal hits, in any PinyinTable, and a character without readings
+        gets none.  The memo has no size limit: it holds one entry per pair
+        of reading sets met, so at most the square of the number of distinct
+        reading sets in the tables queried (3,600 for the 60 sets of the toy
+        inventory); a different fuzzy table starts it afresh.
+        """
+        ra, rb = ptable.toneless_readings(a), ptable.toneless_readings(b)
+        # one row per first set: no key tuple is built per window or kept per
+        # entry (kept objects are what sets off the cyclic GC's full passes)
+        memo = self._index_slot(fuzzy)[2]
+        row = memo.get(ra)
+        if row is None:
+            row = memo.setdefault(ra, {})
+        hits = row.get(rb)
+        if hits is None:
+            entries, keys = self.entries, self._hit_keys()
+            # exactness reads the word and the two reading sets only, so a
+            # word that several reading pairs find gets one hit
+            found: dict[int, tuple[int, int, int]] = {}
+            for sa in ptable.get(a):
+                for sb in ptable.get(b):
+                    for wid in self.pinyin_2gram_lookup(sa, sb, fuzzy):
+                        readings = entries[wid].readings
+                        exact = not (ra.isdisjoint(readings[0]) or rb.isdisjoint(readings[1]))
+                        found[wid] = keys[wid][0 if exact else 1]
+            hits = row[rb] = tuple(sorted(found.values()))
+        return hits
 
     # ------------------------------------------------------------ persistence
 

@@ -17,6 +17,11 @@ input character, gated per position:
 
 b2 starts at gate_bias_init (default +2) so a fresh model mostly copies its
 input; lower it when the generator needs gradient from clean positions early.
+
+Training and forward_batch compute the whole head.  correct_many lets the
+gate decide first: wherever w_i > 1/2 the argmax of P_i is x_i, so it runs
+the generator only at the positions the gate leaves open, with the same
+outputs.
 """
 
 from __future__ import annotations
@@ -254,16 +259,21 @@ class _Rows:
 # m candidate slots are one call per position either way, and elementwise
 # work and reductions along the last axis do not depend on where a row sits.
 
-def _fusion_forward(tensors, rows, h, word_ids, word_mask):
+def _fusion_forward(tensors, rows, h, word_ids, word_mask, keep_cache=True):
+    """(fused states, attention, cache for _fusion_backward).  With
+    keep_cache=False the cache is None and the [...,m,dw] word embeddings
+    are freed as soon as they are projected."""
     ew = tensors["E_w"][word_ids]                      # [...,m,dw]
     u = ew @ tensors["W_w"].T                          # [...,m,d]
+    if not keep_cache:
+        ew = None
     u += tensors["b_w"]
     np.tanh(u, out=u)
     hW = rows.take(h @ tensors["W_attn"])              # [...,d]
     scores = np.einsum("...md,...d->...m", u, hW)
     a = masked_softmax(scores, word_mask)
     z = np.einsum("...m,...md->...d", a, u)
-    return rows.take(h) + z, a, (ew, u, hW, a)
+    return rows.take(h) + z, a, (ew, u, hW, a) if keep_cache else None
 
 
 def _fusion_backward(tensors, rows, word_ids, fcache, dht, grads):
@@ -291,26 +301,30 @@ def _gate_act_grad(cfg, x, t):
     return gelu_grad(x, t) if cfg.gate_activation == "gelu" else 1.0 - t * t
 
 
-def _head_forward(tensors, cfg, rows, ht, char_ids, omega_override=None):
-    """ht [B, n, d] grid; char_ids at rows.  Also returns the [B, n, v] grid
-    the logits were computed on, which is spent when rows are packed."""
+def _gate_forward(tensors, cfg, rows, ht, char_ids, omega_override=None):
+    """The copy gate: (omega, cache) at rows, from the [B, n, d] grid ht.
+    char_ids at rows give omega's shape; the cache is None when omega is
+    fixed (an override, or use_copy=False, which pins omega at 0)."""
+    if omega_override is not None:
+        return np.full(char_ids.shape, float(omega_override)), None
+    if not cfg.use_copy:
+        return np.zeros(char_ids.shape), None
+    g_pre = rows.take(ht @ tensors["gate.W1"].T) + tensors["gate.b1"]
+    g_act, g_t = _gate_act(cfg, g_pre)
+    g_ln, lnc = ln_forward(g_act, tensors["gate.ln.g"], tensors["gate.ln.b"])
+    g_ln = rows.grid(g_ln)
+    omega = sigmoid(rows.take(g_ln @ tensors["gate.w2"] + tensors["gate.b2"]))
+    return omega, (g_pre, g_t, g_ln, lnc)
+
+
+def _gen_forward(tensors, rows, ht):
+    """The generator softmax P_gen at rows, from the [B, n, d] grid ht.
+    Also returns the [B, n, v] grid the logits were computed on, which is
+    spent when rows are packed."""
     logits_grid = ht @ tensors["W_gen"].T
     logits = rows.take(logits_grid)
     logits += tensors["b_gen"]
-    p_gen = softmax(logits, out=logits)
-    gcache = None
-    if omega_override is not None:
-        omega = np.full(char_ids.shape, float(omega_override))
-    elif not cfg.use_copy:
-        omega = np.zeros(char_ids.shape)
-    else:
-        g_pre = rows.take(ht @ tensors["gate.W1"].T) + tensors["gate.b1"]
-        g_act, g_t = _gate_act(cfg, g_pre)
-        g_ln, lnc = ln_forward(g_act, tensors["gate.ln.g"], tensors["gate.ln.b"])
-        g_ln = rows.grid(g_ln)
-        omega = sigmoid(rows.take(g_ln @ tensors["gate.w2"] + tensors["gate.b2"]))
-        gcache = (g_pre, g_t, g_ln, lnc)
-    return omega, p_gen, gcache, logits_grid
+    return softmax(logits, out=logits), logits_grid
 
 
 def _flat_index(p: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -326,33 +340,19 @@ def _check_length(params: ModelParams, batch: Batch) -> None:
         raise SequenceTooLong(n, params.config.max_len)
 
 
-def _forward(params: ModelParams, batch: Batch, rows: _Rows, omega_override):
-    """The training forward: encoder over the [B, n] grid (attention needs
-    it), fusion and head over `rows`.  Returns (h, ht grid, (ht, attn,
-    omega, p_gen) at rows, (encoder, fusion, gate) caches, logits grid)."""
+def _forward(params: ModelParams, batch: Batch, rows: _Rows, keep_cache=True):
+    """Encoder over the [B, n] grid (attention needs it), then fusion over
+    `rows`: (h, ht grid, (ht, attn) at rows, (encoder, fusion) caches).  The
+    head's two parts, _gen_forward and _gate_forward, run on ht.  With
+    keep_cache=False (inference) both caches are None, and each stage frees
+    its intermediates as soon as the next stage has its input."""
     t, cfg = params.tensors, params.config
     _check_length(params, batch)
-    h, ecache = encoder_forward(t, cfg, batch.char_ids, batch.char_mask)
-    ht, a, fcache = _fusion_forward(
-        t, rows, h, rows.take(batch.word_ids), rows.take(batch.word_mask))
-    ht_grid = rows.grid(ht)
-    omega, p_gen, gcache, logits_grid = _head_forward(
-        t, cfg, rows, ht_grid, rows.take(batch.char_ids), omega_override)
-    return h, ht_grid, (ht, a, omega, p_gen), (ecache, fcache, gcache), logits_grid
-
-
-def _infer(params: ModelParams, batch: Batch, omega_override):
-    """The inference forward over every slot: the same arithmetic as
-    _forward(params, batch, _Rows(), ...), but each stage's cache is dropped
-    as soon as the next stage has its input.  Returns (h, ht, attn, omega,
-    p_gen)."""
-    t, cfg = params.tensors, params.config
-    _check_length(params, batch)
-    rows = _Rows()
-    h = encoder_forward(t, cfg, batch.char_ids, batch.char_mask, _keep_cache=False)[0]
-    ht, a = _fusion_forward(t, rows, h, batch.word_ids, batch.word_mask)[:2]
-    omega, p_gen = _head_forward(t, cfg, rows, ht, batch.char_ids, omega_override)[:2]
-    return h, ht, a, omega, p_gen
+    h, ecache = encoder_forward(t, cfg, batch.char_ids, batch.char_mask,
+                                _keep_cache=keep_cache)
+    ht, a, fcache = _fusion_forward(t, rows, h, rows.take(batch.word_ids),
+                                    rows.take(batch.word_mask), keep_cache)
+    return h, rows.grid(ht), (ht, a), (ecache, fcache)
 
 
 def _mix(p: np.ndarray, omega: np.ndarray, char_ids: np.ndarray) -> np.ndarray:
@@ -368,7 +368,11 @@ def forward_batch(params: ModelParams, batch: Batch, omega_override=None):
     keeping no backward cache.  Returns (ForwardOut, None): the second value
     is always None, so callers that unpack two values, perfbench's held-out
     NLL among them, keep working."""
-    h, ht, a, omega, p_gen = _infer(params, batch, omega_override)
+    rows = _Rows()
+    h, ht, (_, a), _ = _forward(params, batch, rows, keep_cache=False)
+    p_gen = _gen_forward(params.tensors, rows, ht)[0]
+    omega = _gate_forward(params.tensors, params.config, rows, ht, batch.char_ids,
+                          omega_override)[0]
     p = _mix(p_gen.copy(), omega, batch.char_ids)
     return ForwardOut(h=h, h_fused=ht, attn=a, omega=omega, p_gen=p_gen, p_out=p), None
 
@@ -405,8 +409,9 @@ def loss_and_grads(params: ModelParams, batch: Batch, omega_override=None):
     t, cfg = params.tensors, params.config
     mask = batch.char_mask
     rows = _Rows(mask)
-    h, ht, (_, _, omega, p_gen), (ecache, fcache, gcache), spent = _forward(
-        params, batch, rows, omega_override)
+    h, ht, _, (ecache, fcache) = _forward(params, batch, rows)
+    p_gen, spent = _gen_forward(t, rows, ht)
+    omega, gcache = _gate_forward(t, cfg, rows, ht, rows.take(batch.char_ids), omega_override)
     gold, m = rows.take(batch.gold_ids), rows.take(mask)
     copy_hit = (rows.take(batch.char_ids) == gold).astype(np.float64)
 
@@ -489,14 +494,6 @@ def assemble_batch(items) -> Batch:
     return Batch(char_ids, char_mask, word_ids, word_mask, gold_ids)
 
 
-def _decode_positions(params: ModelParams, sentence: str, p_row: np.ndarray) -> str:
-    pred = p_row[: len(sentence)].argmax(axis=-1).tolist()
-    return "".join(
-        ch if k < CHAR_ID_OFFSET else params.chars[k - CHAR_ID_OFFSET]
-        for ch, k in zip(sentence, pred)
-    )
-
-
 def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
     """Non-autoregressive correction: per-position argmax over the mixture.
 
@@ -505,6 +502,13 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
     map to UNK, and a position whose argmax lands on a reserved id keeps its
     input character, so each output is as long as its input.  Word ids at or
     beyond word_vocab_size mean the lexicon and checkpoint disagree.
+
+    Only the work that can change an output runs.  Fusion and the gate
+    compute on the real characters (on every slot when the batch has no
+    padding), and the gate decides first: a position with omega > 1/2 keeps
+    its input, because the mixture's argmax there is the input id, so the
+    generator softmax, the mixture and the argmax run only at the other
+    positions.  The outputs equal the argmax of forward_batch's p_out.
     """
     limit = params.config.word_vocab_size
     for wid, _ in feats:
@@ -513,7 +517,8 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
                 f"candidate word id {int(wid.max())} out of range for "
                 f"word_vocab_size={limit}; lexicon and checkpoint disagree"
             )
-    out: list[str] = [""] * len(sentences)
+    t, cfg, chars = params.tensors, params.config, params.chars
+    out = list(sentences)
     todo = [i for i, s in enumerate(sentences) if len(s) > 0]
     for lo in range(0, len(todo), batch_size):
         chunk = todo[lo : lo + batch_size]
@@ -521,14 +526,37 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
             [(params.char_to_ids(sentences[i]), None, feats[i][0], feats[i][1])
              for i in chunk]
         )
-        # the mixture overwrites P_gen, so one [B, n, v] array is alive; it
-        # and the batch go before the next batch's forward
-        omega, p_out = _infer(params, batch, None)[3:]
-        _mix(p_out, omega, batch.char_ids)
-        del batch, omega
-        for row, i in enumerate(chunk):
-            out[i] = _decode_positions(params, sentences[i], p_out[row])
-        del p_out
+        # with no pad slot, packing would only add gathers (a batch of one)
+        rows = _Rows() if batch.char_mask.all() else _Rows(batch.char_mask)
+        ht = _forward(params, batch, rows, keep_cache=False)[1]
+        omega = _gate_forward(t, cfg, rows, ht, rows.take(batch.char_ids))[0]
+        # Where omega > 1/2 the argmax of P = omega * onehot(x) + (1 - omega)
+        # * P_gen is the input id x, so such a position keeps its input.  For
+        # omega in (1/2, 1], 1 - omega is exact (Sterbenz).  With finite
+        # tensors every softmax entry is at most 1, since its denominator
+        # holds each of its numerators.  So, rounding being monotone, every
+        # P_j = fl(p_j (1 - omega)) <= 1 - omega < 1/2 < omega
+        # <= fl(fl(p_x (1 - omega)) + omega) = P_x.  A NaN omega, or one of
+        # exactly 1/2, goes to the generator; use_copy=False pins omega at 0.
+        open_ = rows.grid(~(omega > 0.5))
+        if open_.any():
+            # matmuls whose rows are positions run on the grid; softmax, mix
+            # and argmax are row-wise, so the open rows alone round the same
+            gen = _Rows(open_)
+            x = gen.take(batch.char_ids)
+            k = _mix(_gen_forward(t, gen, ht)[0], gen.take(rows.grid(omega)), x).argmax(axis=-1)
+            # the input id and the reserved ids keep the input character
+            edit = (k != x) & (k >= CHAR_ID_OFFSET)
+            n, texts = open_.shape[1], {}
+            for at, c in zip(gen.idx[edit].tolist(), k[edit].tolist()):
+                row, j = divmod(at, n)
+                if row not in texts:
+                    texts[row] = list(sentences[chunk[row]])
+                texts[row][j] = chars[c - CHAR_ID_OFFSET]
+            for row, text in texts.items():
+                out[chunk[row]] = "".join(text)
+        # the batch and its states go before the next batch's forward
+        del batch, ht
     return out
 
 

@@ -157,11 +157,10 @@ class TestLattice:
                   if lex.surface(c.word_id) == "会计"]
         assert kuaiji and kuaiji[0].provenance == Provenance.EXACT
 
-    def test_each_window_probed_once(self, lex, ptable, fuzzy, monkeypatch):
-        # no multi-char word covers any position, so every window has two
-        # suspect ends; 参, 禅 and 会 have two readings each
-        sentence = "参家禅会"
-        assert suspects(lex, ptable, fuzzy, sentence) == [True] * 4
+    def test_each_window_probed_once(self, ptable, fuzzy, monkeypatch):
+        # a lexicon of its own: the module's one arrives with window hits
+        # remembered from earlier tests
+        lex = lexicon_from_words(WORDS, ptable, fuzzy)
         calls = Counter()
         lookup = Lexicon.pinyin_2gram_lookup
 
@@ -169,19 +168,30 @@ class TestLattice:
             calls[(a, b)] += 1
             return lookup(self, a, b, fz)
 
+        def reading_pairs(sentence, windows):
+            return Counter((a, b) for lo in windows
+                           for a in ptable.get(sentence[lo])
+                           for b in ptable.get(sentence[lo + 1]))
+
         monkeypatch.setattr(Lexicon, "pinyin_2gram_lookup", counted)
+        # no multi-char word covers any position, so every window has two
+        # suspect ends; 参, 禅 and 会 have two readings each
+        sentence = "参家禅会"
         lat = build_lattice(lex, ptable, fuzzy, sentence, m_max=50)
-        want = Counter(
-            (a, b)
-            for lo in range(len(sentence) - 1)
-            for a in ptable.get(sentence[lo])
-            for b in ptable.get(sentence[lo + 1])
-        )
-        assert calls == want
+        assert lat.suspect == [True] * 4
+        assert calls == reading_pairs(sentence, range(3))
         pinyin = [c for cands in lat.per_char for c in cands
                   if c.provenance != Provenance.EXACT]
         assert pinyin
         assert {c.direction for c in pinyin} == {Direction.FORWARD}
+        # the lexicon remembers each window's hits: a second build looks up nothing
+        calls.clear()
+        assert build_lattice(lex, ptable, fuzzy, sentence, m_max=50) == lat
+        assert not calls
+        # a window whose pair of reading sets came before is not looked up again
+        lex = lexicon_from_words(WORDS, ptable, fuzzy)
+        build_lattice(lex, ptable, fuzzy, "参家参家", m_max=50)
+        assert calls == reading_pairs("参家参家", range(2))
 
     def test_unreadable_char_contributes_nothing(self, lex, ptable, fuzzy):
         # X has no readings: suspect, but probes touching it return nothing
@@ -227,6 +237,109 @@ class TestLattice:
                             expect[hi].add(e.word_id)
             got = [{c.word_id for c in cands} for cands in lat.per_char]
             assert got == expect, s
+
+
+# ------------------------------------------ the lattice before window hits
+# build_lattice as it probed every window afresh and fed every hit into the
+# lattice: the reference the build from remembered, truncated hits must equal.
+
+
+def reference_lattice(lex, ptable, fuzzy, sentence, m_max):
+    """(per_char, suspect) of sentence."""
+    n = len(sentence)
+    rank = lex.word_rank()
+    best = [{} for _ in range(n)]
+    suspects = [True] * n
+    for start, end, wid in lex.trie_match_all(sentence):
+        key = (0, rank[wid], 0, (start, end), wid)
+        for i in range(start, end + 1):
+            best[i].setdefault(wid, key)
+            if end > start:
+                suspects[i] = False
+    char_syllables = [ptable.get(ch) for ch in sentence]
+    char_readings = [ptable.toneless_readings(ch) for ch in sentence]
+    entries = lex.entries
+    for lo in range(n - 1):
+        hi = lo + 1
+        if suspects[lo]:
+            direction = 1
+        elif suspects[hi]:
+            direction = 2
+        else:
+            continue
+        span = (lo, hi)
+        ra, rb = char_readings[lo], char_readings[hi]
+        at_lo, at_hi = best[lo], best[hi]
+        for sa in char_syllables[lo]:
+            for sb in char_syllables[hi]:
+                for wid in lex.pinyin_2gram_lookup(sa, sb, fuzzy):
+                    readings = entries[wid].readings
+                    exact = not (ra.isdisjoint(readings[0]) or rb.isdisjoint(readings[1]))
+                    key = (1 if exact else 2, rank[wid], direction, span, wid)
+                    old = at_lo.get(wid)
+                    if old is None or key < old:
+                        at_lo[wid] = key
+                    at_hi.setdefault(wid, key)
+    per_char = [[MatchCandidate(wid, span, desm._PROVENANCES[prov], desm._DIRECTIONS[d])
+                 for prov, _, d, span, wid in sorted(words.values())[:m_max]]
+                for words in best]
+    return per_char, suspects
+
+
+# every character of PAIRS and one without readings
+ALPHABET = "".join(dict.fromkeys(ch for ch, _ in PAIRS)) + "X"
+
+
+def built(lex, ptable, fuzzy, sentence, m_max):
+    lat = build_lattice(lex, ptable, fuzzy, sentence, m_max=m_max)
+    return lat.per_char, lat.suspect
+
+
+class TestWindowHits:
+    @given(st.text(alphabet=ALPHABET, max_size=12), st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference(self, lex, ptable, fuzzy, sentence, m_max):
+        want = reference_lattice(lex, ptable, fuzzy, sentence, m_max)
+        cold = lexicon_from_words(WORDS, ptable, fuzzy)
+        assert built(cold, ptable, fuzzy, sentence, m_max) == want
+        assert built(cold, ptable, fuzzy, sentence, m_max) == want
+        # the module's lexicon has remembered hits for other m_max and sentences
+        assert built(lex, ptable, fuzzy, sentence, m_max) == want
+
+    def test_hits_are_ranked_and_unique(self, lex, ptable, fuzzy):
+        rank = lex.word_rank()
+        hits = lex.window_hits(ptable, fuzzy, "参", "家")
+        assert hits == tuple(sorted(hits))
+        assert len({wid for _, _, wid in hits}) == len(hits)
+        assert all(r == rank[wid] for _, r, wid in hits)
+        assert {(lex.surface(wid), prov) for prov, _, wid in hits} == {
+            ("参加", 1), ("禅家", 2)}
+        # 家 and 加 share their one reading, so their windows share hits
+        assert lex.window_hits(ptable, fuzzy, "参", "加") is hits
+        assert lex.window_hits(ptable, fuzzy, "X", "家") == ()
+
+    def test_one_lexicon_two_fuzzy_tables(self, ptable):
+        tables = [FuzzyClassTable.default(), FuzzyClassTable(())]
+        lex = lexicon_from_words(WORDS, ptable, tables[0])
+        sentences = ["我参家会议", "禅家会计", "参家禅会", "X参家"]
+        got = [[built(lex, ptable, tables[k], s, 3) for s in sentences] for k in (0, 1, 0, 1)]
+        for k, per_table in zip((0, 1, 0, 1), got):
+            fresh = lexicon_from_words(WORDS, ptable, tables[k])
+            assert per_table == [built(fresh, ptable, tables[k], s, 3) for s in sentences]
+        # without the c/ch class, 禅家 no longer sounds like 参家
+        assert got[0] != got[1]
+
+    def test_one_lexicon_two_pinyin_tables(self, ptable, fuzzy):
+        # the second table reads 参 as cen only, which sounds like no word's can
+        other = PinyinTable.from_pairs([(ch, "cen1") if ch == "参" else (ch, r)
+                                        for ch, r in PAIRS])
+        lex = lexicon_from_words(WORDS, ptable, fuzzy)
+        sentences = ["我参家会议", "参家禅会", "参会计好"]
+        for table in (ptable, other, ptable, other):
+            fresh = lexicon_from_words(WORDS, ptable, fuzzy)
+            assert ([built(lex, table, fuzzy, s, 5) for s in sentences]
+                    == [built(fresh, table, fuzzy, s, 5) for s in sentences])
+        assert built(lex, ptable, fuzzy, "参家", 5) != built(lex, other, fuzzy, "参家", 5)
 
 
 class TestFeatures:

@@ -281,17 +281,24 @@ class TestPinyin2Gram:
         assert lex.pinyin2gram_index(empty) is not first
         assert lex.pinyin2gram_index(default) == first
 
-    def test_threads_sharing_a_lexicon_see_their_own_table(self, lex):
+    def test_threads_sharing_a_lexicon_see_their_own_table(self, lex, ptable):
         tables = [FuzzyClassTable.default(), FuzzyClassTable()]
         a, b = parse_syllable("can"), parse_syllable("jia")
         expect = [equivalence_oracle(lex, a, b, t) for t in tables]
         assert expect[0] != expect[1]
+        # window hits are remembered beside each table's index
+        hits = [lexicon_from_words(WORDS, ptable, t).window_hits(ptable, t, "禅", "家")
+                for t in tables]
+        assert hits[0] != hits[1]
         wrong = []
 
         def query(t: int):
             for _ in range(300):
                 got = lex.pinyin_2gram_lookup(a, b, tables[t])
                 if got != expect[t]:
+                    wrong.append((t, got))
+                got = lex.window_hits(ptable, tables[t], "禅", "家")
+                if got != hits[t]:
                     wrong.append((t, got))
 
         threads = [threading.Thread(target=query, args=(i % 2,)) for i in range(4)]

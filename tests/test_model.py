@@ -4,6 +4,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hanfix.desm import featurize_sentences
 from hanfix.encoder import (
@@ -26,6 +28,7 @@ import hanfix.model as model_module
 from hanfix.model import (
     _CKPT_MAGIC,
     _CKPT_VERSION,
+    CHAR_ID_OFFSET,
     CHAR_PAD_ID,
     CHAR_UNK_ID,
     LOSS_EPS,
@@ -561,6 +564,26 @@ def inference_world(d_c, **over):
     return params
 
 
+def reference_decode(params, sentences, feats, batch_size, forward=None):
+    """correct_many as it decoded every position: the argmax of the mixture
+    p_out (forward_batch's, or `forward`'s), where a reserved id keeps the
+    input character.  Also returns the omegas of the real positions."""
+    forward = forward or (lambda params_, batch: forward_batch(params_, batch)[0])
+    out, omegas = [""] * len(sentences), []
+    todo = [i for i, s in enumerate(sentences) if len(s) > 0]
+    for lo in range(0, len(todo), batch_size):
+        chunk = todo[lo:lo + batch_size]
+        batch = assemble_batch([(params.char_to_ids(sentences[i]), None, *feats[i])
+                                for i in chunk])
+        fwd = forward(params, batch)
+        omegas.append(fwd.omega[batch.char_mask > 0])
+        for row, i in enumerate(chunk):
+            pred = fwd.p_out[row, :len(sentences[i])].argmax(axis=-1).tolist()
+            out[i] = "".join(ch if k < CHAR_ID_OFFSET else params.chars[k - CHAR_ID_OFFSET]
+                             for ch, k in zip(sentences[i], pred))
+    return out, np.concatenate(omegas) if omegas else np.zeros(0)
+
+
 class TestInferencePass:
     """forward_batch and correct_many keep no backward cache and mix in
     place, with every output equal to the training forward's bit for bit."""
@@ -587,7 +610,7 @@ class TestInferencePass:
     @pytest.mark.parametrize("use_copy", [True, False])
     @pytest.mark.parametrize("gate_activation", ["gelu", "tanh"])
     def test_correct_many_equals_training_forward(self, gate_activation, use_copy, layers,
-                                                  d_c, monkeypatch):
+                                                  d_c):
         params = inference_world(d_c, gate_activation=gate_activation, use_copy=use_copy,
                                  layers=layers)
         cfg = params.config
@@ -596,43 +619,27 @@ class TestInferencePass:
         sentences = ["".join(rng.choice(params.chars, k)) for k in lengths]
         feats = [(rng.integers(2, cfg.word_vocab_size, size=(k, cfg.m_max)),
                   (rng.random((k, cfg.m_max)) < 0.6).astype(float)) for k in lengths]
-        decoded = []
+        want, _ = reference_decode(params, sentences, feats, 3, training_forward_batch)
+        assert correct_many(params, sentences, feats, batch_size=3) == want
 
-        def recording_decode(params_, sentence, p_row):
-            decoded.append((sentence, p_row.copy()))
-            return decode(params_, sentence, p_row)
-
-        decode = model_module._decode_positions
-        monkeypatch.setattr(model_module, "_decode_positions", recording_decode)
-        got = correct_many(params, sentences, feats, batch_size=3)
-        monkeypatch.undo()
-
-        todo = [i for i, k in enumerate(lengths) if k]
-        want, rows = [""] * len(sentences), []
-        for lo in range(0, len(todo), 3):
-            chunk = todo[lo:lo + 3]
-            batch = assemble_batch([(params.char_to_ids(sentences[i]), None, *feats[i])
-                                    for i in chunk])
-            p_out = training_forward_batch(params, batch).p_out
-            for row, i in enumerate(chunk):
-                rows.append((sentences[i], p_out[row]))
-                want[i] = decode(params, sentences[i], p_out[row])
-        assert got == want
-        assert [s for s, _ in decoded] == [s for s, _ in rows]
-        for (_, p_got), (_, p_want) in zip(decoded, rows):
-            assert np.array_equal(p_got, p_want)
-
-    @pytest.mark.parametrize("d_c, layers, bound", [(16, 1, 3.0), (64, 2, 9.0)])
-    def test_correct_many_peak_memory(self, d_c, layers, bound):
+    @pytest.mark.parametrize("d_c, layers, use_copy, bound", [
+        (16, 1, True, 1.9), (16, 1, False, 2.3), (64, 2, True, 5.0), (64, 2, False, 5.0)])
+    def test_correct_many_peak_memory(self, d_c, layers, use_copy, bound):
         # one 64-sentence call at correct_batch-like shapes (24-60 chars,
         # m_max 8, v 182), measured in [B, n, v] float64 arrays: the
         # training forward's caches and a second mixture array read 6.0x at
-        # d_c 16 and 17.2x at d_c 64 (2 layers); this pass reads 2.4x and 7.1x,
-        # where the fusion layer's [B, n, m, d_c] candidate states dominate
+        # d_c 16 and 17.2x at d_c 64 (2 layers).  A cache-free pass on every
+        # slot, whose encoder blocks held each intermediate until they
+        # returned and whose fusion layer held the gathered word embeddings,
+        # read 2.4x and 7.1x, with the copy gate on or off.  This pass reads
+        # 1.6x and 4.3x where the fresh gate (omega > 1/2 everywhere) leaves
+        # the generator idle, and 1.9x and 4.3x where use_copy=False sends
+        # every position to it; the fusion layer's [B, n, m, d_c] candidate
+        # states dominate at d_c 64
         v, m = 182, 8
         cfg = ModelConfig(char_vocab_size=v, word_vocab_size=2000, d_c=d_c, d_w=16,
                           layers=layers, heads=2, ffn_dim=2 * d_c, gate_dim=16,
-                          m_max=m, max_len=64)
+                          m_max=m, max_len=64, use_copy=use_copy)
         params = init_params(cfg, [chr(0x4E00 + i) for i in range(v - 2)])
         rng = np.random.default_rng(0)
         lengths = rng.integers(24, 61, size=64)
@@ -648,6 +655,113 @@ class TestInferencePass:
             tracemalloc.stop()
         grid = 64 * 60 * v * 8
         assert peak < bound * grid, peak / grid
+
+
+# ------------------------------------------------------ the gate decides first
+
+
+def random_decode_world(rng):
+    """Random config and params; every tensor random and clearly nonzero, with
+    gate.b2 at the config's gate_bias_init so omega spreads around it."""
+    v = int(rng.integers(5, 401))
+    d_c = int(rng.choice([16, 32, 64]))
+    cfg = ModelConfig(
+        char_vocab_size=v, word_vocab_size=int(rng.integers(3, 40)), d_c=d_c, d_w=8,
+        layers=int(rng.integers(1, 3)), heads=2, ffn_dim=32, gate_dim=8,
+        m_max=int(rng.integers(1, 6)), max_len=64,
+        gate_activation=str(rng.choice(["gelu", "tanh"])), use_copy=bool(rng.random() < 0.8),
+        gate_bias_init=float(rng.choice([-0.3, 0.0, 0.3, 2.0])))
+    params = init_params(cfg, [chr(0x4E00 + i) for i in range(v - 2)])
+    for arr in params.tensors.values():
+        arr[...] = rng.normal(0.0, 0.3, arr.shape)
+    params.tensors["gate.b2"][...] = cfg.gate_bias_init
+    return params
+
+
+def random_sentences(rng, params, count, lengths=(0, 61)):
+    """Sentences over the vocabulary plus an unknown character, with their
+    random features; one-character rows and empty strings among them."""
+    cfg, alphabet = params.config, list(params.chars) + ["X"]
+    lens = rng.integers(*lengths, size=count)
+    lens[: min(count, 2)] = [1, 0][: min(count, 2)]
+    rng.shuffle(lens)
+    sentences = ["".join(rng.choice(alphabet, int(k))) for k in lens]
+    feats = [(rng.integers(2, cfg.word_vocab_size, size=(k, cfg.m_max)),
+              (rng.random((k, cfg.m_max)) < 0.6).astype(float)) for k in lens]
+    return sentences, feats
+
+
+class TestGateFirstDecode:
+    """correct_many runs the generator only where omega > 1/2 does not settle
+    the position, with the outputs of decoding every position."""
+
+    def test_equals_reference_decode(self):
+        rng = np.random.default_rng(2024)
+        opened = total = 0
+        for trial in range(60):
+            params = random_decode_world(rng)
+            sentences, feats = random_sentences(rng, params, int(rng.integers(1, 70)))
+            batch_size = int(rng.choice([1, 7, 64]))
+            want, omega = reference_decode(params, sentences, feats, batch_size)
+            got = correct_many(params, sentences, feats, batch_size=batch_size)
+            assert got == want, (trial, params.config)
+            opened += int((~(omega > 0.5)).sum())
+            total += omega.size
+        # both branches are exercised: many positions go to the generator
+        assert 0.2 < opened / total < 0.8, opened / total
+
+    def test_omega_exactly_half_goes_to_the_generator(self):
+        # omega = sigmoid(0) = 1/2 exactly, and P_gen is one-hot at the first
+        # real id: the mixture ties it with the input id, and argmax takes
+        # the lower one, so only the generator branch reproduces the output
+        rng = np.random.default_rng(5)
+        params = random_decode_world(rng)
+        t = params.tensors
+        t["gate.w2"][...] = 0.0
+        t["gate.b2"][...] = 0.0
+        t["b_gen"][CHAR_ID_OFFSET] = 1000.0
+        first = params.chars[0]
+        sentences, feats = random_sentences(rng, params, 9, lengths=(1, 12))
+        want, omega = reference_decode(params, sentences, feats, 4)
+        assert params.config.use_copy and (omega == 0.5).all()
+        assert correct_many(params, sentences, feats, batch_size=4) == want
+        assert want == [first * len(s) for s in sentences]
+
+    @pytest.mark.parametrize("use_copy", [True, False])
+    def test_batch_of_one(self, use_copy):
+        rng = np.random.default_rng(8)
+        params = inference_world(16, use_copy=use_copy)
+        sentences, feats = random_sentences(rng, params, 12, lengths=(1, 9))
+        want, _ = reference_decode(params, sentences, feats, 1)
+        assert correct_many(params, sentences, feats, batch_size=1) == want
+        if not use_copy:  # omega is 0: every output is the generator's
+            assert want != sentences
+
+    @given(st.floats(0.5, 1.0, exclude_min=True), st.integers(0, 4),
+           st.integers(0, 4), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_mix_argmax_is_the_input_above_half(self, omega, x, j, one_hot, seed):
+        # the lemma correct_many rests on, for any softmax row: random, or
+        # one-hot at j with all of its mass away from x
+        v = 5
+        if one_hot:
+            j = j if j != x else (x + 1) % v
+            p = np.zeros((1, v))
+            p[0, j] = 1.0
+        else:
+            p = softmax(np.random.default_rng(seed).normal(0.0, 30.0, (1, v)))
+        mixed = model_module._mix(p, np.array([omega]), np.array([x]))
+        assert mixed.argmax(axis=-1)[0] == x
+
+    def test_mix_argmax_at_the_edges(self):
+        v = 7
+        for omega in (np.nextafter(0.5, 1.0), 0.75, np.nextafter(1.0, 0.0), 1.0):
+            for x in range(v):
+                for j in range(v):
+                    p = np.zeros((1, v))
+                    p[0, j] = 1.0
+                    mixed = model_module._mix(p, np.array([omega]), np.array([x]))
+                    assert mixed.argmax(axis=-1)[0] == x, (omega, x, j)
 
 
 class TestBatching:
