@@ -36,7 +36,6 @@ from .lexicon import Lexicon
 from .pinyin import FuzzyClassTable, PinyinTable
 
 # word-feature ids 0 and 1 are reserved in the model's word vocabulary
-WORD_UNK_ID = 0
 WORD_PAD_ID = 1
 WORD_ID_OFFSET = 2
 

@@ -35,7 +35,6 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import (
-    InvalidSyllable,
     LexiconFormatError,
     MalformedLine,
     MissingPinyin,
@@ -53,31 +52,31 @@ from .pinyin import (
 MAX_WORD_LEN = 4
 
 _LEXICON_MAGIC = "hanfix-lexicon"
-_LEXICON_VERSION = 2
+_LEXICON_VERSION = 3
+_FILE_FIELDS = frozenset(("magic", "version", "entries"))
 
 
 @dataclass(frozen=True)
 class WordEntry:
     """One dictionary word.
 
-    `pinyin` is the primary reading (first table reading per character);
-    `readings` holds every toneless reading per position, so polyphones
-    like 长 keep both chang and zhang for matching.
+    `readings` holds every toneless reading per character, so polyphones
+    like 长 keep both chang and zhang for matching; the 2-gram index reads
+    one tuple per character.
     """
 
     word_id: int
     surface: str
-    pinyin: tuple[PinyinSyllable, ...]
-    frequency: int = 1
-    readings: tuple[tuple[str, ...], ...] = ()
+    frequency: int
+    readings: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
         if not 1 <= len(self.surface) <= MAX_WORD_LEN:
             raise WordTooLong(self.surface)
-        if len(self.pinyin) != len(self.surface):
+        if len(self.readings) != len(self.surface):
             raise ValueError(
-                f"pinyin length {len(self.pinyin)} != surface length "
-                f"{len(self.surface)} for {self.surface!r}"
+                f"{len(self.readings)} reading lists for the "
+                f"{len(self.surface)} characters of {self.surface!r}"
             )
 
 
@@ -253,7 +252,6 @@ class Lexicon:
             "entries": [
                 {
                     "surface": e.surface,
-                    "pinyin": [str(p) for p in e.pinyin],
                     "frequency": e.frequency,
                     "readings": [list(r) for r in e.readings],
                 }
@@ -280,13 +278,15 @@ class Lexicon:
                 f"{path}: unsupported version {payload.get('version')!r} "
                 f"(expected {_LEXICON_VERSION}); rebuild it with `hanfix build-lexicon`"
             )
+        unknown = payload.keys() - _FILE_FIELDS
+        if unknown:
+            raise LexiconFormatError(f"{path}: unknown field(s) {_names(unknown)}")
         try:
             _check_entries(payload["entries"])
             entries = [
                 WordEntry(
                     word_id=i,
                     surface=d["surface"],
-                    pinyin=tuple(parse_syllable(p) for p in d["pinyin"]),
                     frequency=d["frequency"],
                     readings=tuple(tuple(r) for r in d["readings"]),
                 )
@@ -294,12 +294,17 @@ class Lexicon:
             ]
         except KeyError as e:
             raise LexiconFormatError(f"{path}: missing field {e}") from e
-        except (TypeError, ValueError, AttributeError, InvalidSyllable, WordTooLong) as e:
+        except (TypeError, ValueError, WordTooLong) as e:
             raise LexiconFormatError(f"{path}: malformed field ({e})") from e
         return cls(entries)
 
 
-_ENTRY_FIELDS = itemgetter("surface", "frequency", "pinyin", "readings")
+_ENTRY_NAMES = ("surface", "frequency", "readings")
+_ENTRY_FIELDS = itemgetter(*_ENTRY_NAMES)
+
+
+def _names(fields) -> str:
+    return ", ".join(sorted(fields))
 
 
 def _only(kind: type, xs) -> bool:
@@ -307,22 +312,24 @@ def _only(kind: type, xs) -> bool:
 
 
 def _check_entries(raw) -> None:
-    """ValueError unless every serialized entry has a non-empty string
-    surface, a non-negative int frequency, a list of pinyin strings and one
-    list of toneless syllables per character.
+    """ValueError unless every serialized entry has exactly a non-empty
+    string surface, a non-negative int frequency and one list of toneless
+    syllables per character (KeyError when one of them is missing).
 
     Each test is a C loop over one field of all entries: checking entry by
     entry in Python made Lexicon.load ~12% slower.
     """
     if not raw:
         return
-    surface, frequency, pinyin, readings = zip(*map(_ENTRY_FIELDS, raw))
+    surface, frequency, readings = zip(*map(_ENTRY_FIELDS, raw))
+    # every entry holds the three fields, so a longer one holds another
+    if set(map(len, raw)) != {len(_ENTRY_NAMES)}:
+        raise ValueError(f"an entry holds unknown field(s) "
+                         f"{_names(set().union(*raw).difference(_ENTRY_NAMES))}")
     if not _only(str, surface) or not all(surface):
         raise ValueError("an entry surface is not a non-empty string")
     if not _only(int, frequency) or min(frequency) < 0:
         raise ValueError("an entry frequency is not a non-negative int")
-    if not _only(list, pinyin) or not _only(str, chain.from_iterable(pinyin)):
-        raise ValueError("an entry pinyin is not a list of strings")
     if (not _only(list, readings) or list(map(len, readings)) != list(map(len, surface))
             or not _only(list, chain.from_iterable(readings))
             or not TONELESS_SYLLABLES.issuperset(
@@ -378,28 +385,16 @@ def lexicon_from_words(
         if surface in by_surface:
             wid = by_surface[surface]
             old = entries[wid]
-            entries[wid] = WordEntry(
-                wid, old.surface, old.pinyin, old.frequency + freq, old.readings
-            )
+            entries[wid] = WordEntry(wid, old.surface, old.frequency + freq, old.readings)
             continue
-        readings_per_pos = []
+        readings = []
         for ch in surface:
             syls = pinyin_table.get(ch)
             if not syls:
                 raise MissingPinyin(ch, f"{where} word {surface!r}")
-            readings_per_pos.append(syls)
+            readings.append(tuple(s.toneless() for s in syls))
         wid = len(entries)
-        entries.append(
-            WordEntry(
-                word_id=wid,
-                surface=surface,
-                pinyin=tuple(r[0] for r in readings_per_pos),
-                frequency=freq,
-                readings=tuple(
-                    tuple(s.toneless() for s in r) for r in readings_per_pos
-                ),
-            )
-        )
+        entries.append(WordEntry(wid, surface, freq, tuple(readings)))
         by_surface[surface] = wid
 
     lex = Lexicon(entries)

@@ -301,12 +301,10 @@ def _gate_act_grad(cfg, x, t):
     return gelu_grad(x, t) if cfg.gate_activation == "gelu" else 1.0 - t * t
 
 
-def _gate_forward(tensors, cfg, rows, ht, char_ids, omega_override=None):
+def _gate_forward(tensors, cfg, rows, ht, char_ids):
     """The copy gate: (omega, cache) at rows, from the [B, n, d] grid ht.
     char_ids at rows give omega's shape; the cache is None when omega is
-    fixed (an override, or use_copy=False, which pins omega at 0)."""
-    if omega_override is not None:
-        return np.full(char_ids.shape, float(omega_override)), None
+    fixed (use_copy=False pins it at 0)."""
     if not cfg.use_copy:
         return np.zeros(char_ids.shape), None
     g_pre = rows.take(ht @ tensors["gate.W1"].T) + tensors["gate.b1"]
@@ -363,7 +361,7 @@ def _mix(p: np.ndarray, omega: np.ndarray, char_ids: np.ndarray) -> np.ndarray:
     return p
 
 
-def forward_batch(params: ModelParams, batch: Batch, omega_override=None):
+def forward_batch(params: ModelParams, batch: Batch):
     """Run the full model on every slot of the batch, pad slots included,
     keeping no backward cache.  Returns (ForwardOut, None): the second value
     is always None, so callers that unpack two values, perfbench's held-out
@@ -371,8 +369,7 @@ def forward_batch(params: ModelParams, batch: Batch, omega_override=None):
     rows = _Rows()
     h, ht, (_, a), _ = _forward(params, batch, rows, keep_cache=False)
     p_gen = _gen_forward(params.tensors, rows, ht)[0]
-    omega = _gate_forward(params.tensors, params.config, rows, ht, batch.char_ids,
-                          omega_override)[0]
+    omega = _gate_forward(params.tensors, params.config, rows, ht, batch.char_ids)[0]
     p = _mix(p_gen.copy(), omega, batch.char_ids)
     return ForwardOut(h=h, h_fused=ht, attn=a, omega=omega, p_gen=p_gen, p_out=p), None
 
@@ -390,7 +387,7 @@ def nll_loss(p: np.ndarray, gold_ids: np.ndarray, mask: np.ndarray = None) -> fl
     return float(-(mask * np.log(psel + LOSS_EPS)).sum() / denom)
 
 
-def loss_and_grads(params: ModelParams, batch: Batch, omega_override=None):
+def loss_and_grads(params: ModelParams, batch: Batch):
     """Forward + manual backward. Returns (loss, grads).
 
     Fusion, head and loss compute on the real positions only (char_mask
@@ -411,7 +408,7 @@ def loss_and_grads(params: ModelParams, batch: Batch, omega_override=None):
     rows = _Rows(mask)
     h, ht, _, (ecache, fcache) = _forward(params, batch, rows)
     p_gen, spent = _gen_forward(t, rows, ht)
-    omega, gcache = _gate_forward(t, cfg, rows, ht, rows.take(batch.char_ids), omega_override)
+    omega, gcache = _gate_forward(t, cfg, rows, ht, rows.take(batch.char_ids))
     gold, m = rows.take(batch.gold_ids), rows.take(mask)
     copy_hit = (rows.take(batch.char_ids) == gold).astype(np.float64)
 

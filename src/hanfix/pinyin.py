@@ -278,9 +278,6 @@ class PinyinTable:
             found = self._toneless[char] = frozenset(s.toneless() for s in syllables)
         return found
 
-    def __contains__(self, char: str) -> bool:
-        return char in self._readings
-
     def __len__(self) -> int:
         return len(self._readings)
 

@@ -7,6 +7,7 @@ several minutes), so this module is the slow tail of the test run.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,6 +266,10 @@ def test_03_fusion_and_head_laws_hold_over_10k_passes():
         scale = float(rng.uniform(0.05, 0.8))
         for arr in params.tensors.values():
             arr[...] = rng.normal(0.0, scale, arr.shape)
+        # w2 = 0 and b2 = 1000 saturate the copy gate: omega is exactly 1.0
+        clamped = replace(params, tensors={
+            **params.tensors, "gate.w2": np.zeros_like(params.tensors["gate.w2"]),
+            "gate.b2": np.full_like(params.tensors["gate.b2"], 1000.0)})
         for _ in range(10):
             B, n = 20, int(rng.integers(1, 13))
             char_ids = rng.integers(2, cfg.char_vocab_size, size=(B, n))
@@ -283,8 +288,10 @@ def test_03_fusion_and_head_laws_hold_over_10k_passes():
             assert (out.attn.sum(-1)[~has_cand] == 0.0).all()
             assert ((out.omega >= 0.0) & (out.omega <= 1.0)).all()
             assert np.array_equal(out.h_fused[~has_cand], out.h[~has_cand])
-            clamped, _ = forward_batch(params, batch, omega_override=1.0)
-            assert np.array_equal(clamped.p_out.argmax(-1), char_ids)
+            if cfg.use_copy:
+                copied, _ = forward_batch(clamped, batch)
+                assert (copied.omega == 1.0).all()
+                assert np.array_equal(copied.p_out.argmax(-1), char_ids)
             passes += B
     assert passes == 10_000
     print("PASS 3: fusion/head laws hold over 10,000 random forward passes")

@@ -87,7 +87,7 @@ class TestBuildLexicon:
         assert "words ->" in msg and "fingerprint" in msg
         assert len(Lexicon.load(out2)) > 0
         assert out2.read_bytes() == lex_path.read_bytes()  # deterministic
-        assert "(fingerprint 4f4e2d6d)" in msg  # the bundled demo words
+        assert "(fingerprint 01368511)" in msg  # the bundled demo words
 
     def test_missing_words_file(self, tmp_path, capsys):
         assert main(["build-lexicon", "--words", str(tmp_path / "nope.tsv"),
@@ -373,7 +373,7 @@ class TestAblate:
 
 
 class TestMalformedInputs:
-    @pytest.mark.parametrize("what", ["lexicon-no-entries", "entry-no-pinyin",
+    @pytest.mark.parametrize("what", ["lexicon-no-entries", "entry-no-readings",
                                       "checkpoint-no-chars", "checkpoint-v1"])
     def test_exit_2_with_one_line_error(self, what, work, tmp_path, capsys):
         _, lex_path, _, _, _, ckpt = work
@@ -398,7 +398,7 @@ class TestMalformedInputs:
             if what == "lexicon-no-entries":
                 del payload["entries"]
             else:
-                del payload["entries"][0]["pinyin"]
+                del payload["entries"][0]["readings"]
             lex_path = tmp_path / "bad.lexicon"
             lex_path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
         assert main(["correct", "参家", "--checkpoint", str(ckpt),
@@ -408,12 +408,13 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("field,value", [
         ("surface", ""), ("surface", 7), ("frequency", "10"), ("frequency", True),
-        ("frequency", -1), ("pinyin", "can jia"), ("pinyin", [None, 5]),
+        ("frequency", -1),
         ("readings", [["can"], 5]), ("readings", [["can"], [5]]), ("readings", []),
         ("readings", lambda entry: [["cxn"]] * len(entry["surface"])),
+        ("pinyin", lambda entry: ["can1"] * len(entry["surface"])),
     ], ids=["surface-empty", "surface-int", "frequency-str", "frequency-bool",
-            "frequency-negative", "pinyin-str", "pinyin-items", "readings-int",
-            "readings-item-int", "readings-short", "readings-bad-syllable"])
+            "frequency-negative", "readings-int", "readings-item-int", "readings-short",
+            "readings-bad-syllable", "unknown-field"])
     def test_mistyped_lexicon_field_exits_2(self, field, value, work, tmp_path, capsys):
         payload = json.loads(work[1].read_text(encoding="utf-8"))
         for entry in payload["entries"]:

@@ -101,9 +101,8 @@ class TestBuild:
         assert lex.surface(1) == "禅家"
         assert len(lex) == 7
 
-    def test_primary_reading_is_first_table_reading(self, lex):
+    def test_readings_follow_table_order(self, lex):
         e = lex.entries[lex.word_id("参加")]
-        assert [str(s) for s in e.pinyin] == ["can1", "jia1"]
         # polyphone keeps every toneless reading for matching
         assert e.readings == (("can", "shen"), ("jia",))
 
@@ -122,7 +121,17 @@ class TestBuild:
         with pytest.raises(WordTooLong):
             lexicon_from_words([("参加参加参", 1)], ptable, fuzzy)
         with pytest.raises(WordTooLong):
-            WordEntry(0, "", (), 1)
+            WordEntry(0, "", 1, ())
+
+    @pytest.mark.parametrize("readings", [(), (("can",),), (("can",), ("jia",), ("jia",))],
+                             ids=["none", "one-of-two", "three-of-two"])
+    def test_entry_needs_one_reading_tuple_per_character(self, readings, ptable, fuzzy):
+        # the 2-gram index reads readings[0] and readings[1] of every 2-char word
+        with pytest.raises(ValueError, match="reading lists"):
+            WordEntry(word_id=0, surface="参加", frequency=1, readings=readings)
+        lex2 = Lexicon([WordEntry(word_id=0, surface="参加", frequency=1,
+                                  readings=(("can",), ("jia",)))])
+        assert lex2.window_hits(ptable, fuzzy, "参", "家") == ((1, 0, 0),)
 
     def test_from_file(self, tmp_path, ptable, fuzzy):
         p = tmp_path / "words.tsv"
@@ -327,7 +336,24 @@ class TestSerialization:
         assert lex2.pinyin2gram_index(fuzzy) == lex.pinyin2gram_index(fuzzy)
 
     def test_file_holds_entries_only(self, lex):
-        assert sorted(json.loads(lex.to_json())) == ["entries", "magic", "version"]
+        payload = json.loads(lex.to_json())
+        assert sorted(payload) == ["entries", "magic", "version"]
+        assert payload["version"] == 3
+        assert {tuple(sorted(e)) for e in payload["entries"]} == {
+            ("frequency", "readings", "surface")}
+
+    @pytest.mark.parametrize("where", ["file", "entry", "entry-pinyin"])
+    def test_rejects_unknown_fields(self, lex, tmp_path, where):
+        payload = json.loads(lex.to_json())
+        if where == "file":
+            payload["trie"] = {}
+        elif where == "entry":
+            payload["entries"][-1]["note"] = "x"
+        else:  # a version 2 entry relabelled as version 3
+            for e in payload["entries"]:
+                e["pinyin"] = ["can1"] * len(e["surface"])
+        with pytest.raises(LexiconFormatError, match="unknown field"):
+            Lexicon.load(write_payload(payload, tmp_path))
 
     @pytest.mark.parametrize("reading", ["cxn", "can1", "", "CAN", 5])
     def test_rejects_reading_that_is_not_a_toneless_syllable(self, lex, tmp_path, reading):
@@ -356,16 +382,16 @@ class TestSerialization:
     def test_rejects_surface_longer_than_four(self, lex, tmp_path):
         payload = json.loads(lex.to_json())
         entry = payload["entries"][0]
-        for field in ("pinyin", "readings"):
-            entry[field] = entry[field] * 3
+        entry["readings"] *= 3
         entry["surface"] *= 3
         with pytest.raises(LexiconFormatError, match="too long"):
             Lexicon.load(write_payload(payload, tmp_path))
 
     def test_rejects_wrong_version(self, lex, tmp_path):
         # version 1 files also stored the trie and a fuzzy index frozen
-        # under the build-time table
-        for version in (1, 99):
+        # under the build-time table; version 2 entries also held a tonal
+        # primary reading that nothing read
+        for version in (1, 2, 99):
             payload = json.loads(lex.to_json())
             payload["version"] = version
             with pytest.raises(LexiconFormatError,

@@ -68,6 +68,15 @@ def healthy_params(cfg, scale=0.3, seed=11):
     return params
 
 
+def saturated_gate(cfg, b2):
+    # w2 = 0 leaves the gate sigmoid(b2) at every slot: exactly 1.0 at
+    # b2 = 1000 and exactly 0.0 at b2 = -1000
+    params = healthy_params(cfg)
+    params.tensors["gate.w2"][...] = 0.0
+    params.tensors["gate.b2"][...] = b2
+    return params
+
+
 def make_batch(cfg, seed=3, with_gold=True):
     rng = np.random.default_rng(seed)
     B, n, m = 2, 5, cfg.m_max
@@ -207,16 +216,18 @@ class TestForwardLaws:
             params, Batch(batch.char_ids, batch.char_mask, wid, batch.word_mask))
         assert np.array_equal(out1.p_out, out2.p_out)
 
-    def test_omega_override_one_copies_exactly(self, setup):
-        cfg, params, batch = setup
-        out, _ = forward_batch(params, batch, omega_override=1.0)
+    def test_omega_one_copies_exactly(self, setup):
+        cfg, _, batch = setup
+        out, _ = forward_batch(saturated_gate(cfg, 1000.0), batch)
+        assert (out.omega == 1.0).all()
         onehot = np.zeros_like(out.p_out)
         np.put_along_axis(onehot, batch.char_ids[..., None], 1.0, -1)
         assert np.array_equal(out.p_out, onehot)
 
-    def test_omega_override_zero_is_pure_generation(self, setup):
-        cfg, params, batch = setup
-        out, _ = forward_batch(params, batch, omega_override=0.0)
+    def test_omega_zero_is_pure_generation(self, setup):
+        cfg, _, batch = setup
+        out, _ = forward_batch(saturated_gate(cfg, -1000.0), batch)
+        assert (out.omega == 0.0).all()
         assert np.array_equal(out.p_out, out.p_gen)
 
     def test_use_copy_false_forces_omega_zero(self):
@@ -306,11 +317,10 @@ class TestGoldIndexing:
     the take_along_axis/put_along_axis form they replaced bit for bit."""
 
     @pytest.mark.parametrize("use_copy", [True, False])
-    @pytest.mark.parametrize("omega_override", [None, 0.3])
-    def test_copy_bonus(self, use_copy, omega_override):
+    def test_copy_bonus(self, use_copy):
         cfg = tiny_config(use_copy=use_copy)
         batch = make_batch(cfg)
-        out, _ = forward_batch(healthy_params(cfg), batch, omega_override)
+        out, _ = forward_batch(healthy_params(cfg), batch)
         want = (1.0 - out.omega)[..., None] * out.p_gen
         idx = batch.char_ids[..., None]
         np.put_along_axis(want, idx, np.take_along_axis(want, idx, -1) + out.omega[..., None], -1)
@@ -381,14 +391,12 @@ def _grid_fusion_forward(t, h, word_ids, word_mask):
     return h + z, (ew, u, hW, a)
 
 
-def _grid_head_forward(t, cfg, ht, char_ids, omega_override):
+def _grid_head_forward(t, cfg, ht, char_ids):
     logits = ht @ t["W_gen"].T
     logits += t["b_gen"]
     p_gen = softmax(logits)
     gcache = None
-    if omega_override is not None:
-        omega = np.full(char_ids.shape, float(omega_override))
-    elif not cfg.use_copy:
+    if not cfg.use_copy:
         omega = np.zeros(char_ids.shape)
     else:
         g_pre = ht @ t["gate.W1"].T + t["gate.b1"]
@@ -402,11 +410,11 @@ def _grid_head_forward(t, cfg, ht, char_ids, omega_override):
     return p, omega, p_gen, gcache
 
 
-def grid_loss_and_grads(params, batch, omega_override=None):
+def grid_loss_and_grads(params, batch):
     t, cfg = params.tensors, params.config
     h, ecache = encoder_forward(t, cfg, batch.char_ids, batch.char_mask)
     ht, (ew, u, hW, a) = _grid_fusion_forward(t, h, batch.word_ids, batch.word_mask)
-    p, omega, p_gen, gcache = _grid_head_forward(t, cfg, ht, batch.char_ids, omega_override)
+    p, omega, p_gen, gcache = _grid_head_forward(t, cfg, ht, batch.char_ids)
     gold, mask = batch.gold_ids, batch.char_mask
     psel = np.take_along_axis(p, gold[..., None], -1)[..., 0]
     denom = max(float(mask.sum()), 1.0)
@@ -482,16 +490,14 @@ class TestPackedStep:
     only; its loss and every gradient equal the grid step's bit for bit."""
 
     @pytest.mark.parametrize("shape", sorted(BATCH_SHAPES))
-    @pytest.mark.parametrize("omega_override", [None, 0.3])
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("use_copy", [True, False])
     @pytest.mark.parametrize("gate_activation", ["gelu", "tanh"])
-    def test_equals_grid_step(self, gate_activation, use_copy, layers, omega_override, shape):
+    def test_equals_grid_step(self, gate_activation, use_copy, layers, shape):
         cfg = tiny_config(gate_activation=gate_activation, use_copy=use_copy, layers=layers)
         params = healthy_params(cfg)
         batch = batch_of_lengths(cfg, BATCH_SHAPES[shape])
-        assert_same_step(loss_and_grads(params, batch, omega_override),
-                         grid_loss_and_grads(params, batch, omega_override))
+        assert_same_step(loss_and_grads(params, batch), grid_loss_and_grads(params, batch))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_equals_grid_step_at_training_shapes(self, seed):
@@ -543,11 +549,11 @@ class TestPackedStep:
 # test_encoder.py.
 
 
-def training_forward_batch(params, batch, omega_override=None):
+def training_forward_batch(params, batch):
     t, cfg = params.tensors, params.config
     h, _ = encoder_forward(t, cfg, batch.char_ids, batch.char_mask)
     ht, (_, _, _, a) = _grid_fusion_forward(t, h, batch.word_ids, batch.word_mask)
-    p, omega, p_gen, _ = _grid_head_forward(t, cfg, ht, batch.char_ids, omega_override)
+    p, omega, p_gen, _ = _grid_head_forward(t, cfg, ht, batch.char_ids)
     return ForwardOut(h=h, h_fused=ht, attn=a, omega=omega, p_gen=p_gen, p_out=p)
 
 
@@ -589,18 +595,17 @@ class TestInferencePass:
     place, with every output equal to the training forward's bit for bit."""
 
     @pytest.mark.parametrize("shape", sorted(BATCH_SHAPES))
-    @pytest.mark.parametrize("omega_override", [None, 0.3])
     @pytest.mark.parametrize("d_c", [16, 64])
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("use_copy", [True, False])
     @pytest.mark.parametrize("gate_activation", ["gelu", "tanh"])
     def test_forward_batch_equals_training_forward(self, gate_activation, use_copy, layers,
-                                                   d_c, omega_override, shape):
+                                                   d_c, shape):
         params = inference_world(d_c, gate_activation=gate_activation, use_copy=use_copy,
                                  layers=layers)
         batch = batch_of_lengths(params.config, BATCH_SHAPES[shape])
-        got, rest = forward_batch(params, batch, omega_override)
-        want = training_forward_batch(params, batch, omega_override)
+        got, rest = forward_batch(params, batch)
+        want = training_forward_batch(params, batch)
         assert rest is None
         for name in ("h", "h_fused", "attn", "omega", "p_gen", "p_out"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -199,7 +199,7 @@ class TestPinyinTable:
     def test_missing(self):
         t = PinyinTable.from_pairs([("好", "hao3")])
         assert t.get("坏") == ()
-        assert "坏" not in t
+        assert t.toneless_readings("坏") == frozenset()
         with pytest.raises(MissingPinyin):
             t.readings("坏")
 
