@@ -68,13 +68,24 @@ def healthy_params(cfg, scale=0.3, seed=11):
     return params
 
 
-def saturated_gate(cfg, b2):
+def saturate_gate(params, b2):
     # w2 = 0 leaves the gate sigmoid(b2) at every slot: exactly 1.0 at
-    # b2 = 1000 and exactly 0.0 at b2 = -1000
-    params = healthy_params(cfg)
-    params.tensors["gate.w2"][...] = 0.0
-    params.tensors["gate.b2"][...] = b2
+    # b2 = 1000 and exactly 0.0 at b2 = -1000; b2 = None keeps the random gate
+    if b2 is not None:
+        params.tensors["gate.w2"][...] = 0.0
+        params.tensors["gate.b2"][...] = b2
     return params
+
+
+def saturated_gate(cfg, b2):
+    return saturate_gate(healthy_params(cfg), b2)
+
+
+# the output heads the equality tests run: (use_copy, gate bias b2).  "open"
+# and "shut" saturate the gate at omega = 1 and 0, the edges where the mix
+# zeroes the generator or the copy term
+HEADS = {"generate": (False, None), "learned": (True, None),
+         "open": (True, 1000.0), "shut": (True, -1000.0)}
 
 
 def make_batch(cfg, seed=3, with_gold=True):
@@ -316,11 +327,12 @@ class TestGoldIndexing:
     """The copy bonus and the gold picks use one flat fancy index; they match
     the take_along_axis/put_along_axis form they replaced bit for bit."""
 
-    @pytest.mark.parametrize("use_copy", [True, False])
-    def test_copy_bonus(self, use_copy):
+    @pytest.mark.parametrize("head", list(HEADS))
+    def test_copy_bonus(self, head):
+        use_copy, b2 = HEADS[head]
         cfg = tiny_config(use_copy=use_copy)
         batch = make_batch(cfg)
-        out, _ = forward_batch(healthy_params(cfg), batch)
+        out, _ = forward_batch(saturate_gate(healthy_params(cfg), b2), batch)
         want = (1.0 - out.omega)[..., None] * out.p_gen
         idx = batch.char_ids[..., None]
         np.put_along_axis(want, idx, np.take_along_axis(want, idx, -1) + out.omega[..., None], -1)
@@ -491,11 +503,12 @@ class TestPackedStep:
 
     @pytest.mark.parametrize("shape", sorted(BATCH_SHAPES))
     @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("use_copy", [True, False])
+    @pytest.mark.parametrize("head", list(HEADS))
     @pytest.mark.parametrize("gate_activation", ["gelu", "tanh"])
-    def test_equals_grid_step(self, gate_activation, use_copy, layers, shape):
+    def test_equals_grid_step(self, gate_activation, head, layers, shape):
+        use_copy, b2 = HEADS[head]
         cfg = tiny_config(gate_activation=gate_activation, use_copy=use_copy, layers=layers)
-        params = healthy_params(cfg)
+        params = saturate_gate(healthy_params(cfg), b2)
         batch = batch_of_lengths(cfg, BATCH_SHAPES[shape])
         assert_same_step(loss_and_grads(params, batch), grid_loss_and_grads(params, batch))
 
@@ -597,16 +610,19 @@ class TestInferencePass:
     @pytest.mark.parametrize("shape", sorted(BATCH_SHAPES))
     @pytest.mark.parametrize("d_c", [16, 64])
     @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("use_copy", [True, False])
+    @pytest.mark.parametrize("head", list(HEADS))
     @pytest.mark.parametrize("gate_activation", ["gelu", "tanh"])
-    def test_forward_batch_equals_training_forward(self, gate_activation, use_copy, layers,
+    def test_forward_batch_equals_training_forward(self, gate_activation, head, layers,
                                                    d_c, shape):
-        params = inference_world(d_c, gate_activation=gate_activation, use_copy=use_copy,
-                                 layers=layers)
+        use_copy, b2 = HEADS[head]
+        params = saturate_gate(inference_world(d_c, gate_activation=gate_activation,
+                                               use_copy=use_copy, layers=layers), b2)
         batch = batch_of_lengths(params.config, BATCH_SHAPES[shape])
         got, rest = forward_batch(params, batch)
         want = training_forward_batch(params, batch)
         assert rest is None
+        if b2 is not None:
+            assert (got.omega[batch.char_mask > 0] == float(b2 > 0)).all()
         for name in ("h", "h_fused", "attn", "omega", "p_gen", "p_out"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
