@@ -18,11 +18,12 @@ ranked hits under its two characters' toneless reading sets, so each pair of
 readings is looked up in the 2-gram index once per lexicon and fuzzy table;
 each window feeds only its `m_max` best hits into the lattice.
 
-A built lattice keeps each position's ranked keys, (provenance, word rank,
-direction, span, word_id) tuples, and builds its `MatchCandidate` objects
-only when `per_char` is first read; featurization reads the word ids straight
-from the keys, so the lattice of a sentence that is only featurized never
-builds a candidate object.
+A built lattice keeps each position's ranked keys, one int per candidate
+(`provenance << RANK_BITS | word rank`, see lexicon.py), beside the trie
+matches and each window's fed hits.  Featurization maps the keys to word
+ids in one numpy gather; the `MatchCandidate` objects, with the direction
+and span that only they carry, are derived on the first read of `per_char`.
+So the lattice of a sentence that is only featurized builds no candidate.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lexicon import Lexicon
+from .lexicon import RANK_BITS, RANK_MASK, Lexicon
 from .pinyin import FuzzyClassTable, PinyinTable
 
 # word-feature ids 0 and 1 are reserved in the model's word vocabulary
@@ -52,12 +53,10 @@ class Direction(str, Enum):
     BACKWARD = "BACKWARD"
 
 
-# rank -> member; a provenance or direction is stored by its rank while the
-# lattice is built, and ranks are what the ranking compares
+# rank -> member; a key holds its provenance by rank, and a window's
+# direction is 1 (FORWARD) when its first character is suspect, else 2
 _PROVENANCES = (Provenance.EXACT, Provenance.PINYIN_EXACT, Provenance.PINYIN_FUZZY)
 _DIRECTIONS = (Direction.NONE, Direction.FORWARD, Direction.BACKWARD)
-# index of the word id in a lattice key (prov, rank, dir, span, wid)
-_KEY_WID = 4
 
 
 class MatchCandidate(NamedTuple):
@@ -73,41 +72,31 @@ class MatchCandidate(NamedTuple):
 class CharWordLattice:
     """Ranked word candidates for every character of one sentence.
 
-    `build_lattice` stores each position's ranked keys and turns them into
+    `build_lattice` stores each position's ranked int keys and derives the
     `MatchCandidate` lists on the first read of `per_char` (one object per
-    key, shared by every position of its span); `lattice_to_feature_ids`
-    reads word ids from whichever rows the lattice holds, so featurization
+    candidate, shared by every position of its span); until then
+    `lattice_to_feature_ids` reads word ids from the keys, so featurization
     builds no candidate objects.
     """
 
-    __slots__ = ("sentence", "suspect", "_rows", "_wid")
+    __slots__ = ("sentence", "suspect", "_per_char", "_built")
 
     def __init__(self, sentence: str, per_char: list[list[MatchCandidate]],
                  suspect: list[bool] | None = None):
         self.sentence = sentence
         self.suspect = [] if suspect is None else suspect
-        # per position, MatchCandidates or build_lattice's keys; _wid is
-        # where a row item holds its word id
-        self._rows: list[list] = per_char
-        self._wid = 0
+        self._per_char = per_char
+        # build_lattice's (rows of keys, lexicon, trie matches, fed window
+        # hits) until per_char is first read
+        self._built: tuple | None = None
 
     @property
     def per_char(self) -> list[list[MatchCandidate]]:
-        if self._wid == _KEY_WID:
-            made: dict[tuple, MatchCandidate] = {}
-            per_char = []
-            for keys in self._rows:
-                cands = []
-                for key in keys:
-                    cand = made.get(key)
-                    if cand is None:
-                        prov, _, direction, span, wid = key
-                        cand = made[key] = MatchCandidate(
-                            wid, span, _PROVENANCES[prov], _DIRECTIONS[direction])
-                    cands.append(cand)
-                per_char.append(cands)
-            self._rows, self._wid = per_char, 0
-        return self._rows
+        built = self._built
+        if built is not None:
+            self._per_char = _candidates(self.suspect, *built)
+            self._built = None
+        return self._per_char
 
     def __len__(self) -> int:
         return len(self.sentence)
@@ -121,6 +110,51 @@ class CharWordLattice:
     def __repr__(self) -> str:
         return (f"CharWordLattice(sentence={self.sentence!r}, "
                 f"per_char={self.per_char!r}, suspect={self.suspect!r})")
+
+
+def _candidates(suspects, rows, lex, matches, fed) -> list[list[MatchCandidate]]:
+    """The MatchCandidate rows of a built lattice.  A candidate takes the
+    best of its word's keys at the position, as the ranking does: the first
+    trie match covering it (matches come sorted by (start, end)), or the
+    probed window of lower direction that fed its key, the left one on a
+    tie."""
+    order = lex.word_order()
+    first: list[dict[int, tuple[int, int]]] = [{} for _ in rows]
+    for start, end, wid in matches:
+        for i in range(start, end + 1):
+            first[i].setdefault(wid, (start, end))
+    made: dict[tuple, MatchCandidate] = {}
+    per_char = []
+    for i, keys in enumerate(rows):
+        cands = []
+        for key in keys:
+            prov, wid = key >> RANK_BITS, order[key & RANK_MASK]
+            if prov == 0:
+                direction, span = 0, first[i][wid]
+            else:
+                direction, span = min((1 if suspects[lo] else 2, (lo, lo + 1))
+                                      for lo in (i - 1, i) if lo >= 0 and key in fed[lo])
+            cand = made.get((key, direction, span))
+            if cand is None:
+                cand = made[key, direction, span] = MatchCandidate(
+                    wid, span, _PROVENANCES[prov], _DIRECTIONS[direction])
+            cands.append(cand)
+        per_char.append(cands)
+    return per_char
+
+
+def _first_per_word(keys: list[int], m_max: int) -> list[int]:
+    """The first key of each word in sorted `keys`, at most m_max of them."""
+    seen: set[int] = set()
+    row = []
+    for key in keys:
+        rank = key & RANK_MASK
+        if rank not in seen:
+            seen.add(rank)
+            row.append(key)
+            if len(row) == m_max:
+                break
+    return row
 
 
 def build_lattice(
@@ -148,11 +182,11 @@ def build_lattice(
     Per position, each word keeps its best candidate by (provenance,
     direction, span), with EXACT > PINYIN_EXACT > PINYIN_FUZZY and NONE >
     FORWARD > BACKWARD.  The distinct words are ranked by (provenance,
-    descending frequency, word_id) and truncated to `m_max`.  Keys are
-    (provenance, Lexicon.word_rank, direction, span, word_id) tuples, so
-    plain tuple order does both: the rank is one per word, so it never
-    decides between two keys of the same word, and it decides between any
-    two words of equal provenance before the direction is compared.
+    descending frequency, word_id) and truncated to `m_max`.  A position's
+    row merges its sources, its EXACT keys and the fed hits of its left and
+    right windows, in int key order, which is that ranking, and keeps each
+    word's first key; the direction and span decide only between keys of
+    one word, so `per_char` derives them when it is read.
 
     Characters without pinyin readings simply contribute no phonetic
     candidates; they are never an error here.
@@ -161,45 +195,57 @@ def build_lattice(
         raise ValueError(f"m_max must be positive, got {m_max}")
     n = len(sentence)
     rank = lex.word_rank()
-    # per position: word_id -> its best (provenance rank, word rank, direction
-    # rank, span, word_id); one key object is shared by every position of its span
-    best: list[dict[int, tuple]] = [{} for _ in range(n)]
+    # per position, the ranks of the words matching exactly over it
+    exact: list[list[int]] = [[] for _ in range(n)]
     # position i is suspect iff no exact match of length >= 2 covers it;
     # single-char matches cannot witness an intact word
     suspects = [True] * n
-
-    # sorted by (start, end): a word's first match at a position is its best
-    for start, end, wid in lex.trie_match_all(sentence):
-        key = (0, rank[wid], 0, (start, end), wid)
-        for i in range(start, end + 1):
-            best[i].setdefault(wid, key)
-            if end > start:
+    matches = lex.trie_match_all(sentence)
+    for start, end, wid in matches:
+        r = rank[wid]
+        if end == start:
+            exact[start].append(r)
+        elif end == start + 1:  # most words: no range() for two positions
+            exact[start].append(r)
+            exact[end].append(r)
+            suspects[start] = suspects[end] = False
+        else:
+            for i in range(start, end + 1):
+                exact[i].append(r)
                 suspects[i] = False
 
+    # fed[lo]: the hits window (lo, lo + 1) feeds into both its positions
+    fed: list[tuple[int, ...]] = [()] * n
     if include_pinyin:
         hits_of = lex.window_hits
         for lo in range(n - 1):
-            hi = lo + 1
-            if suspects[lo]:
-                direction = 1
-            elif suspects[hi]:
-                direction = 2
-            else:
-                continue
-            span = (lo, hi)
-            at_lo, at_hi = best[lo], best[hi]
-            # one window's keys share direction and span: they order as its hits do
-            for prov, word_rank, wid in hits_of(ptable, fuzzy, sentence[lo], sentence[hi])[:m_max]:
-                key = (prov, word_rank, direction, span, wid)
-                old = at_lo.get(wid)
-                if old is None or key < old:
-                    at_lo[wid] = key
-                # hi meets no earlier window, so only an EXACT key precedes
-                at_hi.setdefault(wid, key)
+            if suspects[lo] or suspects[lo + 1]:
+                fed[lo] = hits_of(ptable, fuzzy, sentence[lo], sentence[lo + 1])[:m_max]
 
-    lat = CharWordLattice(sentence, [sorted(words.values())[:m_max] for words in best],
-                          suspects)
-    lat._wid = _KEY_WID
+    rows: list = []
+    # a window's hits are sorted, one per word and at most m_max, so a row
+    # fed by one window is that window's hits
+    for keys, left, right in zip(exact, [()] + fed, fed):
+        if left or right:
+            if keys:
+                keys += left
+                keys += right
+            elif left and right:
+                keys = [*left, *right]
+            else:
+                rows.append(left or right)
+                continue
+        elif len(keys) < 2:
+            rows.append(keys)
+            continue
+        keys.sort()
+        head = keys[:m_max]
+        if len({key & RANK_MASK for key in head}) < len(head):
+            head = _first_per_word(keys, m_max)
+        rows.append(head)
+
+    lat = CharWordLattice(sentence, [], suspects)
+    lat._built = (rows, lex, matches, fed)
     return lat
 
 
@@ -216,16 +262,26 @@ def lattice_to_feature_ids(
     # beats two numpy item writes per candidate.  Filled, not
     # np.array(list).reshape(...): that view keeps a second array object
     # alive per cached feature (~1 MB over 5000 training sentences).
-    # a built lattice's rows are its keys until per_char is read, so this
-    # reads word ids without building a MatchCandidate
-    flat: list[int] = []
-    pad = [WORD_PAD_ID] * m_max
-    w = lat._wid
-    for row in lat._rows:
-        flat += [c[w] + WORD_ID_OFFSET for c in row[:m_max]]
-        flat += pad[len(row):]
     ids = np.empty((len(lat.sentence), m_max), dtype=np.int64)
-    ids.reshape(-1)[:] = flat
+    flat: list[int] = []
+    built = lat._built
+    if built is None:
+        pad = [WORD_PAD_ID] * m_max
+        for row in lat.per_char:
+            flat += [c.word_id + WORD_ID_OFFSET for c in row[:m_max]]
+            flat += pad[len(row):]
+        ids.reshape(-1)[:] = flat
+    else:
+        # the rows of keys, padded with the pad rank len(lex), go through one
+        # gather from rank to feature id, in place
+        rows, lex = built[0], built[1]
+        pad = [len(lex)] * m_max
+        for row in rows:
+            flat += row[:m_max]
+            flat += pad[len(row):]
+        ids.reshape(-1)[:] = flat
+        ids &= RANK_MASK
+        lex.rank_ids(WORD_ID_OFFSET, WORD_PAD_ID).take(ids, out=ids)
     # every candidate id is at least WORD_ID_OFFSET, every pad id below it
     return ids, (ids >= WORD_ID_OFFSET).astype(np.float64)
 

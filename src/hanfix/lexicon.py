@@ -19,10 +19,16 @@ empties the hits each time.  The window-hits memo is the one part that
 grows in place: rows are added with dict.setdefault, each entry is computed
 whole and then stored in one dict assignment, and two threads that compute
 the same entry store equal values.
-The word rank (frequency order, for ranking lattice candidates) and the
-window-hit keys made from it are built on first use, not at construction,
-and likewise stored whole, each in one slot: two threads may both build
-one, but each gets a complete and equal tuple.
+The word rank (frequency order, for ranking lattice candidates), the
+window-hit keys made from it and the rank-to-id array are built on first
+use, not at construction, and likewise stored whole, each in one slot: two
+threads may both build one, but each gets a complete and equal value.
+
+A lattice key is one int, provenance << RANK_BITS | word rank, with
+provenance 0 (EXACT), 1 (PINYIN_EXACT) or 2 (PINYIN_FUZZY).  The rank is one
+per word, so int order is (provenance, rank) order and `key & RANK_MASK`
+names the word.  Keys stay below 2**30, the largest ints CPython stores in
+one digit and sorts on its fast path; so a lexicon holds at most 2**28 words.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     LexiconFormatError,
@@ -55,6 +63,9 @@ _LEXICON_MAGIC = "hanfix-lexicon"
 _LEXICON_VERSION = 3
 _FILE_FIELDS = frozenset(("magic", "version", "entries"))
 
+RANK_BITS = 28
+RANK_MASK = (1 << RANK_BITS) - 1
+
 
 @dataclass(frozen=True)
 class WordEntry:
@@ -62,7 +73,7 @@ class WordEntry:
 
     `readings` holds every toneless reading per character, so polyphones
     like 长 keep both chang and zhang for matching; the 2-gram index reads
-    one tuple per character.
+    one non-empty tuple per character.
     """
 
     word_id: int
@@ -78,6 +89,8 @@ class WordEntry:
                 f"{len(self.readings)} reading lists for the "
                 f"{len(self.surface)} characters of {self.surface!r}"
             )
+        if not all(self.readings):
+            raise ValueError(f"a character of {self.surface!r} has no reading")
 
 
 class _TrieNode:
@@ -95,8 +108,10 @@ class Lexicon:
         self.entries: tuple[WordEntry, ...] = tuple(entries)
         self._root = _TrieNode()
         self._index_memo: tuple[FuzzyClassTable | None, dict, dict] = (None, {}, {})
-        self._rank_memo: tuple[int, ...] | None = None
-        self._hit_memo: tuple[tuple[tuple[int, int, int], ...], ...] | None = None
+        # (word_rank(), word_order())
+        self._rank_memo: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._hit_memo: tuple[tuple[int, int], ...] | None = None
+        self._ids_memo: tuple[int, int, np.ndarray] | None = None
         self._by_surface: dict[str, int] = {}
         for e in self.entries:
             node = self._root
@@ -117,25 +132,43 @@ class Lexicon:
     def word_rank(self) -> tuple[int, ...]:
         """rank[word_id]: the word's place when all entries are ordered by
         descending frequency, then word_id.  Built on first use."""
-        rank = self._rank_memo
-        if rank is None:
+        return self._ranks()[0]
+
+    def word_order(self) -> tuple[int, ...]:
+        """order[rank]: the word_id of that rank, the inverse of word_rank()."""
+        return self._ranks()[1]
+
+    def _ranks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        ranks = self._rank_memo
+        if ranks is None:
             entries = self.entries
             order = sorted(range(len(entries)), key=lambda w: (-entries[w].frequency, w))
             places = [0] * len(order)
             for place, wid in enumerate(order):
                 places[wid] = place
-            rank = self._rank_memo = tuple(places)
-        return rank
+            ranks = self._rank_memo = (tuple(places), tuple(order))
+        return ranks
 
-    def _hit_keys(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """keys[word_id]: the word's two possible window hits, (1, rank,
-        word_id) and (2, rank, word_id).  Every window_hits entry shares
-        them, so it keeps one new tuple, not one per hit.  Built on first
-        use."""
+    def rank_ids(self, offset: int, pad: int) -> np.ndarray:
+        """ids[rank] = word_order()[rank] + offset, and ids[len(self)] = pad:
+        one gather maps ranks, and the pad rank len(self), to ids.  The
+        read-only array of the last (offset, pad) is kept."""
+        memo = self._ids_memo
+        if memo is None or memo[:2] != (offset, pad):
+            ids = np.append(np.array(self.word_order(), dtype=np.int64) + offset, pad)
+            ids.flags.writeable = False
+            memo = self._ids_memo = (offset, pad, ids)
+        return memo[2]
+
+    def _hit_keys(self) -> tuple[tuple[int, int], ...]:
+        """keys[word_id]: the word's two possible window-hit keys, its rank
+        with provenance 1 and with provenance 2.  Every window_hits entry
+        shares these int objects, so it keeps one new tuple, not one int
+        per hit.  Built on first use."""
         keys = self._hit_memo
         if keys is None:
             keys = self._hit_memo = tuple(
-                ((1, r, wid), (2, r, wid)) for wid, r in enumerate(self.word_rank()))
+                (1 << RANK_BITS | r, 2 << RANK_BITS | r) for r in self.word_rank())
         return keys
 
     # ---------------------------------------------------------------- queries
@@ -148,14 +181,18 @@ class Lexicon:
         """
         out: list[tuple[int, int, int]] = []
         n = len(sentence)
-        for start in range(n):
-            node = self._root
-            for end in range(start, min(start + MAX_WORD_LEN, n)):
-                node = node.children.get(sentence[end])
-                if node is None:
-                    break
+        root = self._root.children
+        for start, ch in enumerate(sentence):
+            node = root.get(ch)
+            end = start
+            # the trie is at most MAX_WORD_LEN deep, so this walk is too
+            while node is not None:
                 for wid in node.word_ids:
                     out.append((start, end, wid))
+                end += 1
+                if end == n:
+                    break
+                node = node.children.get(sentence[end])
         return out
 
     def pinyin2gram_index(
@@ -200,12 +237,11 @@ class Lexicon:
 
     def window_hits(
         self, ptable: PinyinTable, fuzzy: FuzzyClassTable, a: str, b: str
-    ) -> tuple[tuple[int, int, int], ...]:
+    ) -> tuple[int, ...]:
         """The 2-char entries that sound like the window `a` `b`, as sorted
-        (provenance, word rank, word_id) tuples, one per word: provenance 1
-        (PINYIN_EXACT) when some reading of the word matches both characters'
-        toneless readings literally, else 2 (PINYIN_FUZZY).  The rank is
-        word_rank()'s.
+        lattice keys, one per word: provenance 1 (PINYIN_EXACT) when some
+        reading of the word matches both characters' toneless readings
+        literally, else 2 (PINYIN_FUZZY), over the word's word_rank().
 
         The hits are those of pinyin_2gram_lookup over every reading pair of
         the two characters, and they are remembered under the pair of the
@@ -232,7 +268,7 @@ class Lexicon:
             entries, keys = self.entries, self._hit_keys()
             # exactness reads the word and the two reading sets only, so a
             # word that several reading pairs find gets one hit
-            found: dict[int, tuple[int, int, int]] = {}
+            found: dict[int, int] = {}
             for sa in ptable.get(a):
                 for sb in ptable.get(b):
                     for wid in self.pinyin_2gram_lookup(sa, sb, fuzzy):

@@ -30,6 +30,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -151,8 +152,9 @@ class ModelParams:
         return self._char_index
 
     def char_to_ids(self, text: str) -> np.ndarray:
-        idx = self.char_index()
-        return np.array([idx.get(c, CHAR_UNK_ID) for c in text], dtype=np.int64)
+        # one C-level pass: map() feeds idx.get straight to np.fromiter
+        return np.fromiter(map(self.char_index().get, text, repeat(CHAR_UNK_ID)),
+                           np.int64, len(text))
 
 
 def init_params(config: ModelConfig, chars) -> ModelParams:

@@ -374,7 +374,8 @@ class TestAblate:
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("what", ["lexicon-no-entries", "entry-no-readings",
-                                      "checkpoint-no-chars", "checkpoint-v1"])
+                                      "entry-empty-reading", "checkpoint-no-chars",
+                                      "checkpoint-v1"])
     def test_exit_2_with_one_line_error(self, what, work, tmp_path, capsys):
         _, lex_path, _, _, _, ckpt = work
         if what.startswith("checkpoint"):
@@ -397,8 +398,11 @@ class TestMalformedInputs:
             payload = json.loads(lex_path.read_text(encoding="utf-8"))
             if what == "lexicon-no-entries":
                 del payload["entries"]
-            else:
+            elif what == "entry-no-readings":
                 del payload["entries"][0]["readings"]
+            else:  # 参加 would silently leave the window hits of 参家
+                entry = next(e for e in payload["entries"] if e["surface"] == "参加")
+                entry["readings"][0] = []
             lex_path = tmp_path / "bad.lexicon"
             lex_path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
         assert main(["correct", "参家", "--checkpoint", str(ckpt),

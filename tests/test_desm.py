@@ -20,7 +20,8 @@ from hanfix.desm import (
     lattice_to_feature_ids,
     sentence_features,
 )
-from hanfix.lexicon import Lexicon, lexicon_from_words
+from hanfix.corpus import make_toy_inventory, make_toy_words
+from hanfix.lexicon import RANK_BITS, RANK_MASK, Lexicon, lexicon_from_words
 from hanfix.pinyin import (
     FuzzyClassTable,
     PinyinTable,
@@ -307,12 +308,14 @@ class TestWindowHits:
         assert built(lex, ptable, fuzzy, sentence, m_max) == want
 
     def test_hits_are_ranked_and_unique(self, lex, ptable, fuzzy):
-        rank = lex.word_rank()
+        rank, order = lex.word_rank(), lex.word_order()
         hits = lex.window_hits(ptable, fuzzy, "参", "家")
         assert hits == tuple(sorted(hits))
-        assert len({wid for _, _, wid in hits}) == len(hits)
-        assert all(r == rank[wid] for _, r, wid in hits)
-        assert {(lex.surface(wid), prov) for prov, _, wid in hits} == {
+        assert len({key & RANK_MASK for key in hits}) == len(hits)
+        # each key is its word's provenance over its word_rank()
+        assert set(hits) == {1 << RANK_BITS | rank[lex.word_id("参加")],
+                             2 << RANK_BITS | rank[lex.word_id("禅家")]}
+        assert {(lex.surface(order[key & RANK_MASK]), key >> RANK_BITS) for key in hits} == {
             ("参加", 1), ("禅家", 2)}
         # 家 and 加 share their one reading, so their windows share hits
         assert lex.window_hits(ptable, fuzzy, "参", "加") is hits
@@ -340,6 +343,88 @@ class TestWindowHits:
             assert ([built(lex, table, fuzzy, s, 5) for s in sentences]
                     == [built(fresh, table, fuzzy, s, 5) for s in sentences])
         assert built(lex, ptable, fuzzy, "参家", 5) != built(lex, other, fuzzy, "参家", 5)
+
+
+# ------------------------------------------ a dense lexicon and the merge
+# correct_batch's shape: up to 16 words per fuzzy 2-gram bucket, so candidate
+# lists overflow m_max 8, and sentences built from words plus stray
+# characters, so positions meet exact matches and both windows at once
+
+DENSE_FUZZY = FuzzyClassTable.default()
+DENSE_INVENTORY = make_toy_inventory(fuzzy=DENSE_FUZZY)
+DENSE_PTABLE = PinyinTable.from_pairs(DENSE_INVENTORY)
+DENSE_LEX = lexicon_from_words(
+    make_toy_words(DENSE_INVENTORY, n_words=2000, word_len=2, seed=3, fuzzy=DENSE_FUZZY,
+                   bucket_cap=16),
+    DENSE_PTABLE, DENSE_FUZZY)
+DENSE_CHUNKS = st.one_of(st.sampled_from([e.surface for e in DENSE_LEX.entries]),
+                         st.sampled_from(sorted({ch for ch, _ in DENSE_INVENTORY}) + ["X"]))
+
+# duplicates the merge must drop: 家嘉 and 嘉嘉 sound like both windows of
+# 家家家's middle; 参禅 sounds like 参参 (fuzzy) and 参蝉 (literally); 参禅 is
+# exact in 参参禅 and 参禅禅 and sounds like the window beside it; 嘉嘉
+# covers the middle of 嘉嘉嘉 twice
+HAND_PAIRS = [("参", "can1"), ("参", "shen1"), ("禅", "chan2"), ("禅", "shan4"),
+              ("蝉", "chan2"), ("家", "jia1"), ("嘉", "jia1")]
+HAND_WORDS = [("参禅", 5), ("家嘉", 3), ("嘉嘉", 2)]
+
+
+def reference_ids(per_char, m_max):
+    ids = np.full((len(per_char), m_max), WORD_PAD_ID, dtype=np.int64)
+    for i, cands in enumerate(per_char):
+        for j, c in enumerate(cands[:m_max]):
+            ids[i, j] = c.word_id + WORD_ID_OFFSET
+    return ids
+
+
+def assert_equals_reference(lex, ptable, fuzzy, sentence, m_max):
+    want = reference_lattice(lex, ptable, fuzzy, sentence, m_max)
+    lat = build_lattice(lex, ptable, fuzzy, sentence, m_max=m_max)
+    ids, mask = lattice_to_feature_ids(lat, m_max)  # from the keys
+    assert (lat.per_char, lat.suspect) == want
+    assert (ids == reference_ids(want[0], m_max)).all()
+    assert (mask == (ids != WORD_PAD_ID)).all()
+    # once per_char is read, from its candidates
+    assert (lattice_to_feature_ids(lat, m_max)[0] == ids).all()
+    return lat
+
+
+class TestDenseLattice:
+    def test_lists_overflow(self):
+        # first characters of words: mostly suspect, so every window is probed
+        sentence = "".join(e.surface[0] for e in DENSE_LEX.entries[:24])
+        lat = build_lattice(DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, sentence, m_max=8)
+        assert sum(len(c) == 8 for c in lat.per_char) >= len(sentence) // 2
+
+    @given(st.lists(DENSE_CHUNKS, max_size=10), st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference(self, chunks, m_max):
+        assert_equals_reference(DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, "".join(chunks), m_max)
+
+    @pytest.mark.parametrize("sentence, word, cand", [
+        ("家家家", "家嘉", (Provenance.PINYIN_EXACT, Direction.FORWARD, (0, 1))),
+        ("参参蝉", "参禅", (Provenance.PINYIN_EXACT, Direction.FORWARD, (1, 2))),
+        ("参参禅", "参禅", (Provenance.EXACT, Direction.NONE, (1, 2))),
+        ("参禅禅", "参禅", (Provenance.EXACT, Direction.NONE, (0, 1))),
+        ("嘉嘉嘉", "嘉嘉", (Provenance.EXACT, Direction.NONE, (0, 1))),
+    ], ids=["both-windows", "both-windows-other-provenance", "exact-and-left-window",
+            "exact-and-right-window", "exact-twice"])
+    def test_duplicate_sources_merge(self, sentence, word, cand):
+        ptable = PinyinTable.from_pairs(HAND_PAIRS)
+        lex = lexicon_from_words(HAND_WORDS, ptable, DENSE_FUZZY)
+        wid = lex.word_id(word)
+        # the word reaches the middle position twice
+        proposals = [key for lo in (0, 1)
+                     for key in lex.window_hits(ptable, DENSE_FUZZY, sentence[lo], sentence[lo + 1])
+                     if lex.word_order()[key & RANK_MASK] == wid]
+        proposals += [m for m in lex.trie_match_all(sentence) if m[2] == wid]
+        assert len(proposals) >= 2
+        for m_max in range(1, 10):
+            lat = assert_equals_reference(lex, ptable, DENSE_FUZZY, sentence, m_max)
+            mine = [c for c in lat.per_char[1] if c.word_id == wid]
+            if m_max >= len(lex):
+                assert [(c.provenance, c.direction, c.span) for c in mine] == [cand]
+            assert len(mine) <= 1
 
 
 class TestFeatures:

@@ -14,6 +14,7 @@ from hanfix.errors import (
     WordTooLong,
 )
 from hanfix.lexicon import (
+    RANK_BITS,
     Lexicon,
     WordEntry,
     build_lexicon,
@@ -131,7 +132,15 @@ class TestBuild:
             WordEntry(word_id=0, surface="参加", frequency=1, readings=readings)
         lex2 = Lexicon([WordEntry(word_id=0, surface="参加", frequency=1,
                                   readings=(("can",), ("jia",)))])
-        assert lex2.window_hits(ptable, fuzzy, "参", "家") == ((1, 0, 0),)
+        # one PINYIN_EXACT hit, the word of rank 0
+        assert lex2.window_hits(ptable, fuzzy, "参", "家") == (1 << RANK_BITS | 0,)
+
+    @pytest.mark.parametrize("readings", [((), ("jia",)), (("can",), ()), ((), ())],
+                             ids=["first", "second", "both"])
+    def test_entry_needs_a_reading_per_character(self, readings):
+        # a character without readings would drop the word from the 2-gram index
+        with pytest.raises(ValueError, match="no reading"):
+            WordEntry(word_id=0, surface="参加", frequency=1, readings=readings)
 
     def test_from_file(self, tmp_path, ptable, fuzzy):
         p = tmp_path / "words.tsv"
@@ -159,6 +168,18 @@ class TestBuild:
         assert lex.word_rank() == (0, 5, 1, 3, 4, 2, 6)
         ties = lexicon_from_words([("参", 3), ("家", 3), ("加", 7)], ptable, fuzzy)
         assert ties.word_rank() == (1, 2, 0)
+        assert ties.word_order() == (2, 0, 1)
+
+    def test_rank_ids_gather_ranks_and_the_pad_rank(self, lex):
+        order = lex.word_order()
+        assert sorted(order) == list(range(len(lex)))
+        assert all(order[r] == wid for wid, r in enumerate(lex.word_rank()))
+        ids = lex.rank_ids(2, 1)
+        assert ids.tolist() == [w + 2 for w in order] + [1]
+        assert lex.rank_ids(2, 1) is ids
+        assert lex.rank_ids(0, -1).tolist() == list(order) + [-1]
+        with pytest.raises(ValueError):
+            ids[0] = 5
 
     def test_word_rank_is_built_on_first_use(self, lex):
         fresh = Lexicon(lex.entries)
@@ -167,13 +188,14 @@ class TestBuild:
 
     def test_threads_building_the_word_rank_agree(self, lex):
         fresh = [Lexicon(lex.entries) for _ in range(200)]
-        expect = lex.word_rank()
+        expect = (lex.word_rank(), lex.word_order(), lex.rank_ids(2, 1).tolist())
         wrong = []
 
         def rank_all():
             for other in fresh:
-                if other.word_rank() != expect:
-                    wrong.append(other.word_rank())
+                got = (other.word_rank(), other.word_order(), other.rank_ids(2, 1).tolist())
+                if got != expect:
+                    wrong.append(got)
 
         threads = [threading.Thread(target=rank_all) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -360,6 +382,12 @@ class TestSerialization:
         payload = json.loads(lex.to_json())
         payload["entries"][0]["readings"][0] = [reading]
         with pytest.raises(LexiconFormatError, match="toneless"):
+            Lexicon.load(write_payload(payload, tmp_path))
+
+    def test_rejects_character_without_readings(self, lex, tmp_path):
+        payload = json.loads(lex.to_json())
+        payload["entries"][0]["readings"][0] = []
+        with pytest.raises(LexiconFormatError, match="no reading"):
             Lexicon.load(write_payload(payload, tmp_path))
 
     def test_deterministic_bytes(self, ptable, fuzzy):

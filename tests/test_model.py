@@ -170,6 +170,16 @@ class TestInit:
         ids = p.char_to_ids(CHARS[0] + "絕" + CHARS[3])
         assert list(ids) == [2, CHAR_UNK_ID, 5]
 
+    @pytest.mark.parametrize("text", ["", "絕", CHARS[0] + "絕絕" + CHARS[3] + CHARS[0],
+                                      "".join(CHARS) + "x"])
+    def test_char_to_ids_equals_list_form(self, text):
+        p = init_params(tiny_config(), CHARS)
+        idx = p.char_index()
+        want = np.array([idx.get(c, CHAR_UNK_ID) for c in text], dtype=np.int64)
+        got = p.char_to_ids(text)
+        assert got.dtype == np.int64 and got.shape == want.shape == (len(text),)
+        assert (got == want).all()
+
     def test_check_finite(self):
         p = init_params(tiny_config(), CHARS)
         check_finite(p)
