@@ -166,7 +166,10 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _load_train_config(path: str | None) -> tuple[dict, TrainConfig]:
+def _load_train_config(args, taken=()) -> tuple[dict, TrainConfig]:
+    """(model overrides, TrainConfig) from --config.  `taken` pairs each key
+    the subcommand sets itself with what sets it; the config may hold none."""
+    path = args.config
     if not path:
         return {}, TrainConfig()
     with open(path, encoding="utf-8") as f:
@@ -174,19 +177,24 @@ def _load_train_config(path: str | None) -> tuple[dict, TrainConfig]:
     if not isinstance(raw, dict):
         raise HanfixError(f"{path}: training config must be a JSON object")
     try:
-        return split_config(raw)
+        split = split_config(raw)
     except (TypeError, ValueError) as e:
         raise HanfixError(f"{path}: {e}") from e
+    for key, setter in taken:
+        if key in raw:
+            raise HanfixError(
+                f"{path}: {args.command} does not take config key {key!r}; {setter} sets it"
+            )
+    return split
 
 
 def cmd_train(args) -> int:
     ptable, fuzzy = _load_tables(args)
     lex = _load_lexicon(args, ptable, fuzzy, allow_default=False)
     pairs = load_parallel_tsv(args.corpus)
-    overrides, tconf = _load_train_config(args.config)
+    overrides, tconf = _load_train_config(args)
     if args.seed is not None:
         tconf = replace(tconf, seed=args.seed)
-        overrides["seed"] = args.seed
     params, history = train(
         pairs, lex, ptable, fuzzy, tconf=tconf, model_overrides=overrides,
         log=lambda line: print(line, file=sys.stderr),
@@ -245,13 +253,8 @@ def cmd_ablate(args) -> int:
     lex = _load_lexicon(args, ptable, fuzzy, allow_default=False)
     train_pairs = load_parallel_tsv(args.train_corpus)
     test_pairs = load_parallel_tsv(args.test_corpus)
-    overrides, tconf = _load_train_config(args.config)
-    for key, setter in (("use_copy", "each variant"), ("lattice_mode", "each variant"),
-                        ("seed", "--seeds")):
-        if key in overrides:
-            raise HanfixError(
-                f"{args.config}: ablate does not take config key {key!r}; {setter} sets it"
-            )
+    overrides, tconf = _load_train_config(args, (
+        ("use_copy", "each variant"), ("lattice_mode", "each variant"), ("seed", "--seeds")))
     seeds = tuple(int(s) for s in args.seeds.split(","))
     by_name = {v.name: v for v in DEFAULT_VARIANTS}
     names = args.variants.split(",") if args.variants else [v.name for v in DEFAULT_VARIANTS]

@@ -202,11 +202,8 @@ def run_ablation(
     for var in variants:
         try:
             reports = []
+            over = dict(base_over, use_copy=var.use_copy, lattice_mode=var.lattice_mode)
             for seed in seeds:
-                over = dict(base_over)
-                over["use_copy"] = var.use_copy
-                over["lattice_mode"] = var.lattice_mode
-                over["seed"] = seed
                 params, _ = train(
                     train_pairs, lexicon, ptable, fuzzy,
                     tconf=replace(tconf, seed=seed), model_overrides=over, chars=chars,

@@ -408,12 +408,14 @@ def lexicon_from_words(
     """Build a Lexicon from (surface, frequency) pairs, in order.
 
     word_ids follow input order.  A repeated surface merges into the first
-    entry, summing frequencies.  Every character must have a reading in
+    entry, summing frequencies.  Each character's toneless readings are
+    kept once each, in table order.  Every character must have a reading in
     `pinyin_table` (MissingPinyin otherwise); words longer than 4 characters
     raise WordTooLong.  `labels` optionally names each item for errors.
     """
     entries: list[WordEntry] = []
     by_surface: dict[str, int] = {}
+    toneless: dict[str, tuple[str, ...]] = {}  # char -> its readings, each once
     for pos, (surface, freq) in enumerate(words):
         where = labels[pos] if labels else f"word #{pos + 1}"
         if len(surface) > MAX_WORD_LEN:
@@ -425,10 +427,14 @@ def lexicon_from_words(
             continue
         readings = []
         for ch in surface:
-            syls = pinyin_table.get(ch)
-            if not syls:
-                raise MissingPinyin(ch, f"{where} word {surface!r}")
-            readings.append(tuple(s.toneless() for s in syls))
+            found = toneless.get(ch)
+            if found is None:
+                syls = pinyin_table.get(ch)
+                if not syls:
+                    raise MissingPinyin(ch, f"{where} word {surface!r}")
+                # tone variants (中 zhong1, zhong4) share one toneless reading
+                found = toneless[ch] = tuple(dict.fromkeys(s.toneless() for s in syls))
+            readings.append(found)
         wid = len(entries)
         entries.append(WordEntry(wid, surface, freq, tuple(readings)))
         by_surface[surface] = wid

@@ -12,7 +12,7 @@ and adds the attention-weighted sum back into the character state:
 The head mixes a generator softmax with a copy distribution pinned on the
 input character, gated per position:
 
-    w_i = sigmoid(w2 . LN(act(W1 h~_i + b1)) + b2)
+    w_i = sigmoid(w2 . LN(gelu(W1 h~_i + b1)) + b2)
     P_i = w_i * onehot(x_i) + (1 - w_i) * P_gen,i
 
 b2 starts at gate_bias_init (default +2) so a fresh model mostly copies its
@@ -58,8 +58,6 @@ CHAR_ID_OFFSET = 2
 
 LOSS_EPS = 1e-12
 
-_GATE_ACTS = ("gelu", "tanh")
-
 
 def check_fields(cfg, minimum: dict, choices: dict) -> None:
     """Check every field of a config dataclass against its declared type.
@@ -104,10 +102,8 @@ class ModelConfig:
     gate_dim: int = 32
     m_max: int = 5
     max_len: int = 512
-    gate_activation: str = "gelu"
     use_copy: bool = True
     lattice_mode: str = "desm"
-    seed: int = 0
     gate_bias_init: float = 2.0
 
     def __post_init__(self):
@@ -134,9 +130,9 @@ class ModelConfig:
 # vocab sizes leave room for the reserved UNK/PAD ids
 _MODEL_MINIMUM = dict(
     char_vocab_size=CHAR_ID_OFFSET, word_vocab_size=WORD_ID_OFFSET, d_c=1, d_w=1,
-    layers=1, heads=1, ffn_dim=1, gate_dim=1, m_max=1, max_len=1, seed=0,
+    layers=1, heads=1, ffn_dim=1, gate_dim=1, m_max=1, max_len=1,
 )
-_MODEL_CHOICES = {"gate_activation": _GATE_ACTS, "lattice_mode": LATTICE_MODES}
+_MODEL_CHOICES = {"lattice_mode": LATTICE_MODES}
 
 
 @dataclass
@@ -157,16 +153,20 @@ class ModelParams:
                            np.int64, len(text))
 
 
-def init_params(config: ModelConfig, chars) -> ModelParams:
+def init_params(config: ModelConfig, chars, seed: int = 0) -> ModelParams:
+    """Fresh tensors drawn from `seed`; chars must be distinct characters."""
     chars = tuple(chars)
     if len(chars) != config.char_vocab_size - CHAR_ID_OFFSET:
         raise ValueError(
             f"got {len(chars)} chars for char_vocab_size={config.char_vocab_size} "
             f"(need vocab size minus {CHAR_ID_OFFSET} reserved ids)"
         )
+    for i, c in enumerate(chars):
+        if not isinstance(c, str) or len(c) != 1:
+            raise ValueError(f"vocabulary entry {i} is {c!r}, not one character")
     if len(set(chars)) != len(chars):
         raise ValueError("duplicate characters in vocabulary")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     t = init_encoder_tensors(config, rng)
     d, dw, dg, v = config.d_c, config.d_w, config.gate_dim, config.char_vocab_size
     # the fusion path has no LayerNorm of its own; tiny init here would leave
@@ -294,15 +294,6 @@ def _fusion_backward(tensors, rows, word_ids, fcache, dht, grads):
     return dhW
 
 
-def _gate_act(cfg, x):
-    """(activation, tanh term): gelu's tanh, or the tanh output itself."""
-    return gelu(x) if cfg.gate_activation == "gelu" else (np.tanh(x),) * 2
-
-
-def _gate_act_grad(cfg, x, t):
-    return gelu_grad(x, t) if cfg.gate_activation == "gelu" else 1.0 - t * t
-
-
 def _gate_forward(tensors, cfg, rows, ht, char_ids):
     """The copy gate: (omega, cache) at rows, from the [B, n, d] grid ht.
     char_ids at rows give omega's shape; the cache is None when omega is
@@ -310,7 +301,7 @@ def _gate_forward(tensors, cfg, rows, ht, char_ids):
     if not cfg.use_copy:
         return np.zeros(char_ids.shape), None
     g_pre = rows.take(ht @ tensors["gate.W1"].T) + tensors["gate.b1"]
-    g_act, g_t = _gate_act(cfg, g_pre)
+    g_act, g_t = gelu(g_pre)
     g_ln, lnc = ln_forward(g_act, tensors["gate.ln.g"], tensors["gate.ln.b"])
     g_ln = rows.grid(g_ln)
     omega = sigmoid(rows.take(g_ln @ tensors["gate.w2"] + tensors["gate.b2"]))
@@ -448,7 +439,7 @@ def loss_and_grads(params: ModelParams, batch: Batch):
         grads["gate.b2"] = np.array(dsg_grid.sum())
         dg_ln = dsg[:, None] * t["gate.w2"]
         dg_act, grads["gate.ln.g"], grads["gate.ln.b"] = ln_backward(dg_ln, lnc)
-        dg_pre = rows.grid(dg_act * _gate_act_grad(cfg, g_pre, g_t))
+        dg_pre = rows.grid(dg_act * gelu_grad(g_pre, g_t))
         grads["gate.W1"] = sum_outer(dg_pre, ht)
         grads["gate.b1"] = dg_pre.sum(axis=(0, 1))
         dht = dht + dg_pre @ t["gate.W1"]
@@ -497,10 +488,12 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
     """Non-autoregressive correction: per-position argmax over the mixture.
 
     feats is featurize_sentences(sentences, ...) at the checkpoint's m_max:
-    feats[i] = (word_ids, word_mask) for sentences[i].  Unknown characters
-    map to UNK, and a position whose argmax lands on a reserved id keeps its
-    input character, so each output is as long as its input.  Word ids at or
-    beyond word_vocab_size mean the lexicon and checkpoint disagree.
+    feats[i] = (word_ids, word_mask) for sentences[i], each of shape
+    (len(sentences[i]), m_max).  Unknown characters map to UNK, and a
+    position whose argmax lands on a reserved id keeps its input character,
+    so each output is as long as its input.  Features of another shape, or
+    word ids at or beyond word_vocab_size, mean the features were not made
+    for this checkpoint: HanfixError.
 
     Only the work that can change an output runs.  Fusion and the gate
     compute on the real characters (on every slot when the batch has no
@@ -509,8 +502,13 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
     generator softmax, the mixture and the argmax run only at the other
     positions.  The outputs equal the argmax of forward_batch's p_out.
     """
-    limit = params.config.word_vocab_size
-    for wid, _ in feats:
+    limit, m_max = params.config.word_vocab_size, params.config.m_max
+    if len(feats) != len(sentences):
+        raise HanfixError(f"{len(feats)} feature rows for {len(sentences)} sentences")
+    for i, (s, (wid, wmask)) in enumerate(zip(sentences, feats)):
+        if wid.shape != (len(s), m_max) or wmask.shape != wid.shape:
+            raise HanfixError(f"sentence {i}: features of shape {wid.shape} and "
+                              f"{wmask.shape}, expected {(len(s), m_max)}")
         if wid.size and int(wid.max()) >= limit:
             raise HanfixError(
                 f"candidate word id {int(wid.max())} out of range for "
@@ -562,8 +560,8 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
 # ----------------------------------------------------------------- checkpoint
 
 _CKPT_MAGIC = b"hanfix-ckpt\x00"
-# version 2 headers record the lattice mode the model was trained on
-_CKPT_VERSION = 2
+# version 3 configs hold the lattice mode, and no gate activation or seed
+_CKPT_VERSION = 3
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

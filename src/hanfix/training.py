@@ -3,10 +3,9 @@
 Candidate-word features are precomputed once per corpus (they depend on
 the lexicon and on the model's lattice_mode and m_max, not on its weights),
 so each training step is pure numpy.  Both settings live in ModelConfig and
-so travel in the checkpoint, where `correct` and `evaluate` read them.  One
-RNG seeded from TrainConfig.seed drives shuffling; model init has its own
-seed inside ModelConfig, so two runs with the same configs produce
-byte-identical parameters.
+so travel in the checkpoint, where `correct` and `evaluate` read them.
+TrainConfig.seed draws the initial tensors and seeds the RNG that shuffles,
+so two runs with the same configs produce byte-identical parameters.
 """
 
 from __future__ import annotations
@@ -64,19 +63,16 @@ _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 
 def split_config(d: dict) -> tuple[dict, TrainConfig]:
     """Split a flat key-value config (the JSON file format) into model
-    overrides and a TrainConfig.  Unknown keys are hard errors; `seed` goes
-    to both sides."""
+    overrides and a TrainConfig; each key belongs to one side.  Unknown keys
+    are hard errors."""
     model: dict = {}
     train: dict = {}
     for k, v in d.items():
-        known = False
         if k in _MODEL_KEYS:
             model[k] = v
-            known = True
-        if k in _TRAIN_KEYS:
+        elif k in _TRAIN_KEYS:
             train[k] = v
-            known = True
-        if not known:
+        else:
             raise ValueError(f"unknown config key {k!r}")
     return model, TrainConfig(**train)
 
@@ -128,17 +124,15 @@ def train(
         chars = build_char_vocab(
             [p.source for p in pairs] + [p.target for p in pairs]
         )
-    over = dict(model_overrides or {})
-    over.setdefault("seed", tconf.seed)
     cfg = ModelConfig(
         char_vocab_size=len(chars) + CHAR_ID_OFFSET,
         word_vocab_size=len(lexicon) + WORD_ID_OFFSET,
-        **over,
+        **(model_overrides or {}),
     )
     longest = max(len(p.source) for p in pairs)
     if longest > cfg.max_len:
         raise SequenceTooLong(longest, cfg.max_len)
-    params = init_params(cfg, chars)
+    params = init_params(cfg, chars, tconf.seed)
     if feats is None:
         feats = featurize_sentences(
             [p.source for p in pairs], lexicon, ptable, fuzzy,

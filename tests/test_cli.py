@@ -87,7 +87,7 @@ class TestBuildLexicon:
         assert "words ->" in msg and "fingerprint" in msg
         assert len(Lexicon.load(out2)) > 0
         assert out2.read_bytes() == lex_path.read_bytes()  # deterministic
-        assert "(fingerprint 01368511)" in msg  # the bundled demo words
+        assert "(fingerprint fe26a402)" in msg  # the bundled demo words
 
     def test_missing_words_file(self, tmp_path, capsys):
         assert main(["build-lexicon", "--words", str(tmp_path / "nope.tsv"),
@@ -184,6 +184,27 @@ class TestTrain:
                      str(lex_path), "--config", str(bad),
                      "--out", str(d / "nope.ckpt")]) == 2
         assert "warmup" in capsys.readouterr().err
+
+    def test_seed_is_a_training_key_only(self, work, tmp_path, capsys):
+        # the config seed and --seed draw the same init, and the checkpoint
+        # keeps neither; gate_activation is no longer a key
+        d, lex_path, _, train_tsv, *_ = work
+        blobs = []
+        for extra, flags in (({"seed": 3}, []), ({}, ["--seed", "3"])):
+            cfg = tmp_path / "seed.json"
+            cfg.write_text(json.dumps(dict(CONFIG, **extra)), encoding="utf-8")
+            ckpt = tmp_path / "seed.ckpt"
+            assert main(["train", "--corpus", str(train_tsv), "--lexicon", str(lex_path),
+                         "--config", str(cfg), "--out", str(ckpt), *flags]) == 0
+            blobs.append(ckpt.read_bytes())
+        assert blobs[0] == blobs[1]
+        assert "seed" not in load_checkpoint(ckpt).config.to_dict()
+        cfg.write_text(json.dumps(dict(CONFIG, gate_activation="gelu")), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--corpus", str(train_tsv), "--lexicon", str(lex_path),
+                     "--config", str(cfg), "--out", str(d / "nope.ckpt")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "unknown config key 'gate_activation'" in err[0], err
 
     def test_too_long_corpus_exits_2(self, work, capsys):
         d, lex_path, _, train_tsv, *_ = work
@@ -375,7 +396,8 @@ class TestAblate:
 class TestMalformedInputs:
     @pytest.mark.parametrize("what", ["lexicon-no-entries", "entry-no-readings",
                                       "entry-empty-reading", "checkpoint-no-chars",
-                                      "checkpoint-v1"])
+                                      "checkpoint-v1", "checkpoint-v2",
+                                      "checkpoint-char-str", "checkpoint-char-int"])
     def test_exit_2_with_one_line_error(self, what, work, tmp_path, capsys):
         _, lex_path, _, _, _, ckpt = work
         if what.startswith("checkpoint"):
@@ -386,9 +408,14 @@ class TestMalformedInputs:
             version = blob[off : off + 4]
             if what == "checkpoint-no-chars":
                 del header["chars"]
-            else:  # a version 1 file: its config has no lattice mode
+            elif what == "checkpoint-v1":  # its config has no lattice mode
                 del header["config"]["lattice_mode"]
                 version = (1).to_bytes(4, "little")
+            elif what == "checkpoint-v2":  # its config also holds these two
+                header["config"].update(gate_activation="gelu", seed=0)
+                version = (2).to_bytes(4, "little")
+            else:  # a vocabulary entry that is not one character
+                header["chars"][4] = "XYZ" if what.endswith("str") else 4
             hb = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
             ckpt = tmp_path / "bad.ckpt"
             ckpt.write_bytes(blob[:off] + version + len(hb).to_bytes(4, "little")
@@ -405,10 +432,12 @@ class TestMalformedInputs:
                 entry["readings"][0] = []
             lex_path = tmp_path / "bad.lexicon"
             lex_path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
-        assert main(["correct", "参家", "--checkpoint", str(ckpt),
+        assert main(["correct", "我们参加会议", "--checkpoint", str(ckpt),
                      "--lexicon", str(lex_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+        if what.startswith("checkpoint-v"):
+            assert f"version {what[-1]}" in err[0] and "retrain" in err[0], err
 
     @pytest.mark.parametrize("field,value", [
         ("surface", ""), ("surface", 7), ("frequency", "10"), ("frequency", True),

@@ -303,7 +303,7 @@ class TestBitIdentity:
 def enc_setup():
     cfg = ModelConfig(char_vocab_size=12, word_vocab_size=6, d_c=8, d_w=4,
                       layers=2, heads=2, ffn_dim=16, gate_dim=4, m_max=2,
-                      max_len=16, seed=0)
+                      max_len=16)
     params = init_params(cfg, [chr(0x4E00 + i) for i in range(10)])
     rng = np.random.default_rng(7)
     for name, arr in params.tensors.items():
@@ -423,7 +423,7 @@ class TestInPlaceAttentionSoftmax:
     def test_equals_fresh_array_softmax(self, lengths, layers):
         cfg = ModelConfig(char_vocab_size=40, word_vocab_size=6, d_c=16, d_w=4,
                           layers=layers, heads=2, ffn_dim=32, gate_dim=4, m_max=2,
-                          max_len=16, seed=0)
+                          max_len=16)
         params = init_params(cfg, [chr(0x4E00 + i) for i in range(38)])
         rng = np.random.default_rng(layers)
         for arr in params.tensors.values():

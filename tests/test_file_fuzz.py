@@ -92,7 +92,8 @@ def test_corrupt_checkpoint_fails_cleanly(tmp_path):
     assert escapes == []
 
 
-# one bad value per case, each key on the model or the training side
+# one bad value per case, each key on the model or the training side, or
+# gate_activation, a model key no more
 BAD_CONFIG_VALUES = [
     ("epochs", 1e9), ("epochs", 0), ("epochs", "2"), ("batch_size", 2.5),
     ("batch_size", True), ("lr", float("nan")), ("lr", float("inf")), ("lr", -1e-3),

@@ -107,6 +107,23 @@ class TestBuild:
         # polyphone keeps every toneless reading for matching
         assert e.readings == (("can", "shen"), ("jia",))
 
+    def test_tone_variants_share_one_reading(self, fuzzy, tmp_path):
+        # each toneless reading once per character, in table order; a file
+        # that repeats one (as files built before did) still loads and
+        # indexes the same
+        table = PinyinTable.from_pairs([
+            ("中", "zhong1"), ("中", "zhong4"), ("长", "chang2"), ("长", "zhang3"),
+            ("长", "chang4"), ("国", "guo2"),
+        ])
+        lex = lexicon_from_words([("中国", 5), ("长中", 1)], table, fuzzy)
+        assert [e.readings for e in lex.entries] == [
+            (("zhong",), ("guo",)), (("chang", "zhang"), ("zhong",))]
+        payload = json.loads(lex.to_json())
+        payload["entries"][0]["readings"][0] = ["zhong", "zhong"]
+        path = tmp_path / "repeated.lexicon"
+        path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        assert Lexicon.load(path).pinyin2gram_index(fuzzy) == lex.pinyin2gram_index(fuzzy)
+
     def test_duplicate_surface_merges_frequency(self, ptable, fuzzy):
         lex2 = lexicon_from_words(
             [("参加", 10), ("家", 1), ("参加", 5)], ptable, fuzzy

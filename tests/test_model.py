@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import zlib
 
@@ -53,7 +54,7 @@ CHARS = tuple(chr(0x4E00 + i) for i in range(10))
 
 def tiny_config(**over):
     base = dict(char_vocab_size=12, word_vocab_size=6, d_c=8, d_w=4, layers=1,
-                heads=2, ffn_dim=16, gate_dim=4, m_max=3, max_len=16, seed=0)
+                heads=2, ffn_dim=16, gate_dim=4, m_max=3, max_len=16)
     base.update(over)
     return ModelConfig(**base)
 
@@ -79,6 +80,19 @@ def saturate_gate(params, b2):
 
 def saturated_gate(cfg, b2):
     return saturate_gate(healthy_params(cfg), b2)
+
+
+# the regimes the gate's hidden gelu(x) = x/2 (1 + tanh(.)) runs in, named
+# for the term that shapes it: "gelu" at the random weights' own scale, where
+# it curves, and "tanh" with gate.W1 and gate.b1 scaled up so its tanh term
+# sits at +-1 on most slots and gelu_grad's 1 - t*t cancels to nothing
+GATE_REGIMES = {"gelu": 1.0, "tanh": 30.0}
+
+
+def drive_gate(params, regime):
+    params.tensors["gate.W1"] *= GATE_REGIMES[regime]
+    params.tensors["gate.b1"] *= GATE_REGIMES[regime]
+    return params
 
 
 # the output heads the equality tests run: (use_copy, gate bias b2).  "open"
@@ -107,9 +121,9 @@ def make_batch(cfg, seed=3, with_gold=True):
 class TestConfig:
     @pytest.mark.parametrize("bad", [
         dict(d_c=0), dict(layers=-1), dict(heads=0), dict(d_c=7.5),
-        dict(seed=-1), dict(layers=True), dict(char_vocab_size=1),
+        dict(m_max=0), dict(layers=True), dict(char_vocab_size=1),
         dict(word_vocab_size=1), dict(d_c=10, heads=4),
-        dict(gate_activation="relu"), dict(use_copy="false"), dict(use_copy=1),
+        dict(max_len=0), dict(use_copy="false"), dict(use_copy=1),
         dict(gate_bias_init=float("nan")), dict(gate_bias_init="2"),
     ])
     def test_rejects(self, bad):
@@ -122,11 +136,21 @@ class TestConfig:
             tiny_config(lattice_mode="DESM")
 
     def test_seed_zero_ok(self):
-        assert tiny_config(seed=0).seed == 0
+        # the init seed is init_params' argument, not a config field
+        assert init_params(tiny_config(), CHARS, seed=0).config == tiny_config()
+        with pytest.raises(ValueError):
+            init_params(tiny_config(), CHARS, seed=-1)
 
     def test_dict_round_trip(self):
-        cfg = tiny_config(gate_activation="tanh", use_copy=False)
+        cfg = tiny_config(use_copy=False, lattice_mode="ttm", gate_bias_init=0.5)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("key,value", [("gate_activation", "gelu"), ("seed", 0)])
+    def test_removed_keys_are_unknown(self, key, value):
+        # the gate is always gelu, and training's seed draws the init
+        d = dict(tiny_config().to_dict(), **{key: value})
+        with pytest.raises(ValueError, match=f"unknown ModelConfig keys.*{key}"):
+            ModelConfig.from_dict(d)
 
     def test_from_dict_unknown_key(self):
         d = tiny_config().to_dict()
@@ -155,7 +179,7 @@ class TestInit:
         b = init_params(tiny_config(), CHARS)
         for name in a.tensors:
             assert np.array_equal(a.tensors[name], b.tensors[name])
-        c = init_params(tiny_config(seed=1), CHARS)
+        c = init_params(tiny_config(), CHARS, seed=1)
         assert not np.array_equal(a.tensors["E_c"], c.tensors["E_c"])
 
     def test_tensor_inventory(self):
@@ -371,10 +395,10 @@ class TestGoldIndexing:
 class TestGradients:
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("use_copy", [True, False])
-    @pytest.mark.parametrize("gate_activation", ["gelu", "tanh"])
-    def test_spot_finite_differences(self, gate_activation, use_copy, layers):
-        cfg = tiny_config(gate_activation=gate_activation, use_copy=use_copy, layers=layers)
-        params = healthy_params(cfg, scale=0.35, seed=21)
+    @pytest.mark.parametrize("gate_regime", list(GATE_REGIMES))
+    def test_spot_finite_differences(self, gate_regime, use_copy, layers):
+        cfg = tiny_config(use_copy=use_copy, layers=layers)
+        params = drive_gate(healthy_params(cfg, scale=0.35, seed=21), gate_regime)
         batch = make_batch(cfg, seed=4)
         _, grads = loss_and_grads(params, batch)
         rng = np.random.default_rng(5)
@@ -422,7 +446,7 @@ def _grid_head_forward(t, cfg, ht, char_ids):
         omega = np.zeros(char_ids.shape)
     else:
         g_pre = ht @ t["gate.W1"].T + t["gate.b1"]
-        g_act, g_t = gelu(g_pre) if cfg.gate_activation == "gelu" else (np.tanh(g_pre),) * 2
+        g_act, g_t = gelu(g_pre)
         g_ln, lnc = ln_forward(g_act, t["gate.ln.g"], t["gate.ln.b"])
         omega = sigmoid(g_ln @ t["gate.w2"] + t["gate.b2"])
         gcache = (g_pre, g_t, g_ln, lnc)
@@ -457,8 +481,7 @@ def grid_loss_and_grads(params, batch):
         grads["gate.b2"] = np.array(dsg.sum())
         dg_act, grads["gate.ln.g"], grads["gate.ln.b"] = ln_backward(
             dsg[..., None] * t["gate.w2"], lnc)
-        act_grad = gelu_grad(g_pre, g_t) if cfg.gate_activation == "gelu" else 1.0 - g_t * g_t
-        dg_pre = dg_act * act_grad
+        dg_pre = dg_act * gelu_grad(g_pre, g_t)
         grads["gate.W1"] = sum_outer(dg_pre, ht)
         grads["gate.b1"] = dg_pre.sum(axis=(0, 1))
         dht = dht + dg_pre @ t["gate.W1"]
@@ -514,11 +537,11 @@ class TestPackedStep:
     @pytest.mark.parametrize("shape", sorted(BATCH_SHAPES))
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("head", list(HEADS))
-    @pytest.mark.parametrize("gate_activation", ["gelu", "tanh"])
-    def test_equals_grid_step(self, gate_activation, head, layers, shape):
+    @pytest.mark.parametrize("gate_regime", list(GATE_REGIMES))
+    def test_equals_grid_step(self, gate_regime, head, layers, shape):
         use_copy, b2 = HEADS[head]
-        cfg = tiny_config(gate_activation=gate_activation, use_copy=use_copy, layers=layers)
-        params = saturate_gate(healthy_params(cfg), b2)
+        cfg = tiny_config(use_copy=use_copy, layers=layers)
+        params = saturate_gate(drive_gate(healthy_params(cfg), gate_regime), b2)
         batch = batch_of_lengths(cfg, BATCH_SHAPES[shape])
         assert_same_step(loss_and_grads(params, batch), grid_loss_and_grads(params, batch))
 
@@ -621,12 +644,12 @@ class TestInferencePass:
     @pytest.mark.parametrize("d_c", [16, 64])
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("head", list(HEADS))
-    @pytest.mark.parametrize("gate_activation", ["gelu", "tanh"])
-    def test_forward_batch_equals_training_forward(self, gate_activation, head, layers,
-                                                   d_c, shape):
+    @pytest.mark.parametrize("gate_regime", list(GATE_REGIMES))
+    def test_forward_batch_equals_training_forward(self, gate_regime, head, layers, d_c,
+                                                   shape):
         use_copy, b2 = HEADS[head]
-        params = saturate_gate(inference_world(d_c, gate_activation=gate_activation,
-                                               use_copy=use_copy, layers=layers), b2)
+        params = saturate_gate(drive_gate(inference_world(d_c, use_copy=use_copy,
+                                                          layers=layers), gate_regime), b2)
         batch = batch_of_lengths(params.config, BATCH_SHAPES[shape])
         got, rest = forward_batch(params, batch)
         want = training_forward_batch(params, batch)
@@ -639,11 +662,10 @@ class TestInferencePass:
     @pytest.mark.parametrize("d_c", [16, 64])
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("use_copy", [True, False])
-    @pytest.mark.parametrize("gate_activation", ["gelu", "tanh"])
-    def test_correct_many_equals_training_forward(self, gate_activation, use_copy, layers,
-                                                  d_c):
-        params = inference_world(d_c, gate_activation=gate_activation, use_copy=use_copy,
-                                 layers=layers)
+    @pytest.mark.parametrize("gate_regime", list(GATE_REGIMES))
+    def test_correct_many_equals_training_forward(self, gate_regime, use_copy, layers, d_c):
+        params = drive_gate(inference_world(d_c, use_copy=use_copy, layers=layers),
+                            gate_regime)
         cfg = params.config
         rng = np.random.default_rng(4)
         lengths = [7, 1, 0, 5, 7, 3, 0, 7]  # two batches of 3; one-char row; empties
@@ -699,8 +721,7 @@ def random_decode_world(rng):
     cfg = ModelConfig(
         char_vocab_size=v, word_vocab_size=int(rng.integers(3, 40)), d_c=d_c, d_w=8,
         layers=int(rng.integers(1, 3)), heads=2, ffn_dim=32, gate_dim=8,
-        m_max=int(rng.integers(1, 6)), max_len=64,
-        gate_activation=str(rng.choice(["gelu", "tanh"])), use_copy=bool(rng.random() < 0.8),
+        m_max=int(rng.integers(1, 6)), max_len=64, use_copy=bool(rng.random() < 0.8),
         gate_bias_init=float(rng.choice([-0.3, 0.0, 0.3, 2.0])))
     params = init_params(cfg, [chr(0x4E00 + i) for i in range(v - 2)])
     for arr in params.tensors.values():
@@ -894,6 +915,39 @@ class TestCorrect:
         with pytest.raises(HanfixError, match="out of range"):
             correct_many(params, ["参家"], feats)
 
+    def test_rejects_features_of_another_m_max(self, word_world):
+        # featurized at m_max 8 for a model of m_max 3
+        ptable, fuzzy, lexicon, chars = word_world
+        cfg = tiny_config(char_vocab_size=len(chars) + 2, word_vocab_size=len(lexicon) + 2)
+        params = init_params(cfg, chars)
+        sentences = ["参加", "参家会议"]
+        feats = featurize_sentences(sentences, lexicon, ptable, fuzzy, 8)
+        with pytest.raises(HanfixError, match=re.escape(
+                "sentence 0: features of shape (2, 8) and (2, 8), expected (2, 3)")):
+            correct_many(params, sentences, feats)
+
+    def test_rejects_one_feature_row_for_a_sentence(self, word_world):
+        # a single row would broadcast over every position of sentence 1
+        ptable, fuzzy, lexicon, chars = word_world
+        cfg = tiny_config(char_vocab_size=len(chars) + 2, word_vocab_size=len(lexicon) + 2)
+        params = init_params(cfg, chars)
+        sentences = ["参加", "参家会议"]
+        feats = featurize_sentences(sentences, lexicon, ptable, fuzzy, cfg.m_max)
+        wid, wmask = feats[1]
+        feats[1] = (wid, wmask[:1])
+        with pytest.raises(HanfixError, match=re.escape(
+                "sentence 1: features of shape (4, 3) and (1, 3), expected (4, 3)")):
+            correct_many(params, sentences, feats)
+
+    def test_rejects_fewer_features_than_sentences(self, word_world):
+        ptable, fuzzy, lexicon, chars = word_world
+        cfg = tiny_config(char_vocab_size=len(chars) + 2, word_vocab_size=len(lexicon) + 2)
+        params = init_params(cfg, chars)
+        sentences = ["参加", "参家会议"]
+        feats = featurize_sentences(sentences[:1], lexicon, ptable, fuzzy, cfg.m_max)
+        with pytest.raises(HanfixError, match="1 feature rows for 2 sentences"):
+            correct_many(params, sentences, feats)
+
     def test_batches_do_not_overlap_in_memory(self, word_world):
         # each batch's caches, outputs and inputs are dropped before the next
         # batch's forward, so three batches peak about as high as one
@@ -974,6 +1028,26 @@ class TestCheckpoint:
         p = tmp_path / "v1"
         p.write_bytes(self._join(header, payload, version=1))
         with pytest.raises(CheckpointError, match="version 1 .*retrain"):
+            load_checkpoint(p)
+
+    def test_version_2_is_rejected(self, saved, tmp_path):
+        # version 2 configs also held the gate activation and the init seed
+        header, payload = self._split(saved[1].read_bytes())
+        header["config"].update(gate_activation="gelu", seed=0)
+        p = tmp_path / "v2"
+        p.write_bytes(self._join(header, payload, version=2))
+        with pytest.raises(CheckpointError, match="version 2 .*retrain"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("entry", ["XYZ", 7, "", None, ["一"]])
+    def test_rejects_vocabulary_entry_that_is_not_a_character(self, saved, tmp_path, entry):
+        # a longer string would lengthen every output that picks its id
+        header, payload = self._split(saved[1].read_bytes())
+        header["chars"][4] = entry
+        p = tmp_path / "chars"
+        p.write_bytes(self._join(header, payload))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"vocabulary entry 4 is {entry!r}, not one character")):
             load_checkpoint(p)
 
     def test_save_refuses_float32_overflow(self, tmp_path):
