@@ -13,17 +13,23 @@ Two complementary strategies feed the lattice:
 
 A window of two non-suspect characters never triggers a pinyin probe, which
 keeps candidate lists small on clean text; a window with two suspect ends is
-probed once.  A probe asks `Lexicon.window_hits`, which remembers a window's
-ranked hits under its two characters' toneless reading sets, so each pair of
-readings is looked up in the 2-gram index once per lexicon and fuzzy table;
-each window feeds only its `m_max` best hits into the lattice.
+probed once.  `Lexicon.probe_windows` answers a sentence's probes from one
+read of the lexicon's window memo and one reading-set lookup per character:
+a window's ranked hits are remembered under its two characters' toneless
+reading sets, so each pair of readings is looked up in the 2-gram index once
+per lexicon and fuzzy table, and each window feeds only its `m_max` best
+hits into the lattice.
 
-A built lattice keeps each position's ranked keys, one int per candidate
-(`provenance << RANK_BITS | word rank`, see lexicon.py), beside the trie
-matches and each window's fed hits.  Featurization maps the keys to word
-ids in one numpy gather; the `MatchCandidate` objects, with the direction
-and span that only they carry, are derived on the first read of `per_char`.
-So the lattice of a sentence that is only featurized builds no candidate.
+A built lattice keeps its rows of ranked keys, one int per candidate
+(`provenance << RANK_BITS | word rank`, see lexicon.py), in one flat list
+padded to `m_max` per position, beside the trie matches and each window's
+fed hits.  Most rows are written without a sort or a set: a row fed by one
+source is that source, an EXACT key goes before a window's hits that lack
+its word, and two windows whose memo entries' bit filters share no bit
+share no word.  Featurization maps the flat keys to word ids in one numpy
+gather; the `MatchCandidate` objects, with the direction and span that only
+they carry, are derived on the first read of `per_char`.  So the lattice of
+a sentence that is only featurized builds no candidate.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lexicon import RANK_BITS, RANK_MASK, Lexicon
+from .lexicon import FILTER_BITS, RANK_BITS, RANK_MASK, Lexicon
 from .pinyin import FuzzyClassTable, PinyinTable
 
 # word-feature ids 0 and 1 are reserved in the model's word vocabulary
@@ -72,11 +78,11 @@ class MatchCandidate(NamedTuple):
 class CharWordLattice:
     """Ranked word candidates for every character of one sentence.
 
-    `build_lattice` stores each position's ranked int keys and derives the
-    `MatchCandidate` lists on the first read of `per_char` (one object per
-    candidate, shared by every position of its span); until then
-    `lattice_to_feature_ids` reads word ids from the keys, so featurization
-    builds no candidate objects.
+    `build_lattice` stores each position's ranked int keys, padded to m_max
+    in one flat list, and derives the `MatchCandidate` lists on the first
+    read of `per_char` (one object per candidate, shared by every position
+    of its span); until then `lattice_to_feature_ids` reads word ids from
+    the keys, so featurization builds no candidate objects.
     """
 
     __slots__ = ("sentence", "suspect", "_per_char", "_built")
@@ -86,8 +92,8 @@ class CharWordLattice:
         self.sentence = sentence
         self.suspect = [] if suspect is None else suspect
         self._per_char = per_char
-        # build_lattice's (rows of keys, lexicon, trie matches, fed window
-        # hits) until per_char is first read
+        # build_lattice's (padded keys, m_max, lexicon, trie matches, fed
+        # window hits) until per_char is first read
         self._built: tuple | None = None
 
     @property
@@ -112,32 +118,44 @@ class CharWordLattice:
                 f"per_char={self.per_char!r}, suspect={self.suspect!r})")
 
 
-def _candidates(suspects, rows, lex, matches, fed) -> list[list[MatchCandidate]]:
+def _candidates(suspects, flat, width, lex, matches, fed) -> list[list[MatchCandidate]]:
     """The MatchCandidate rows of a built lattice.  A candidate takes the
     best of its word's keys at the position, as the ranking does: the first
     trie match covering it (matches come sorted by (start, end)), or the
     probed window of lower direction that fed its key, the left one on a
-    tie."""
-    order = lex.word_order()
-    first: list[dict[int, tuple[int, int]]] = [{} for _ in rows]
+    tie.  One candidate object stands for one match, or one window's key,
+    at every position that takes it."""
+    order, rank, pad = lex.word_order(), lex.word_rank(), len(lex)
+    n = len(suspects)
+    # per position, word rank -> the candidate of the first match covering it
+    exact: list[dict[int, MatchCandidate]] = [{} for _ in range(n)]
     for start, end, wid in matches:
+        r, cand = rank[wid], None
         for i in range(start, end + 1):
-            first[i].setdefault(wid, (start, end))
-    made: dict[tuple, MatchCandidate] = {}
+            if r not in exact[i]:
+                if cand is None:
+                    cand = MatchCandidate(wid, (start, end), Provenance.EXACT, Direction.NONE)
+                exact[i][r] = cand
+    # a window's direction: FORWARD (1) when its first character is suspect
+    directions = [1 if flag else 2 for flag in suspects]
+    made: dict[tuple[int, int], MatchCandidate] = {}  # (window, key) -> candidate
     per_char = []
-    for i, keys in enumerate(rows):
+    for i in range(n):
+        left, right = fed[i - 1] if i else (), fed[i]
         cands = []
-        for key in keys:
-            prov, wid = key >> RANK_BITS, order[key & RANK_MASK]
-            if prov == 0:
-                direction, span = 0, first[i][wid]
-            else:
-                direction, span = min((1 if suspects[lo] else 2, (lo, lo + 1))
-                                      for lo in (i - 1, i) if lo >= 0 and key in fed[lo])
-            cand = made.get((key, direction, span))
+        for key in flat[i * width:(i + 1) * width]:
+            if key == pad:
+                break
+            if key <= RANK_MASK:  # provenance 0: EXACT
+                cands.append(exact[i][key])
+                continue
+            lo = i - 1 if key in left and (
+                key not in right or directions[i - 1] <= directions[i]) else i
+            cand = made.get((lo, key))
             if cand is None:
-                cand = made[key, direction, span] = MatchCandidate(
-                    wid, span, _PROVENANCES[prov], _DIRECTIONS[direction])
+                cand = made[lo, key] = MatchCandidate(
+                    order[key & RANK_MASK], (lo, lo + 1), _PROVENANCES[key >> RANK_BITS],
+                    _DIRECTIONS[directions[lo]])
             cands.append(cand)
         per_char.append(cands)
     return per_char
@@ -174,7 +192,7 @@ def build_lattice(
     twice, and the FORWARD copy outranks the BACKWARD one).  Hits land on
     both characters of the window, marked PINYIN_EXACT when some reading of
     the word matches both characters' readings literally (toneless) and
-    PINYIN_FUZZY otherwise.  The hits come ranked from Lexicon.window_hits,
+    PINYIN_FUZZY otherwise.  The hits come ranked from Lexicon.probe_windows,
     which remembers them per pair of reading sets, and only a window's
     `m_max` best are fed in: any later one has `m_max` better words ahead
     of it at both ends, so truncation would drop it anyway.
@@ -214,38 +232,56 @@ def build_lattice(
                 exact[i].append(r)
                 suspects[i] = False
 
-    # fed[lo]: the hits window (lo, lo + 1) feeds into both its positions
-    fed: list[tuple[int, ...]] = [()] * n
+    # fed[lo]: the hits window (lo, lo + 1) feeds into both its positions;
+    # filters[lo]: the bit filter of its memo entry's words
     if include_pinyin:
-        hits_of = lex.window_hits
-        for lo in range(n - 1):
-            if suspects[lo] or suspects[lo + 1]:
-                fed[lo] = hits_of(ptable, fuzzy, sentence[lo], sentence[lo + 1])[:m_max]
+        fed, filters = lex.probe_windows(ptable, fuzzy, sentence, suspects, m_max)
+    else:
+        fed, filters = [()] * n, [0] * n
 
-    rows: list = []
-    # a window's hits are sorted, one per word and at most m_max, so a row
-    # fed by one window is that window's hits
-    for keys, left, right in zip(exact, [()] + fed, fed):
-        if left or right:
-            if keys:
-                keys += left
-                keys += right
-            elif left and right:
-                keys = [*left, *right]
-            else:
-                rows.append(left or right)
+    # each row goes into one flat list, padded to m_max with the pad rank
+    # len(lex).  A window's fed hits are sorted, one per word and at most
+    # m_max, and EXACT keys sort first, so most rows need no sort or set
+    tails = lex.pad_tails(m_max)
+    flat: list[int] = []
+    for keys, left, right, lf, rf in zip(exact, [()] + fed, fed, [0] + filters, filters):
+        if not keys:
+            if not (left and right):  # fed by one window: its hits
+                row = left or right
+                flat += row
+                flat += tails[len(row)]
                 continue
-        elif len(keys) < 2:
-            rows.append(keys)
-            continue
+            if not lf & rf:  # two windows that share no word: a sorted merge
+                keys = [*left, *right]
+                keys.sort()
+                del keys[m_max:]
+                flat += keys
+                flat += tails[len(keys)]
+                continue
+        elif len(keys) == 1 and not (left and right):
+            # one EXACT key, then the hits of at most one window, if they
+            # lack its word
+            r, hits = keys[0], left or right
+            if not (lf | rf) >> (r % FILTER_BITS) & 1:
+                flat.append(r)
+                if len(hits) < m_max:
+                    flat += hits
+                    flat += tails[len(hits) + 1]
+                else:
+                    flat += hits[:-1]
+                continue
+        # any other row: merge its sources, keep each word's first key
+        keys += left
+        keys += right
         keys.sort()
         head = keys[:m_max]
         if len({key & RANK_MASK for key in head}) < len(head):
             head = _first_per_word(keys, m_max)
-        rows.append(head)
+        flat += head
+        flat += tails[len(head)]
 
     lat = CharWordLattice(sentence, [], suspects)
-    lat._built = (rows, lex, matches, fed)
+    lat._built = (flat, m_max, lex, matches, fed)
     return lat
 
 
@@ -263,23 +299,26 @@ def lattice_to_feature_ids(
     # np.array(list).reshape(...): that view keeps a second array object
     # alive per cached feature (~1 MB over 5000 training sentences).
     ids = np.empty((len(lat.sentence), m_max), dtype=np.int64)
-    flat: list[int] = []
     built = lat._built
     if built is None:
+        flat: list[int] = []
         pad = [WORD_PAD_ID] * m_max
         for row in lat.per_char:
             flat += [c.word_id + WORD_ID_OFFSET for c in row[:m_max]]
             flat += pad[len(row):]
         ids.reshape(-1)[:] = flat
     else:
-        # the rows of keys, padded with the pad rank len(lex), go through one
-        # gather from rank to feature id, in place
-        rows, lex = built[0], built[1]
-        pad = [len(lex)] * m_max
-        for row in rows:
-            flat += row[:m_max]
-            flat += pad[len(row):]
-        ids.reshape(-1)[:] = flat
+        # the padded keys go in as they are, truncated or padded further
+        # with the pad rank len(lex) when m_max is not the build's, then
+        # through one gather from rank to feature id, in place
+        flat, width, lex = built[0], built[1], built[2]
+        if width == m_max:
+            ids.reshape(-1)[:] = flat
+        else:
+            keys = np.array(flat, dtype=np.int64).reshape(-1, width)
+            k = min(width, m_max)
+            ids[:, :k] = keys[:, :k]
+            ids[:, k:] = len(lex)
         ids &= RANK_MASK
         lex.rank_ids(WORD_ID_OFFSET, WORD_PAD_ID).take(ids, out=ids)
     # every candidate id is at least WORD_ID_OFFSET, every pad id below it
@@ -287,6 +326,13 @@ def lattice_to_feature_ids(
 
 
 LATTICE_MODES = ("desm", "ttm", "none")
+
+
+def _check_features_args(m_max: int, mode: str) -> None:
+    if mode not in LATTICE_MODES:
+        raise ValueError(f"lattice mode must be one of {LATTICE_MODES}, got {mode!r}")
+    if m_max < 1:
+        raise ValueError(f"m_max must be positive, got {m_max}")
 
 
 def sentence_features(
@@ -303,8 +349,7 @@ def sentence_features(
     (exact trie matches only), "none" gives empty candidate lists, which
     reduces the fusion layer to the identity.
     """
-    if mode not in LATTICE_MODES:
-        raise ValueError(f"lattice mode must be one of {LATTICE_MODES}, got {mode!r}")
+    _check_features_args(m_max, mode)
     n = len(sentence)
     if mode == "none":
         return (
@@ -319,7 +364,9 @@ def sentence_features(
 
 def featurize_sentences(sentences, lex, ptable, fuzzy, m_max, mode="desm"):
     """sentence_features for each sentence, memoized by text (corpora repeat
-    sources between train and eval)."""
+    sources between train and eval).  The arguments are checked even when
+    there is no sentence."""
+    _check_features_args(m_max, mode)
     cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     out = []
     for s in sentences:

@@ -127,28 +127,30 @@ def ln_backward(dy: np.ndarray, cache):
 # ------------------------------------------------------------------- encoder
 
 
-def init_encoder_tensors(cfg, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Embeddings, L attention blocks, and the final LayerNorm."""
+def encoder_tensor_specs(cfg) -> dict[str, tuple[tuple[int, ...], float | None, float]]:
+    """Embeddings, L attention blocks, and the final LayerNorm, as name ->
+    (shape, std, fill): a fresh tensor is drawn from N(0, std**2), or filled
+    with `fill` where std is None."""
     d, ffn = cfg.d_c, cfg.ffn_dim
-    t: dict[str, np.ndarray] = {}
-    t["E_c"] = rng.normal(0.0, 0.02, (cfg.char_vocab_size, d))
-    t["P"] = rng.normal(0.0, 0.02, (cfg.max_len, d))
+    t: dict[str, tuple[tuple[int, ...], float | None, float]] = {}
+    t["E_c"] = ((cfg.char_vocab_size, d), 0.02, 0.0)
+    t["P"] = ((cfg.max_len, d), 0.02, 0.0)
     for l in range(cfg.layers):
         p = f"blk{l}."
-        t[p + "ln1.g"] = np.ones(d)
-        t[p + "ln1.b"] = np.zeros(d)
+        t[p + "ln1.g"] = ((d,), None, 1.0)
+        t[p + "ln1.b"] = ((d,), None, 0.0)
         for name in ("Wq", "Wk", "Wv", "Wo"):
-            t[p + name] = rng.normal(0.0, 0.02, (d, d))
+            t[p + name] = ((d, d), 0.02, 0.0)
         for name in ("bq", "bk", "bv", "bo"):
-            t[p + name] = np.zeros(d)
-        t[p + "ln2.g"] = np.ones(d)
-        t[p + "ln2.b"] = np.zeros(d)
-        t[p + "W1"] = rng.normal(0.0, 0.02, (ffn, d))
-        t[p + "c1"] = np.zeros(ffn)
-        t[p + "W2"] = rng.normal(0.0, 0.02, (d, ffn))
-        t[p + "c2"] = np.zeros(d)
-    t["ln_f.g"] = np.ones(d)
-    t["ln_f.b"] = np.zeros(d)
+            t[p + name] = ((d,), None, 0.0)
+        t[p + "ln2.g"] = ((d,), None, 1.0)
+        t[p + "ln2.b"] = ((d,), None, 0.0)
+        t[p + "W1"] = ((ffn, d), 0.02, 0.0)
+        t[p + "c1"] = ((ffn,), None, 0.0)
+        t[p + "W2"] = ((d, ffn), 0.02, 0.0)
+        t[p + "c2"] = ((d,), None, 0.0)
+    t["ln_f.g"] = ((d,), None, 1.0)
+    t["ln_f.b"] = ((d,), None, 0.0)
     return t
 
 

@@ -16,13 +16,17 @@ one (table, index, window hits) slot that is replaced whole, so threads may
 share a Lexicon: each reads the slot once and never pairs one table with
 another table's index or hits.  Alternating tables rebuilds the index and
 empties the hits each time.  The window-hits memo is the one part that
-grows in place: rows are added with dict.setdefault, each entry is computed
-whole and then stored in one dict assignment, and two threads that compute
-the same entry store equal values.
+grows in place: rows are added with dict.setdefault, each entry (a window's
+ranked hits and a fixed-size bit filter of their words, see window_hits)
+is computed whole and then stored in one dict assignment, and two threads
+that compute the same entry store equal values.  probe_windows serves a
+whole sentence from one read of the slot and one reading-set lookup per
+character.
 The word rank (frequency order, for ranking lattice candidates), the
-window-hit keys made from it and the rank-to-id array are built on first
-use, not at construction, and likewise stored whole, each in one slot: two
-threads may both build one, but each gets a complete and equal value.
+window-hit keys made from it, the rank-to-id array and the pad rows are
+built on first use, not at construction, and likewise stored whole, each in
+one slot: two threads may both build one, but each gets a complete and
+equal value.
 
 A lattice key is one int, provenance << RANK_BITS | word rank, with
 provenance 0 (EXACT), 1 (PINYIN_EXACT) or 2 (PINYIN_FUZZY).  The rank is one
@@ -65,6 +69,10 @@ _FILE_FIELDS = frozenset(("magic", "version", "entries"))
 
 RANK_BITS = 28
 RANK_MASK = (1 << RANK_BITS) - 1
+# a window-hits entry hashes its words' ranks into this many bits: on the
+# 2,000-word correct_batch lexicon ~4% of two-window rows see a false
+# overlap, for ~160 bytes an entry
+FILTER_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,7 @@ class Lexicon:
         self._rank_memo: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._hit_memo: tuple[tuple[int, int], ...] | None = None
         self._ids_memo: tuple[int, int, np.ndarray] | None = None
+        self._tails_memo: tuple[int, list[list[int]]] | None = None
         self._by_surface: dict[str, int] = {}
         for e in self.entries:
             node = self._root
@@ -160,6 +169,16 @@ class Lexicon:
             memo = self._ids_memo = (offset, pad, ids)
         return memo[2]
 
+    def pad_tails(self, m_max: int) -> list[list[int]]:
+        """tails[k] = [len(self)] * (m_max - k): the pad ranks that fill a
+        row of k lattice keys to m_max.  The lists of the last m_max are
+        kept and shared, so callers read them and never change them."""
+        memo = self._tails_memo
+        if memo is None or memo[0] != m_max:
+            pad = len(self)
+            memo = self._tails_memo = (m_max, [[pad] * (m_max - k) for k in range(m_max + 1)])
+        return memo[1]
+
     def _hit_keys(self) -> tuple[tuple[int, int], ...]:
         """keys[word_id]: the word's two possible window-hit keys, its rank
         with provenance 1 and with provenance 2.  Every window_hits entry
@@ -182,7 +201,10 @@ class Lexicon:
         out: list[tuple[int, int, int]] = []
         n = len(sentence)
         root = self._root.children
-        for start, ch in enumerate(sentence):
+        # one str object per character, so each hashes once, not once per
+        # trie step that reads it
+        chars = list(sentence)
+        for start, ch in enumerate(chars):
             node = root.get(ch)
             end = start
             # the trie is at most MAX_WORD_LEN deep, so this walk is too
@@ -192,7 +214,7 @@ class Lexicon:
                 end += 1
                 if end == n:
                     break
-                node = node.children.get(sentence[end])
+                node = node.children.get(chars[end])
         return out
 
     def pinyin2gram_index(
@@ -251,20 +273,57 @@ class Lexicon:
         which no other pair spells (no final starts with a consonant or
         with h).  So two characters with equal toneless reading sets get
         equal hits, in any PinyinTable, and a character without readings
-        gets none.  The memo has no size limit: it holds one entry per pair
-        of reading sets met, so at most the square of the number of distinct
-        reading sets in the tables queried (3,600 for the 60 sets of the toy
-        inventory); a different fuzzy table starts it afresh.
+        gets none.
+
+        A memo entry is the pair (hits, filter): the filter is an int with
+        bit `rank % FILTER_BITS` set for each hit's word, so two entries
+        whose filters share no bit share no word.  The memo has no size
+        limit: it holds one entry per pair of reading sets met, so at most
+        the square of the number of distinct reading sets in the tables
+        queried (3,600 for the 60 sets of the toy inventory), each of at
+        most FILTER_BITS bits beside its hits; a different fuzzy table
+        starts it afresh.
         """
+        memo = self._index_slot(fuzzy)[2]
         ra, rb = ptable.toneless_readings(a), ptable.toneless_readings(b)
+        return self._window_entry(ptable, fuzzy, memo, a, b, ra, rb)[0]
+
+    def probe_windows(
+        self, ptable: PinyinTable, fuzzy: FuzzyClassTable, sentence: str,
+        probed: list[bool], m_max: int,
+    ) -> tuple[list[tuple[int, ...]], list[int]]:
+        """(fed, filters) over the windows (lo, lo + 1) of `sentence`: for
+        each window with `probed[lo]` or `probed[lo + 1]`, the first m_max
+        of its window_hits and its memo entry's filter; () and 0 for the
+        others.  The memo slot is read once, and each character's reading
+        set looked up once."""
+        memo = self._index_slot(fuzzy)[2]
+        n = len(sentence)
+        fed: list[tuple[int, ...]] = [()] * n
+        filters = [0] * n
+        sets = ptable.toneless_sets(sentence)
+        for lo in range(n - 1):
+            if probed[lo] or probed[lo + 1]:
+                ra, rb = sets[lo], sets[lo + 1]
+                row = memo.get(ra)
+                entry = None if row is None else row.get(rb)
+                if entry is None:
+                    entry = self._window_entry(ptable, fuzzy, memo, sentence[lo],
+                                               sentence[lo + 1], ra, rb)
+                fed[lo] = entry[0][:m_max]
+                filters[lo] = entry[1]
+        return fed, filters
+
+    def _window_entry(self, ptable, fuzzy, memo, a, b, ra, rb) -> tuple[tuple[int, ...], int]:
+        """memo's (hits, filter) for the reading sets ra, rb of `a` and `b`,
+        computed whole and stored in one assignment when missing."""
         # one row per first set: no key tuple is built per window or kept per
         # entry (kept objects are what sets off the cyclic GC's full passes)
-        memo = self._index_slot(fuzzy)[2]
         row = memo.get(ra)
         if row is None:
             row = memo.setdefault(ra, {})
-        hits = row.get(rb)
-        if hits is None:
+        entry = row.get(rb)
+        if entry is None:
             entries, keys = self.entries, self._hit_keys()
             # exactness reads the word and the two reading sets only, so a
             # word that several reading pairs find gets one hit
@@ -275,8 +334,12 @@ class Lexicon:
                         readings = entries[wid].readings
                         exact = not (ra.isdisjoint(readings[0]) or rb.isdisjoint(readings[1]))
                         found[wid] = keys[wid][0 if exact else 1]
-            hits = row[rb] = tuple(sorted(found.values()))
-        return hits
+            hits = tuple(sorted(found.values()))
+            bits = 0
+            for key in hits:
+                bits |= 1 << (key & RANK_MASK) % FILTER_BITS
+            entry = row[rb] = (hits, bits)
+        return entry
 
     # ------------------------------------------------------------ persistence
 

@@ -37,9 +37,9 @@ import numpy as np
 from .encoder import (
     encoder_backward,
     encoder_forward,
+    encoder_tensor_specs,
     gelu,
     gelu_grad,
-    init_encoder_tensors,
     ln_backward,
     ln_forward,
     masked_softmax,
@@ -153,9 +153,34 @@ class ModelParams:
                            np.int64, len(text))
 
 
-def init_params(config: ModelConfig, chars, seed: int = 0) -> ModelParams:
-    """Fresh tensors drawn from `seed`; chars must be distinct characters."""
-    chars = tuple(chars)
+def tensor_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], float | None, float]]:
+    """Every tensor of the model, in checkpoint order, as name -> (shape,
+    std, fill): init_params draws a tensor from N(0, std**2) in this order,
+    or fills it with `fill` where std is None; load_checkpoint reads the
+    names and shapes only."""
+    t = encoder_tensor_specs(config)
+    d, dw, dg, v = config.d_c, config.d_w, config.gate_dim, config.char_vocab_size
+    # the fusion path has no LayerNorm of its own; tiny init here would leave
+    # u orders of magnitude below the normalized h and stall the word route
+    t["E_w"] = ((config.word_vocab_size, dw), 0.5, 0.0)
+    t["W_w"] = ((d, dw), 1.0 / np.sqrt(dw), 0.0)
+    t["b_w"] = ((d,), None, 0.0)
+    # scores u.(W_attn h) carry no 1/sqrt(d) factor, so W_attn absorbs it:
+    # sigma ~ 1/d keeps init scores soft instead of collapsing the softmax
+    t["W_attn"] = ((d, d), 1.0 / d, 0.0)
+    t["W_gen"] = ((v, d), 0.02, 0.0)
+    t["b_gen"] = ((v,), None, 0.0)
+    t["gate.W1"] = ((dg, d), 0.02, 0.0)
+    t["gate.b1"] = ((dg,), None, 0.0)
+    t["gate.ln.g"] = ((dg,), None, 1.0)
+    t["gate.ln.b"] = ((dg,), None, 0.0)
+    t["gate.w2"] = ((dg,), 0.02, 0.0)
+    t["gate.b2"] = ((), None, float(config.gate_bias_init))
+    return t
+
+
+def _check_chars(config: ModelConfig, chars: tuple) -> None:
+    """ValueError unless chars are distinct characters, one per char id."""
     if len(chars) != config.char_vocab_size - CHAR_ID_OFFSET:
         raise ValueError(
             f"got {len(chars)} chars for char_vocab_size={config.char_vocab_size} "
@@ -166,25 +191,15 @@ def init_params(config: ModelConfig, chars, seed: int = 0) -> ModelParams:
             raise ValueError(f"vocabulary entry {i} is {c!r}, not one character")
     if len(set(chars)) != len(chars):
         raise ValueError("duplicate characters in vocabulary")
+
+
+def init_params(config: ModelConfig, chars, seed: int = 0) -> ModelParams:
+    """Fresh tensors drawn from `seed`; chars must be distinct characters."""
+    chars = tuple(chars)
+    _check_chars(config, chars)
     rng = np.random.default_rng(seed)
-    t = init_encoder_tensors(config, rng)
-    d, dw, dg, v = config.d_c, config.d_w, config.gate_dim, config.char_vocab_size
-    # the fusion path has no LayerNorm of its own; tiny init here would leave
-    # u orders of magnitude below the normalized h and stall the word route
-    t["E_w"] = rng.normal(0.0, 0.5, (config.word_vocab_size, dw))
-    t["W_w"] = rng.normal(0.0, 1.0 / np.sqrt(dw), (d, dw))
-    t["b_w"] = np.zeros(d)
-    # scores u.(W_attn h) carry no 1/sqrt(d) factor, so W_attn absorbs it:
-    # sigma ~ 1/d keeps init scores soft instead of collapsing the softmax
-    t["W_attn"] = rng.normal(0.0, 1.0 / d, (d, d))
-    t["W_gen"] = rng.normal(0.0, 0.02, (v, d))
-    t["b_gen"] = np.zeros(v)
-    t["gate.W1"] = rng.normal(0.0, 0.02, (dg, d))
-    t["gate.b1"] = np.zeros(dg)
-    t["gate.ln.g"] = np.ones(dg)
-    t["gate.ln.b"] = np.zeros(dg)
-    t["gate.w2"] = rng.normal(0.0, 0.02, (dg,))
-    t["gate.b2"] = np.array(float(config.gate_bias_init))
+    t = {name: np.full(shape, fill) if std is None else rng.normal(0.0, std, shape)
+         for name, (shape, std, fill) in tensor_specs(config).items()}
     return ModelParams(config=config, chars=chars, tensors=t)
 
 
@@ -622,7 +637,8 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointError(f"{path}: malformed header ({e})") from e
     try:
         config = ModelConfig.from_dict(raw_config)
-        expected = init_params(config, chars).tensors
+        _check_chars(config, chars)
+        expected = {name: spec[0] for name, spec in tensor_specs(config).items()}
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad config in header: {e}") from e
     payload = blob[off + 12 + hlen :]
@@ -633,9 +649,9 @@ def load_checkpoint(path) -> ModelParams:
     tensors: dict[str, np.ndarray] = {}
     pos = 0
     for name, shape in manifest:
-        if expected[name].shape != shape:
+        if expected[name] != shape:
             raise CheckpointError(
-                f"{path}: tensor {name} has shape {shape}, config implies {expected[name].shape}"
+                f"{path}: tensor {name} has shape {shape}, config implies {expected[name]}"
             )
         count = int(np.prod(shape)) if shape else 1
         raw = payload[pos : pos + 4 * count]

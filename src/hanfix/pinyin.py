@@ -212,13 +212,31 @@ def syllables_equivalent(
     return fuzzy_key(a, table) == fuzzy_key(b, table)
 
 
+class _TonelessSets(dict):
+    """char -> frozenset of the toneless forms of its readings, filled on the
+    first lookup of a character; an unknown character reads as the empty
+    set and is not kept."""
+
+    __slots__ = ("_readings",)
+
+    def __init__(self, readings: dict[str, tuple[PinyinSyllable, ...]]):
+        super().__init__()
+        self._readings = readings
+
+    def __missing__(self, char: str) -> frozenset[str]:
+        syllables = self._readings.get(char)
+        if syllables is None:
+            return frozenset()
+        found = self[char] = frozenset(s.toneless() for s in syllables)
+        return found
+
+
 class PinyinTable:
     """Character -> readings map (polyphones keep every reading)."""
 
     def __init__(self, readings: dict[str, tuple[PinyinSyllable, ...]]):
         self._readings = dict(readings)
-        # char -> frozenset of toneless readings, filled on first request
-        self._toneless: dict[str, frozenset[str]] = {}
+        self._toneless = _TonelessSets(self._readings)
 
     @classmethod
     def from_pairs(cls, pairs) -> "PinyinTable":
@@ -270,13 +288,12 @@ class PinyinTable:
         """The toneless written forms of get(char), e.g. {'can', 'shen'} for
         a 参 read can1 and shen1; empty for unknown characters.  Built on the
         first request for a character and kept."""
-        found = self._toneless.get(char)
-        if found is None:
-            syllables = self._readings.get(char)
-            if syllables is None:
-                return frozenset()
-            found = self._toneless[char] = frozenset(s.toneless() for s in syllables)
-        return found
+        return self._toneless[char]
+
+    def toneless_sets(self, text: str) -> list[frozenset[str]]:
+        """toneless_readings of each character of `text`, in one C-level
+        pass over the kept sets."""
+        return list(map(self._toneless.__getitem__, text))
 
     def __len__(self) -> int:
         return len(self._readings)

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -20,7 +22,7 @@ from hanfix.desm import (
     lattice_to_feature_ids,
     sentence_features,
 )
-from hanfix.corpus import make_toy_inventory, make_toy_words
+from hanfix.corpus import NoiseSpec, generate_synthetic, make_toy_inventory, make_toy_words
 from hanfix.lexicon import RANK_BITS, RANK_MASK, Lexicon, lexicon_from_words
 from hanfix.pinyin import (
     FuzzyClassTable,
@@ -245,7 +247,7 @@ class TestLattice:
 # lattice: the reference the build from remembered, truncated hits must equal.
 
 
-def reference_lattice(lex, ptable, fuzzy, sentence, m_max):
+def reference_lattice(lex, ptable, fuzzy, sentence, m_max, include_pinyin=True):
     """(per_char, suspect) of sentence."""
     n = len(sentence)
     rank = lex.word_rank()
@@ -260,7 +262,7 @@ def reference_lattice(lex, ptable, fuzzy, sentence, m_max):
     char_syllables = [ptable.get(ch) for ch in sentence]
     char_readings = [ptable.toneless_readings(ch) for ch in sentence]
     entries = lex.entries
-    for lo in range(n - 1):
+    for lo in range(n - 1 if include_pinyin else 0):
         hi = lo + 1
         if suspects[lo]:
             direction = 1
@@ -449,6 +451,21 @@ class TestFeatures:
         with pytest.raises(ValueError):
             sentence_features("我", lex, ptable, fuzzy, 3, "DESM")
 
+    def test_mode_none_rejects_m_max_zero(self, lex, ptable, fuzzy):
+        with pytest.raises(ValueError, match="m_max must be positive, got 0"):
+            sentence_features("我参家", lex, ptable, fuzzy, 0, "none")
+
+    def test_negative_m_max_is_the_modules_error(self, lex, ptable, fuzzy):
+        for mode in desm.LATTICE_MODES:
+            with pytest.raises(ValueError, match="m_max must be positive, got -2"):
+                sentence_features("我参家", lex, ptable, fuzzy, -2, mode)
+
+    def test_featurize_checks_arguments_without_sentences(self, lex, ptable, fuzzy):
+        with pytest.raises(ValueError, match="lattice mode must be one of"):
+            featurize_sentences([], lex, ptable, fuzzy, 3, mode="bogus")
+        with pytest.raises(ValueError, match="m_max must be positive"):
+            featurize_sentences([], lex, ptable, fuzzy, 0)
+
     def test_ttm_subset_of_desm(self, lex, ptable, fuzzy):
         # every ttm candidate survives in desm mode (big m_max, no truncation)
         for s in ["我参家会议", "参会计好", "很好"]:
@@ -478,6 +495,15 @@ class TestFeatures:
             assert ids[i, :k].tolist() == [c.word_id + WORD_ID_OFFSET for c in cands[:k]]
             assert (ids[i, k:] == WORD_PAD_ID).all()
             assert mask[i].tolist() == [1.0] * k + [0.0] * (2 - k)
+
+    def test_pads_a_shorter_lattice(self, lex, ptable, fuzzy):
+        # rows of at most 2 keys, read at 5 slots: the slots past 2 are pads
+        ids, mask = lattice_to_feature_ids(build_lattice(lex, ptable, fuzzy, "我参家会议",
+                                                         m_max=2), 5)
+        per_char = build_lattice(lex, ptable, fuzzy, "我参家会议", m_max=2).per_char
+        assert max(len(c) for c in per_char) == 2
+        assert (ids == reference_ids(per_char, 5)).all()
+        assert (mask == (ids != WORD_PAD_ID)).all() and not mask[:, 2:].any()
 
     def test_featurization_builds_no_candidates(self, lex, ptable, fuzzy, monkeypatch):
         built = Counter()
@@ -571,3 +597,142 @@ class TestMatchCandidate:
             '{"pos":4,"char":"议","suspect":false,"candidates":['
             '{"word":"会议","span":[3,4],"provenance":"EXACT","direction":"NONE"}]}]'
         )
+
+
+# ------------------------------------------ featurize_sentences end to end
+# many sentences per call, as correct_batch featurizes them, against the
+# reference lattice's ids sentence by sentence
+
+
+def reference_features(lex, ptable, fuzzy, sentence, m_max, mode):
+    if mode == "none":
+        ids = np.full((len(sentence), m_max), WORD_PAD_ID, dtype=np.int64)
+    else:
+        per_char, _ = reference_lattice(lex, ptable, fuzzy, sentence, m_max,
+                                        include_pinyin=(mode == "desm"))
+        ids = reference_ids(per_char, m_max)
+    return ids, (ids != WORD_PAD_ID).astype(np.float64)
+
+
+def assert_featurized_as_reference(lex, ptable, fuzzy, sentences, m_max):
+    for mode in desm.LATTICE_MODES:
+        got = featurize_sentences(sentences, lex, ptable, fuzzy, m_max, mode)
+        assert len(got) == len(sentences)
+        for sentence, (ids, mask) in zip(sentences, got):
+            want_ids, want_mask = reference_features(lex, ptable, fuzzy, sentence, m_max, mode)
+            assert ids.dtype == np.int64 and mask.dtype == np.float64
+            assert np.array_equal(ids, want_ids), (mode, sentence)
+            assert np.array_equal(mask, want_mask), (mode, sentence)
+
+
+DENSE_SENTENCES = st.lists(st.lists(DENSE_CHUNKS, max_size=10).map("".join), max_size=6)
+
+
+class TestFeaturizeSentences:
+    @given(DENSE_SENTENCES, st.integers(1, 9))
+    @settings(max_examples=150, deadline=None)
+    def test_dense_world_equals_reference(self, sentences, m_max):
+        assert_featurized_as_reference(DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, sentences, m_max)
+
+    @given(st.lists(st.text(alphabet=ALPHABET, max_size=12), max_size=6), st.integers(1, 9))
+    @settings(max_examples=150, deadline=None)
+    def test_toy_world_equals_reference(self, lex, ptable, fuzzy, sentences, m_max):
+        assert_featurized_as_reference(lex, ptable, fuzzy, sentences, m_max)
+
+    def test_duplicate_sources_in_one_call(self):
+        ptable = PinyinTable.from_pairs(HAND_PAIRS)
+        lex = lexicon_from_words(HAND_WORDS, ptable, DENSE_FUZZY)
+        sentences = ["家家家", "参参蝉", "参参禅", "参禅禅", "嘉嘉嘉"]
+        for m_max in range(1, 10):
+            assert_featurized_as_reference(lex, ptable, DENSE_FUZZY, sentences, m_max)
+
+    def test_unreadable_repeated_and_empty_sentences(self, lex, ptable, fuzzy):
+        sentences = ["X参家", "我参家会议", "", "X参家", "XX", "我参家会议", ""]
+        for m_max in (1, 3, 8):
+            assert_featurized_as_reference(lex, ptable, fuzzy, sentences, m_max)
+            got = featurize_sentences(sentences, lex, ptable, fuzzy, m_max)
+            # a repeated sentence gets the very arrays of its first copy
+            assert got[3][0] is got[0][0] and got[3][1] is got[0][1]
+            assert got[5][0] is got[1][0] and got[6][0] is got[2][0]
+            assert got[2][0].shape == (0, m_max)
+
+    def test_one_reading_lookup_per_character_and_one_slot_read(self, monkeypatch):
+        # a fresh lexicon, so windows are computed as well as remembered
+        lex = lexicon_from_words(
+            [(e.surface, e.frequency) for e in DENSE_LEX.entries], DENSE_PTABLE, DENSE_FUZZY)
+        calls = Counter()
+        toneless, index_slot = PinyinTable.toneless_readings, Lexicon._index_slot
+        toneless_sets, lookup = PinyinTable.toneless_sets, Lexicon.pinyin_2gram_lookup
+
+        def counted_readings(self, ch):
+            calls[ch] += 1
+            return toneless(self, ch)
+
+        def counted_sets(self, text):
+            calls.update(text)
+            return toneless_sets(self, text)
+
+        def counted_slot(self, fz):
+            calls["slot"] += 1
+            return index_slot(self, fz)
+
+        def counted_lookup(self, a, b, fz):
+            calls["lookup"] += 1
+            return lookup(self, a, b, fz)
+
+        monkeypatch.setattr(PinyinTable, "toneless_readings", counted_readings)
+        monkeypatch.setattr(PinyinTable, "toneless_sets", counted_sets)
+        monkeypatch.setattr(Lexicon, "_index_slot", counted_slot)
+        monkeypatch.setattr(Lexicon, "pinyin_2gram_lookup", counted_lookup)
+        # each character appears once, and most windows are probed
+        sentence = "".join(dict.fromkeys(e.surface[0] for e in DENSE_LEX.entries[:40]))
+        for cold in (True, False):  # computing the windows' hits, then remembering them
+            calls.clear()
+            lat = build_lattice(lex, DENSE_PTABLE, DENSE_FUZZY, sentence, m_max=8)
+            assert sum(lat.suspect) > len(sentence) // 2
+            assert {ch: calls[ch] for ch in sentence} == dict.fromkeys(sentence, 1)
+            # a window computed for the memo reads the slot only through
+            # pinyin_2gram_lookup, as before
+            assert (calls["lookup"] > 0) == cold
+            assert calls["slot"] == 1 + calls["lookup"]
+
+
+def dense_corpus(n, seed):
+    return [p.source for p in generate_synthetic(
+        DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, n, (24, 60), NoiseSpec(0.3, 0.5, seed=seed),
+        filler_rate=0.2)]
+
+
+def test_threads_sharing_a_lexicon_featurize_as_one():
+    sentences = dense_corpus(48, seed=5)
+    words = [(e.surface, e.frequency) for e in DENSE_LEX.entries]
+    want = featurize_sentences(sentences, lexicon_from_words(words, DENSE_PTABLE, DENSE_FUZZY),
+                               DENSE_PTABLE, DENSE_FUZZY, 8)
+    shared = lexicon_from_words(words, DENSE_PTABLE, DENSE_FUZZY)  # nothing remembered yet
+    wrong, errors = [], []
+
+    def work(k):
+        try:
+            # every sentence, from a different start per thread, so threads
+            # compute different entries at once
+            order = sentences[12 * k:] + sentences[:12 * k]
+            got = featurize_sentences(order, shared, DENSE_PTABLE, DENSE_FUZZY, 8)
+            expect = {s: f for s, f in zip(sentences, want)}
+            for s, (ids, mask) in zip(order, got):
+                if not (np.array_equal(ids, expect[s][0]) and np.array_equal(mask, expect[s][1])):
+                    wrong.append((k, s))
+        except Exception as e:  # noqa: BLE001 - a thread's error fails the test
+            errors.append(repr(e))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-build as often as possible
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == [] and wrong == []

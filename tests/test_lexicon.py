@@ -322,6 +322,12 @@ class TestPinyin2Gram:
         assert loaded.word_id("禅家") in loaded.pinyin_2gram_lookup(a, b, tables[0])
         assert loaded.word_id("禅家") not in loaded.pinyin_2gram_lookup(a, b, tables[1])
 
+    def test_pad_tails_fill_rows_to_m_max(self, lex):
+        tails = lex.pad_tails(4)
+        assert tails == [[len(lex)] * (4 - k) for k in range(5)]
+        assert lex.pad_tails(4) is tails  # kept for the last m_max
+        assert lex.pad_tails(2) == [[len(lex)] * 2, [len(lex)], []]
+
     def test_index_kept_for_the_last_table(self, lex):
         default, empty = FuzzyClassTable.default(), FuzzyClassTable()
         first = lex.pinyin2gram_index(default)

@@ -46,6 +46,7 @@ from hanfix.model import (
     loss_and_grads,
     nll_loss,
     save_checkpoint,
+    tensor_specs,
 )
 from hanfix.pinyin import FuzzyClassTable, PinyinTable
 
@@ -999,6 +1000,21 @@ class TestCheckpoint:
         for name, t in params.tensors.items():
             assert np.allclose(loaded.tensors[name], t, rtol=1e-6, atol=1e-6), name
             assert loaded.tensors[name].dtype == np.float64
+
+    def test_load_draws_no_random_numbers(self, saved, monkeypatch):
+        # names and shapes come from tensor_specs, not from a throwaway init
+        params, path = saved
+
+        class NoRandom:
+            def __getattr__(self, name):
+                raise AssertionError(f"load_checkpoint used np.random.{name}")
+
+        monkeypatch.setattr(np, "random", NoRandom())
+        loaded = load_checkpoint(path)
+        monkeypatch.undo()
+        assert list(loaded.tensors) == list(params.tensors)
+        assert [t.shape for t in loaded.tensors.values()] == [
+            spec[0] for spec in tensor_specs(params.config).values()]
 
     def test_resave_is_byte_identical(self, saved, tmp_path):
         _, path = saved

@@ -228,3 +228,11 @@ class TestPinyinTable:
         assert t.toneless_readings("\u2603") == frozenset(
             s.toneless() for s in t.get("\u2603")) == frozenset()
         assert t.toneless_readings("参") == {"can", "shen", "cen"}
+
+    def test_toneless_sets_of_a_text(self):
+        t = PinyinTable.from_file(demo_pinyin_path())
+        text = "参\u2603加参"
+        got = t.toneless_sets(text)  # the first lookup of each character
+        assert got == [t.toneless_readings(ch) for ch in text]
+        assert got[0] is got[3] is t.toneless_readings("参")
+        assert got[1] == frozenset() and t.toneless_sets("") == []
