@@ -172,7 +172,7 @@ def _load_train_config(args, taken=()) -> tuple[dict, TrainConfig]:
     path = args.config
     if not path:
         return {}, TrainConfig()
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         raw = json.load(f)
     if not isinstance(raw, dict):
         raise HanfixError(f"{path}: training config must be a JSON object")

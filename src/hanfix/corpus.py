@@ -54,7 +54,7 @@ def load_parallel_tsv(path) -> list[ParallelPair]:
     """
     path = Path(path)
     pairs: list[ParallelPair] = []
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
         if not raw.strip():
             continue
         parts = raw.split("\t")
@@ -180,7 +180,7 @@ def generate_synthetic(
             )
             for ch, (exact, near) in pools.items()
         }
-    surfaces = [e.surface for e in lex.entries]
+    surfaces = list(lex.surfaces)
     filler_pool = sorted({c for s in surfaces for c in s})
     streams = np.random.SeedSequence(noise.seed).spawn(n_sentences)
     pairs: list[ParallelPair] = []

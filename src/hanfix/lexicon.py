@@ -7,9 +7,17 @@ of characters" under the fuzzy confusion classes; it is what lets a
 mistyped character still pull in the word it belongs to.  Only 2-character
 entries are phonetically indexed — longer words still match via the trie.
 
+A Lexicon keeps its words as three columns indexed by word id: `surfaces`,
+`frequencies` and `readings`.  Building, loading and saving read and write
+the columns, never one object per word; `entries`, the words as WordEntry
+objects, is built from the columns on first read and kept.  Word ids are
+positions, and surfaces are distinct.
+
 A lexicon file stores the entries only, so lexicon_fingerprint() covers
 the entries only.  The trie is rebuilt from them at load, and the 2-gram
-index from their readings under the fuzzy table each query passes.
+index from their readings under the fuzzy table each query passes.  A trie
+node is a plain dict from character to child node, holding the id of the
+word that ends there under the key None.
 
 The trie is frozen once built.  The index of the last table queried sits in
 one (table, index, window hits) slot that is replaced whole, so threads may
@@ -23,10 +31,10 @@ that compute the same entry store equal values.  probe_windows serves a
 whole sentence from one read of the slot and one reading-set lookup per
 character.
 The word rank (frequency order, for ranking lattice candidates), the
-window-hit keys made from it, the rank-to-id array and the pad rows are
-built on first use, not at construction, and likewise stored whole, each in
-one slot: two threads may both build one, but each gets a complete and
-equal value.
+window-hit keys made from it, the rank-to-id array, the pad rows and
+`entries` are built on first use, not at construction, and likewise stored
+whole, each in one slot: two threads may both build one, but each gets a
+complete and equal value.
 
 A lattice key is one int, provenance << RANK_BITS | word rank, with
 provenance 0 (EXACT), 1 (PINYIN_EXACT) or 2 (PINYIN_FUZZY).  The rank is one
@@ -101,42 +109,81 @@ class WordEntry:
             raise ValueError(f"a character of {self.surface!r} has no reading")
 
 
-class _TrieNode:
-    __slots__ = ("children", "word_ids")
-
-    def __init__(self):
-        self.children: dict[str, _TrieNode] = {}
-        self.word_ids: list[int] = []
-
-
 class Lexicon:
-    """Immutable word dictionary; construct via build_lexicon() or load()."""
+    """Immutable word dictionary; construct via build_lexicon() or load().
+
+    Word ids are positions: entries[i].word_id must be i, and surfaces are
+    distinct (ValueError otherwise).
+    """
 
     def __init__(self, entries: list[WordEntry]):
-        self.entries: tuple[WordEntry, ...] = tuple(entries)
-        self._root = _TrieNode()
+        entries = tuple(entries)
+        for wid, e in enumerate(entries):
+            if e.word_id != wid:
+                raise ValueError(f"entry {wid} ({e.surface!r}) has word_id {e.word_id}; "
+                                 f"word ids must equal positions")
+        self._init(tuple(e.surface for e in entries), tuple(e.frequency for e in entries),
+                   tuple(e.readings for e in entries))
+        self._entries = entries
+
+    @classmethod
+    def _from_columns(cls, surfaces, frequencies, readings) -> "Lexicon":
+        lex = cls.__new__(cls)
+        lex._init(surfaces, frequencies, readings)
+        return lex
+
+    def _init(self, surfaces: tuple[str, ...], frequencies: tuple[int, ...],
+              readings: tuple[tuple[tuple[str, ...], ...], ...]) -> None:
+        """Keep the three columns, indexed by word id, and build the surface
+        map and the trie; ValueError when a surface repeats."""
+        self.surfaces = surfaces
+        self.frequencies = frequencies
+        self.readings = readings
+        self._by_surface: dict[str, int] = dict(zip(surfaces, range(len(surfaces))))
+        if len(self._by_surface) != len(surfaces):
+            seen: dict[str, int] = {}
+            for wid, s in enumerate(surfaces):
+                if seen.setdefault(s, wid) != wid:
+                    raise ValueError(f"entry {wid} repeats the surface {s!r} of entry {seen[s]}")
+        # a node maps a character to its child and None to the word id whose
+        # surface ends there
+        root: dict = {}
+        for wid, surface in enumerate(surfaces):
+            node = root
+            for ch in surface:
+                child = node.get(ch)
+                if child is None:
+                    child = node[ch] = {}
+                node = child
+            node[None] = wid
+        self._root = root
+        self._entries: tuple[WordEntry, ...] | None = None
         self._index_memo: tuple[FuzzyClassTable | None, dict, dict] = (None, {}, {})
         # (word_rank(), word_order())
         self._rank_memo: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._hit_memo: tuple[tuple[int, int], ...] | None = None
         self._ids_memo: tuple[int, int, np.ndarray] | None = None
         self._tails_memo: tuple[int, list[list[int]]] | None = None
-        self._by_surface: dict[str, int] = {}
-        for e in self.entries:
-            node = self._root
-            for ch in e.surface:
-                node = node.children.setdefault(ch, _TrieNode())
-            node.word_ids.append(e.word_id)
-            self._by_surface[e.surface] = e.word_id
+
+    @property
+    def entries(self) -> tuple[WordEntry, ...]:
+        """The words as WordEntry objects, built from the columns on first
+        read and kept."""
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = tuple(map(
+                WordEntry, range(len(self.surfaces)), self.surfaces, self.frequencies,
+                self.readings))
+        return entries
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.surfaces)
 
     def word_id(self, surface: str) -> int | None:
         return self._by_surface.get(surface)
 
     def surface(self, word_id: int) -> str:
-        return self.entries[word_id].surface
+        return self.surfaces[word_id]
 
     def word_rank(self) -> tuple[int, ...]:
         """rank[word_id]: the word's place when all entries are ordered by
@@ -150,8 +197,9 @@ class Lexicon:
     def _ranks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         ranks = self._rank_memo
         if ranks is None:
-            entries = self.entries
-            order = sorted(range(len(entries)), key=lambda w: (-entries[w].frequency, w))
+            freqs = self.frequencies
+            # the sort is stable, so equal frequencies keep ascending ids
+            order = sorted(range(len(freqs)), key=freqs.__getitem__, reverse=True)
             places = [0] * len(order)
             for place, wid in enumerate(order):
                 places[wid] = place
@@ -200,7 +248,7 @@ class Lexicon:
         """
         out: list[tuple[int, int, int]] = []
         n = len(sentence)
-        root = self._root.children
+        root = self._root
         # one str object per character, so each hashes once, not once per
         # trie step that reads it
         chars = list(sentence)
@@ -209,12 +257,12 @@ class Lexicon:
             end = start
             # the trie is at most MAX_WORD_LEN deep, so this walk is too
             while node is not None:
-                for wid in node.word_ids:
-                    out.append((start, end, wid))
+                if None in node:
+                    out.append((start, end, node[None]))
                 end += 1
                 if end == n:
                     break
-                node = node.children.get(chars[end])
+                node = node.get(chars[end])
         return out
 
     def pinyin2gram_index(
@@ -223,7 +271,7 @@ class Lexicon:
         """(fuzzy_key_a, fuzzy_key_b) -> word_ids of 2-char entries, ranked
         by descending frequency, then word_id.
 
-        Built from the entries' readings; only the last table's index is kept.
+        Built from the words' readings; only the last table's index is kept.
         """
         return self._index_slot(fuzzy)[1]
 
@@ -234,15 +282,16 @@ class Lexicon:
         slot = self._index_memo
         if slot[0] is fuzzy:
             return slot
-        pairs = sorted((e for e in self.entries if len(e.surface) == 2),
-                       key=lambda e: (-e.frequency, e.word_id))
+        surfaces, readings = self.surfaces, self.readings
+        pairs = [w for w in self.word_order() if len(surfaces[w]) == 2]
         key = {r: fuzzy_key(parse_syllable(r), fuzzy)
-               for r in {r for e in pairs for rs in e.readings for r in rs}}
+               for r in {r for w in pairs for rs in readings[w] for r in rs}}
         ranked: dict[tuple[str, str], dict[int, None]] = {}
-        for e in pairs:  # cross-product of polyphone readings
-            for ra in e.readings[0]:
-                for rb in e.readings[1]:
-                    ranked.setdefault((key[ra], key[rb]), {})[e.word_id] = None
+        for w in pairs:  # cross-product of polyphone readings
+            first, second = readings[w]
+            for ra in first:
+                for rb in second:
+                    ranked.setdefault((key[ra], key[rb]), {})[w] = None
         index = {k: tuple(ids) for k, ids in ranked.items()}
         slot = self._index_memo = (fuzzy, index, {})
         return slot
@@ -324,15 +373,15 @@ class Lexicon:
             row = memo.setdefault(ra, {})
         entry = row.get(rb)
         if entry is None:
-            entries, keys = self.entries, self._hit_keys()
+            readings, keys = self.readings, self._hit_keys()
             # exactness reads the word and the two reading sets only, so a
             # word that several reading pairs find gets one hit
             found: dict[int, int] = {}
             for sa in ptable.get(a):
                 for sb in ptable.get(b):
                     for wid in self.pinyin_2gram_lookup(sa, sb, fuzzy):
-                        readings = entries[wid].readings
-                        exact = not (ra.isdisjoint(readings[0]) or rb.isdisjoint(readings[1]))
+                        first, second = readings[wid]
+                        exact = not (ra.isdisjoint(first) or rb.isdisjoint(second))
                         found[wid] = keys[wid][0 if exact else 1]
             hits = tuple(sorted(found.values()))
             bits = 0
@@ -344,21 +393,19 @@ class Lexicon:
     # ------------------------------------------------------------ persistence
 
     def to_json(self) -> str:
-        """Deterministic serialization: same lexicon -> identical bytes."""
+        """Deterministic serialization: same lexicon -> identical bytes.
+
+        Every object's keys are written in sorted order, and the readings
+        tuples as JSON arrays."""
         payload = {
+            "entries": [
+                {"frequency": f, "readings": r, "surface": s}
+                for s, f, r in zip(self.surfaces, self.frequencies, self.readings)
+            ],
             "magic": _LEXICON_MAGIC,
             "version": _LEXICON_VERSION,
-            "entries": [
-                {
-                    "surface": e.surface,
-                    "frequency": e.frequency,
-                    "readings": [list(r) for r in e.readings],
-                }
-                for e in self.entries
-            ],
         }
-        return json.dumps(payload, ensure_ascii=False, sort_keys=True,
-                          separators=(",", ":"))
+        return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -381,21 +428,11 @@ class Lexicon:
         if unknown:
             raise LexiconFormatError(f"{path}: unknown field(s) {_names(unknown)}")
         try:
-            _check_entries(payload["entries"])
-            entries = [
-                WordEntry(
-                    word_id=i,
-                    surface=d["surface"],
-                    frequency=d["frequency"],
-                    readings=tuple(tuple(r) for r in d["readings"]),
-                )
-                for i, d in enumerate(payload["entries"])
-            ]
+            return cls._from_columns(*_check_entries(payload["entries"]))
         except KeyError as e:
             raise LexiconFormatError(f"{path}: missing field {e}") from e
         except (TypeError, ValueError, WordTooLong) as e:
             raise LexiconFormatError(f"{path}: malformed field ({e})") from e
-        return cls(entries)
 
 
 _ENTRY_NAMES = ("surface", "frequency", "readings")
@@ -410,16 +447,20 @@ def _only(kind: type, xs) -> bool:
     return {kind}.issuperset(map(type, xs))
 
 
-def _check_entries(raw) -> None:
-    """ValueError unless every serialized entry has exactly a non-empty
-    string surface, a non-negative int frequency and one list of toneless
-    syllables per character (KeyError when one of them is missing).
+def _check_entries(raw) -> tuple[tuple, tuple, tuple]:
+    """The (surfaces, frequencies, readings) columns of the serialized
+    entries, readings as tuples.  ValueError unless every entry has exactly
+    a surface of 1 to MAX_WORD_LEN characters (WordTooLong when longer), a
+    non-negative int frequency and one non-empty list of toneless syllables
+    per character (KeyError when one of them is missing).
 
     Each test is a C loop over one field of all entries: checking entry by
     entry in Python made Lexicon.load ~12% slower.
     """
+    if not isinstance(raw, list):
+        raise ValueError("entries is not a list")
     if not raw:
-        return
+        return (), (), ()
     surface, frequency, readings = zip(*map(_ENTRY_FIELDS, raw))
     # every entry holds the three fields, so a longer one holds another
     if set(map(len, raw)) != {len(_ENTRY_NAMES)}:
@@ -427,6 +468,8 @@ def _check_entries(raw) -> None:
                          f"{_names(set().union(*raw).difference(_ENTRY_NAMES))}")
     if not _only(str, surface) or not all(surface):
         raise ValueError("an entry surface is not a non-empty string")
+    if max(map(len, surface)) > MAX_WORD_LEN:
+        raise WordTooLong(next(s for s in surface if len(s) > MAX_WORD_LEN))
     if not _only(int, frequency) or min(frequency) < 0:
         raise ValueError("an entry frequency is not a non-negative int")
     if (not _only(list, readings) or list(map(len, readings)) != list(map(len, surface))
@@ -435,11 +478,15 @@ def _check_entries(raw) -> None:
                 chain.from_iterable(chain.from_iterable(readings)))):
         raise ValueError("entry readings are not one list of toneless syllables "
                          "per character")
+    if not all(chain.from_iterable(readings)):
+        bad = next(s for s, rs in zip(surface, readings) if not all(rs))
+        raise ValueError(f"a character of {bad!r} has no reading")
+    return surface, frequency, tuple(tuple(map(tuple, rs)) for rs in readings)
 
 
 def _parse_word_file(path: Path):
     """Yield (line_no, surface, frequency) from a `surface<TAB>frequency` TSV."""
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
@@ -476,33 +523,35 @@ def lexicon_from_words(
     `pinyin_table` (MissingPinyin otherwise); words longer than 4 characters
     raise WordTooLong.  `labels` optionally names each item for errors.
     """
-    entries: list[WordEntry] = []
+    surfaces: list[str] = []
+    frequencies: list[int] = []
+    readings: list[tuple[tuple[str, ...], ...]] = []
     by_surface: dict[str, int] = {}
     toneless: dict[str, tuple[str, ...]] = {}  # char -> its readings, each once
     for pos, (surface, freq) in enumerate(words):
-        where = labels[pos] if labels else f"word #{pos + 1}"
-        if len(surface) > MAX_WORD_LEN:
+        if not 1 <= len(surface) <= MAX_WORD_LEN:
             raise WordTooLong(surface)
-        if surface in by_surface:
-            wid = by_surface[surface]
-            old = entries[wid]
-            entries[wid] = WordEntry(wid, old.surface, old.frequency + freq, old.readings)
+        wid = by_surface.get(surface)
+        if wid is not None:
+            frequencies[wid] += freq
             continue
-        readings = []
+        word = []
         for ch in surface:
             found = toneless.get(ch)
             if found is None:
                 syls = pinyin_table.get(ch)
                 if not syls:
+                    where = labels[pos] if labels else f"word #{pos + 1}"
                     raise MissingPinyin(ch, f"{where} word {surface!r}")
                 # tone variants (中 zhong1, zhong4) share one toneless reading
                 found = toneless[ch] = tuple(dict.fromkeys(s.toneless() for s in syls))
-            readings.append(found)
-        wid = len(entries)
-        entries.append(WordEntry(wid, surface, freq, tuple(readings)))
-        by_surface[surface] = wid
+            word.append(found)
+        by_surface[surface] = len(surfaces)
+        surfaces.append(surface)
+        frequencies.append(freq)
+        readings.append(tuple(word))
 
-    lex = Lexicon(entries)
+    lex = Lexicon._from_columns(tuple(surfaces), tuple(frequencies), tuple(readings))
     lex.pinyin2gram_index(fuzzy)  # ready to query under the build table
     return lex
 

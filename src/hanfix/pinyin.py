@@ -111,6 +111,15 @@ def parse_syllable(s: str) -> PinyinSyllable:
     raise InvalidSyllable(s, "no initial or final matches")
 
 
+class _BadClass(ValueError):
+    """A fuzzy class that FuzzyClassTable rejects, with its place in the
+    class list."""
+
+    def __init__(self, index: int, reason: str):
+        self.index = index
+        super().__init__(reason)
+
+
 class FuzzyClassTable:
     """Partitions of initials and finals into confusable classes.
 
@@ -123,24 +132,25 @@ class FuzzyClassTable:
         final_classes: list[tuple[str, ...]] = []
         seen_i: set[str] = set()
         seen_f: set[str] = set()
-        for members in classes:
+        for index, members in enumerate(classes):
             members = tuple(members)
             if len(set(members)) != len(members) or not members:
-                raise ValueError(f"bad fuzzy class: {members!r}")
+                raise _BadClass(index, f"bad fuzzy class: {members!r}")
             if all(m in _INITIAL_SET for m in members):
                 if seen_i & set(members):
-                    raise ValueError(f"initial repeated across classes: {members!r}")
+                    raise _BadClass(index, f"initial repeated across classes: {members!r}")
                 seen_i |= set(members)
                 initial_classes.append(members)
             elif all(m in _FINAL_SET for m in members):
                 if seen_f & set(members):
-                    raise ValueError(f"final repeated across classes: {members!r}")
+                    raise _BadClass(index, f"final repeated across classes: {members!r}")
                 seen_f |= set(members)
                 final_classes.append(members)
             else:
-                raise ValueError(
+                raise _BadClass(
+                    index,
                     f"fuzzy class mixes initials and finals (or has unknown "
-                    f"members): {members!r}"
+                    f"members): {members!r}",
                 )
         # complete to full partitions with singletons
         initial_classes += [(i,) for i in INITIALS if i not in seen_i]
@@ -169,15 +179,16 @@ class FuzzyClassTable:
         """Load classes from a UTF-8 file, one class per line, members
         space-separated (e.g. "z zh").  '#' starts a comment."""
         path = Path(path)
-        classes = []
-        for raw in path.read_text(encoding="utf-8").splitlines():
+        classes, line_nos = [], []
+        for line_no, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if line:
                 classes.append(line.split())
+                line_nos.append(line_no)
         try:
             return cls(classes)
-        except ValueError as e:
-            raise MalformedLine(str(path), 0, str(e)) from e
+        except _BadClass as e:
+            raise MalformedLine(str(path), line_nos[e.index], str(e)) from e
 
     def initial_rep(self, initial: str) -> str:
         return self._initial_rep[initial]
@@ -258,7 +269,7 @@ class PinyinTable:
         """
         path = Path(path)
         pairs = []
-        for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for line_no, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
             line = raw.split("#", 1)[0].rstrip()
             if not line.strip():
                 continue

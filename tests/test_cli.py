@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -9,11 +10,11 @@ from pathlib import Path
 import pytest
 
 from hanfix import data as bundled
-from hanfix.cli import main
+from hanfix.cli import _load_train_config, main
 from hanfix.corpus import load_parallel_tsv
 from hanfix.desm import featurize_sentences
 from hanfix.evaluation import score
-from hanfix.lexicon import Lexicon
+from hanfix.lexicon import Lexicon, build_lexicon
 from hanfix.model import _CKPT_MAGIC, correct_many, load_checkpoint
 from hanfix.pinyin import FuzzyClassTable, PinyinTable
 
@@ -123,6 +124,18 @@ class TestMatch:
 
     def test_bad_m_max(self, capsys):
         assert main(["match", "参家", "--m-max", "0"]) == 2
+
+    def test_lexicon_repeating_a_surface_exits_2(self, work, tmp_path, capsys):
+        # loaded, it would list 参加 twice at each of its positions
+        _, lex_path, *_ = work
+        payload = json.loads(lex_path.read_text(encoding="utf-8"))
+        payload["entries"].append(
+            next(e for e in payload["entries"] if e["surface"] == "参加"))
+        bad = tmp_path / "repeated.lexicon"
+        bad.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        assert main(["match", "参加", "--lexicon", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "repeats the surface '参加'" in err
 
     def test_explicit_lexicon_file(self, work, capsys):
         _, lex_path, *_ = work
@@ -465,3 +478,44 @@ def test_hanfix_log_enables_info_logging():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "INFO hanfix.cli: no --lexicon given" in proc.stderr
+
+
+def test_python_m_hanfix_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "hanfix", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "build-lexicon" in proc.stdout
+
+
+def _pinyin_table(path):
+    table = PinyinTable.from_file(path)
+    return {c: table.get(c) for c in table.characters()}
+
+
+def _word_list(path):
+    return build_lexicon(path, PinyinTable.from_file(bundled.demo_pinyin_path()),
+                         FuzzyClassTable.default()).to_json()
+
+
+def _fuzzy_table(path):
+    table = FuzzyClassTable.from_file(path)
+    return table.initial_classes, table.final_classes
+
+
+def _train_config(path):
+    return _load_train_config(argparse.Namespace(config=str(path), command="train"))
+
+
+@pytest.mark.parametrize("text, read", [
+    ("参\tcan1\n加\tjia1\n", _pinyin_table),
+    ("参加\t80\n家\n", _word_list),
+    ("z zh\nan ang\n", _fuzzy_table),
+    ("参家\t参加\n", load_parallel_tsv),
+    (json.dumps(CONFIG), _train_config),
+], ids=["pinyin-table", "word-list", "fuzzy-table", "parallel-tsv", "config"])
+def test_text_inputs_accept_a_byte_order_mark(text, read, tmp_path):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert read(marked) == read(plain)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hanfix import data as bundled
+from hanfix.desm import build_lattice, featurize_sentences
 from hanfix.errors import (
     LexiconFormatError,
     MalformedLine,
@@ -228,6 +230,92 @@ class TestBuild:
         assert wrong == []
 
 
+class TestOneIdPerWord:
+    READINGS = {"参加": (("can",), ("jia",)), "会议": (("hui",), ("yi",))}
+
+    def entry(self, wid, surface):
+        return WordEntry(wid, surface, 1, self.READINGS[surface])
+
+    def test_rejects_word_ids_out_of_order(self):
+        # a trie match would name word 1 for 参加, whose surface is 会议
+        with pytest.raises(ValueError, match=r"entry 0 \('参加'\) has word_id 1"):
+            Lexicon([self.entry(1, "参加"), self.entry(0, "会议")])
+
+    def test_rejects_word_id_past_the_end(self):
+        # a lattice would index the columns with word id 5
+        with pytest.raises(ValueError, match=r"entry 0 \('参加'\) has word_id 5"):
+            Lexicon([self.entry(5, "参加")])
+
+    def test_rejects_repeated_surface(self):
+        with pytest.raises(ValueError, match="entry 2 repeats the surface '参加' of entry 0"):
+            Lexicon([self.entry(0, "参加"), self.entry(1, "会议"), self.entry(2, "参加")])
+
+    def test_load_rejects_repeated_surface(self, tmp_path):
+        # the trie would list 参加 twice at each position
+        table = PinyinTable.from_file(bundled.demo_pinyin_path())
+        lex = build_lexicon(bundled.demo_words_path(), table, FuzzyClassTable.default())
+        payload = json.loads(lex.to_json())
+        first = lex.word_id("参加")
+        payload["entries"].append(dict(payload["entries"][first]))
+        with pytest.raises(LexiconFormatError,
+                           match=f"entry {len(lex)} repeats the surface '参加' of entry {first}"):
+            Lexicon.load(write_payload(payload, tmp_path))
+
+
+class TestColumns:
+    def test_to_json_is_pinned(self, ptable, fuzzy):
+        # a polyphone (参, 会), a 1-character word that prefixes 参加, and
+        # a 4-character word that 参加 prefixes
+        lex = lexicon_from_words([("参加", 80), ("参加会议", 3), ("参", 10), ("会", 0)],
+                                 ptable, fuzzy)
+        assert lex.to_json() == (
+            '{"entries":['
+            '{"frequency":80,"readings":[["can","shen"],["jia"]],"surface":"参加"},'
+            '{"frequency":3,"readings":[["can","shen"],["jia"],["hui","kuai"],["yi"]],'
+            '"surface":"参加会议"},'
+            '{"frequency":10,"readings":[["can","shen"]],"surface":"参"},'
+            '{"frequency":0,"readings":[["hui","kuai"]],"surface":"会"}],'
+            '"magic":"hanfix-lexicon","version":3}')
+        assert lex.trie_match_all("参加会议") == [(0, 0, 2), (0, 1, 0), (0, 3, 1), (2, 2, 3)]
+
+    @given(st.lists(st.tuples(st.text("参加禅家会议计我好山单", min_size=1, max_size=4),
+                              st.integers(0, 50)), max_size=30),
+           st.lists(st.text("参加禅家会议计我好山单", max_size=12), max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_every_construction_path_agrees(self, ptable, fuzzy, tmp_path_factory,
+                                            words, sentences):
+        built = lexicon_from_words(words, ptable, fuzzy)
+        path = tmp_path_factory.mktemp("lex") / "words.lexicon"
+        built.save(path)
+        for other in (Lexicon(built.entries), Lexicon.load(path)):
+            assert other.entries == built.entries
+            assert other.to_json() == built.to_json()
+            assert other.word_rank() == built.word_rank()
+            for s in sentences:
+                assert other.trie_match_all(s) == built.trie_match_all(s)
+                assert built.trie_match_all(s) == brute_force_spans(built, s)
+
+    def test_loading_and_featurizing_build_no_word_entry(self, tmp_path, monkeypatch):
+        table = PinyinTable.from_file(bundled.demo_pinyin_path())
+        fuzzy = FuzzyClassTable.from_file(bundled.demo_fuzzy_path())
+        path = tmp_path / "demo.lexicon"
+        made = []
+        init = WordEntry.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(WordEntry, "__init__", counted)
+        build_lexicon(bundled.demo_words_path(), table, fuzzy).save(path)
+        lex = Lexicon.load(path)
+        featurize_sentences(["我们参家会义", "参加"], lex, table, fuzzy, 8)
+        assert build_lattice(lex, table, fuzzy, "我们参家会义", m_max=8).per_char
+        assert made == []
+        assert len(lex.entries) == len(made) == len(lex)  # built on first read
+        assert lex.entries is lex.entries
+
+
 class TestTrie:
     def test_match_example(self, lex):
         got = lex.trie_match_all("我参加会议")
@@ -417,6 +505,12 @@ class TestSerialization:
         a = lexicon_from_words(WORDS, ptable, fuzzy)
         b = lexicon_from_words(list(WORDS), ptable, fuzzy)
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("entries", [None, {}, "", 0], ids=["null", "object", "string", "zero"])
+    def test_rejects_entries_that_are_not_a_list(self, tmp_path, entries):
+        payload = {"magic": "hanfix-lexicon", "version": 3, "entries": entries}
+        with pytest.raises(LexiconFormatError, match="entries is not a list"):
+            Lexicon.load(write_payload(payload, tmp_path))
 
     def test_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.json"

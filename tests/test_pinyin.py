@@ -187,6 +187,16 @@ class TestFuzzy:
         with pytest.raises(MalformedLine):
             FuzzyClassTable.from_file(p)
 
+    @pytest.mark.parametrize("bad", ["z an", "z z", "zh ch", "ang eng"],
+                             ids=["mixed", "repeated-member", "initial-twice", "final-twice"])
+    def test_from_file_bad_names_its_line(self, tmp_path, bad):
+        p = tmp_path / "fuzzy.txt"
+        p.write_text(f"# comment\nz zh\n\nan ang  # trailing\n{bad}\n", encoding="utf-8")
+        with pytest.raises(MalformedLine) as ei:
+            FuzzyClassTable.from_file(p)
+        assert ei.value.line_no == 5
+        assert str(ei.value).startswith(f"{p}:5: ")
+
 
 class TestPinyinTable:
     def test_from_pairs_polyphone_order(self):
