@@ -48,7 +48,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -437,6 +437,7 @@ class Lexicon:
 
 _ENTRY_NAMES = ("surface", "frequency", "readings")
 _ENTRY_FIELDS = itemgetter(*_ENTRY_NAMES)
+_BAD_READINGS = "entry readings are not one list of toneless syllables per character"
 
 
 def _names(fields) -> str:
@@ -449,10 +450,11 @@ def _only(kind: type, xs) -> bool:
 
 def _check_entries(raw) -> tuple[tuple, tuple, tuple]:
     """The (surfaces, frequencies, readings) columns of the serialized
-    entries, readings as tuples.  ValueError unless every entry has exactly
-    a surface of 1 to MAX_WORD_LEN characters (WordTooLong when longer), a
-    non-negative int frequency and one non-empty list of toneless syllables
-    per character (KeyError when one of them is missing).
+    entries, readings as tuples: one tuple object per distinct reading list,
+    shared as lexicon_from_words shares them.  ValueError unless every entry
+    has exactly a surface of 1 to MAX_WORD_LEN characters (WordTooLong when
+    longer), a non-negative int frequency and one non-empty list of toneless
+    syllables per character (KeyError when one of them is missing).
 
     Each test is a C loop over one field of all entries: checking entry by
     entry in Python made Lexicon.load ~12% slower.
@@ -472,16 +474,21 @@ def _check_entries(raw) -> tuple[tuple, tuple, tuple]:
         raise WordTooLong(next(s for s in surface if len(s) > MAX_WORD_LEN))
     if not _only(int, frequency) or min(frequency) < 0:
         raise ValueError("an entry frequency is not a non-negative int")
-    if (not _only(list, readings) or list(map(len, readings)) != list(map(len, surface))
-            or not _only(list, chain.from_iterable(readings))
-            or not TONELESS_SYLLABLES.issuperset(
-                chain.from_iterable(chain.from_iterable(readings)))):
-        raise ValueError("entry readings are not one list of toneless syllables "
-                         "per character")
-    if not all(chain.from_iterable(readings)):
+    if not _only(list, readings) or list(map(len, readings)) != list(map(len, surface)):
+        raise ValueError(_BAD_READINGS)
+    lists = list(chain.from_iterable(readings))
+    if not _only(list, lists):
+        raise ValueError(_BAD_READINGS)
+    tuples = list(map(tuple, lists))
+    shared: dict = {}  # one tuple per distinct reading list
+    per_char = iter(list(map(shared.setdefault, tuples, tuples)))
+    if not TONELESS_SYLLABLES.issuperset(chain.from_iterable(shared)):
+        raise ValueError(_BAD_READINGS)
+    if not all(shared):
         bad = next(s for s, rs in zip(surface, readings) if not all(rs))
         raise ValueError(f"a character of {bad!r} has no reading")
-    return surface, frequency, tuple(tuple(map(tuple, rs)) for rs in readings)
+    # each entry takes its characters' tuples, in order, from the one iterator
+    return surface, frequency, tuple(map(tuple, map(islice, repeat(per_char), map(len, surface))))
 
 
 def _parse_word_file(path: Path):

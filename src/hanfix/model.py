@@ -9,6 +9,14 @@ and adds the attention-weighted sum back into the character state:
     a_i  = softmax_j(h_i W_attn u_ij^T)      (masked; empty rows -> 0)
     h~_i = h_i + sum_j a_ij u_ij
 
+u depends on the word id alone, so it is computed once per word, not once
+per candidate slot, and gathered (word_states).  A training step computes
+the batch's distinct words.  Inference on params loaded by load_checkpoint,
+whose tensors are read-only, computes every word once per params and keeps
+the table; writable params get no table, so editing them in place is seen
+by the next call.  Either way each state equals the per-slot one bit for
+bit.
+
 The head mixes a generator softmax with a copy distribution pinned on the
 input character, gated per position:
 
@@ -141,6 +149,8 @@ class ModelParams:
     chars: tuple[str, ...]  # id = index + CHAR_ID_OFFSET
     tensors: dict[str, np.ndarray]
     _char_index: dict = field(default=None, repr=False, compare=False)
+    # (E_w, W_w, b_w, m, the states of every word id in groups of m)
+    _word_states: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def char_index(self) -> dict:
         if self._char_index is None:
@@ -151,6 +161,26 @@ class ModelParams:
         # one C-level pass: map() feeds idx.get straight to np.fromiter
         return np.fromiter(map(self.char_index().get, text, repeat(CHAR_UNK_ID)),
                            np.int64, len(text))
+
+    def word_state_table(self, m: int):
+        """word_states for every word id in groups of m, or None while E_w,
+        W_w or b_w is writable (load_checkpoint's tensors are read-only).
+
+        Built on first use and kept with the three arrays it was built
+        from: a later call builds it again once `tensors` holds another
+        array.  The whole tuple is stored in one assignment, so threads
+        sharing the params at worst build it twice.
+        """
+        t = self.tensors
+        src = (t["E_w"], t["W_w"], t["b_w"])
+        if any(a.flags.writeable for a in src):
+            return None
+        kept = self._word_states
+        if kept is None or kept[3] != m or any(a is not b for a, b in zip(kept, src)):
+            table = word_states(t, np.arange(len(src[0])), m)
+            table.flags.writeable = False
+            kept = self._word_states = (*src, m, table)
+        return kept[4]
 
 
 def tensor_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], float | None, float]]:
@@ -272,30 +302,64 @@ class _Rows:
 # The fusion layer and the head compute on the slots `rows` keeps: [..., d]
 # stands for [B, n, d] or [N, d].  A matmul whose rows are positions runs on
 # the [B, n] grid all the same: numpy calls BLAS once per sentence there, and
-# BLAS rounds a row by where it sits in the call.  Matmuls over a position's
-# m candidate slots are one call per position either way, and elementwise
-# work and reductions along the last axis do not depend on where a row sits.
+# BLAS rounds a row by the call's row count (one row, a few, or many), though
+# never by where the row sits in the call or by what the other rows hold.
+# Elementwise work and reductions along the last axis do not depend on where
+# a row sits either.
 
-def _fusion_forward(tensors, rows, h, word_ids, word_mask, keep_cache=True):
-    """(fused states, attention, cache for _fusion_backward).  With
-    keep_cache=False the cache is None and the [...,m,dw] word embeddings
-    are freed as soon as they are projected."""
-    ew = tensors["E_w"][word_ids]                      # [...,m,dw]
-    u = ew @ tensors["W_w"].T                          # [...,m,d]
-    if not keep_cache:
-        ew = None
+def word_states(tensors, words: np.ndarray, m: int) -> np.ndarray:
+    """The fusion layer's word states tanh(E_w[words] @ W_w.T + b_w), one
+    row per id of the 1-D `words`.
+
+    The projection runs as matmuls of exactly m rows, m being the features'
+    m_max, so each row rounds as it does in the per-slot E_w[word_ids] @
+    W_w.T over [..., m] candidate ids, one call per position.  A single
+    call over all the rows would round them differently.
+    """
+    e_w, w_w = tensors["E_w"], tensors["W_w"]
+    k = len(words)
+    grouped = np.zeros(k + -k % m, np.intp)  # padded with word 0 to whole groups
+    grouped[:k] = words
+    u = np.take(e_w, grouped, axis=0).reshape(-1, m, e_w.shape[1]) @ w_w.T
+    u = u.reshape(-1, len(w_w))[:k]
     u += tensors["b_w"]
-    np.tanh(u, out=u)
+    return np.tanh(u, out=u)
+
+
+def _slot_states(tensors, word_ids, table):
+    """word_states at every candidate slot of word_ids [..., m], gathered
+    from `table` (ModelParams.word_state_table) or, when it is None, from
+    the states of the distinct ids of word_ids."""
+    if table is None:
+        vocab = len(tensors["E_w"])
+        present = np.zeros(vocab, bool)
+        present[word_ids] = True
+        words = np.flatnonzero(present)
+        table = word_states(tensors, words, word_ids.shape[-1])
+        remap = np.zeros(vocab, np.intp)
+        remap[words] = np.arange(len(words))
+        word_ids = remap[word_ids]
+    # np.take gathers rows ~2x faster than fancy indexing, with equal values
+    return np.take(table, word_ids, axis=0)
+
+
+def _fusion_forward(tensors, rows, h, word_ids, word_mask, table, keep_cache):
+    """(fused states, attention, cache for _fusion_backward).  table is
+    None or ModelParams.word_state_table; with keep_cache=False the cache is
+    None."""
+    u = _slot_states(tensors, word_ids, table)         # [...,m,d]
     hW = rows.take(h @ tensors["W_attn"])              # [...,d]
     scores = np.einsum("...md,...d->...m", u, hW)
     a = masked_softmax(scores, word_mask)
     z = np.einsum("...m,...md->...d", a, u)
-    return rows.take(h) + z, a, (ew, u, hW, a) if keep_cache else None
+    if not keep_cache:
+        return rows.take(h) + z, a, None
+    return rows.take(h) + z, a, (word_ids, u, hW, a)
 
 
-def _fusion_backward(tensors, rows, word_ids, fcache, dht, grads):
+def _fusion_backward(tensors, rows, fcache, dht, grads):
     """dht [N, d]; returns dhW [N, d]."""
-    ew, u, hW, a = fcache
+    word_ids, u, hW, a = fcache
     da = np.einsum("nd,nmd->nm", dht, u)
     du = a[..., None] * dht[:, None, :]
     ds = softmax_backward(a, da)
@@ -303,6 +367,7 @@ def _fusion_backward(tensors, rows, word_ids, fcache, dht, grads):
     dhW = np.einsum("nm,nmd->nd", ds, u)
     dpre = du  # in place: du is spent
     dpre *= 1.0 - u * u
+    ew = np.take(tensors["E_w"], word_ids, axis=0)
     grads["W_w"] = sum_outer(rows.grid(dpre), rows.grid(ew))
     grads["b_w"] = dpre.sum(axis=(0, 1))
     grads["E_w"] = scatter_rows(word_ids, dpre @ tensors["W_w"], len(tensors["E_w"]))
@@ -356,8 +421,9 @@ def _forward(params: ModelParams, batch: Batch, rows: _Rows, keep_cache=True):
     _check_length(params, batch)
     h, ecache = encoder_forward(t, cfg, batch.char_ids, batch.char_mask,
                                 _keep_cache=keep_cache)
+    table = None if keep_cache else params.word_state_table(batch.word_ids.shape[-1])
     ht, a, fcache = _fusion_forward(t, rows, h, rows.take(batch.word_ids),
-                                    rows.take(batch.word_mask), keep_cache)
+                                    rows.take(batch.word_mask), table, keep_cache)
     return h, rows.grid(ht), (ht, a), (ecache, fcache)
 
 
@@ -416,9 +482,10 @@ def loss_and_grads(params: ModelParams, batch: Batch):
     rows = _Rows(mask)
     h, ht, _, (ecache, fcache) = _forward(params, batch, rows)
     p_gen, spent = _gen_forward(t, rows, ht)
-    omega, gcache = _gate_forward(t, cfg, rows, ht, rows.take(batch.char_ids))
+    x = rows.take(batch.char_ids)
+    omega, gcache = _gate_forward(t, cfg, rows, ht, x)
     gold, m = rows.take(batch.gold_ids), rows.take(mask)
-    copy_hit = (rows.take(batch.char_ids) == gold).astype(np.float64)
+    copy_hit = (x == gold).astype(np.float64)
 
     # the mixture at the gold ids only: the copy bonus lands there where the
     # input character is the gold one (adding 0.0 elsewhere is exact)
@@ -461,8 +528,7 @@ def loss_and_grads(params: ModelParams, batch: Batch):
     else:
         grads.update((k, np.zeros_like(v)) for k, v in t.items() if k.startswith("gate."))
 
-    dhW = rows.grid(_fusion_backward(t, rows, rows.take(batch.word_ids), fcache,
-                                     rows.take(dht), grads))
+    dhW = rows.grid(_fusion_backward(t, rows, fcache, rows.take(dht), grads))
     del fcache
     dh = dht + dhW @ t["W_attn"].T
     grads["W_attn"] = sum_outer(h, dhW)
@@ -507,8 +573,8 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
     (len(sentences[i]), m_max).  Unknown characters map to UNK, and a
     position whose argmax lands on a reserved id keeps its input character,
     so each output is as long as its input.  Features of another shape, or
-    word ids at or beyond word_vocab_size, mean the features were not made
-    for this checkpoint: HanfixError.
+    word ids that are negative or at or beyond word_vocab_size, mean the
+    features were not made for this checkpoint: HanfixError.
 
     Only the work that can change an output runs.  Fusion and the gate
     compute on the real characters (on every slot when the batch has no
@@ -524,9 +590,11 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
         if wid.shape != (len(s), m_max) or wmask.shape != wid.shape:
             raise HanfixError(f"sentence {i}: features of shape {wid.shape} and "
                               f"{wmask.shape}, expected {(len(s), m_max)}")
-        if wid.size and int(wid.max()) >= limit:
+        lo, hi = (int(wid.min()), int(wid.max())) if wid.size else (0, 0)
+        if lo < 0 or hi >= limit:
+            bad = lo if lo < 0 else hi
             raise HanfixError(
-                f"candidate word id {int(wid.max())} out of range for "
+                f"sentence {i}: candidate word id {bad} out of range for "
                 f"word_vocab_size={limit}; lexicon and checkpoint disagree"
             )
     t, cfg, chars = params.tensors, params.config, params.chars
@@ -609,6 +677,9 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """The params saved at `path`, every tensor read-only: copy a tensor to
+    edit it (params.tensors[name] = params.tensors[name].copy()).  Raises
+    CheckpointError for a file that is not a whole, current checkpoint."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
@@ -657,7 +728,9 @@ def load_checkpoint(path) -> ModelParams:
         raw = payload[pos : pos + 4 * count]
         if len(raw) != 4 * count:
             raise CheckpointError(f"{path}: payload truncated at tensor {name}")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+        a = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        a.flags.writeable = False  # and so is every view of it
+        tensors[name] = a.reshape(shape)
         if not np.all(np.isfinite(tensors[name])):
             raise CheckpointError(f"{path}: tensor {name} has non-finite values")
         pos += 4 * count

@@ -315,6 +315,18 @@ class TestColumns:
         assert len(lex.entries) == len(made) == len(lex)  # built on first read
         assert lex.entries is lex.entries
 
+    def test_load_shares_one_tuple_per_reading_list(self, tmp_path):
+        table = PinyinTable.from_file(bundled.demo_pinyin_path())
+        fuzzy = FuzzyClassTable.from_file(bundled.demo_fuzzy_path())
+        built = build_lexicon(bundled.demo_words_path(), table, fuzzy)
+        path = tmp_path / "demo.lexicon"
+        built.save(path)
+        lex = Lexicon.load(path)
+        per_char = [r for rs in lex.readings for r in rs]
+        assert len({id(r) for r in per_char}) == len(set(per_char)) < len(per_char)
+        assert lex.to_json() == built.to_json()
+        assert lexicon_fingerprint(lex) == lexicon_fingerprint(built)
+
 
 class TestTrie:
     def test_match_example(self, lex):
