@@ -9,13 +9,10 @@ and adds the attention-weighted sum back into the character state:
     a_i  = softmax_j(h_i W_attn u_ij^T)      (masked; empty rows -> 0)
     h~_i = h_i + sum_j a_ij u_ij
 
-u depends on the word id alone, so it is computed once per word, not once
-per candidate slot, and gathered (word_states).  A training step computes
-the batch's distinct words.  Inference on params loaded by load_checkpoint,
-whose tensors are read-only, computes every word once per params and keeps
-the table; writable params get no table, so editing them in place is seen
-by the next call.  Either way each state equals the per-slot one bit for
-bit.
+u depends on the word id alone, so a call (a training step or an
+inference batch) with more candidate slots than the vocabulary has words
+computes it once per distinct word of its batch, not once per slot, and
+gathers it (word_states).  Each state equals the per-slot one bit for bit.
 
 The head mixes a generator softmax with a copy distribution pinned on the
 input character, gated per position:
@@ -149,8 +146,6 @@ class ModelParams:
     chars: tuple[str, ...]  # id = index + CHAR_ID_OFFSET
     tensors: dict[str, np.ndarray]
     _char_index: dict = field(default=None, repr=False, compare=False)
-    # (E_w, W_w, b_w, m, the states of every word id in groups of m)
-    _word_states: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def char_index(self) -> dict:
         if self._char_index is None:
@@ -161,26 +156,6 @@ class ModelParams:
         # one C-level pass: map() feeds idx.get straight to np.fromiter
         return np.fromiter(map(self.char_index().get, text, repeat(CHAR_UNK_ID)),
                            np.int64, len(text))
-
-    def word_state_table(self, m: int):
-        """word_states for every word id in groups of m, or None while E_w,
-        W_w or b_w is writable (load_checkpoint's tensors are read-only).
-
-        Built on first use and kept with the three arrays it was built
-        from: a later call builds it again once `tensors` holds another
-        array.  The whole tuple is stored in one assignment, so threads
-        sharing the params at worst build it twice.
-        """
-        t = self.tensors
-        src = (t["E_w"], t["W_w"], t["b_w"])
-        if any(a.flags.writeable for a in src):
-            return None
-        kept = self._word_states
-        if kept is None or kept[3] != m or any(a is not b for a, b in zip(kept, src)):
-            table = word_states(t, np.arange(len(src[0])), m)
-            table.flags.writeable = False
-            kept = self._word_states = (*src, m, table)
-        return kept[4]
 
 
 def tensor_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], float | None, float]]:
@@ -285,7 +260,9 @@ class _Rows:
             self.idx, self.pad = np.flatnonzero(mask), np.flatnonzero(mask == 0)
 
     def take(self, x: np.ndarray) -> np.ndarray:
-        return x if self.idx is None else x.reshape(-1, *x.shape[2:])[self.idx]
+        # ndarray.take gathers rows up to ~2x faster than fancy indexing (and
+        # than np.take on small arrays), with equal values
+        return x if self.idx is None else x.reshape(-1, *x.shape[2:]).take(self.idx, axis=0)
 
     def grid(self, rows: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         if self.idx is None:
@@ -307,47 +284,43 @@ class _Rows:
 # Elementwise work and reductions along the last axis do not depend on where
 # a row sits either.
 
-def word_states(tensors, words: np.ndarray, m: int) -> np.ndarray:
-    """The fusion layer's word states tanh(E_w[words] @ W_w.T + b_w), one
-    row per id of the 1-D `words`.
+def word_states(tensors, groups: np.ndarray) -> np.ndarray:
+    """The fusion layer's word states tanh(E_w[groups] @ W_w.T + b_w) for
+    word ids `groups` [..., m], m being the features' m_max.
 
-    The projection runs as matmuls of exactly m rows, m being the features'
-    m_max, so each row rounds as it does in the per-slot E_w[word_ids] @
-    W_w.T over [..., m] candidate ids, one call per position.  A single
-    call over all the rows would round them differently.
+    The projection is one matmul of m rows per group, so each row rounds as
+    it does at a position's m candidate slots.  A call over more or fewer
+    rows could round it differently.
     """
-    e_w, w_w = tensors["E_w"], tensors["W_w"]
-    k = len(words)
-    grouped = np.zeros(k + -k % m, np.intp)  # padded with word 0 to whole groups
-    grouped[:k] = words
-    u = np.take(e_w, grouped, axis=0).reshape(-1, m, e_w.shape[1]) @ w_w.T
-    u = u.reshape(-1, len(w_w))[:k]
+    u = tensors["E_w"].take(groups, axis=0) @ tensors["W_w"].T
     u += tensors["b_w"]
     return np.tanh(u, out=u)
 
 
-def _slot_states(tensors, word_ids, table):
-    """word_states at every candidate slot of word_ids [..., m], gathered
-    from `table` (ModelParams.word_state_table) or, when it is None, from
-    the states of the distinct ids of word_ids."""
-    if table is None:
-        vocab = len(tensors["E_w"])
-        present = np.zeros(vocab, bool)
-        present[word_ids] = True
-        words = np.flatnonzero(present)
-        table = word_states(tensors, words, word_ids.shape[-1])
-        remap = np.zeros(vocab, np.intp)
-        remap[words] = np.arange(len(words))
-        word_ids = remap[word_ids]
-    # np.take gathers rows ~2x faster than fancy indexing, with equal values
-    return np.take(table, word_ids, axis=0)
+def _slot_states(tensors, word_ids):
+    """word_states at every candidate slot of word_ids [..., m].  A call
+    with more slots than the vocabulary has words computes each distinct id
+    once, in groups of m, and gathers it; a smaller call computes every
+    slot, which is cheaper than the two passes over the vocabulary the
+    gather needs.  The cost scales with min(vocabulary, slots) either way."""
+    m, vocab = word_ids.shape[-1], len(tensors["E_w"])
+    if word_ids.size <= vocab:
+        return word_states(tensors, word_ids)
+    present = np.zeros(vocab, bool)
+    present[word_ids] = True
+    words = np.flatnonzero(present)
+    remap = np.zeros(vocab, np.intp)
+    remap[words] = np.arange(len(words))
+    groups = np.zeros(-(-len(words) // m) * m, np.intp)  # padded with word 0
+    groups[:len(words)] = words
+    states = word_states(tensors, groups.reshape(-1, m)).reshape(len(groups), -1)
+    return states.take(remap[word_ids], axis=0)
 
 
-def _fusion_forward(tensors, rows, h, word_ids, word_mask, table, keep_cache):
-    """(fused states, attention, cache for _fusion_backward).  table is
-    None or ModelParams.word_state_table; with keep_cache=False the cache is
-    None."""
-    u = _slot_states(tensors, word_ids, table)         # [...,m,d]
+def _fusion_forward(tensors, rows, h, word_ids, word_mask, keep_cache=True):
+    """(fused states, attention, cache for _fusion_backward).  With
+    keep_cache=False the cache is None."""
+    u = _slot_states(tensors, word_ids)                # [...,m,d]
     hW = rows.take(h @ tensors["W_attn"])              # [...,d]
     scores = np.einsum("...md,...d->...m", u, hW)
     a = masked_softmax(scores, word_mask)
@@ -367,7 +340,7 @@ def _fusion_backward(tensors, rows, fcache, dht, grads):
     dhW = np.einsum("nm,nmd->nd", ds, u)
     dpre = du  # in place: du is spent
     dpre *= 1.0 - u * u
-    ew = np.take(tensors["E_w"], word_ids, axis=0)
+    ew = tensors["E_w"].take(word_ids, axis=0)
     grads["W_w"] = sum_outer(rows.grid(dpre), rows.grid(ew))
     grads["b_w"] = dpre.sum(axis=(0, 1))
     grads["E_w"] = scatter_rows(word_ids, dpre @ tensors["W_w"], len(tensors["E_w"]))
@@ -421,9 +394,8 @@ def _forward(params: ModelParams, batch: Batch, rows: _Rows, keep_cache=True):
     _check_length(params, batch)
     h, ecache = encoder_forward(t, cfg, batch.char_ids, batch.char_mask,
                                 _keep_cache=keep_cache)
-    table = None if keep_cache else params.word_state_table(batch.word_ids.shape[-1])
     ht, a, fcache = _fusion_forward(t, rows, h, rows.take(batch.word_ids),
-                                    rows.take(batch.word_mask), table, keep_cache)
+                                    rows.take(batch.word_mask), keep_cache)
     return h, rows.grid(ht), (ht, a), (ecache, fcache)
 
 
@@ -590,13 +562,6 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
         if wid.shape != (len(s), m_max) or wmask.shape != wid.shape:
             raise HanfixError(f"sentence {i}: features of shape {wid.shape} and "
                               f"{wmask.shape}, expected {(len(s), m_max)}")
-        lo, hi = (int(wid.min()), int(wid.max())) if wid.size else (0, 0)
-        if lo < 0 or hi >= limit:
-            bad = lo if lo < 0 else hi
-            raise HanfixError(
-                f"sentence {i}: candidate word id {bad} out of range for "
-                f"word_vocab_size={limit}; lexicon and checkpoint disagree"
-            )
     t, cfg, chars = params.tensors, params.config, params.chars
     out = list(sentences)
     todo = [i for i, s in enumerate(sentences) if len(s) > 0]
@@ -606,6 +571,18 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
             [(params.char_to_ids(sentences[i]), None, feats[i][0], feats[i][1])
              for i in chunk]
         )
+        # the int64 ids that index E_w, checked once per batch (a reduction per
+        # sentence costs ~0.15 ms per 64-sentence batch); as uint64 a negative
+        # id is at least 2**63, so one max finds it too
+        if int(batch.word_ids.view(np.uint64).max()) >= limit:
+            for row, i in enumerate(chunk):
+                wid = batch.word_ids[row, :len(sentences[i])]
+                bad = wid[(wid < 0) | (wid >= limit)]
+                if bad.size:
+                    raise HanfixError(
+                        f"sentence {i}: candidate word id {int(bad[0])} out of range for "
+                        f"word_vocab_size={limit}; lexicon and checkpoint disagree"
+                    )
         # with no pad slot, packing would only add gathers (a batch of one)
         rows = _Rows() if batch.char_mask.all() else _Rows(batch.char_mask)
         ht = _forward(params, batch, rows, keep_cache=False)[1]
@@ -677,9 +654,6 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """The params saved at `path`, every tensor read-only: copy a tensor to
-    edit it (params.tensors[name] = params.tensors[name].copy()).  Raises
-    CheckpointError for a file that is not a whole, current checkpoint."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
@@ -728,9 +702,7 @@ def load_checkpoint(path) -> ModelParams:
         raw = payload[pos : pos + 4 * count]
         if len(raw) != 4 * count:
             raise CheckpointError(f"{path}: payload truncated at tensor {name}")
-        a = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        a.flags.writeable = False  # and so is every view of it
-        tensors[name] = a.reshape(shape)
+        tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
         if not np.all(np.isfinite(tensors[name])):
             raise CheckpointError(f"{path}: tensor {name} has non-finite values")
         pos += 4 * count

@@ -1,7 +1,5 @@
 import json
 import re
-import sys
-import threading
 import tracemalloc
 import zlib
 
@@ -932,6 +930,21 @@ class TestCorrect:
         with pytest.raises(HanfixError, match=f"sentence 1: candidate word id {bad} out of range"):
             correct_many(params, ["参加", "参家"], feats)
 
+    @pytest.mark.parametrize("batch_size", [1, 2, 64])
+    def test_correct_many_names_the_sentence_of_a_foreign_id(self, word_world, batch_size):
+        ptable, fuzzy, lexicon, chars = word_world
+        cfg = tiny_config(char_vocab_size=len(chars) + 2,
+                          word_vocab_size=len(lexicon) + 2)
+        params = init_params(cfg, chars)
+        sentences = ["参加", "", "参家", "会议"]
+        feats = featurize_sentences(sentences, lexicon, ptable, fuzzy, cfg.m_max)
+        wid = feats[3][0].copy()
+        wid[0, -1] = cfg.word_vocab_size
+        feats[3] = (wid, feats[3][1])
+        with pytest.raises(HanfixError, match=f"sentence 3: candidate word id "
+                                              f"{cfg.word_vocab_size} out of range"):
+            correct_many(params, sentences, feats, batch_size=batch_size)
+
     def test_rejects_features_of_another_m_max(self, word_world):
         # featurized at m_max 8 for a model of m_max 3
         ptable, fuzzy, lexicon, chars = word_world
@@ -1192,23 +1205,6 @@ def per_slot_states(t, word_ids):
     return np.tanh(u, out=u)
 
 
-def read_only(arrays):
-    for a in arrays.values():
-        a.flags.writeable = False
-    return arrays
-
-
-@pytest.fixture()
-def loaded(tmp_path):
-    """A saved and reloaded inference_world(16), with the chars and
-    features of some sentences for it."""
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(inference_world(16), path)
-    params = load_checkpoint(path)
-    sentences, feats = random_sentences(np.random.default_rng(12), params, 9, lengths=(0, 17))
-    return params, path, sentences, feats
-
-
 class TestWordStates:
     """The fusion layer computes each word's state once, per word, and
     every candidate slot equals the state it had when computed per slot, bit
@@ -1229,33 +1225,37 @@ class TestWordStates:
                 got = (other @ w.T)[perm]
                 assert np.array_equal(got, want), (
                     f"BLAS rounds a row of an [{m}, {d_w}] @ [{d_w}, {d_c}] matmul by its "
-                    "place or by the other rows: the fusion layer's word-state table "
-                    "(hanfix.model.word_states) no longer equals the per-slot states")
+                    "place or by the other rows: the fusion layer's word states "
+                    "(hanfix.model.word_states) no longer equal the per-slot states")
 
     @given(st.integers(2, 5000), st.sampled_from([8, 16, 32, 64]), st.sampled_from([16, 64]),
            st.integers(1, 12), st.lists(st.integers(1, 9), min_size=1, max_size=2),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_table_and_distinct_words_equal_per_slot(self, vocab, d_w, d_c, m, lead, seed):
+    def test_distinct_words_equal_per_slot(self, vocab, d_w, d_c, m, lead, seed):
         rng = np.random.default_rng(seed)
-        t = read_only({"E_w": rng.normal(0.0, 0.5, (vocab, d_w)),
-                       "W_w": rng.normal(0.0, d_w ** -0.5, (d_c, d_w)),
-                       "b_w": rng.normal(0.0, 0.1, d_c)})
+        t = {"E_w": rng.normal(0.0, 0.5, (vocab, d_w)),
+             "W_w": rng.normal(0.0, d_w ** -0.5, (d_c, d_w)),
+             "b_w": rng.normal(0.0, 0.1, d_c)}
         word_ids = rng.integers(0, vocab, (*lead, m))  # 2-D or 3-D
         want = per_slot_states(t, word_ids)
-        params = ModelParams(config=tiny_config(), chars=CHARS, tensors=t)
-        assert np.array_equal(params.word_state_table(m)[word_ids], want)
-        assert np.array_equal(model_module._slot_states(t, word_ids, None), want)
+        assert np.array_equal(model_module._slot_states(t, word_ids), want)
+        # every word once, in groups of m, as a gather table
+        every = np.arange(-(-vocab // m) * m) % vocab
+        table = model_module.word_states(t, every.reshape(-1, m)).reshape(len(every), -1)
+        assert np.array_equal(table[word_ids], want)
 
-    def test_loaded_tensors_are_read_only(self, loaded):
-        params = loaded[0]
-        for name, t in params.tensors.items():
-            with pytest.raises(ValueError, match="read-only"):
-                t[...] = 0.0
-            with pytest.raises(ValueError):
-                t.flags.writeable = True
+    @pytest.mark.parametrize("vocab", [50, 5000])  # fewer words than slots, and more
+    def test_slot_states_equal_per_slot_on_either_route(self, vocab):
+        rng = np.random.default_rng(vocab)
+        t = {"E_w": rng.normal(0.0, 0.5, (vocab, 32)),
+             "W_w": rng.normal(0.0, 32 ** -0.5, (64, 32)),
+             "b_w": rng.normal(0.0, 0.1, 64)}
+        word_ids = rng.integers(0, vocab, (3, 40, 8))
+        assert np.array_equal(model_module._slot_states(t, word_ids),
+                              per_slot_states(t, word_ids))
 
-    def test_writable_params_see_in_place_edits(self):
+    def test_in_place_edits_show_in_the_next_call(self):
         params = inference_world(16)
         batch = batch_of_lengths(params.config, [6, 2, 5])
         before = forward_batch(params, batch)[0]
@@ -1263,74 +1263,12 @@ class TestWordStates:
         after = forward_batch(params, batch)[0]
         assert not np.array_equal(after.h_fused, before.h_fused)
         assert np.array_equal(after.h_fused, training_forward_batch(params, batch).h_fused)
-        assert params._word_states is None
 
-    def test_loaded_params_build_the_table_once(self, loaded, monkeypatch):
-        params, _, sentences, feats = loaded
-        builds = []
-        real = model_module.word_states
-
-        def counting(tensors, words, m):
-            builds.append(len(words))
-            return real(tensors, words, m)
-
-        monkeypatch.setattr(model_module, "word_states", counting)
-        want, _ = reference_decode(params, sentences, feats, 4, training_forward_batch)
-        for batch_size in (4, 1, 64):
-            assert correct_many(params, sentences, feats, batch_size=batch_size) == want
-        assert builds == [params.config.word_vocab_size]
-
-    def test_loaded_forward_batch_equals_training_forward(self, loaded):
-        params = loaded[0]
-        batch = batch_of_lengths(params.config, [7, 1, 5, 7])
-        got = forward_batch(params, batch)[0]
-        want = training_forward_batch(params, batch)
-        assert params._word_states is not None
-        for name in ("h", "h_fused", "attn", "omega", "p_gen", "p_out"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-
-    @pytest.mark.parametrize("writable", [True, False])
-    def test_a_replaced_tensor_is_not_read_from_the_old_table(self, loaded, writable):
-        params = loaded[0]
-        batch = batch_of_lengths(params.config, [6, 2, 5])
-        before = forward_batch(params, batch)[0]
-        e_w = params.tensors["E_w"] * 1.5
-        e_w.flags.writeable = writable
-        params.tensors["E_w"] = e_w
-        after = forward_batch(params, batch)[0]
-        assert not np.array_equal(after.h_fused, before.h_fused)
-        assert np.array_equal(after.h_fused, training_forward_batch(params, batch).h_fused)
-        kept = params._word_states[0]  # writable arrays get no table
-        assert kept is not e_w if writable else kept is e_w
-
-    def test_threads_sharing_loaded_params_decode_alike(self, loaded):
-        # every thread may find no table and build one: each stores it whole
-        params, path, sentences, feats = loaded
-        want, _ = reference_decode(params, sentences, feats, 4, training_forward_batch)
-        shared = load_checkpoint(path)
-        wrong = []
-
-        def decode():
-            for _ in range(5):
-                got = correct_many(shared, sentences, feats, batch_size=4)
-                if got != want:
-                    wrong.append(got)
-
-        threads = [threading.Thread(target=decode) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert wrong == []
-
-    def test_resave_after_correcting_is_byte_identical(self, loaded, tmp_path):
-        params, path, sentences, feats = loaded
+    def test_resave_after_correcting_is_byte_identical(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(inference_world(16), path)
+        params = load_checkpoint(path)
+        sentences, feats = random_sentences(np.random.default_rng(12), params, 9, lengths=(0, 17))
         correct_many(params, sentences, feats)
         save_checkpoint(params, tmp_path / "again.ckpt")
         assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
