@@ -28,8 +28,9 @@ source is that source, an EXACT key goes before a window's hits that lack
 its word, and two windows whose memo entries' bit filters share no bit
 share no word.  Featurization maps the flat keys to word ids in one numpy
 gather; the `MatchCandidate` objects, with the direction and span that only
-they carry, are derived on the first read of `per_char`.  So the lattice of
-a sentence that is only featurized builds no candidate.
+they carry, are derived on the first read of `per_char` and kept beside the
+keys.  So featurization takes one path, builds no candidate, and gives the
+same ids whether or not `per_char` was read.
 """
 
 from __future__ import annotations
@@ -79,10 +80,12 @@ class CharWordLattice:
     """Ranked word candidates for every character of one sentence.
 
     `build_lattice` stores each position's ranked int keys, padded to m_max
-    in one flat list, and derives the `MatchCandidate` lists on the first
-    read of `per_char` (one object per candidate, shared by every position
-    of its span); until then `lattice_to_feature_ids` reads word ids from
-    the keys, so featurization builds no candidate objects.
+    in one flat list, which `lattice_to_feature_ids` reads; the
+    `MatchCandidate` lists are derived on the first read of `per_char` (one
+    object per candidate, shared by every position of its span) and kept.
+    A lattice made by hand, CharWordLattice(sentence, per_char, suspect),
+    holds candidate lists only: `per_char` and `lattice_records` read it,
+    and featurizing it is a ValueError.
     """
 
     __slots__ = ("sentence", "suspect", "_per_char", "_built")
@@ -93,16 +96,15 @@ class CharWordLattice:
         self.suspect = [] if suspect is None else suspect
         self._per_char = per_char
         # build_lattice's (padded keys, m_max, lexicon, trie matches, fed
-        # window hits) until per_char is first read
+        # window hits); its per_char is None until first read
         self._built: tuple | None = None
 
     @property
     def per_char(self) -> list[list[MatchCandidate]]:
-        built = self._built
-        if built is not None:
-            self._per_char = _candidates(self.suspect, *built)
-            self._built = None
-        return self._per_char
+        per_char = self._per_char
+        if per_char is None:
+            per_char = self._per_char = _candidates(self.suspect, *self._built)
+        return per_char
 
     def __len__(self) -> int:
         return len(self.sentence)
@@ -280,47 +282,33 @@ def build_lattice(
         flat += head
         flat += tails[len(head)]
 
-    lat = CharWordLattice(sentence, [], suspects)
+    lat = CharWordLattice(sentence, None, suspects)
     lat._built = (flat, m_max, lex, matches, fed)
     return lat
 
 
-def lattice_to_feature_ids(
-    lat: CharWordLattice, m_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rectangular [n, m_max] word-feature ids plus a 0/1 mask.
+def lattice_to_feature_ids(lat: CharWordLattice) -> tuple[np.ndarray, np.ndarray]:
+    """Rectangular [n, m_max] word-feature ids plus a 0/1 mask, at the m_max
+    build_lattice was given (build at another m_max for another width).
 
     Ids live in the model's word vocabulary (lexicon word_id + 2, because
     ids 0/1 are reserved for UNK/PAD).  Slots beyond the candidate list are
-    WORD_PAD_ID with mask 0.
+    WORD_PAD_ID with mask 0.  A lattice not made by build_lattice holds no
+    keys: ValueError.
     """
-    # slots go to one flat list, then into the array in one assignment, which
-    # beats two numpy item writes per candidate.  Filled, not
-    # np.array(list).reshape(...): that view keeps a second array object
-    # alive per cached feature (~1 MB over 5000 training sentences).
-    ids = np.empty((len(lat.sentence), m_max), dtype=np.int64)
     built = lat._built
     if built is None:
-        flat: list[int] = []
-        pad = [WORD_PAD_ID] * m_max
-        for row in lat.per_char:
-            flat += [c.word_id + WORD_ID_OFFSET for c in row[:m_max]]
-            flat += pad[len(row):]
-        ids.reshape(-1)[:] = flat
-    else:
-        # the padded keys go in as they are, truncated or padded further
-        # with the pad rank len(lex) when m_max is not the build's, then
-        # through one gather from rank to feature id, in place
-        flat, width, lex = built[0], built[1], built[2]
-        if width == m_max:
-            ids.reshape(-1)[:] = flat
-        else:
-            keys = np.array(flat, dtype=np.int64).reshape(-1, width)
-            k = min(width, m_max)
-            ids[:, :k] = keys[:, :k]
-            ids[:, k:] = len(lex)
-        ids &= RANK_MASK
-        lex.rank_ids(WORD_ID_OFFSET, WORD_PAD_ID).take(ids, out=ids)
+        raise ValueError("only a lattice made by build_lattice can be featurized")
+    # the padded keys go into the array in one assignment, which beats two
+    # numpy item writes per candidate, then through one gather from rank to
+    # feature id, in place.  Filled, not np.array(list).reshape(...): that
+    # view keeps a second array object alive per cached feature (~1 MB over
+    # 5000 training sentences).
+    flat, m_max, lex = built[0], built[1], built[2]
+    ids = np.empty((len(lat.sentence), m_max), dtype=np.int64)
+    ids.reshape(-1)[:] = flat
+    ids &= RANK_MASK
+    lex.rank_ids(WORD_ID_OFFSET, WORD_PAD_ID).take(ids, out=ids)
     # every candidate id is at least WORD_ID_OFFSET, every pad id below it
     return ids, (ids >= WORD_ID_OFFSET).astype(np.float64)
 
@@ -359,7 +347,7 @@ def sentence_features(
     lat = build_lattice(
         lex, ptable, fuzzy, sentence, m_max=m_max, include_pinyin=(mode == "desm")
     )
-    return lattice_to_feature_ids(lat, m_max)
+    return lattice_to_feature_ids(lat)
 
 
 def featurize_sentences(sentences, lex, ptable, fuzzy, m_max, mode="desm"):

@@ -8,10 +8,12 @@ mistyped character still pull in the word it belongs to.  Only 2-character
 entries are phonetically indexed — longer words still match via the trie.
 
 A Lexicon keeps its words as three columns indexed by word id: `surfaces`,
-`frequencies` and `readings`.  Building, loading and saving read and write
-the columns, never one object per word; `entries`, the words as WordEntry
-objects, is built from the columns on first read and kept.  Word ids are
-positions, and surfaces are distinct.
+`frequencies` and `readings`, which are also its one constructor's
+arguments.  lexicon_from_words() and Lexicon.load() check their own input
+and then call it; building, loading and saving read and write the columns,
+never one object per word.  `entries`, the words as WordEntry tuples, is
+built from the columns on first read and kept.  Word ids are positions, and
+surfaces are distinct.
 
 A lexicon file stores the entries only, so lexicon_fingerprint() covers
 the entries only.  The trie is rebuilt from them at load, and the 2-gram
@@ -20,16 +22,15 @@ node is a plain dict from character to child node, holding the id of the
 word that ends there under the key None.
 
 The trie is frozen once built.  The index of the last table queried sits in
-one (table, index, window hits) slot that is replaced whole, so threads may
-share a Lexicon: each reads the slot once and never pairs one table with
-another table's index or hits.  Alternating tables rebuilds the index and
-empties the hits each time.  The window-hits memo is the one part that
-grows in place: rows are added with dict.setdefault, each entry (a window's
-ranked hits and a fixed-size bit filter of their words, see window_hits)
-is computed whole and then stored in one dict assignment, and two threads
-that compute the same entry store equal values.  probe_windows serves a
-whole sentence from one read of the slot and one reading-set lookup per
-character.
+one (table, index, window memo) slot that is replaced whole, so threads may
+share a Lexicon: probe_windows reads the slot once per sentence and never
+pairs one table with another table's index or window hits.  Alternating
+tables rebuilds the index and empties the memo each time.  The window memo
+is the one part that grows in place: rows are added with dict.setdefault,
+each entry (a window's ranked hits and a fixed-size bit filter of their
+words, see probe_windows and _window_entry) is computed whole and then
+stored in one dict assignment, and two threads that compute the same entry
+store equal values.
 The word rank (frequency order, for ranking lattice candidates), the
 window-hit keys made from it, the rank-to-id array, the pad rows and
 `entries` are built on first use, not at construction, and likewise stored
@@ -47,10 +48,10 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,13 +84,11 @@ RANK_MASK = (1 << RANK_BITS) - 1
 FILTER_BITS = 1024
 
 
-@dataclass(frozen=True)
-class WordEntry:
-    """One dictionary word.
+class WordEntry(NamedTuple):
+    """One dictionary word, as `Lexicon.entries` yields it.
 
     `readings` holds every toneless reading per character, so polyphones
-    like 长 keep both chang and zhang for matching; the 2-gram index reads
-    one non-empty tuple per character.
+    like 长 keep both chang and zhang for matching.
     """
 
     word_id: int
@@ -97,45 +96,22 @@ class WordEntry:
     frequency: int
     readings: tuple[tuple[str, ...], ...]
 
-    def __post_init__(self):
-        if not 1 <= len(self.surface) <= MAX_WORD_LEN:
-            raise WordTooLong(self.surface)
-        if len(self.readings) != len(self.surface):
-            raise ValueError(
-                f"{len(self.readings)} reading lists for the "
-                f"{len(self.surface)} characters of {self.surface!r}"
-            )
-        if not all(self.readings):
-            raise ValueError(f"a character of {self.surface!r} has no reading")
-
 
 class Lexicon:
-    """Immutable word dictionary; construct via build_lexicon() or load().
+    """Immutable word dictionary over three columns indexed by word id:
+    Lexicon(surfaces, frequencies, readings), usually made by
+    lexicon_from_words(), build_lexicon() or load().
 
-    Word ids are positions: entries[i].word_id must be i, and surfaces are
-    distinct (ValueError otherwise).
+    Word ids are positions, and surfaces are distinct (ValueError
+    otherwise).  Each reading tuple holds one non-empty tuple of toneless
+    readings per character of its surface; load() and lexicon_from_words()
+    check that for their input, and the 2-gram index relies on it.
     """
 
-    def __init__(self, entries: list[WordEntry]):
-        entries = tuple(entries)
-        for wid, e in enumerate(entries):
-            if e.word_id != wid:
-                raise ValueError(f"entry {wid} ({e.surface!r}) has word_id {e.word_id}; "
-                                 f"word ids must equal positions")
-        self._init(tuple(e.surface for e in entries), tuple(e.frequency for e in entries),
-                   tuple(e.readings for e in entries))
-        self._entries = entries
-
-    @classmethod
-    def _from_columns(cls, surfaces, frequencies, readings) -> "Lexicon":
-        lex = cls.__new__(cls)
-        lex._init(surfaces, frequencies, readings)
-        return lex
-
-    def _init(self, surfaces: tuple[str, ...], frequencies: tuple[int, ...],
-              readings: tuple[tuple[tuple[str, ...], ...], ...]) -> None:
-        """Keep the three columns, indexed by word id, and build the surface
-        map and the trie; ValueError when a surface repeats."""
+    def __init__(self, surfaces: tuple[str, ...], frequencies: tuple[int, ...],
+                 readings: tuple[tuple[tuple[str, ...], ...], ...]):
+        """Keep the three columns and build the surface map and the trie;
+        ValueError when a surface repeats."""
         self.surfaces = surfaces
         self.frequencies = frequencies
         self.readings = readings
@@ -229,7 +205,7 @@ class Lexicon:
 
     def _hit_keys(self) -> tuple[tuple[int, int], ...]:
         """keys[word_id]: the word's two possible window-hit keys, its rank
-        with provenance 1 and with provenance 2.  Every window_hits entry
+        with provenance 1 and with provenance 2.  Every window memo entry
         shares these int objects, so it keeps one new tuple, not one int
         per hit.  Built on first use."""
         keys = self._hit_memo
@@ -306,16 +282,22 @@ class Lexicon:
         key = (fuzzy_key(a, fuzzy), fuzzy_key(b, fuzzy))
         return list(self.pinyin2gram_index(fuzzy).get(key, ()))
 
-    def window_hits(
-        self, ptable: PinyinTable, fuzzy: FuzzyClassTable, a: str, b: str
-    ) -> tuple[int, ...]:
-        """The 2-char entries that sound like the window `a` `b`, as sorted
+    def probe_windows(
+        self, ptable: PinyinTable, fuzzy: FuzzyClassTable, sentence: str,
+        probed: list[bool], m_max: int,
+    ) -> tuple[list[tuple[int, ...]], list[int]]:
+        """(fed, filters) over the windows (lo, lo + 1) of `sentence`: for
+        each window with `probed[lo]` or `probed[lo + 1]`, the first m_max
+        of its hits and its memo entry's filter; () and 0 for the others.
+        The memo slot is read once, and each character's reading set looked
+        up once.
+
+        A window's hits are the 2-char entries that sound like it, as sorted
         lattice keys, one per word: provenance 1 (PINYIN_EXACT) when some
         reading of the word matches both characters' toneless readings
-        literally, else 2 (PINYIN_FUZZY), over the word's word_rank().
-
-        The hits are those of pinyin_2gram_lookup over every reading pair of
-        the two characters, and they are remembered under the pair of the
+        literally, else 2 (PINYIN_FUZZY), over the word's word_rank().  They
+        are those of pinyin_2gram_lookup over every reading pair of the two
+        characters, and they are remembered under the pair of the
         characters' toneless reading sets, beside the 2-gram index of
         `fuzzy`: a lookup reads only a syllable's fuzzy key, which reads
         only its initial and final, and toneless() is initial + final,
@@ -324,28 +306,12 @@ class Lexicon:
         equal hits, in any PinyinTable, and a character without readings
         gets none.
 
-        A memo entry is the pair (hits, filter): the filter is an int with
-        bit `rank % FILTER_BITS` set for each hit's word, so two entries
-        whose filters share no bit share no word.  The memo has no size
-        limit: it holds one entry per pair of reading sets met, so at most
-        the square of the number of distinct reading sets in the tables
-        queried (3,600 for the 60 sets of the toy inventory), each of at
-        most FILTER_BITS bits beside its hits; a different fuzzy table
-        starts it afresh.
+        The memo has no size limit: it holds one entry per pair of reading
+        sets met, so at most the square of the number of distinct reading
+        sets in the tables queried (3,600 for the 60 sets of the toy
+        inventory), each of at most FILTER_BITS bits beside its hits; a
+        different fuzzy table starts it afresh.
         """
-        memo = self._index_slot(fuzzy)[2]
-        ra, rb = ptable.toneless_readings(a), ptable.toneless_readings(b)
-        return self._window_entry(ptable, fuzzy, memo, a, b, ra, rb)[0]
-
-    def probe_windows(
-        self, ptable: PinyinTable, fuzzy: FuzzyClassTable, sentence: str,
-        probed: list[bool], m_max: int,
-    ) -> tuple[list[tuple[int, ...]], list[int]]:
-        """(fed, filters) over the windows (lo, lo + 1) of `sentence`: for
-        each window with `probed[lo]` or `probed[lo + 1]`, the first m_max
-        of its window_hits and its memo entry's filter; () and 0 for the
-        others.  The memo slot is read once, and each character's reading
-        set looked up once."""
         memo = self._index_slot(fuzzy)[2]
         n = len(sentence)
         fed: list[tuple[int, ...]] = [()] * n
@@ -365,7 +331,9 @@ class Lexicon:
 
     def _window_entry(self, ptable, fuzzy, memo, a, b, ra, rb) -> tuple[tuple[int, ...], int]:
         """memo's (hits, filter) for the reading sets ra, rb of `a` and `b`,
-        computed whole and stored in one assignment when missing."""
+        computed whole and stored in one assignment when missing.  The
+        filter is an int with bit `rank % FILTER_BITS` set for each hit's
+        word, so two entries whose filters share no bit share no word."""
         # one row per first set: no key tuple is built per window or kept per
         # entry (kept objects are what sets off the cyclic GC's full passes)
         row = memo.get(ra)
@@ -428,7 +396,7 @@ class Lexicon:
         if unknown:
             raise LexiconFormatError(f"{path}: unknown field(s) {_names(unknown)}")
         try:
-            return cls._from_columns(*_check_entries(payload["entries"]))
+            return cls(*_check_entries(payload["entries"]))
         except KeyError as e:
             raise LexiconFormatError(f"{path}: missing field {e}") from e
         except (TypeError, ValueError, WordTooLong) as e:
@@ -558,7 +526,7 @@ def lexicon_from_words(
         frequencies.append(freq)
         readings.append(tuple(word))
 
-    lex = Lexicon._from_columns(tuple(surfaces), tuple(frequencies), tuple(readings))
+    lex = Lexicon(tuple(surfaces), tuple(frequencies), tuple(readings))
     lex.pinyin2gram_index(fuzzy)  # ready to query under the build table
     return lex
 

@@ -384,17 +384,44 @@ def _check_length(params: ModelParams, batch: Batch) -> None:
         raise SequenceTooLong(n, params.config.max_len)
 
 
-def _forward(params: ModelParams, batch: Batch, rows: _Rows, keep_cache=True):
+def _check_word_ids(params: ModelParams, batch: Batch, rows: _Rows,
+                    word_ids: np.ndarray, names) -> None:
+    """HanfixError when a candidate word id the fusion layer reads, one of
+    `word_ids` (batch.word_ids at the slots `rows` keeps), is negative or at
+    or beyond word_vocab_size: E_w would be read from its end, or past it.
+    The message names the batch row of the first such id: names[row], or
+    "batch row {row}" when names is None."""
+    limit = params.config.word_vocab_size
+    # one reduction per batch: as uint64 a negative id is at least 2**63, so
+    # one max finds it too
+    if int(word_ids.view(np.uint64).max(initial=0)) < limit:
+        return
+    ids = word_ids.reshape(-1)
+    first = int(np.flatnonzero((ids < 0) | (ids >= limit))[0])
+    slot = first // word_ids.shape[-1]
+    if rows.idx is not None:
+        slot = int(rows.idx[slot])
+    row = slot // batch.char_ids.shape[1]
+    raise HanfixError(
+        f"{f'batch row {row}' if names is None else names[row]}: candidate word id "
+        f"{int(ids[first])} out of range for word_vocab_size={limit}; "
+        f"lexicon and checkpoint disagree")
+
+
+def _forward(params: ModelParams, batch: Batch, rows: _Rows, keep_cache=True, names=None):
     """Encoder over the [B, n] grid (attention needs it), then fusion over
     `rows`: (h, ht grid, (ht, attn) at rows, (encoder, fusion) caches).  The
     head's two parts, _gen_forward and _gate_forward, run on ht.  With
     keep_cache=False (inference) both caches are None, and each stage frees
-    its intermediates as soon as the next stage has its input."""
+    its intermediates as soon as the next stage has its input.  The word ids
+    at `rows` are checked first (_check_word_ids, with `names`)."""
     t, cfg = params.tensors, params.config
     _check_length(params, batch)
+    word_ids = rows.take(batch.word_ids)
+    _check_word_ids(params, batch, rows, word_ids, names)
     h, ecache = encoder_forward(t, cfg, batch.char_ids, batch.char_mask,
                                 _keep_cache=keep_cache)
-    ht, a, fcache = _fusion_forward(t, rows, h, rows.take(batch.word_ids),
+    ht, a, fcache = _fusion_forward(t, rows, h, word_ids,
                                     rows.take(batch.word_mask), keep_cache)
     return h, rows.grid(ht), (ht, a), (ecache, fcache)
 
@@ -409,7 +436,8 @@ def _mix(p: np.ndarray, omega: np.ndarray, char_ids: np.ndarray) -> np.ndarray:
 
 def forward_batch(params: ModelParams, batch: Batch):
     """Run the full model on every slot of the batch, pad slots included,
-    keeping no backward cache.  Returns (ForwardOut, None): the second value
+    keeping no backward cache; a candidate word id out of range is a
+    HanfixError.  Returns (ForwardOut, None): the second value
     is always None, so callers that unpack two values, perfbench's held-out
     NLL among them, keep working."""
     rows = _Rows()
@@ -445,7 +473,8 @@ def loss_and_grads(params: ModelParams, batch: Batch):
     nll_loss(forward_batch(...)[0].p_out).
 
     grads carries an entry for every tensor in params (zeros where a path
-    is disabled, e.g. the gate under use_copy=False).
+    is disabled, e.g. the gate under use_copy=False).  A candidate word id
+    out of range at a real position is a HanfixError.
     """
     if batch.gold_ids is None:
         raise ValueError("loss_and_grads needs batch.gold_ids")
@@ -555,7 +584,7 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
     generator softmax, the mixture and the argmax run only at the other
     positions.  The outputs equal the argmax of forward_batch's p_out.
     """
-    limit, m_max = params.config.word_vocab_size, params.config.m_max
+    m_max = params.config.m_max
     if len(feats) != len(sentences):
         raise HanfixError(f"{len(feats)} feature rows for {len(sentences)} sentences")
     for i, (s, (wid, wmask)) in enumerate(zip(sentences, feats)):
@@ -571,21 +600,10 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
             [(params.char_to_ids(sentences[i]), None, feats[i][0], feats[i][1])
              for i in chunk]
         )
-        # the int64 ids that index E_w, checked once per batch (a reduction per
-        # sentence costs ~0.15 ms per 64-sentence batch); as uint64 a negative
-        # id is at least 2**63, so one max finds it too
-        if int(batch.word_ids.view(np.uint64).max()) >= limit:
-            for row, i in enumerate(chunk):
-                wid = batch.word_ids[row, :len(sentences[i])]
-                bad = wid[(wid < 0) | (wid >= limit)]
-                if bad.size:
-                    raise HanfixError(
-                        f"sentence {i}: candidate word id {int(bad[0])} out of range for "
-                        f"word_vocab_size={limit}; lexicon and checkpoint disagree"
-                    )
         # with no pad slot, packing would only add gathers (a batch of one)
         rows = _Rows() if batch.char_mask.all() else _Rows(batch.char_mask)
-        ht = _forward(params, batch, rows, keep_cache=False)[1]
+        ht = _forward(params, batch, rows, keep_cache=False,
+                      names=[f"sentence {i}" for i in chunk])[1]
         omega = _gate_forward(t, cfg, rows, ht, rows.take(batch.char_ids))[0]
         # Where omega > 1/2 the argmax of P = omega * onehot(x) + (1 - omega)
         # * P_gen is the input id x, so such a position keeps its input.  For

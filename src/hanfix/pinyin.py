@@ -295,15 +295,11 @@ class PinyinTable:
         """Like readings() but returns () for unknown characters."""
         return self._readings.get(char, ())
 
-    def toneless_readings(self, char: str) -> frozenset[str]:
-        """The toneless written forms of get(char), e.g. {'can', 'shen'} for
-        a 参 read can1 and shen1; empty for unknown characters.  Built on the
-        first request for a character and kept."""
-        return self._toneless[char]
-
     def toneless_sets(self, text: str) -> list[frozenset[str]]:
-        """toneless_readings of each character of `text`, in one C-level
-        pass over the kept sets."""
+        """The toneless written forms of get(ch) for each character ch of
+        `text`, e.g. {'can', 'shen'} for a 参 read can1 and shen1; empty for
+        unknown characters.  A character's set is built on its first request
+        and kept, and the sets are read in one C-level pass."""
         return list(map(self._toneless.__getitem__, text))
 
     def __len__(self) -> int:

@@ -42,7 +42,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 10
     seed: int = 0
-    shuffle: bool = True
     target_loss: float = 0.0  # >0: stop once epoch mean loss drops below
 
     def __post_init__(self):
@@ -147,7 +146,7 @@ def train(
     rng = np.random.default_rng(tconf.seed)
     history: list[float] = []
     for epoch in range(tconf.epochs):
-        order = rng.permutation(len(items)) if tconf.shuffle else np.arange(len(items))
+        order = rng.permutation(len(items))
         nll_sum = 0.0
         pos_sum = 0.0
         for start in range(0, len(items), tconf.batch_size):

@@ -210,8 +210,7 @@ def test_01b_matching_equals_reference_in_a_dense_world():
     for m_max in (1, 3, 8):
         for pair in pairs:
             lat = build_lattice(lex, ptable, fuzzy, pair.source, m_max=m_max)
-            # read before per_char, so these ids come from the lattice keys
-            ids, mask = lattice_to_feature_ids(lat, m_max)
+            ids, mask = lattice_to_feature_ids(lat)
             got = [
                 [(c.word_id, c.span, c.provenance.value, c.direction.value)
                  for c in cands]

@@ -260,7 +260,7 @@ def reference_lattice(lex, ptable, fuzzy, sentence, m_max, include_pinyin=True):
             if end > start:
                 suspects[i] = False
     char_syllables = [ptable.get(ch) for ch in sentence]
-    char_readings = [ptable.toneless_readings(ch) for ch in sentence]
+    char_readings = ptable.toneless_sets(sentence)
     entries = lex.entries
     for lo in range(n - 1 if include_pinyin else 0):
         hi = lo + 1
@@ -293,6 +293,11 @@ def reference_lattice(lex, ptable, fuzzy, sentence, m_max, include_pinyin=True):
 ALPHABET = "".join(dict.fromkeys(ch for ch, _ in PAIRS)) + "X"
 
 
+def window_hits(lex, ptable, fuzzy, a, b):
+    """The ranked lattice keys of the window `a` `b`, untruncated."""
+    return lex.probe_windows(ptable, fuzzy, a + b, [True, True], len(lex))[0][0]
+
+
 def built(lex, ptable, fuzzy, sentence, m_max):
     lat = build_lattice(lex, ptable, fuzzy, sentence, m_max=m_max)
     return lat.per_char, lat.suspect
@@ -311,7 +316,7 @@ class TestWindowHits:
 
     def test_hits_are_ranked_and_unique(self, lex, ptable, fuzzy):
         rank, order = lex.word_rank(), lex.word_order()
-        hits = lex.window_hits(ptable, fuzzy, "参", "家")
+        hits = window_hits(lex, ptable, fuzzy, "参", "家")
         assert hits == tuple(sorted(hits))
         assert len({key & RANK_MASK for key in hits}) == len(hits)
         # each key is its word's provenance over its word_rank()
@@ -320,8 +325,8 @@ class TestWindowHits:
         assert {(lex.surface(order[key & RANK_MASK]), key >> RANK_BITS) for key in hits} == {
             ("参加", 1), ("禅家", 2)}
         # 家 and 加 share their one reading, so their windows share hits
-        assert lex.window_hits(ptable, fuzzy, "参", "加") is hits
-        assert lex.window_hits(ptable, fuzzy, "X", "家") == ()
+        assert window_hits(lex, ptable, fuzzy, "参", "加") is hits
+        assert window_hits(lex, ptable, fuzzy, "X", "家") == ()
 
     def test_one_lexicon_two_fuzzy_tables(self, ptable):
         tables = [FuzzyClassTable.default(), FuzzyClassTable(())]
@@ -382,12 +387,12 @@ def reference_ids(per_char, m_max):
 def assert_equals_reference(lex, ptable, fuzzy, sentence, m_max):
     want = reference_lattice(lex, ptable, fuzzy, sentence, m_max)
     lat = build_lattice(lex, ptable, fuzzy, sentence, m_max=m_max)
-    ids, mask = lattice_to_feature_ids(lat, m_max)  # from the keys
+    ids, mask = lattice_to_feature_ids(lat)
     assert (lat.per_char, lat.suspect) == want
     assert (ids == reference_ids(want[0], m_max)).all()
     assert (mask == (ids != WORD_PAD_ID)).all()
-    # once per_char is read, from its candidates
-    assert (lattice_to_feature_ids(lat, m_max)[0] == ids).all()
+    # reading per_char leaves the keys to featurization
+    assert (lattice_to_feature_ids(lat)[0] == ids).all()
     return lat
 
 
@@ -417,7 +422,7 @@ class TestDenseLattice:
         wid = lex.word_id(word)
         # the word reaches the middle position twice
         proposals = [key for lo in (0, 1)
-                     for key in lex.window_hits(ptable, DENSE_FUZZY, sentence[lo], sentence[lo + 1])
+                     for key in window_hits(lex, ptable, DENSE_FUZZY, sentence[lo], sentence[lo + 1])
                      if lex.word_order()[key & RANK_MASK] == wid]
         proposals += [m for m in lex.trie_match_all(sentence) if m[2] == wid]
         assert len(proposals) >= 2
@@ -432,7 +437,7 @@ class TestDenseLattice:
 class TestFeatures:
     def test_shapes_and_offset(self, lex, ptable, fuzzy):
         lat = build_lattice(lex, ptable, fuzzy, "我参家会议", m_max=4)
-        ids, mask = lattice_to_feature_ids(lat, 4)
+        ids, mask = lattice_to_feature_ids(lat)
         assert ids.shape == (5, 4) and mask.shape == (5, 4)
         assert ids.dtype == np.int64
         for i, cands in enumerate(lat.per_char):
@@ -481,14 +486,17 @@ class TestFeatures:
         assert feats[0][0] is feats[1][0]
 
     def test_empty_sentence(self, lex, ptable, fuzzy):
-        ids, mask = lattice_to_feature_ids(build_lattice(lex, ptable, fuzzy, ""), 4)
+        ids, mask = lattice_to_feature_ids(build_lattice(lex, ptable, fuzzy, "", m_max=4))
         assert ids.shape == mask.shape == (0, 4)
         assert ids.dtype == np.int64 and mask.dtype == np.float64
 
     def test_truncates_a_longer_lattice(self, lex, ptable, fuzzy):
+        # a lattice is truncated where it is built: the features of a build
+        # at 2 are the first two candidates of a build at 8
         lat = build_lattice(lex, ptable, fuzzy, "我参家会议", m_max=8)
         assert max(len(c) for c in lat.per_char) == 3
-        ids, mask = lattice_to_feature_ids(lat, 2)
+        ids, mask = lattice_to_feature_ids(build_lattice(lex, ptable, fuzzy, "我参家会议",
+                                                         m_max=2))
         assert ids.shape == mask.shape == (5, 2)
         for i, cands in enumerate(lat.per_char):
             k = min(len(cands), 2)
@@ -497,13 +505,12 @@ class TestFeatures:
             assert mask[i].tolist() == [1.0] * k + [0.0] * (2 - k)
 
     def test_pads_a_shorter_lattice(self, lex, ptable, fuzzy):
-        # rows of at most 2 keys, read at 5 slots: the slots past 2 are pads
-        ids, mask = lattice_to_feature_ids(build_lattice(lex, ptable, fuzzy, "我参家会议",
-                                                         m_max=2), 5)
-        per_char = build_lattice(lex, ptable, fuzzy, "我参家会议", m_max=2).per_char
-        assert max(len(c) for c in per_char) == 2
-        assert (ids == reference_ids(per_char, 5)).all()
-        assert (mask == (ids != WORD_PAD_ID)).all() and not mask[:, 2:].any()
+        # rows of at most 3 keys, built at 5 slots: the slots past 3 are pads
+        lat = build_lattice(lex, ptable, fuzzy, "我参家会议", m_max=5)
+        ids, mask = lattice_to_feature_ids(lat)
+        assert max(len(c) for c in lat.per_char) == 3
+        assert (ids == reference_ids(lat.per_char, 5)).all()
+        assert (mask == (ids != WORD_PAD_ID)).all() and not mask[:, 3:].any()
 
     def test_featurization_builds_no_candidates(self, lex, ptable, fuzzy, monkeypatch):
         built = Counter()
@@ -518,9 +525,14 @@ class TestFeatures:
             featurize_sentences(sentences, lex, ptable, fuzzy, 8, mode)
         assert built["n"] == 0
         lat = build_lattice(lex, ptable, fuzzy, "我参家会议", m_max=8)
-        lattice_to_feature_ids(lat, 8)
+        ids = lattice_to_feature_ids(lat)[0]
         assert built["n"] == 0
         assert lat.per_char[1] and built["n"] > 0
+        # once per_char is read, featurization still reads the keys: the
+        # same ids, and no candidate built
+        made = built["n"]
+        assert (lattice_to_feature_ids(lat)[0] == ids).all()
+        assert built["n"] == made
 
     def test_lattice_api(self, lex, ptable, fuzzy):
         # per_char is built once, and the ends of a span share one candidate
@@ -532,8 +544,9 @@ class TestFeatures:
         hand = CharWordLattice("参家", [list(c) for c in lat.per_char], list(lat.suspect))
         assert hand == lat and len(hand) == 2
         assert lattice_records(hand, lex) == lattice_records(lat, lex)
-        assert (lattice_to_feature_ids(hand, 3)[0] ==
-                lattice_to_feature_ids(lat, 3)[0]).all()
+        # it holds candidates, not the keys featurization reads
+        with pytest.raises(ValueError, match="made by build_lattice"):
+            lattice_to_feature_ids(hand)
         extra = MatchCandidate(lex.word_id("会议"), (0, 0), Provenance.PINYIN_FUZZY,
                                Direction.FORWARD)
         hand.per_char[0].append(extra)
@@ -541,9 +554,6 @@ class TestFeatures:
         assert lattice_records(hand, lex)[0]["candidates"][-1] == {
             "word": "会议", "span": [0, 0], "provenance": "PINYIN_FUZZY",
             "direction": "FORWARD"}
-        ids, mask = lattice_to_feature_ids(hand, 8)
-        k = len(hand.per_char[0])
-        assert ids[0, k - 1] == extra.word_id + WORD_ID_OFFSET and mask[0, k - 1] == 1.0
         assert hand != lat
         # suspect defaults to an empty list, as it did on the dataclass
         assert CharWordLattice("", []).suspect == []
@@ -661,12 +671,8 @@ class TestFeaturizeSentences:
         lex = lexicon_from_words(
             [(e.surface, e.frequency) for e in DENSE_LEX.entries], DENSE_PTABLE, DENSE_FUZZY)
         calls = Counter()
-        toneless, index_slot = PinyinTable.toneless_readings, Lexicon._index_slot
+        index_slot = Lexicon._index_slot
         toneless_sets, lookup = PinyinTable.toneless_sets, Lexicon.pinyin_2gram_lookup
-
-        def counted_readings(self, ch):
-            calls[ch] += 1
-            return toneless(self, ch)
 
         def counted_sets(self, text):
             calls.update(text)
@@ -680,7 +686,6 @@ class TestFeaturizeSentences:
             calls["lookup"] += 1
             return lookup(self, a, b, fz)
 
-        monkeypatch.setattr(PinyinTable, "toneless_readings", counted_readings)
         monkeypatch.setattr(PinyinTable, "toneless_sets", counted_sets)
         monkeypatch.setattr(Lexicon, "_index_slot", counted_slot)
         monkeypatch.setattr(Lexicon, "pinyin_2gram_lookup", counted_lookup)

@@ -93,11 +93,12 @@ def test_corrupt_checkpoint_fails_cleanly(tmp_path):
 
 
 # one bad value per case, each key on the model or the training side, or
-# gate_activation, a model key no more
+# gate_activation, a model key no more, or shuffle, a training key no more
+# (training always shuffles)
 BAD_CONFIG_VALUES = [
     ("epochs", 1e9), ("epochs", 0), ("epochs", "2"), ("batch_size", 2.5),
     ("batch_size", True), ("lr", float("nan")), ("lr", float("inf")), ("lr", -1e-3),
-    ("lr", None), ("seed", -1), ("seed", 1.0), ("shuffle", "no"), ("shuffle", 1),
+    ("lr", None), ("seed", -1), ("seed", 1.0), ("shuffle", False),
     ("target_loss", float("nan")), ("target_loss", [0.5]), ("use_copy", "false"),
     ("use_copy", 0), ("lattice_mode", "DESM"), ("lattice_mode", None),
     ("gate_activation", "relu"), ("gate_bias_init", float("-inf")),

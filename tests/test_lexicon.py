@@ -84,6 +84,20 @@ def write_payload(payload, tmp_path):
     return p
 
 
+def load_entries(entries, tmp_path):
+    return Lexicon.load(write_payload(
+        {"magic": "hanfix-lexicon", "version": 3, "entries": entries}, tmp_path))
+
+
+def window_hits(lex, ptable, fuzzy, a, b):
+    """The ranked lattice keys of the window `a` `b`, untruncated."""
+    return lex.probe_windows(ptable, fuzzy, a + b, [True, True], len(lex))[0][0]
+
+
+def columns(lex):
+    return lex.surfaces, lex.frequencies, lex.readings
+
+
 def brute_force_spans(lex, sentence):
     # oracle: check every substring against every entry surface
     out = []
@@ -141,25 +155,28 @@ class TestBuild:
         with pytest.raises(WordTooLong):
             lexicon_from_words([("参加参加参", 1)], ptable, fuzzy)
         with pytest.raises(WordTooLong):
-            WordEntry(0, "", 1, ())
+            lexicon_from_words([("", 1)], ptable, fuzzy)
 
-    @pytest.mark.parametrize("readings", [(), (("can",),), (("can",), ("jia",), ("jia",))],
+    # a lexicon file is where entries arrive from outside: Lexicon.load
+    # checks them, and lexicon_from_words makes them from the pinyin table
+
+    @pytest.mark.parametrize("readings", [[], [["can"]], [["can"], ["jia"], ["jia"]]],
                              ids=["none", "one-of-two", "three-of-two"])
-    def test_entry_needs_one_reading_tuple_per_character(self, readings, ptable, fuzzy):
+    def test_entry_needs_one_reading_tuple_per_character(self, readings, ptable, fuzzy,
+                                                         tmp_path):
         # the 2-gram index reads readings[0] and readings[1] of every 2-char word
-        with pytest.raises(ValueError, match="reading lists"):
-            WordEntry(word_id=0, surface="参加", frequency=1, readings=readings)
-        lex2 = Lexicon([WordEntry(word_id=0, surface="参加", frequency=1,
-                                  readings=(("can",), ("jia",)))])
+        with pytest.raises(LexiconFormatError, match="one list of toneless syllables per"):
+            load_entries([{"frequency": 1, "readings": readings, "surface": "参加"}], tmp_path)
+        lex2 = Lexicon(("参加",), (1,), ((("can",), ("jia",)),))
         # one PINYIN_EXACT hit, the word of rank 0
-        assert lex2.window_hits(ptable, fuzzy, "参", "家") == (1 << RANK_BITS | 0,)
+        assert window_hits(lex2, ptable, fuzzy, "参", "家") == (1 << RANK_BITS | 0,)
 
-    @pytest.mark.parametrize("readings", [((), ("jia",)), (("can",), ()), ((), ())],
+    @pytest.mark.parametrize("readings", [[[], ["jia"]], [["can"], []], [[], []]],
                              ids=["first", "second", "both"])
-    def test_entry_needs_a_reading_per_character(self, readings):
+    def test_entry_needs_a_reading_per_character(self, readings, tmp_path):
         # a character without readings would drop the word from the 2-gram index
-        with pytest.raises(ValueError, match="no reading"):
-            WordEntry(word_id=0, surface="参加", frequency=1, readings=readings)
+        with pytest.raises(LexiconFormatError, match="no reading"):
+            load_entries([{"frequency": 1, "readings": readings, "surface": "参加"}], tmp_path)
 
     def test_from_file(self, tmp_path, ptable, fuzzy):
         p = tmp_path / "words.tsv"
@@ -201,12 +218,12 @@ class TestBuild:
             ids[0] = 5
 
     def test_word_rank_is_built_on_first_use(self, lex):
-        fresh = Lexicon(lex.entries)
+        fresh = Lexicon(*columns(lex))
         assert fresh._rank_memo is None
         assert fresh.word_rank() is fresh.word_rank()
 
     def test_threads_building_the_word_rank_agree(self, lex):
-        fresh = [Lexicon(lex.entries) for _ in range(200)]
+        fresh = [Lexicon(*columns(lex)) for _ in range(200)]
         expect = (lex.word_rank(), lex.word_order(), lex.rank_ids(2, 1).tolist())
         wrong = []
 
@@ -231,24 +248,13 @@ class TestBuild:
 
 
 class TestOneIdPerWord:
+    # word ids are positions in the columns, so only a surface can repeat
     READINGS = {"参加": (("can",), ("jia",)), "会议": (("hui",), ("yi",))}
 
-    def entry(self, wid, surface):
-        return WordEntry(wid, surface, 1, self.READINGS[surface])
-
-    def test_rejects_word_ids_out_of_order(self):
-        # a trie match would name word 1 for 参加, whose surface is 会议
-        with pytest.raises(ValueError, match=r"entry 0 \('参加'\) has word_id 1"):
-            Lexicon([self.entry(1, "参加"), self.entry(0, "会议")])
-
-    def test_rejects_word_id_past_the_end(self):
-        # a lattice would index the columns with word id 5
-        with pytest.raises(ValueError, match=r"entry 0 \('参加'\) has word_id 5"):
-            Lexicon([self.entry(5, "参加")])
-
     def test_rejects_repeated_surface(self):
+        surfaces = ("参加", "会议", "参加")
         with pytest.raises(ValueError, match="entry 2 repeats the surface '参加' of entry 0"):
-            Lexicon([self.entry(0, "参加"), self.entry(1, "会议"), self.entry(2, "参加")])
+            Lexicon(surfaces, (1, 1, 1), tuple(self.READINGS[s] for s in surfaces))
 
     def test_load_rejects_repeated_surface(self, tmp_path):
         # the trie would list 参加 twice at each position
@@ -287,7 +293,7 @@ class TestColumns:
         built = lexicon_from_words(words, ptable, fuzzy)
         path = tmp_path_factory.mktemp("lex") / "words.lexicon"
         built.save(path)
-        for other in (Lexicon(built.entries), Lexicon.load(path)):
+        for other in (Lexicon(*columns(built)), Lexicon.load(path)):
             assert other.entries == built.entries
             assert other.to_json() == built.to_json()
             assert other.word_rank() == built.word_rank()
@@ -300,13 +306,13 @@ class TestColumns:
         fuzzy = FuzzyClassTable.from_file(bundled.demo_fuzzy_path())
         path = tmp_path / "demo.lexicon"
         made = []
-        init = WordEntry.__init__
+        new = WordEntry.__new__
 
-        def counted(self, *args, **kwargs):
+        def counted(cls, *args, **kwargs):
             made.append(args)
-            init(self, *args, **kwargs)
+            return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(WordEntry, "__init__", counted)
+        monkeypatch.setattr(WordEntry, "__new__", counted)
         build_lexicon(bundled.demo_words_path(), table, fuzzy).save(path)
         lex = Lexicon.load(path)
         featurize_sentences(["我们参家会义", "参加"], lex, table, fuzzy, 8)
@@ -441,7 +447,7 @@ class TestPinyin2Gram:
         expect = [equivalence_oracle(lex, a, b, t) for t in tables]
         assert expect[0] != expect[1]
         # window hits are remembered beside each table's index
-        hits = [lexicon_from_words(WORDS, ptable, t).window_hits(ptable, t, "禅", "家")
+        hits = [window_hits(lexicon_from_words(WORDS, ptable, t), ptable, t, "禅", "家")
                 for t in tables]
         assert hits[0] != hits[1]
         wrong = []
@@ -451,7 +457,7 @@ class TestPinyin2Gram:
                 got = lex.pinyin_2gram_lookup(a, b, tables[t])
                 if got != expect[t]:
                     wrong.append((t, got))
-                got = lex.window_hits(ptable, tables[t], "禅", "家")
+                got = window_hits(lex, ptable, tables[t], "禅", "家")
                 if got != hits[t]:
                     wrong.append((t, got))
 
@@ -506,6 +512,10 @@ class TestSerialization:
         payload["entries"][0]["readings"][0] = [reading]
         with pytest.raises(LexiconFormatError, match="toneless"):
             Lexicon.load(write_payload(payload, tmp_path))
+
+    def test_rejects_empty_surface(self, tmp_path):
+        with pytest.raises(LexiconFormatError, match="surface is not a non-empty string"):
+            load_entries([{"frequency": 1, "readings": [], "surface": ""}], tmp_path)
 
     def test_rejects_character_without_readings(self, lex, tmp_path):
         payload = json.loads(lex.to_json())

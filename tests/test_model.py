@@ -588,6 +588,31 @@ class TestPackedStep:
         with pytest.raises(SequenceTooLong):
             loss_and_grads(init_params(cfg, CHARS), make_batch(cfg))
 
+    @pytest.mark.parametrize("bad", [-1, -2, 6, 7], ids=["-1", "-2", "vocab", "vocab+1"])
+    @pytest.mark.parametrize("run", [forward_batch, loss_and_grads],
+                             ids=["forward_batch", "loss_and_grads"])
+    def test_foreign_word_id_is_a_hanfix_error(self, run, bad):
+        # a negative id would read E_w from its end, and one past it would
+        # raise a bare IndexError; word_vocab_size is 6
+        cfg = tiny_config()
+        params = healthy_params(cfg)
+        batch = make_batch(cfg)
+        batch.word_ids[1, 2, 1] = bad
+        with pytest.raises(HanfixError, match=f"^batch row 1: candidate word id {bad} out "
+                                              f"of range for word_vocab_size=6;"):
+            run(params, batch)
+
+    def test_foreign_word_id_at_a_pad_slot(self):
+        # loss_and_grads reads real positions only; forward_batch reads every slot
+        cfg = tiny_config()
+        params = healthy_params(cfg)
+        batch = make_batch(cfg)
+        want = loss_and_grads(params, batch)
+        batch.word_ids[1, 4, 0] = -1
+        assert_same_step(loss_and_grads(params, batch), want)
+        with pytest.raises(HanfixError, match="batch row 1: candidate word id -1"):
+            forward_batch(params, batch)
+
 
 # ------------------------------------------------------ the inference pass
 # forward_batch and correct_many as they ran on the training forward: every

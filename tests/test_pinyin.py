@@ -209,7 +209,7 @@ class TestPinyinTable:
     def test_missing(self):
         t = PinyinTable.from_pairs([("好", "hao3")])
         assert t.get("坏") == ()
-        assert t.toneless_readings("坏") == frozenset()
+        assert t.toneless_sets("坏") == [frozenset()]
         with pytest.raises(MissingPinyin):
             t.readings("坏")
 
@@ -232,17 +232,17 @@ class TestPinyinTable:
         t = PinyinTable.from_file(demo_pinyin_path())
         for ch in t.characters():
             want = frozenset(s.toneless() for s in t.get(ch))
-            assert t.toneless_readings(ch) == want, ch
+            assert t.toneless_sets(ch) == [want], ch
             # kept, not rebuilt per call
-            assert t.toneless_readings(ch) is t.toneless_readings(ch)
-        assert t.toneless_readings("\u2603") == frozenset(
-            s.toneless() for s in t.get("\u2603")) == frozenset()
-        assert t.toneless_readings("参") == {"can", "shen", "cen"}
+            assert t.toneless_sets(ch)[0] is t.toneless_sets(ch)[0]
+        assert t.toneless_sets("\u2603") == [frozenset(
+            s.toneless() for s in t.get("\u2603"))] == [frozenset()]
+        assert t.toneless_sets("参") == [{"can", "shen", "cen"}]
 
     def test_toneless_sets_of_a_text(self):
         t = PinyinTable.from_file(demo_pinyin_path())
         text = "参\u2603加参"
         got = t.toneless_sets(text)  # the first lookup of each character
-        assert got == [t.toneless_readings(ch) for ch in text]
-        assert got[0] is got[3] is t.toneless_readings("参")
+        assert got == [t.toneless_sets(ch)[0] for ch in text]
+        assert got[0] is got[3] is t.toneless_sets("参")[0]
         assert got[1] == frozenset() and t.toneless_sets("") == []

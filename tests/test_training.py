@@ -12,7 +12,7 @@ from hanfix.corpus import (
 from hanfix.desm import featurize_sentences
 from hanfix.errors import SequenceTooLong
 from hanfix.lexicon import lexicon_from_words
-from hanfix.model import assemble_batch, correct_many, init_params
+from hanfix.model import correct_many, init_params
 from hanfix.pinyin import FuzzyClassTable, PinyinTable
 from hanfix.training import Adam, TrainConfig, build_char_vocab, split_config, train
 
@@ -159,20 +159,6 @@ class TestTrain:
         train(pairs, lexicon, ptable, fuzzy, TrainConfig(epochs=1, seed=5),
               model_overrides=OVER)
         assert seeds == [5]
-
-    def test_no_shuffle_is_order_stable(self, tiny_world, monkeypatch):
-        # without shuffling, every epoch feeds the corpus in order, whatever
-        # the seed; the seed also draws the init, so the losses differ
-        ptable, fuzzy, lexicon, pairs = tiny_world
-        batches = []
-        monkeypatch.setattr(training, "assemble_batch", lambda items:
-                            batches.append([it[0].tolist() for it in items])
-                            or assemble_batch(items))
-        for seed in (9, 4):
-            tconf = TrainConfig(lr=1e-3, batch_size=4, epochs=2, shuffle=False, seed=seed)
-            params, _ = train(pairs, lexicon, ptable, fuzzy, tconf, model_overrides=OVER)
-        ids = [params.char_to_ids(p.source).tolist() for p in pairs]
-        assert batches == [ids[k:k + 4] for k in range(0, len(ids), 4)] * 4
 
     def test_target_loss_stops_early(self, tiny_world):
         ptable, fuzzy, lexicon, pairs = tiny_world
