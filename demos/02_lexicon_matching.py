@@ -26,5 +26,5 @@ for start, end, wid in lex.trie_match_all(sentence):
 print("\n2-gram probes (syllable pair -> words, best frequency first)")
 for a, b in (("can1", "jia1"), ("chan2", "jia1"), ("hui4", "yi4")):
     wids = lex.pinyin_2gram_lookup(parse_syllable(a), parse_syllable(b), fuzzy)
-    words = ", ".join(f"{lex.surface(w)}({lex.entries[w].frequency})" for w in wids)
+    words = ", ".join(f"{lex.surfaces[w]}({lex.frequencies[w]})" for w in wids)
     print(f"  {a + '+' + b:<12} -> {words or '(none)'}")

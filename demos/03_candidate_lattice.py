@@ -25,7 +25,7 @@ def show(sentence: str) -> None:
     for i, ch in enumerate(sentence):
         mark = "!" if lat.suspect[i] else " "
         cands = ", ".join(
-            f"{lex.surface(c.word_id)}[{c.provenance.value}/{c.direction.value}]"
+            f"{lex.surfaces[c.word_id]}[{c.provenance.value}/{c.direction.value}]"
             for c in lat.per_char[i]
         )
         print(f"  {i} {ch} {mark} {cands or '-'}")

@@ -255,9 +255,15 @@ def cmd_ablate(args) -> int:
     test_pairs = load_parallel_tsv(args.test_corpus)
     overrides, tconf = _load_train_config(args, (
         ("use_copy", "each variant"), ("lattice_mode", "each variant"), ("seed", "--seeds")))
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(","))
+    except ValueError:
+        raise HanfixError(
+            f"--seeds takes comma-separated integers, got {args.seeds!r}") from None
     by_name = {v.name: v for v in DEFAULT_VARIANTS}
-    names = args.variants.split(",") if args.variants else [v.name for v in DEFAULT_VARIANTS]
+    # an empty --variants names one empty variant, not every variant
+    names = (args.variants.split(",") if args.variants is not None
+             else [v.name for v in DEFAULT_VARIANTS])
     unknown = [n for n in names if n not in by_name]
     if unknown:
         raise HanfixError(

@@ -127,7 +127,7 @@ def _candidates(suspects, flat, width, lex, matches, fed) -> list[list[MatchCand
     probed window of lower direction that fed its key, the left one on a
     tie.  One candidate object stands for one match, or one window's key,
     at every position that takes it."""
-    order, rank, pad = lex.word_order(), lex.word_rank(), len(lex)
+    order, rank, pad = lex.order, lex.rank, len(lex)
     n = len(suspects)
     # per position, word rank -> the candidate of the first match covering it
     exact: list[dict[int, MatchCandidate]] = [{} for _ in range(n)]
@@ -214,7 +214,7 @@ def build_lattice(
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
     n = len(sentence)
-    rank = lex.word_rank()
+    rank = lex.rank
     # per position, the ranks of the words matching exactly over it
     exact: list[list[int]] = [[] for _ in range(n)]
     # position i is suspect iff no exact match of length >= 2 covers it;
@@ -375,7 +375,7 @@ def lattice_records(lat: CharWordLattice, lex: Lexicon) -> list[dict]:
                 "suspect": lat.suspect[i],
                 "candidates": [
                     {
-                        "word": lex.surface(c.word_id),
+                        "word": lex.surfaces[c.word_id],
                         "span": list(c.span),
                         "provenance": c.provenance.value,
                         "direction": c.direction.value,

@@ -11,31 +11,32 @@ A Lexicon keeps its words as three columns indexed by word id: `surfaces`,
 `frequencies` and `readings`, which are also its one constructor's
 arguments.  lexicon_from_words() and Lexicon.load() check their own input
 and then call it; building, loading and saving read and write the columns,
-never one object per word.  `entries`, the words as WordEntry tuples, is
-built from the columns on first read and kept.  Word ids are positions, and
-surfaces are distinct.
+never one object per word.  Word ids are positions, and surfaces are
+distinct.  A lexicon file stores the entries only, so lexicon_fingerprint()
+covers the entries only; everything else is derived from the columns, with
+one of three lifetimes:
 
-A lexicon file stores the entries only, so lexicon_fingerprint() covers
-the entries only.  The trie is rebuilt from them at load, and the 2-gram
-index from their readings under the fuzzy table each query passes.  A trie
-node is a plain dict from character to child node, holding the id of the
-word that ends there under the key None.
-
-The trie is frozen once built.  The index of the last table queried sits in
-one (table, index, window memo) slot that is replaced whole, so threads may
-share a Lexicon: probe_windows reads the slot once per sentence and never
-pairs one table with another table's index or window hits.  Alternating
-tables rebuilds the index and empties the memo each time.  The window memo
-is the one part that grows in place: rows are added with dict.setdefault,
-each entry (a window's ranked hits and a fixed-size bit filter of their
-words, see probe_windows and _window_entry) is computed whole and then
-stored in one dict assignment, and two threads that compute the same entry
-store equal values.
-The word rank (frequency order, for ranking lattice candidates), the
-window-hit keys made from it, the rank-to-id array, the pad rows and
-`entries` are built on first use, not at construction, and likewise stored
-whole, each in one slot: two threads may both build one, but each gets a
-complete and equal value.
+* Built with the lexicon, and frozen: the trie and the word ranking.  A
+  trie node is a plain dict from character to child node, holding the id of
+  the word that ends there under the key None.  `rank[word_id]` is the
+  word's place when the words are ordered by descending frequency, then
+  word id, and `order[place]` is the word id at that place.
+* Built on first use, and kept: `entries` (the words as WordEntry tuples),
+  the window-hit keys, the rank-to-id array and the pad rows.  A lexicon
+  built only to be saved never pays for them.  Each is stored whole in one
+  slot: two threads may both build one, but each gets a complete and equal
+  value.
+* Built per fuzzy table, on that table's first query: the table's 2-gram
+  index and its window memo, one entry per table, stored with one
+  setdefault in a mapping that holds its tables weakly.  No entry refers to
+  its table, so a lexicon keeps no table alive, and an entry goes with its
+  table.  So threads may share a Lexicon, each under its own table, and
+  using one table never rebuilds or empties another's entry.  The window
+  memo is the one part that grows in place: rows are added with
+  dict.setdefault, each entry (a window's ranked hits and a fixed-size bit
+  filter of their words, see probe_windows and _window_entry) is computed
+  whole and then stored in one dict assignment, and two threads that
+  compute the same entry store equal values.
 
 A lattice key is one int, provenance << RANK_BITS | word rank, with
 provenance 0 (EXACT), 1 (PINYIN_EXACT) or 2 (PINYIN_FUZZY).  The rank is one
@@ -47,6 +48,7 @@ one digit and sorts on its fast path; so a lexicon holds at most 2**28 words.
 from __future__ import annotations
 
 import json
+import weakref
 import zlib
 from itertools import chain, islice, repeat
 from operator import itemgetter
@@ -102,25 +104,24 @@ class Lexicon:
     Lexicon(surfaces, frequencies, readings), usually made by
     lexicon_from_words(), build_lexicon() or load().
 
-    Word ids are positions, and surfaces are distinct (ValueError
-    otherwise).  Each reading tuple holds one non-empty tuple of toneless
-    readings per character of its surface; load() and lexicon_from_words()
-    check that for their input, and the 2-gram index relies on it.
+    The columns have one length, word ids are positions, and surfaces are
+    distinct (ValueError otherwise).  Each reading tuple holds one non-empty
+    tuple of toneless readings per character of its surface; load() and
+    lexicon_from_words() check that for their input, and the 2-gram index
+    relies on it.  Beside the columns, `rank` and `order` hold the word
+    ranking, built with the lexicon.
     """
 
     def __init__(self, surfaces: tuple[str, ...], frequencies: tuple[int, ...],
                  readings: tuple[tuple[tuple[str, ...], ...], ...]):
-        """Keep the three columns and build the surface map and the trie;
-        ValueError when a surface repeats."""
+        """Keep the three columns and build the trie and the ranking;
+        ValueError when the columns differ in length or a surface repeats."""
+        if not len(surfaces) == len(frequencies) == len(readings):
+            raise ValueError(f"columns of unequal length: {len(surfaces)} surfaces, "
+                             f"{len(frequencies)} frequencies, {len(readings)} readings")
         self.surfaces = surfaces
         self.frequencies = frequencies
         self.readings = readings
-        self._by_surface: dict[str, int] = dict(zip(surfaces, range(len(surfaces))))
-        if len(self._by_surface) != len(surfaces):
-            seen: dict[str, int] = {}
-            for wid, s in enumerate(surfaces):
-                if seen.setdefault(s, wid) != wid:
-                    raise ValueError(f"entry {wid} repeats the surface {s!r} of entry {seen[s]}")
         # a node maps a character to its child and None to the word id whose
         # surface ends there
         root: dict = {}
@@ -131,15 +132,23 @@ class Lexicon:
                 if child is None:
                     child = node[ch] = {}
                 node = child
-            node[None] = wid
+            if node.setdefault(None, wid) != wid:
+                raise ValueError(
+                    f"entry {wid} repeats the surface {surface!r} of entry {node[None]}")
         self._root = root
+        # the sort is stable, so equal frequencies keep ascending ids
+        order = sorted(range(len(frequencies)), key=frequencies.__getitem__, reverse=True)
+        rank = [0] * len(order)
+        for place, wid in enumerate(order):
+            rank[wid] = place
+        self.rank: tuple[int, ...] = tuple(rank)
+        self.order: tuple[int, ...] = tuple(order)
         self._entries: tuple[WordEntry, ...] | None = None
-        self._index_memo: tuple[FuzzyClassTable | None, dict, dict] = (None, {}, {})
-        # (word_rank(), word_order())
-        self._rank_memo: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._hit_memo: tuple[tuple[int, int], ...] | None = None
         self._ids_memo: tuple[int, int, np.ndarray] | None = None
         self._tails_memo: tuple[int, list[list[int]]] | None = None
+        # fuzzy table -> (its 2-gram index, its window memo)
+        self._tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @property
     def entries(self) -> tuple[WordEntry, ...]:
@@ -155,40 +164,13 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.surfaces)
 
-    def word_id(self, surface: str) -> int | None:
-        return self._by_surface.get(surface)
-
-    def surface(self, word_id: int) -> str:
-        return self.surfaces[word_id]
-
-    def word_rank(self) -> tuple[int, ...]:
-        """rank[word_id]: the word's place when all entries are ordered by
-        descending frequency, then word_id.  Built on first use."""
-        return self._ranks()[0]
-
-    def word_order(self) -> tuple[int, ...]:
-        """order[rank]: the word_id of that rank, the inverse of word_rank()."""
-        return self._ranks()[1]
-
-    def _ranks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        ranks = self._rank_memo
-        if ranks is None:
-            freqs = self.frequencies
-            # the sort is stable, so equal frequencies keep ascending ids
-            order = sorted(range(len(freqs)), key=freqs.__getitem__, reverse=True)
-            places = [0] * len(order)
-            for place, wid in enumerate(order):
-                places[wid] = place
-            ranks = self._rank_memo = (tuple(places), tuple(order))
-        return ranks
-
     def rank_ids(self, offset: int, pad: int) -> np.ndarray:
-        """ids[rank] = word_order()[rank] + offset, and ids[len(self)] = pad:
-        one gather maps ranks, and the pad rank len(self), to ids.  The
+        """ids[rank] = order[rank] + offset, and ids[len(self)] = pad: one
+        gather maps ranks, and the pad rank len(self), to ids.  The
         read-only array of the last (offset, pad) is kept."""
         memo = self._ids_memo
         if memo is None or memo[:2] != (offset, pad):
-            ids = np.append(np.array(self.word_order(), dtype=np.int64) + offset, pad)
+            ids = np.append(np.array(self.order, dtype=np.int64) + offset, pad)
             ids.flags.writeable = False
             memo = self._ids_memo = (offset, pad, ids)
         return memo[2]
@@ -211,7 +193,7 @@ class Lexicon:
         keys = self._hit_memo
         if keys is None:
             keys = self._hit_memo = tuple(
-                (1 << RANK_BITS | r, 2 << RANK_BITS | r) for r in self.word_rank())
+                (1 << RANK_BITS | r, 2 << RANK_BITS | r) for r in self.rank)
         return keys
 
     # ---------------------------------------------------------------- queries
@@ -247,19 +229,23 @@ class Lexicon:
         """(fuzzy_key_a, fuzzy_key_b) -> word_ids of 2-char entries, ranked
         by descending frequency, then word_id.
 
-        Built from the words' readings; only the last table's index is kept.
+        Built from the words' readings on the table's first query, and kept
+        while the table lives.
         """
-        return self._index_slot(fuzzy)[1]
+        return self._table_entry(fuzzy)[0]
 
-    def _index_slot(self, fuzzy: FuzzyClassTable) -> tuple[FuzzyClassTable, dict, dict]:
-        """(fuzzy, its 2-gram index, its window-hits memo: first reading set
-        -> second reading set -> hits), built if the slot holds another
-        table."""
-        slot = self._index_memo
-        if slot[0] is fuzzy:
-            return slot
+    def _table_entry(self, fuzzy: FuzzyClassTable) -> tuple[dict, dict]:
+        """(the 2-gram index of `fuzzy`, its window-hits memo: first reading
+        set -> second reading set -> hits), built on the table's first
+        query."""
+        entry = self._tables.get(fuzzy)
+        if entry is None:
+            entry = self._tables.setdefault(fuzzy, (self._build_index(fuzzy), {}))
+        return entry
+
+    def _build_index(self, fuzzy: FuzzyClassTable) -> dict[tuple[str, str], tuple[int, ...]]:
         surfaces, readings = self.surfaces, self.readings
-        pairs = [w for w in self.word_order() if len(surfaces[w]) == 2]
+        pairs = [w for w in self.order if len(surfaces[w]) == 2]
         key = {r: fuzzy_key(parse_syllable(r), fuzzy)
                for r in {r for w in pairs for rs in readings[w] for r in rs}}
         ranked: dict[tuple[str, str], dict[int, None]] = {}
@@ -268,9 +254,7 @@ class Lexicon:
             for ra in first:
                 for rb in second:
                     ranked.setdefault((key[ra], key[rb]), {})[w] = None
-        index = {k: tuple(ids) for k, ids in ranked.items()}
-        slot = self._index_memo = (fuzzy, index, {})
-        return slot
+        return {k: tuple(ids) for k, ids in ranked.items()}
 
     def pinyin_2gram_lookup(
         self, a: PinyinSyllable, b: PinyinSyllable, fuzzy: FuzzyClassTable
@@ -289,13 +273,13 @@ class Lexicon:
         """(fed, filters) over the windows (lo, lo + 1) of `sentence`: for
         each window with `probed[lo]` or `probed[lo + 1]`, the first m_max
         of its hits and its memo entry's filter; () and 0 for the others.
-        The memo slot is read once, and each character's reading set looked
-        up once.
+        The table's entry is read once, and each character's reading set
+        looked up once.
 
         A window's hits are the 2-char entries that sound like it, as sorted
         lattice keys, one per word: provenance 1 (PINYIN_EXACT) when some
         reading of the word matches both characters' toneless readings
-        literally, else 2 (PINYIN_FUZZY), over the word's word_rank().  They
+        literally, else 2 (PINYIN_FUZZY), over the word's `rank`.  They
         are those of pinyin_2gram_lookup over every reading pair of the two
         characters, and they are remembered under the pair of the
         characters' toneless reading sets, beside the 2-gram index of
@@ -309,10 +293,10 @@ class Lexicon:
         The memo has no size limit: it holds one entry per pair of reading
         sets met, so at most the square of the number of distinct reading
         sets in the tables queried (3,600 for the 60 sets of the toy
-        inventory), each of at most FILTER_BITS bits beside its hits; a
-        different fuzzy table starts it afresh.
+        inventory), each of at most FILTER_BITS bits beside its hits; each
+        fuzzy table has its own.
         """
-        memo = self._index_slot(fuzzy)[2]
+        memo = self._table_entry(fuzzy)[1]
         n = len(sentence)
         fed: list[tuple[int, ...]] = [()] * n
         filters = [0] * n

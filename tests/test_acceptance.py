@@ -238,8 +238,8 @@ def test_02_running_example_canjia():
     fuzzy = FuzzyClassTable.from_file(bundled.demo_fuzzy_path())
     lex = build_lexicon(bundled.demo_words_path(), ptable, fuzzy)
     lat = build_lattice(lex, ptable, fuzzy, "参家", m_max=5)
-    at0 = {lex.surface(c.word_id) for c in lat.per_char[0]}
-    at1 = {lex.surface(c.word_id) for c in lat.per_char[1]}
+    at0 = {lex.surfaces[c.word_id] for c in lat.per_char[0]}
+    at1 = {lex.surfaces[c.word_id] for c in lat.per_char[1]}
     assert "参加" in at0
     assert {"参加", "禅家"} <= at1
     print("PASS 2: 参家 -> 参加 at position 0; 参加 and 禅家 at position 1")

@@ -399,11 +399,24 @@ class TestAblate:
                      "--variants", "desm"]) == 2
         assert "unknown variants" in capsys.readouterr().err
 
-    def test_bad_seeds(self, work, capsys):
+    @pytest.mark.parametrize("names", ["", " ", "plain,", "plain, "])
+    def test_empty_or_blank_variant(self, names, work, capsys):
+        # an empty name is an unknown variant, not a request for every variant
         d, lex_path, _, train_tsv, test_tsv, _ = work
         assert main(["ablate", "--train-corpus", str(train_tsv),
                      "--test-corpus", str(test_tsv), "--lexicon", str(lex_path),
-                     "--seeds", "0,x"]) == 2
+                     "--variants", names]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unknown variants"), err
+
+    def test_bad_seeds(self, work, capsys):
+        d, lex_path, _, train_tsv, test_tsv, _ = work
+        for seeds in ("0,x", "", "1.5", "0,,1"):
+            assert main(["ablate", "--train-corpus", str(train_tsv),
+                         "--test-corpus", str(test_tsv), "--lexicon", str(lex_path),
+                         "--seeds", seeds]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: --seeds takes comma-separated integers, got {seeds!r}"]
 
 
 class TestMalformedInputs:

@@ -104,7 +104,7 @@ class TestLattice:
     def test_canonical_example(self, lex, ptable, fuzzy):
         lat = build_lattice(lex, ptable, fuzzy, "我参家会议", m_max=5)
         by_word = {
-            lex.surface(c.word_id): c for c in lat.per_char[1]
+            lex.surfaces[c.word_id]: c for c in lat.per_char[1]
         }
         # the trie still sees the 1-char word 参
         assert by_word["参"].provenance == Provenance.EXACT
@@ -115,7 +115,7 @@ class TestLattice:
         # 禅家 only matches through the c/ch fuzzy class
         assert by_word["禅家"].provenance == Provenance.PINYIN_FUZZY
         # the same candidates attach to the window's second character
-        w2 = {lex.surface(c.word_id) for c in lat.per_char[2]}
+        w2 = {lex.surfaces[c.word_id] for c in lat.per_char[2]}
         assert {"参加", "禅家", "家"} <= w2
 
     def test_exact_ranks_before_pinyin(self, lex, ptable, fuzzy):
@@ -133,7 +133,7 @@ class TestLattice:
     def test_ttm_mode_drops_pinyin(self, lex, ptable, fuzzy):
         lat = build_lattice(lex, ptable, fuzzy, "我参家会议", m_max=5,
                             include_pinyin=False)
-        words1 = {lex.surface(c.word_id) for c in lat.per_char[1]}
+        words1 = {lex.surfaces[c.word_id] for c in lat.per_char[1]}
         assert words1 == {"参"}
 
     def test_truncation(self, lex, ptable, fuzzy):
@@ -141,7 +141,7 @@ class TestLattice:
         for cands in lat.per_char:
             assert len(cands) <= 1
         # the single kept candidate at position 1 is the best-ranked one
-        assert lex.surface(lat.per_char[1][0].word_id) == "参"
+        assert lex.surfaces[lat.per_char[1][0].word_id] == "参"
 
     def test_m_max_validation(self, lex, ptable, fuzzy):
         with pytest.raises(ValueError):
@@ -157,7 +157,7 @@ class TestLattice:
                 assert c.word_id not in seen
                 seen[c.word_id] = c
         kuaiji = [c for c in lat.per_char[1]
-                  if lex.surface(c.word_id) == "会计"]
+                  if lex.surfaces[c.word_id] == "会计"]
         assert kuaiji and kuaiji[0].provenance == Provenance.EXACT
 
     def test_each_window_probed_once(self, ptable, fuzzy, monkeypatch):
@@ -201,7 +201,7 @@ class TestLattice:
         lat = build_lattice(lex, ptable, fuzzy, "X参家", m_max=5)
         assert lat.suspect[0]
         assert all(c.provenance != Provenance.PINYIN_FUZZY or
-                   lex.surface(c.word_id) != "X" for c in lat.per_char[0])
+                   lex.surfaces[c.word_id] != "X" for c in lat.per_char[0])
 
     def test_brute_force_oracle(self, lex, ptable, fuzzy):
         # independent reconstruction of the pinyin candidates at suspect
@@ -250,7 +250,7 @@ class TestLattice:
 def reference_lattice(lex, ptable, fuzzy, sentence, m_max, include_pinyin=True):
     """(per_char, suspect) of sentence."""
     n = len(sentence)
-    rank = lex.word_rank()
+    rank = lex.rank
     best = [{} for _ in range(n)]
     suspects = [True] * n
     for start, end, wid in lex.trie_match_all(sentence):
@@ -315,14 +315,14 @@ class TestWindowHits:
         assert built(lex, ptable, fuzzy, sentence, m_max) == want
 
     def test_hits_are_ranked_and_unique(self, lex, ptable, fuzzy):
-        rank, order = lex.word_rank(), lex.word_order()
+        rank, order = lex.rank, lex.order
         hits = window_hits(lex, ptable, fuzzy, "参", "家")
         assert hits == tuple(sorted(hits))
         assert len({key & RANK_MASK for key in hits}) == len(hits)
-        # each key is its word's provenance over its word_rank()
-        assert set(hits) == {1 << RANK_BITS | rank[lex.word_id("参加")],
-                             2 << RANK_BITS | rank[lex.word_id("禅家")]}
-        assert {(lex.surface(order[key & RANK_MASK]), key >> RANK_BITS) for key in hits} == {
+        # each key is its word's provenance over its rank
+        assert set(hits) == {1 << RANK_BITS | rank[lex.surfaces.index("参加")],
+                             2 << RANK_BITS | rank[lex.surfaces.index("禅家")]}
+        assert {(lex.surfaces[order[key & RANK_MASK]], key >> RANK_BITS) for key in hits} == {
             ("参加", 1), ("禅家", 2)}
         # 家 and 加 share their one reading, so their windows share hits
         assert window_hits(lex, ptable, fuzzy, "参", "加") is hits
@@ -419,11 +419,11 @@ class TestDenseLattice:
     def test_duplicate_sources_merge(self, sentence, word, cand):
         ptable = PinyinTable.from_pairs(HAND_PAIRS)
         lex = lexicon_from_words(HAND_WORDS, ptable, DENSE_FUZZY)
-        wid = lex.word_id(word)
+        wid = lex.surfaces.index(word)
         # the word reaches the middle position twice
         proposals = [key for lo in (0, 1)
                      for key in window_hits(lex, ptable, DENSE_FUZZY, sentence[lo], sentence[lo + 1])
-                     if lex.word_order()[key & RANK_MASK] == wid]
+                     if lex.order[key & RANK_MASK] == wid]
         proposals += [m for m in lex.trie_match_all(sentence) if m[2] == wid]
         assert len(proposals) >= 2
         for m_max in range(1, 10):
@@ -547,7 +547,7 @@ class TestFeatures:
         # it holds candidates, not the keys featurization reads
         with pytest.raises(ValueError, match="made by build_lattice"):
             lattice_to_feature_ids(hand)
-        extra = MatchCandidate(lex.word_id("会议"), (0, 0), Provenance.PINYIN_FUZZY,
+        extra = MatchCandidate(lex.surfaces.index("会议"), (0, 0), Provenance.PINYIN_FUZZY,
                                Direction.FORWARD)
         hand.per_char[0].append(extra)
         assert hand.per_char[0][-1] is extra
@@ -671,23 +671,23 @@ class TestFeaturizeSentences:
         lex = lexicon_from_words(
             [(e.surface, e.frequency) for e in DENSE_LEX.entries], DENSE_PTABLE, DENSE_FUZZY)
         calls = Counter()
-        index_slot = Lexicon._index_slot
+        table_entry = Lexicon._table_entry
         toneless_sets, lookup = PinyinTable.toneless_sets, Lexicon.pinyin_2gram_lookup
 
         def counted_sets(self, text):
             calls.update(text)
             return toneless_sets(self, text)
 
-        def counted_slot(self, fz):
+        def counted_entry(self, fz):
             calls["slot"] += 1
-            return index_slot(self, fz)
+            return table_entry(self, fz)
 
         def counted_lookup(self, a, b, fz):
             calls["lookup"] += 1
             return lookup(self, a, b, fz)
 
         monkeypatch.setattr(PinyinTable, "toneless_sets", counted_sets)
-        monkeypatch.setattr(Lexicon, "_index_slot", counted_slot)
+        monkeypatch.setattr(Lexicon, "_table_entry", counted_entry)
         monkeypatch.setattr(Lexicon, "pinyin_2gram_lookup", counted_lookup)
         # each character appears once, and most windows are probed
         sentence = "".join(dict.fromkeys(e.surface[0] for e in DENSE_LEX.entries[:40]))
@@ -696,8 +696,8 @@ class TestFeaturizeSentences:
             lat = build_lattice(lex, DENSE_PTABLE, DENSE_FUZZY, sentence, m_max=8)
             assert sum(lat.suspect) > len(sentence) // 2
             assert {ch: calls[ch] for ch in sentence} == dict.fromkeys(sentence, 1)
-            # a window computed for the memo reads the slot only through
-            # pinyin_2gram_lookup, as before
+            # a window computed for the memo reads the table's entry only
+            # through pinyin_2gram_lookup
             assert (calls["lookup"] > 0) == cold
             assert calls["slot"] == 1 + calls["lookup"]
 
@@ -741,3 +741,49 @@ def test_threads_sharing_a_lexicon_featurize_as_one():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert errors == [] and wrong == []
+
+
+
+def test_two_threads_on_two_tables_build_each_index_once(monkeypatch):
+    # two threads share one fresh lexicon, each under its own fuzzy table:
+    # querying one table neither rebuilds the other's 2-gram index nor
+    # empties its window memo
+    tables = [DENSE_FUZZY, FuzzyClassTable()]
+    sentences = dense_corpus(24, seed=7)
+    columns = DENSE_LEX.surfaces, DENSE_LEX.frequencies, DENSE_LEX.readings
+    want = [featurize_sentences(sentences, Lexicon(*columns), DENSE_PTABLE, t, 8)
+            for t in tables]
+    shared = Lexicon(*columns)
+    built = Counter()
+    build_index = Lexicon._build_index
+
+    def counted_build(self, fz):
+        built[tables.index(fz)] += 1
+        return build_index(self, fz)
+
+    monkeypatch.setattr(Lexicon, "_build_index", counted_build)
+    wrong, errors = [], []
+
+    def work(k):
+        try:
+            for _ in range(3):
+                got = featurize_sentences(sentences, shared, DENSE_PTABLE, tables[k], 8)
+                for s, (ids, mask), (want_ids, want_mask) in zip(sentences, got, want[k]):
+                    if not (np.array_equal(ids, want_ids) and np.array_equal(mask, want_mask)):
+                        wrong.append((k, s))
+        except Exception as e:  # noqa: BLE001 - a thread's error fails the test
+            errors.append(repr(e))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-lookup as often as possible
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == [] and wrong == []
+    assert built == {0: 1, 1: 1}

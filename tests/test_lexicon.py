@@ -1,7 +1,9 @@
+import gc
 import itertools
 import json
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -114,12 +116,12 @@ class TestBuild:
         assert [e.surface for e in lex.entries] == [
             "参加", "禅家", "会议", "会计", "参", "家", "山单",
         ]
-        assert lex.word_id("参加") == 0
-        assert lex.surface(1) == "禅家"
+        assert lex.surfaces.index("参加") == 0
+        assert lex.surfaces[1] == "禅家"
         assert len(lex) == 7
 
     def test_readings_follow_table_order(self, lex):
-        e = lex.entries[lex.word_id("参加")]
+        e = lex.entries[lex.surfaces.index("参加")]
         # polyphone keeps every toneless reading for matching
         assert e.readings == (("can", "shen"), ("jia",))
 
@@ -201,15 +203,15 @@ class TestBuild:
 
     def test_word_rank_orders_by_frequency_then_id(self, lex, ptable, fuzzy):
         # 参加 80, 禅家 5, 会议 60, 会计 15, 参 10, 家 20, 山单 1
-        assert lex.word_rank() == (0, 5, 1, 3, 4, 2, 6)
+        assert lex.rank == (0, 5, 1, 3, 4, 2, 6)
         ties = lexicon_from_words([("参", 3), ("家", 3), ("加", 7)], ptable, fuzzy)
-        assert ties.word_rank() == (1, 2, 0)
-        assert ties.word_order() == (2, 0, 1)
+        assert ties.rank == (1, 2, 0)
+        assert ties.order == (2, 0, 1)
 
     def test_rank_ids_gather_ranks_and_the_pad_rank(self, lex):
-        order = lex.word_order()
+        order = lex.order
         assert sorted(order) == list(range(len(lex)))
-        assert all(order[r] == wid for wid, r in enumerate(lex.word_rank()))
+        assert all(order[r] == wid for wid, r in enumerate(lex.rank))
         ids = lex.rank_ids(2, 1)
         assert ids.tolist() == [w + 2 for w in order] + [1]
         assert lex.rank_ids(2, 1) is ids
@@ -217,19 +219,22 @@ class TestBuild:
         with pytest.raises(ValueError):
             ids[0] = 5
 
-    def test_word_rank_is_built_on_first_use(self, lex):
+    def test_views_beyond_the_ranking_are_built_on_first_use(self, lex):
+        # a lexicon built only to be saved pays for its trie and ranking only
         fresh = Lexicon(*columns(lex))
-        assert fresh._rank_memo is None
-        assert fresh.word_rank() is fresh.word_rank()
+        assert (fresh.rank, fresh.order) == (lex.rank, lex.order)
+        assert (fresh._entries, fresh._hit_memo, fresh._ids_memo, fresh._tails_memo) == \
+            (None, None, None, None)
+        assert len(fresh._tables) == 0
 
-    def test_threads_building_the_word_rank_agree(self, lex):
+    def test_threads_building_rank_ids_agree(self, lex):
         fresh = [Lexicon(*columns(lex)) for _ in range(200)]
-        expect = (lex.word_rank(), lex.word_order(), lex.rank_ids(2, 1).tolist())
+        expect = lex.rank_ids(2, 1).tolist()
         wrong = []
 
         def rank_all():
             for other in fresh:
-                got = (other.word_rank(), other.word_order(), other.rank_ids(2, 1).tolist())
+                got = other.rank_ids(2, 1).tolist()
                 if got != expect:
                     wrong.append(got)
 
@@ -251,6 +256,13 @@ class TestOneIdPerWord:
     # word ids are positions in the columns, so only a surface can repeat
     READINGS = {"参加": (("can",), ("jia",)), "会议": (("hui",), ("yi",))}
 
+    def test_rejects_columns_of_unequal_length(self):
+        # to_json would write one entry, and featurizing would index past
+        # the end of the shorter columns
+        with pytest.raises(ValueError, match="columns of unequal length: 2 surfaces, "
+                                             "1 frequencies, 2 readings"):
+            Lexicon(("参加", "会议"), (1,), tuple(self.READINGS.values()))
+
     def test_rejects_repeated_surface(self):
         surfaces = ("参加", "会议", "参加")
         with pytest.raises(ValueError, match="entry 2 repeats the surface '参加' of entry 0"):
@@ -261,7 +273,7 @@ class TestOneIdPerWord:
         table = PinyinTable.from_file(bundled.demo_pinyin_path())
         lex = build_lexicon(bundled.demo_words_path(), table, FuzzyClassTable.default())
         payload = json.loads(lex.to_json())
-        first = lex.word_id("参加")
+        first = lex.surfaces.index("参加")
         payload["entries"].append(dict(payload["entries"][first]))
         with pytest.raises(LexiconFormatError,
                            match=f"entry {len(lex)} repeats the surface '参加' of entry {first}"):
@@ -296,7 +308,7 @@ class TestColumns:
         for other in (Lexicon(*columns(built)), Lexicon.load(path)):
             assert other.entries == built.entries
             assert other.to_json() == built.to_json()
-            assert other.word_rank() == built.word_rank()
+            assert other.rank == built.rank
             for s in sentences:
                 assert other.trie_match_all(s) == built.trie_match_all(s)
                 assert built.trie_match_all(s) == brute_force_spans(built, s)
@@ -338,7 +350,7 @@ class TestTrie:
     def test_match_example(self, lex):
         got = lex.trie_match_all("我参加会议")
         assert got == brute_force_spans(lex, "我参加会议")
-        surfaces = {(s, e, lex.surface(w)) for s, e, w in got}
+        surfaces = {(s, e, lex.surfaces[w]) for s, e, w in got}
         assert (1, 2, "参加") in surfaces
         assert (3, 4, "会议") in surfaces
         assert (1, 1, "参") in surfaces
@@ -365,15 +377,15 @@ class TestPinyin2Gram:
     def test_exact_pair(self, lex, fuzzy):
         a, b = parse_syllable("can1"), parse_syllable("jia1")
         ids = lex.pinyin_2gram_lookup(a, b, fuzzy)
-        assert lex.word_id("参加") in ids
-        assert lex.word_id("禅家") in ids  # chan ~ can under z/zh c/ch s/sh
+        assert lex.surfaces.index("参加") in ids
+        assert lex.surfaces.index("禅家") in ids  # chan ~ can under z/zh c/ch s/sh
 
     def test_frequency_ranking(self, lex, fuzzy):
         # 参加 (freq 80) must precede 禅家 (freq 5) in their shared bucket
         key = ("can", "jia")
         ids = lex.pinyin2gram_index(fuzzy)[key]
-        assert list(ids).index(lex.word_id("参加")) < list(ids).index(
-            lex.word_id("禅家")
+        assert list(ids).index(lex.surfaces.index("参加")) < list(ids).index(
+            lex.surfaces.index("禅家")
         )
 
     def test_polyphone_cross_product(self, lex, fuzzy):
@@ -384,18 +396,18 @@ class TestPinyin2Gram:
         ids_kuai = lex.pinyin_2gram_lookup(
             parse_syllable("kuai4"), parse_syllable("ji4"), fuzzy
         )
-        assert lex.word_id("会计") in ids_hui
-        assert lex.word_id("会计") in ids_kuai
+        assert lex.surfaces.index("会计") in ids_hui
+        assert lex.surfaces.index("会计") in ids_kuai
         # 参 polyphone: shen reading must find 参加 too
         ids_shen = lex.pinyin_2gram_lookup(
             parse_syllable("shen2"), parse_syllable("jia3"), fuzzy
         )
-        assert lex.word_id("参加") in ids_shen
+        assert lex.surfaces.index("参加") in ids_shen
 
     def test_only_two_char_words_indexed(self, lex, fuzzy):
         for ids in lex.pinyin2gram_index(fuzzy).values():
             for wid in ids:
-                assert len(lex.surface(wid)) == 2
+                assert len(lex.surfaces[wid]) == 2
 
     def test_miss_returns_empty(self, lex, fuzzy):
         assert lex.pinyin_2gram_lookup(
@@ -411,8 +423,8 @@ class TestPinyin2Gram:
         assert lex.pinyin_2gram_lookup(a, b, fuzzy) == equivalence_oracle(lex, a, b, fuzzy)
 
     def test_loaded_lexicon_follows_query_table(self, lex, tmp_path):
-        # the index is rebuilt for whichever table a query passes, so one
-        # loaded lexicon answers both tables, in any order
+        # each table a query passes gets its own index, so one loaded
+        # lexicon answers both tables, in any order
         lex.save(tmp_path / "lex.json")
         loaded = Lexicon.load(tmp_path / "lex.json")
         tables = [FuzzyClassTable.default(), FuzzyClassTable()]
@@ -425,8 +437,8 @@ class TestPinyin2Gram:
                         equivalence_oracle(loaded, a, b, table), (sa, sb)
         # 禅家 (chan) sounds like 参加 (can) only under the default classes
         a, b = parse_syllable("can"), parse_syllable("jia")
-        assert loaded.word_id("禅家") in loaded.pinyin_2gram_lookup(a, b, tables[0])
-        assert loaded.word_id("禅家") not in loaded.pinyin_2gram_lookup(a, b, tables[1])
+        assert loaded.surfaces.index("禅家") in loaded.pinyin_2gram_lookup(a, b, tables[0])
+        assert loaded.surfaces.index("禅家") not in loaded.pinyin_2gram_lookup(a, b, tables[1])
 
     def test_pad_tails_fill_rows_to_m_max(self, lex):
         tails = lex.pad_tails(4)
@@ -434,12 +446,30 @@ class TestPinyin2Gram:
         assert lex.pad_tails(4) is tails  # kept for the last m_max
         assert lex.pad_tails(2) == [[len(lex)] * 2, [len(lex)], []]
 
-    def test_index_kept_for_the_last_table(self, lex):
-        default, empty = FuzzyClassTable.default(), FuzzyClassTable()
-        first = lex.pinyin2gram_index(default)
-        assert lex.pinyin2gram_index(default) is first
-        assert lex.pinyin2gram_index(empty) is not first
-        assert lex.pinyin2gram_index(default) == first
+    def test_each_table_keeps_its_index_and_window_hits(self, ptable):
+        lex = lexicon_from_words(WORDS, ptable, FuzzyClassTable.default())
+        a, b = FuzzyClassTable.default(), FuzzyClassTable()
+        index = lex.pinyin2gram_index(a)
+        hits = window_hits(lex, ptable, a, "禅", "家")
+        assert lex.pinyin2gram_index(b) is not index
+        assert window_hits(lex, ptable, b, "禅", "家") != hits
+        # querying b neither rebuilt a's index nor emptied a's window memo
+        assert lex.pinyin2gram_index(a) is index
+        assert window_hits(lex, ptable, a, "禅", "家") is hits
+
+    def test_entry_goes_with_its_table(self, ptable):
+        build = FuzzyClassTable.default()
+        lex = lexicon_from_words(WORDS, ptable, build)
+        other = FuzzyClassTable()
+        window_hits(lex, ptable, other, "禅", "家")
+        assert len(lex._tables) == 2
+        gone = weakref.ref(other)
+        del other
+        gc.collect()
+        # no entry refers to its table, so the lexicon kept it alive nowhere
+        assert gone() is None
+        assert len(lex._tables) == 1
+        assert lex.pinyin2gram_index(build) is lex.pinyin2gram_index(build)
 
     def test_threads_sharing_a_lexicon_see_their_own_table(self, lex, ptable):
         tables = [FuzzyClassTable.default(), FuzzyClassTable()]
