@@ -23,10 +23,11 @@ input character, gated per position:
 b2 starts at gate_bias_init (default +2) so a fresh model mostly copies its
 input; lower it when the generator needs gradient from clean positions early.
 
-Training and forward_batch compute the whole head.  correct_many lets the
-gate decide first: wherever w_i > 1/2 the argmax of P_i is x_i, so it runs
-the generator only at the positions the gate leaves open, with the same
-outputs.
+Training and forward_batch compute the whole head.  correct_many sorts its
+sentences by length into passes of at most _PASS_CHARS padded characters,
+and lets the gate decide first: wherever w_i > 1/2 the argmax of P_i is
+x_i, so it runs the generator only at the positions the gate leaves open.
+Its outputs equal the argmax of forward_batch's P on the same pass.
 """
 
 from __future__ import annotations
@@ -62,6 +63,13 @@ CHAR_PAD_ID = 1
 CHAR_ID_OFFSET = 2
 
 LOSS_EPS = 1e-12
+
+# correct_many's cap on a forward pass's padded characters, sentences x
+# longest length.  Passes of length-sorted sentences hold little padding,
+# and a pass's [B, heads, n, n] scores and [B, n, v] logits stay a fraction
+# of a 64-sentence grid's; on correct_batch inputs, caps from 512 to 2048
+# ran alike
+_PASS_CHARS = 1024
 
 
 def check_fields(cfg, minimum: dict, choices: dict) -> None:
@@ -566,6 +574,21 @@ def assemble_batch(items) -> Batch:
     return Batch(char_ids, char_mask, word_ids, word_mask, gold_ids)
 
 
+def _passes(lengths, todo, batch_size):
+    """Cut `todo`, sentence indices in order of non-decreasing length, into
+    passes of at most batch_size sentences and at most _PASS_CHARS padded
+    characters (count x longest length); a pass takes at least one."""
+    chunk = []
+    for i in todo:
+        if chunk and (len(chunk) == batch_size
+                      or (len(chunk) + 1) * lengths[i] > _PASS_CHARS):
+            yield chunk
+            chunk = []
+        chunk.append(i)
+    if chunk:
+        yield chunk
+
+
 def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
     """Non-autoregressive correction: per-position argmax over the mixture.
 
@@ -577,13 +600,22 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
     word ids that are negative or at or beyond word_vocab_size, mean the
     features were not made for this checkpoint: HanfixError.
 
+    The non-empty sentences run in forward passes in order of length (equal
+    lengths in input order), each of at most batch_size sentences (an int of
+    at least 1, else ValueError) and at most _PASS_CHARS padded characters,
+    so little of a pass is padding.  Outputs, and the sentence index an
+    error names, follow the input order.
+
     Only the work that can change an output runs.  Fusion and the gate
     compute on the real characters (on every slot when the batch has no
     padding), and the gate decides first: a position with omega > 1/2 keeps
     its input, because the mixture's argmax there is the input id, so the
     generator softmax, the mixture and the argmax run only at the other
-    positions.  The outputs equal the argmax of forward_batch's p_out.
+    positions.  The outputs equal the argmax of forward_batch's p_out on the
+    same pass.
     """
+    if not isinstance(batch_size, int) or isinstance(batch_size, bool) or batch_size < 1:
+        raise ValueError(f"batch_size must be an int of at least 1, got {batch_size!r}")
     m_max = params.config.m_max
     if len(feats) != len(sentences):
         raise HanfixError(f"{len(feats)} feature rows for {len(sentences)} sentences")
@@ -593,9 +625,9 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
                               f"{wmask.shape}, expected {(len(s), m_max)}")
     t, cfg, chars = params.tensors, params.config, params.chars
     out = list(sentences)
-    todo = [i for i, s in enumerate(sentences) if len(s) > 0]
-    for lo in range(0, len(todo), batch_size):
-        chunk = todo[lo : lo + batch_size]
+    lengths = [len(s) for s in sentences]
+    todo = sorted((i for i, k in enumerate(lengths) if k > 0), key=lengths.__getitem__)
+    for chunk in _passes(lengths, todo, batch_size):
         batch = assemble_batch(
             [(params.char_to_ids(sentences[i]), None, feats[i][0], feats[i][1])
              for i in chunk]

@@ -702,19 +702,21 @@ class TestInferencePass:
         assert correct_many(params, sentences, feats, batch_size=3) == want
 
     @pytest.mark.parametrize("d_c, layers, use_copy, bound", [
-        (16, 1, True, 1.9), (16, 1, False, 2.3), (64, 2, True, 5.0), (64, 2, False, 5.0)])
+        (16, 1, True, 0.6), (16, 1, False, 0.75), (64, 2, True, 1.5), (64, 2, False, 1.5)])
     def test_correct_many_peak_memory(self, d_c, layers, use_copy, bound):
         # one 64-sentence call at correct_batch-like shapes (24-60 chars,
-        # m_max 8, v 182), measured in [B, n, v] float64 arrays: the
+        # m_max 8, v 182), measured in [64, 60, v] float64 arrays: the
         # training forward's caches and a second mixture array read 6.0x at
         # d_c 16 and 17.2x at d_c 64 (2 layers).  A cache-free pass on every
         # slot, whose encoder blocks held each intermediate until they
         # returned and whose fusion layer held the gathered word embeddings,
-        # read 2.4x and 7.1x, with the copy gate on or off.  This pass reads
-        # 1.6x and 4.3x where the fresh gate (omega > 1/2 everywhere) leaves
-        # the generator idle, and 1.9x and 4.3x where use_copy=False sends
-        # every position to it; the fusion layer's [B, n, m, d_c] candidate
-        # states dominate at d_c 64
+        # read 2.4x and 7.1x, with the copy gate on or off.  The gate-first
+        # pass over all 64 sentences read 1.6x and 4.4x where the fresh gate
+        # (omega > 1/2 everywhere) leaves the generator idle, and 1.9x and
+        # 4.4x where use_copy=False sends every position to it.  Length-sorted
+        # passes of at most _PASS_CHARS padded characters, about a quarter of
+        # the grid, read 0.44x and 1.18x, and 0.58x and 1.19x; the fusion
+        # layer's [B, n, m, d_c] candidate states dominate at d_c 64
         v, m = 182, 8
         cfg = ModelConfig(char_vocab_size=v, word_vocab_size=2000, d_c=d_c, d_w=16,
                           layers=layers, heads=2, ffn_dim=2 * d_c, gate_dim=16,
@@ -842,6 +844,47 @@ class TestGateFirstDecode:
                     assert mixed.argmax(axis=-1)[0] == x, (omega, x, j)
 
 
+class TestPasses:
+    """correct_many runs its non-empty sentences shortest first, in passes of
+    at most batch_size sentences and _PASS_CHARS padded characters."""
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_pass_composition(self, monkeypatch, batch_size):
+        rng = np.random.default_rng(batch_size)
+        params = inference_world(16, use_copy=False, max_len=64)
+        sentences, feats = random_sentences(rng, params, 90)
+        row_of = {id(wid): i for i, (wid, _) in enumerate(feats)}
+        passes = []
+
+        def spy(items):
+            passes.append([row_of[id(item[2])] for item in items])
+            return assemble_batch(items)
+
+        monkeypatch.setattr(model_module, "assemble_batch", spy)
+        got = correct_many(params, sentences, feats, batch_size=batch_size)
+        lengths = [[len(sentences[i]) for i in p] for p in passes]
+        for p, ks in zip(passes, lengths):
+            assert 1 <= len(p) <= batch_size
+            assert len(p) == 1 or len(p) * max(ks) <= model_module._PASS_CHARS
+        # shortest first, equal lengths in input order, each sentence once
+        order = [i for p in passes for i in p]
+        assert order == sorted((i for i, s in enumerate(sentences) if s),
+                               key=lambda i: len(sentences[i]))
+        if batch_size == 64:  # the character budget cuts every pass
+            assert max(map(len, passes)) < batch_size
+        assert got != sentences  # use_copy=False: the generator edits
+        rev = correct_many(params, sentences[::-1], feats[::-1], batch_size=batch_size)
+        assert rev == got[::-1]
+
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.0, True])
+    def test_rejects_a_batch_size_below_one_or_not_an_int(self, batch_size):
+        params = inference_world(16)
+        sentences, feats = random_sentences(np.random.default_rng(0), params, 3, (1, 9))
+        with pytest.raises(ValueError, match=f"^batch_size must be an int of at least 1, "
+                                             f"got {batch_size!r}$"):
+            correct_many(params, sentences, feats, batch_size=batch_size)
+
+
 class TestBatching:
     def test_assemble_pads(self):
         m = 2
@@ -961,14 +1004,16 @@ class TestCorrect:
         cfg = tiny_config(char_vocab_size=len(chars) + 2,
                           word_vocab_size=len(lexicon) + 2)
         params = init_params(cfg, chars)
-        sentences = ["参加", "", "参家", "会议"]
-        feats = featurize_sentences(sentences, lexicon, ptable, fuzzy, cfg.m_max)
-        wid = feats[3][0].copy()
-        wid[0, -1] = cfg.word_vocab_size
-        feats[3] = (wid, feats[3][1])
-        with pytest.raises(HanfixError, match=f"sentence 3: candidate word id "
-                                              f"{cfg.word_vocab_size} out of range"):
-            correct_many(params, sentences, feats, batch_size=batch_size)
+        # a longer sentence 0 runs after sentence 3 in the length order
+        for first in ("参加", "参加会议参加"):
+            sentences = [first, "", "参家", "会议"]
+            feats = featurize_sentences(sentences, lexicon, ptable, fuzzy, cfg.m_max)
+            wid = feats[3][0].copy()
+            wid[0, -1] = cfg.word_vocab_size
+            feats[3] = (wid, feats[3][1])
+            with pytest.raises(HanfixError, match=f"sentence 3: candidate word id "
+                                                  f"{cfg.word_vocab_size} out of range"):
+                correct_many(params, sentences, feats, batch_size=batch_size)
 
     def test_rejects_features_of_another_m_max(self, word_world):
         # featurized at m_max 8 for a model of m_max 3
