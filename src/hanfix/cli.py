@@ -375,10 +375,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except HanfixError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    except (HanfixError, OSError, ValueError) as e:  # JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

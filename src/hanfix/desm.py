@@ -36,6 +36,7 @@ same ids whether or not `per_char` was read.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -80,31 +81,26 @@ class CharWordLattice:
     """Ranked word candidates for every character of one sentence.
 
     `build_lattice` stores each position's ranked int keys, padded to m_max
-    in one flat list, which `lattice_to_feature_ids` reads; the
-    `MatchCandidate` lists are derived on the first read of `per_char` (one
-    object per candidate, shared by every position of its span) and kept.
-    A lattice made by hand, CharWordLattice(sentence, per_char, suspect),
-    holds candidate lists only: `per_char` and `lattice_records` read it,
-    and featurizing it is a ValueError.
+    in one flat list, which `lattice_to_feature_ids` reads; `per_char`, the
+    `MatchCandidate` lists, is a cached property derived from the keys on
+    first read (one object per candidate, shared by every position of its
+    span).  A lattice made by hand, CharWordLattice(sentence, per_char,
+    suspect), assigns `per_char` and holds candidate lists only: `per_char`
+    and `lattice_records` read it, and featurizing it is a ValueError.
     """
-
-    __slots__ = ("sentence", "suspect", "_per_char", "_built")
 
     def __init__(self, sentence: str, per_char: list[list[MatchCandidate]],
                  suspect: list[bool] | None = None):
         self.sentence = sentence
         self.suspect = [] if suspect is None else suspect
-        self._per_char = per_char
+        self.per_char = per_char
         # build_lattice's (padded keys, m_max, lexicon, trie matches, fed
-        # window hits); its per_char is None until first read
+        # window hits)
         self._built: tuple | None = None
 
-    @property
+    @cached_property
     def per_char(self) -> list[list[MatchCandidate]]:
-        per_char = self._per_char
-        if per_char is None:
-            per_char = self._per_char = _candidates(self.suspect, *self._built)
-        return per_char
+        return _candidates(self.suspect, *self._built)
 
     def __len__(self) -> int:
         return len(self.sentence)
@@ -211,8 +207,7 @@ def build_lattice(
     Characters without pinyin readings simply contribute no phonetic
     candidates; they are never an error here.
     """
-    if m_max < 1:
-        raise ValueError(f"m_max must be positive, got {m_max}")
+    _check_m_max(m_max)
     n = len(sentence)
     rank = lex.rank
     # per position, the ranks of the words matching exactly over it
@@ -282,7 +277,9 @@ def build_lattice(
         flat += head
         flat += tails[len(head)]
 
-    lat = CharWordLattice(sentence, None, suspects)
+    # not through __init__, which assigns per_char: here it is derived
+    lat = CharWordLattice.__new__(CharWordLattice)
+    lat.sentence, lat.suspect = sentence, suspects
     lat._built = (flat, m_max, lex, matches, fed)
     return lat
 
@@ -302,7 +299,7 @@ def lattice_to_feature_ids(lat: CharWordLattice) -> tuple[np.ndarray, np.ndarray
     # the padded keys go into the array in one assignment, which beats two
     # numpy item writes per candidate, then through one gather from rank to
     # feature id, in place.  Filled, not np.array(list).reshape(...): that
-    # view keeps a second array object alive per cached feature (~1 MB over
+    # view keeps a second array object alive per kept feature (~1 MB over
     # 5000 training sentences).
     flat, m_max, lex = built[0], built[1], built[2]
     ids = np.empty((len(lat.sentence), m_max), dtype=np.int64)
@@ -316,11 +313,18 @@ def lattice_to_feature_ids(lat: CharWordLattice) -> tuple[np.ndarray, np.ndarray
 LATTICE_MODES = ("desm", "ttm", "none")
 
 
+def _check_m_max(m_max: int) -> None:
+    """ValueError unless m_max is a non-bool int of at least 1."""
+    if not isinstance(m_max, int) or isinstance(m_max, bool):
+        raise ValueError(f"m_max must be an int, got {m_max!r}")
+    if m_max < 1:
+        raise ValueError(f"m_max must be positive, got {m_max}")
+
+
 def _check_features_args(m_max: int, mode: str) -> None:
     if mode not in LATTICE_MODES:
         raise ValueError(f"lattice mode must be one of {LATTICE_MODES}, got {mode!r}")
-    if m_max < 1:
-        raise ValueError(f"m_max must be positive, got {m_max}")
+    _check_m_max(m_max)
 
 
 def sentence_features(
@@ -351,17 +355,11 @@ def sentence_features(
 
 
 def featurize_sentences(sentences, lex, ptable, fuzzy, m_max, mode="desm"):
-    """sentence_features for each sentence, memoized by text (corpora repeat
-    sources between train and eval).  The arguments are checked even when
-    there is no sentence."""
+    """sentence_features for each sentence, in order; a repeated sentence is
+    featurized again, as corpora rarely repeat one within a call.  The
+    arguments are checked even when there is no sentence."""
     _check_features_args(m_max, mode)
-    cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    out = []
-    for s in sentences:
-        if s not in cache:
-            cache[s] = sentence_features(s, lex, ptable, fuzzy, m_max, mode)
-        out.append(cache[s])
-    return out
+    return [sentence_features(s, lex, ptable, fuzzy, m_max, mode) for s in sentences]
 
 
 def lattice_records(lat: CharWordLattice, lex: Lexicon) -> list[dict]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .desm import featurize_sentences
 from .errors import LengthMismatch
 from .model import ModelConfig, correct_many
-from .training import TrainConfig, build_char_vocab, train
+from .training import TrainConfig, train
 
 logger = logging.getLogger("hanfix.evaluation")
 
@@ -169,19 +169,16 @@ def run_ablation(
 ) -> list[AblationRow]:
     """Train/evaluate every variant over every seed.
 
-    All variants share the character vocabulary and the per-mode candidate
-    features, so the only differences are the toggled components and the
-    seed.  A variant that raises keeps its error message in its row instead
-    of aborting the others.
+    Each model is what train() makes of train_pairs at that seed, and all
+    variants share the per-mode candidate features, so the only differences
+    are the toggled components and the seed.  A variant that raises keeps
+    its error message in its row instead of aborting the others.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     tconf = tconf or TrainConfig()
     base_over = dict(model_overrides or {})
     m_max = base_over.get("m_max", ModelConfig.m_max)
-    chars = build_char_vocab(
-        [p.source for p in train_pairs] + [p.target for p in train_pairs]
-    )
     test_sources = [p.source for p in test_pairs]
     train_sources = [p.source for p in train_pairs]
 
@@ -206,7 +203,7 @@ def run_ablation(
             for seed in seeds:
                 params, _ = train(
                     train_pairs, lexicon, ptable, fuzzy,
-                    tconf=replace(tconf, seed=seed), model_overrides=over, chars=chars,
+                    tconf=replace(tconf, seed=seed), model_overrides=over,
                     feats=feats_for(var.lattice_mode, "train"),
                 )
                 preds = correct_many(

@@ -21,11 +21,13 @@ one of three lifetimes:
   the word that ends there under the key None.  `rank[word_id]` is the
   word's place when the words are ordered by descending frequency, then
   word id, and `order[place]` is the word id at that place.
-* Built on first use, and kept: `entries` (the words as WordEntry tuples),
-  the window-hit keys, the rank-to-id array and the pad rows.  A lexicon
-  built only to be saved never pays for them.  Each is stored whole in one
-  slot: two threads may both build one, but each gets a complete and equal
-  value.
+* Built on first use, and kept: `entries` (the words as WordEntry tuples)
+  and the window-hit keys, as cached properties, and the rank-to-id array
+  and the pad rows, each kept for the last arguments it was asked for.  A
+  lexicon built only to be saved never pays for them.  Each is computed
+  whole and then stored in one assignment: two threads may both build one
+  (a cached property takes no lock from Python 3.12 on), but each gets a
+  complete and equal value.
 * Built per fuzzy table, on that table's first query: the table's 2-gram
   index and its window memo, one entry per table, stored with one
   setdefault in a mapping that holds its tables weakly.  No entry refers to
@@ -50,6 +52,7 @@ from __future__ import annotations
 import json
 import weakref
 import zlib
+from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -143,23 +146,17 @@ class Lexicon:
             rank[wid] = place
         self.rank: tuple[int, ...] = tuple(rank)
         self.order: tuple[int, ...] = tuple(order)
-        self._entries: tuple[WordEntry, ...] | None = None
-        self._hit_memo: tuple[tuple[int, int], ...] | None = None
         self._ids_memo: tuple[int, int, np.ndarray] | None = None
         self._tails_memo: tuple[int, list[list[int]]] | None = None
         # fuzzy table -> (its 2-gram index, its window memo)
         self._tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    @property
+    @cached_property
     def entries(self) -> tuple[WordEntry, ...]:
         """The words as WordEntry objects, built from the columns on first
         read and kept."""
-        entries = self._entries
-        if entries is None:
-            entries = self._entries = tuple(map(
-                WordEntry, range(len(self.surfaces)), self.surfaces, self.frequencies,
-                self.readings))
-        return entries
+        return tuple(map(WordEntry, range(len(self.surfaces)), self.surfaces,
+                         self.frequencies, self.readings))
 
     def __len__(self) -> int:
         return len(self.surfaces)
@@ -185,16 +182,13 @@ class Lexicon:
             memo = self._tails_memo = (m_max, [[pad] * (m_max - k) for k in range(m_max + 1)])
         return memo[1]
 
+    @cached_property
     def _hit_keys(self) -> tuple[tuple[int, int], ...]:
         """keys[word_id]: the word's two possible window-hit keys, its rank
         with provenance 1 and with provenance 2.  Every window memo entry
         shares these int objects, so it keeps one new tuple, not one int
         per hit.  Built on first use."""
-        keys = self._hit_memo
-        if keys is None:
-            keys = self._hit_memo = tuple(
-                (1 << RANK_BITS | r, 2 << RANK_BITS | r) for r in self.rank)
-        return keys
+        return tuple((1 << RANK_BITS | r, 2 << RANK_BITS | r) for r in self.rank)
 
     # ---------------------------------------------------------------- queries
 
@@ -325,7 +319,7 @@ class Lexicon:
             row = memo.setdefault(ra, {})
         entry = row.get(rb)
         if entry is None:
-            readings, keys = self.readings, self._hit_keys()
+            readings, keys = self.readings, self._hit_keys
             # exactness reads the word and the two reading sets only, so a
             # word that several reading pairs find gets one hit
             found: dict[int, int] = {}
@@ -380,7 +374,7 @@ class Lexicon:
         if unknown:
             raise LexiconFormatError(f"{path}: unknown field(s) {_names(unknown)}")
         try:
-            return cls(*_check_entries(payload["entries"]))
+            return cls(*_entry_columns(payload["entries"]))
         except KeyError as e:
             raise LexiconFormatError(f"{path}: missing field {e}") from e
         except (TypeError, ValueError, WordTooLong) as e:
@@ -400,7 +394,7 @@ def _only(kind: type, xs) -> bool:
     return {kind}.issuperset(map(type, xs))
 
 
-def _check_entries(raw) -> tuple[tuple, tuple, tuple]:
+def _entry_columns(raw) -> tuple[tuple, tuple, tuple]:
     """The (surfaces, frequencies, readings) columns of the serialized
     entries, readings as tuples: one tuple object per distinct reading list,
     shared as lexicon_from_words shares them.  ValueError unless every entry

@@ -35,7 +35,8 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -153,16 +154,15 @@ class ModelParams:
     config: ModelConfig
     chars: tuple[str, ...]  # id = index + CHAR_ID_OFFSET
     tensors: dict[str, np.ndarray]
-    _char_index: dict = field(default=None, repr=False, compare=False)
 
-    def char_index(self) -> dict:
-        if self._char_index is None:
-            self._char_index = {c: i + CHAR_ID_OFFSET for i, c in enumerate(self.chars)}
-        return self._char_index
+    @cached_property
+    def char_index(self) -> dict[str, int]:
+        """char -> id, built on first read and kept."""
+        return {c: i + CHAR_ID_OFFSET for i, c in enumerate(self.chars)}
 
     def char_to_ids(self, text: str) -> np.ndarray:
         # one C-level pass: map() feeds idx.get straight to np.fromiter
-        return np.fromiter(map(self.char_index().get, text, repeat(CHAR_UNK_ID)),
+        return np.fromiter(map(self.char_index.get, text, repeat(CHAR_UNK_ID)),
                            np.int64, len(text))
 
 

@@ -105,24 +105,21 @@ def train(
     fuzzy,
     tconf: TrainConfig | None = None,
     model_overrides: dict | None = None,
-    chars: tuple[str, ...] | None = None,
     feats=None,
     log=None,
 ) -> tuple[ModelParams, list[float]]:
     """Train a fresh model on ParallelPairs; returns (params, loss history).
 
-    chars/feats can be passed in to reuse a vocabulary or precomputed
-    sentence features (the ablation harness shares features across seeds).
-    log, when given, receives one line per epoch.  Raises SequenceTooLong,
+    The character vocabulary is build_char_vocab over the pairs' sources
+    and targets.  feats can be passed in to reuse precomputed sentence
+    features (the ablation harness shares features across seeds).  log,
+    when given, receives one line per epoch.  Raises SequenceTooLong,
     before any featurization, when a source exceeds the model's max_len.
     """
     if not pairs:
         raise ValueError("empty training corpus")
     tconf = tconf or TrainConfig()
-    if chars is None:
-        chars = build_char_vocab(
-            [p.source for p in pairs] + [p.target for p in pairs]
-        )
+    chars = build_char_vocab([p.source for p in pairs] + [p.target for p in pairs])
     cfg = ModelConfig(
         char_vocab_size=len(chars) + CHAR_ID_OFFSET,
         word_vocab_size=len(lexicon) + WORD_ID_OFFSET,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hanfix.corpus import ParallelPair, generate_synthetic, NoiseSpec
 from hanfix.corpus import make_toy_inventory, make_toy_words
+from hanfix.desm import featurize_sentences
 from hanfix.errors import LengthMismatch
 from hanfix.evaluation import (
     DEFAULT_VARIANTS,
@@ -17,8 +18,9 @@ from hanfix.evaluation import (
     score,
 )
 from hanfix.lexicon import lexicon_from_words
+from hanfix.model import correct_many
 from hanfix.pinyin import FuzzyClassTable, PinyinTable
-from hanfix.training import TrainConfig
+from hanfix.training import TrainConfig, train
 
 # hand-scored fixture:
 #   triple 1: error at pos 1, detected and corrected
@@ -177,6 +179,28 @@ class TestAblation:
         assert rows1[0].mean_detection == rows2[0].mean_detection
         assert rows1[0].mean_correction == rows2[0].mean_correction
         assert rows1[0].reports[0].tag == "desm+copy/seed0"
+
+    def test_scores_the_model_that_train_makes(self, tiny_world):
+        # the harness trains exactly what train() trains at the same seed and
+        # overrides: the same vocabulary, features and weights.  Without the
+        # copy path this model edits its input, so its report tells models
+        # apart (a reordered vocabulary changes it)
+        lex, ptable, fuzzy, train_pairs, test_pairs = tiny_world
+        tconf = TrainConfig(lr=1e-3, batch_size=16, epochs=2, seed=3)
+        [row] = run_ablation(
+            [AblationVariant("desm", False, "desm")],
+            train_pairs, test_pairs, lex, ptable, fuzzy,
+            seeds=(3,), tconf=tconf, model_overrides=dict(SMALL_OVER),
+        )
+        over = dict(SMALL_OVER, use_copy=False, lattice_mode="desm")
+        params, _ = train(train_pairs, lex, ptable, fuzzy, tconf=tconf, model_overrides=over)
+        sources = [p.source for p in test_pairs]
+        feats = featurize_sentences(sources, lex, ptable, fuzzy, SMALL_OVER["m_max"])
+        preds = correct_many(params, sources, feats)
+        want = score([(p.source, p.target, yh) for p, yh in zip(test_pairs, preds)],
+                     tag="desm/seed3")
+        assert want.counts["detection_fp"] > 0
+        assert row.reports == [want]
 
     def test_seeds_averaged(self, tiny_world):
         lex, ptable, fuzzy, train_pairs, test_pairs = tiny_world

@@ -223,8 +223,8 @@ class TestBuild:
         # a lexicon built only to be saved pays for its trie and ranking only
         fresh = Lexicon(*columns(lex))
         assert (fresh.rank, fresh.order) == (lex.rank, lex.order)
-        assert (fresh._entries, fresh._hit_memo, fresh._ids_memo, fresh._tails_memo) == \
-            (None, None, None, None)
+        assert not {"entries", "_hit_keys"} & vars(fresh).keys()
+        assert (fresh._ids_memo, fresh._tails_memo) == (None, None)
         assert len(fresh._tables) == 0
 
     def test_threads_building_rank_ids_agree(self, lex):

@@ -199,7 +199,7 @@ class TestInit:
                                       "".join(CHARS) + "x"])
     def test_char_to_ids_equals_list_form(self, text):
         p = init_params(tiny_config(), CHARS)
-        idx = p.char_index()
+        idx = p.char_index
         want = np.array([idx.get(c, CHAR_UNK_ID) for c in text], dtype=np.int64)
         got = p.char_to_ids(text)
         assert got.dtype == np.int64 and got.shape == want.shape == (len(text),)
