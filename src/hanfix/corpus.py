@@ -107,17 +107,17 @@ class NoiseSpec:
 def homophone_pools(ptable: PinyinTable, fuzzy: FuzzyClassTable):
     """char -> (exact, strictly_fuzzy) replacement tuples, each sorted.
 
-    exact = shares a toneless reading; strictly_fuzzy = shares a fuzzy key
-    but no toneless reading.  The split lets NoiseSpec steer how phonetically
-    distant the injected errors are.
+    exact = shares a reading; strictly_fuzzy = shares a fuzzy key but no
+    reading.  The split lets NoiseSpec steer how phonetically distant the
+    injected errors are.
     """
     by_reading: dict[str, set[str]] = {}
     by_fkey: dict[str, set[str]] = {}
     readings: dict[str, set[str]] = {}
     fkeys: dict[str, set[str]] = {}
     for ch in ptable.characters():
-        tl = {s.toneless() for s in ptable.readings(ch)}
-        fk = {fuzzy_key(s, fuzzy) for s in ptable.readings(ch)}
+        tl = {str(s) for s in ptable.get(ch)}
+        fk = {fuzzy_key(s, fuzzy) for s in ptable.get(ch)}
         readings[ch], fkeys[ch] = tl, fk
         for r in tl:
             by_reading.setdefault(r, set()).add(ch)

@@ -15,8 +15,8 @@ A window of two non-suspect characters never triggers a pinyin probe, which
 keeps candidate lists small on clean text; a window with two suspect ends is
 probed once.  `Lexicon.probe_windows` answers a sentence's probes from one
 read of the lexicon's window memo and one reading-set lookup per character:
-a window's ranked hits are remembered under its two characters' toneless
-reading sets, so each pair of readings is looked up in the 2-gram index once
+a window's ranked hits are remembered under its two characters' reading
+sets, so each pair of readings is looked up in the 2-gram index once
 per lexicon and fuzzy table, and each window feeds only its `m_max` best
 hits into the lattice.
 
@@ -117,43 +117,40 @@ class CharWordLattice:
 
 
 def _candidates(suspects, flat, width, lex, matches, fed) -> list[list[MatchCandidate]]:
-    """The MatchCandidate rows of a built lattice.  A candidate takes the
-    best of its word's keys at the position, as the ranking does: the first
-    trie match covering it (matches come sorted by (start, end)), or the
-    probed window of lower direction that fed its key, the left one on a
-    tie.  One candidate object stands for one match, or one window's key,
-    at every position that takes it."""
-    order, rank, pad = lex.order, lex.rank, len(lex)
-    n = len(suspects)
-    # per position, word rank -> the candidate of the first match covering it
-    exact: list[dict[int, MatchCandidate]] = [{} for _ in range(n)]
+    """The MatchCandidate rows of a built lattice, one rule per key.  An
+    EXACT key's span starts at the first trie match of its word that covers
+    the position (matches come sorted by start).  A window key takes the
+    left window if that window fed it and either the left neighbour is
+    suspect or the right window did not feed it, else the right window.
+    A window candidate is FORWARD iff its span starts at a suspect.  One
+    candidate object stands for one (key, start), at every position that
+    takes it."""
+    order, rank, surfaces, pad = lex.order, lex.rank, lex.surfaces, len(lex)
+    first: dict[tuple[int, int], int] = {}  # (position, word rank) -> start
     for start, end, wid in matches:
-        r, cand = rank[wid], None
         for i in range(start, end + 1):
-            if r not in exact[i]:
-                if cand is None:
-                    cand = MatchCandidate(wid, (start, end), Provenance.EXACT, Direction.NONE)
-                exact[i][r] = cand
-    # a window's direction: FORWARD (1) when its first character is suspect
-    directions = [1 if flag else 2 for flag in suspects]
-    made: dict[tuple[int, int], MatchCandidate] = {}  # (window, key) -> candidate
+            first.setdefault((i, rank[wid]), start)
+    made: dict[tuple[int, int], MatchCandidate] = {}  # (key, start) -> candidate
     per_char = []
-    for i in range(n):
+    for i in range(len(suspects)):
         left, right = fed[i - 1] if i else (), fed[i]
         cands = []
         for key in flat[i * width:(i + 1) * width]:
             if key == pad:
                 break
             if key <= RANK_MASK:  # provenance 0: EXACT
-                cands.append(exact[i][key])
-                continue
-            lo = i - 1 if key in left and (
-                key not in right or directions[i - 1] <= directions[i]) else i
-            cand = made.get((lo, key))
+                start = first[i, key]
+            elif key in left and (suspects[i - 1] or key not in right):
+                start = i - 1
+            else:
+                start = i
+            cand = made.get((key, start))
             if cand is None:
-                cand = made[lo, key] = MatchCandidate(
-                    order[key & RANK_MASK], (lo, lo + 1), _PROVENANCES[key >> RANK_BITS],
-                    _DIRECTIONS[directions[lo]])
+                wid, provenance = order[key & RANK_MASK], key >> RANK_BITS
+                direction = 0 if not provenance else 1 if suspects[start] else 2
+                cand = made[key, start] = MatchCandidate(
+                    wid, (start, start + len(surfaces[wid]) - 1), _PROVENANCES[provenance],
+                    _DIRECTIONS[direction])
             cands.append(cand)
         per_char.append(cands)
     return per_char
@@ -189,8 +186,8 @@ def build_lattice(
     BACKWARD (a window probed from both ends would give the same words
     twice, and the FORWARD copy outranks the BACKWARD one).  Hits land on
     both characters of the window, marked PINYIN_EXACT when some reading of
-    the word matches both characters' readings literally (toneless) and
-    PINYIN_FUZZY otherwise.  The hits come ranked from Lexicon.probe_windows,
+    the word matches both characters' readings literally and PINYIN_FUZZY
+    otherwise.  The hits come ranked from Lexicon.probe_windows,
     which remembers them per pair of reading sets, and only a window's
     `m_max` best are fed in: any later one has `m_max` better words ahead
     of it at both ends, so truncation would drop it anyway.

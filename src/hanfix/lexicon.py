@@ -23,11 +23,12 @@ one of three lifetimes:
   word id, and `order[place]` is the word id at that place.
 * Built on first use, and kept: `entries` (the words as WordEntry tuples)
   and the window-hit keys, as cached properties, and the rank-to-id array
-  and the pad rows, each kept for the last arguments it was asked for.  A
-  lexicon built only to be saved never pays for them.  Each is computed
-  whole and then stored in one assignment: two threads may both build one
-  (a cached property takes no lock from Python 3.12 on), but each gets a
-  complete and equal value.
+  and the pad rows, each kept for the last arguments it was asked for; a
+  pad row of each length is built on the first use of that length, so the
+  rows take memory linear in m_max.  A lexicon built only to be saved never
+  pays for them.  Each is computed whole and then stored in one assignment:
+  two threads may both build one (a cached property takes no lock from
+  Python 3.12 on), but each gets a complete and equal value.
 * Built per fuzzy table, on that table's first query: the table's 2-gram
   index and its window memo, one entry per table, stored with one
   setdefault in a mapping that holds its tables weakly.  No entry refers to
@@ -89,6 +90,22 @@ RANK_MASK = (1 << RANK_BITS) - 1
 FILTER_BITS = 1024
 
 
+class _PadTails(dict):
+    """k -> [pad] * (m_max - k), built on the first use of k: a lattice's
+    rows take few distinct lengths, so the kept tails grow with m_max, not
+    with its square."""
+
+    __slots__ = ("pad", "m_max")
+
+    def __init__(self, pad: int, m_max: int):
+        super().__init__()
+        self.pad, self.m_max = pad, m_max
+
+    def __missing__(self, k: int) -> list[int]:
+        tail = self[k] = [self.pad] * (self.m_max - k)
+        return tail
+
+
 class WordEntry(NamedTuple):
     """One dictionary word, as `Lexicon.entries` yields it.
 
@@ -147,7 +164,7 @@ class Lexicon:
         self.rank: tuple[int, ...] = tuple(rank)
         self.order: tuple[int, ...] = tuple(order)
         self._ids_memo: tuple[int, int, np.ndarray] | None = None
-        self._tails_memo: tuple[int, list[list[int]]] | None = None
+        self._tails_memo: _PadTails | None = None
         # fuzzy table -> (its 2-gram index, its window memo)
         self._tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -172,15 +189,15 @@ class Lexicon:
             memo = self._ids_memo = (offset, pad, ids)
         return memo[2]
 
-    def pad_tails(self, m_max: int) -> list[list[int]]:
+    def pad_tails(self, m_max: int) -> _PadTails:
         """tails[k] = [len(self)] * (m_max - k): the pad ranks that fill a
-        row of k lattice keys to m_max.  The lists of the last m_max are
+        row of k lattice keys to m_max, for 0 <= k <= m_max.  Each list is
+        built on the first use of its k; the lists of the last m_max are
         kept and shared, so callers read them and never change them."""
         memo = self._tails_memo
-        if memo is None or memo[0] != m_max:
-            pad = len(self)
-            memo = self._tails_memo = (m_max, [[pad] * (m_max - k) for k in range(m_max + 1)])
-        return memo[1]
+        if memo is None or memo.m_max != m_max:
+            memo = self._tails_memo = _PadTails(len(self), m_max)
+        return memo
 
     @cached_property
     def _hit_keys(self) -> tuple[tuple[int, int], ...]:
@@ -272,17 +289,16 @@ class Lexicon:
 
         A window's hits are the 2-char entries that sound like it, as sorted
         lattice keys, one per word: provenance 1 (PINYIN_EXACT) when some
-        reading of the word matches both characters' toneless readings
-        literally, else 2 (PINYIN_FUZZY), over the word's `rank`.  They
-        are those of pinyin_2gram_lookup over every reading pair of the two
-        characters, and they are remembered under the pair of the
-        characters' toneless reading sets, beside the 2-gram index of
-        `fuzzy`: a lookup reads only a syllable's fuzzy key, which reads
-        only its initial and final, and toneless() is initial + final,
-        which no other pair spells (no final starts with a consonant or
-        with h).  So two characters with equal toneless reading sets get
-        equal hits, in any PinyinTable, and a character without readings
-        gets none.
+        reading of the word matches both characters' readings literally,
+        else 2 (PINYIN_FUZZY), over the word's `rank`.  They are those of
+        pinyin_2gram_lookup over every reading pair of the two characters,
+        and they are remembered under the pair of the characters' reading
+        sets (their str() forms), beside the 2-gram index of `fuzzy`: a
+        lookup reads only a syllable's fuzzy key, which reads only its
+        initial and final, and str() is initial + final, which no other
+        pair spells (no final starts with a consonant or with h).  So two
+        characters with equal reading sets get equal hits, in any
+        PinyinTable, and a character without readings gets none.
 
         The memo has no size limit: it holds one entry per pair of reading
         sets met, so at most the square of the number of distinct reading
@@ -462,6 +478,10 @@ def _parse_word_file(path: Path):
         yield line_no, surface, freq
 
 
+def _word_label(labels, pos: int) -> str:
+    return labels[pos] if labels else f"word #{pos + 1}"
+
+
 def lexicon_from_words(
     words,
     pinyin_table: PinyinTable,
@@ -471,33 +491,35 @@ def lexicon_from_words(
     """Build a Lexicon from (surface, frequency) pairs, in order.
 
     word_ids follow input order.  A repeated surface merges into the first
-    entry, summing frequencies.  Each character's toneless readings are
-    kept once each, in table order.  Every character must have a reading in
-    `pinyin_table` (MissingPinyin otherwise); words longer than 4 characters
-    raise WordTooLong.  `labels` optionally names each item for errors.
+    entry, summing frequencies.  Each character keeps its table readings,
+    in table order.  Every character must have a reading in `pinyin_table`
+    (MissingPinyin otherwise); words longer than 4 characters raise
+    WordTooLong, and a frequency that is not a non-bool int >= 0 raises
+    ValueError.  `labels` optionally names each item for errors.
     """
     surfaces: list[str] = []
     frequencies: list[int] = []
     readings: list[tuple[tuple[str, ...], ...]] = []
     by_surface: dict[str, int] = {}
-    toneless: dict[str, tuple[str, ...]] = {}  # char -> its readings, each once
+    char_readings: dict[str, tuple[str, ...]] = {}  # one tuple per character
     for pos, (surface, freq) in enumerate(words):
         if not 1 <= len(surface) <= MAX_WORD_LEN:
             raise WordTooLong(surface)
+        if not isinstance(freq, int) or isinstance(freq, bool) or freq < 0:
+            raise ValueError(f"{_word_label(labels, pos)} word {surface!r}: frequency "
+                             f"must be a non-negative int, got {freq!r}")
         wid = by_surface.get(surface)
         if wid is not None:
             frequencies[wid] += freq
             continue
         word = []
         for ch in surface:
-            found = toneless.get(ch)
+            found = char_readings.get(ch)
             if found is None:
                 syls = pinyin_table.get(ch)
                 if not syls:
-                    where = labels[pos] if labels else f"word #{pos + 1}"
-                    raise MissingPinyin(ch, f"{where} word {surface!r}")
-                # tone variants (中 zhong1, zhong4) share one toneless reading
-                found = toneless[ch] = tuple(dict.fromkeys(s.toneless() for s in syls))
+                    raise MissingPinyin(ch, f"{_word_label(labels, pos)} word {surface!r}")
+                found = char_readings[ch] = tuple(map(str, syls))
             word.append(found)
         by_surface[surface] = len(surfaces)
         surfaces.append(surface)

@@ -1,20 +1,22 @@
 """Pinyin syllables, reading tables, and fuzzy phonetic equivalence.
 
-A syllable is stored as (initial, final, tone).  The initial is one of the
-23 standard onsets (y/w included) or empty; the final is one of the written
-finals below; the tone is 0-4 with 0 meaning neutral/unspecified.  Parsing
-accepts any initial+final combination, not just syllables attested in a
-dictionary: canonical keys produced by fuzzy-class substitution (e.g.
-neng -> len) must themselves re-parse, so the valid set has to be closed
-under that substitution.
+A syllable is stored as (initial, final), its written form without a tone:
+every use of a reading here (the lexicon's 2-gram index, a window's
+PINYIN_EXACT test, the lexicon file and the noise generator) reads that form
+only, so a tone digit is accepted and dropped when a syllable is parsed.
+The initial is one of the 23 standard onsets (y/w included) or empty; the
+final is one of the written finals below.  Parsing accepts any
+initial+final combination, not just syllables attested in a dictionary:
+canonical keys produced by fuzzy-class substitution (e.g. neng -> len) must
+themselves re-parse, so the valid set has to be closed under that
+substitution.
 
 Fuzzy equivalence groups initials and finals into confusion classes
 (flat/retroflex tongue, front/back nasal, ...).  Two syllables are
-equivalent when both their initials and finals fall in the same classes,
-tones ignored.
+equivalent when both their initials and finals fall in the same classes.
 
-    >>> parse_syllable("chan")
-    PinyinSyllable(initial='ch', final='an', tone=0)
+    >>> parse_syllable("chan2")
+    PinyinSyllable(initial='ch', final='an')
     >>> fuzzy_key(parse_syllable("chan"), FuzzyClassTable.default())
     'can'
 """
@@ -22,9 +24,10 @@ tones ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
-from .errors import InvalidSyllable, MalformedLine, MissingPinyin
+from .errors import InvalidSyllable, MalformedLine
 
 # Standard initials, two-letter ones first so that the longest-prefix match
 # picks zh/ch/sh over z/c/s.
@@ -56,58 +59,47 @@ TONELESS_SYLLABLES = frozenset(i + f for i in ("",) + INITIALS for f in FINALS)
 
 @dataclass(frozen=True)
 class PinyinSyllable:
-    """One character's pronunciation, decomposed for segment-level matching."""
+    """One character's pronunciation, decomposed for segment-level matching;
+    str() is its written form, e.g. 'zhang'."""
 
     initial: str
     final: str
-    tone: int = 0
 
     def __post_init__(self):
         if self.initial and self.initial not in _INITIAL_SET:
             raise InvalidSyllable(self.initial + self.final, "unknown initial")
         if self.final not in _FINAL_SET:
             raise InvalidSyllable(self.initial + self.final, "unknown final")
-        if not 0 <= self.tone <= 4:
-            raise InvalidSyllable(
-                f"{self.initial}{self.final}{self.tone}", "tone out of range"
-            )
-
-    def toneless(self) -> str:
-        """Written form without the tone digit, e.g. 'zhang'."""
-        return self.initial + self.final
 
     def __str__(self) -> str:
-        if self.tone:
-            return f"{self.initial}{self.final}{self.tone}"
         return self.initial + self.final
 
 
 def parse_syllable(s: str) -> PinyinSyllable:
-    """Split a pinyin string into (initial, final, tone).
+    """Split a pinyin string into (initial, final).
 
-    Accepts lowercase ASCII with an optional trailing tone digit 0-4.
-    The longest matching initial wins, so "zhan" is zh+an, never z+han.
-    Raises InvalidSyllable for anything outside the closed syllable set.
+    Accepts lowercase ASCII with an optional trailing tone digit 0-4, which
+    is dropped.  The longest matching initial wins, so "zhan" is zh+an,
+    never z+han.  Raises InvalidSyllable for anything outside the closed
+    syllable set.
     """
     if not s:
         raise InvalidSyllable(s, "empty string")
-    tone = 0
     body = s
     if body[-1].isdigit():
-        tone = int(body[-1])
-        body = body[:-1]
-        if tone > 4:
+        if int(body[-1]) > 4:
             raise InvalidSyllable(s, "tone digit must be 0-4")
+        body = body[:-1]
     if not body or not body.isascii() or not body.islower():
         raise InvalidSyllable(s, "expected lowercase ASCII letters")
     for initial in INITIALS:  # two-letter initials listed first
         if body.startswith(initial):
             final = body[len(initial):]
             if final in _FINAL_SET:
-                return PinyinSyllable(initial, final, tone)
+                return PinyinSyllable(initial, final)
             raise InvalidSyllable(s, f"no final {final!r} after {initial!r}")
     if body in _FINAL_SET:
-        return PinyinSyllable("", body, tone)
+        return PinyinSyllable("", body)
     raise InvalidSyllable(s, "no initial or final matches")
 
 
@@ -208,7 +200,7 @@ class FuzzyClassTable:
 
 
 def fuzzy_key(s: PinyinSyllable, table: FuzzyClassTable) -> str:
-    """Canonical toneless key: class representatives of initial and final.
+    """Canonical key: class representatives of initial and final.
 
     Two syllables collide on this key exactly when they are confusable
     under `table`.  The key is itself a parseable syllable string.
@@ -219,35 +211,21 @@ def fuzzy_key(s: PinyinSyllable, table: FuzzyClassTable) -> str:
 def syllables_equivalent(
     a: PinyinSyllable, b: PinyinSyllable, table: FuzzyClassTable
 ) -> bool:
-    """True iff a and b share fuzzy initial and final classes (tones ignored)."""
+    """True iff a and b share fuzzy initial and final classes."""
     return fuzzy_key(a, table) == fuzzy_key(b, table)
 
 
-class _TonelessSets(dict):
-    """char -> frozenset of the toneless forms of its readings, filled on the
-    first lookup of a character; an unknown character reads as the empty
-    set and is not kept."""
-
-    __slots__ = ("_readings",)
-
-    def __init__(self, readings: dict[str, tuple[PinyinSyllable, ...]]):
-        super().__init__()
-        self._readings = readings
-
-    def __missing__(self, char: str) -> frozenset[str]:
-        syllables = self._readings.get(char)
-        if syllables is None:
-            return frozenset()
-        found = self[char] = frozenset(s.toneless() for s in syllables)
-        return found
+_NO_READINGS: frozenset[str] = frozenset()
 
 
 class PinyinTable:
-    """Character -> readings map (polyphones keep every reading)."""
+    """Character -> readings map (polyphones keep every reading, each once,
+    in first-seen order)."""
 
     def __init__(self, readings: dict[str, tuple[PinyinSyllable, ...]]):
-        self._readings = dict(readings)
-        self._toneless = _TonelessSets(self._readings)
+        self._readings = {c: tuple(dict.fromkeys(r)) for c, r in readings.items()}
+        # char -> the written forms of its readings, read by toneless_sets
+        self._sets = {c: frozenset(map(str, r)) for c, r in self._readings.items()}
 
     @classmethod
     def from_pairs(cls, pairs) -> "PinyinTable":
@@ -255,14 +233,13 @@ class PinyinTable:
         readings: dict[str, list[PinyinSyllable]] = {}
         for char, syl in pairs:
             parsed = syl if isinstance(syl, PinyinSyllable) else parse_syllable(syl)
-            bucket = readings.setdefault(char, [])
-            if parsed not in bucket:
-                bucket.append(parsed)
-        return cls({c: tuple(r) for c, r in readings.items()})
+            readings.setdefault(char, []).append(parsed)
+        return cls(readings)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PinyinTable":
-        """Load a UTF-8 TSV of `char<TAB>reading` lines (tone digit optional).
+        """Load a UTF-8 TSV of `char<TAB>reading` lines (tone digit optional
+        and dropped, so tone variants of a reading are one reading).
 
         Repeat a character on multiple lines to record polyphone readings.
         Blank lines and '#' comments are skipped.
@@ -284,23 +261,16 @@ class PinyinTable:
                 raise MalformedLine(str(path), line_no, str(e)) from e
         return cls.from_pairs(pairs)
 
-    def readings(self, char: str) -> tuple[PinyinSyllable, ...]:
-        """All readings of `char`; raises MissingPinyin when unknown."""
-        try:
-            return self._readings[char]
-        except KeyError:
-            raise MissingPinyin(char) from None
-
     def get(self, char: str) -> tuple[PinyinSyllable, ...]:
-        """Like readings() but returns () for unknown characters."""
+        """All readings of `char`; () for an unknown character."""
         return self._readings.get(char, ())
 
     def toneless_sets(self, text: str) -> list[frozenset[str]]:
-        """The toneless written forms of get(ch) for each character ch of
-        `text`, e.g. {'can', 'shen'} for a 参 read can1 and shen1; empty for
-        unknown characters.  A character's set is built on its first request
-        and kept, and the sets are read in one C-level pass."""
-        return list(map(self._toneless.__getitem__, text))
+        """The written forms of get(ch) for each character ch of `text`, e.g.
+        {'can', 'shen'} for a 参 read can and shen; empty for unknown
+        characters.  Each set is built with the table, so a character's
+        set is one object, and the sets are read in one C-level pass."""
+        return list(map(self._sets.get, text, repeat(_NO_READINGS)))
 
     def __len__(self) -> int:
         return len(self._readings)

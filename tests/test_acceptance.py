@@ -85,7 +85,7 @@ def reference_lattice(lex, ptable, fuzzy, sentence, m_max):
         for e in entries
         if len(e.surface) == 2
     ]
-    sent_readings = [tuple(s.toneless() for s in ptable.get(ch)) for ch in sentence]
+    sent_readings = [tuple(map(str, ptable.get(ch))) for ch in sentence]
     sent_keys = [keyset(r) for r in sent_readings]
 
     def probe(lo, hi, direction):

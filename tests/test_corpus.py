@@ -184,8 +184,8 @@ class TestGenerate:
                 src, tgt = p.source[i], p.target[i]
                 assert any(
                     syllables_equivalent(a, b, fuzzy)
-                    for a in ptable.readings(src)
-                    for b in ptable.readings(tgt)
+                    for a in ptable.get(src)
+                    for b in ptable.get(tgt)
                 )
                 swaps += 1
         assert swaps > 50
@@ -199,8 +199,8 @@ class TestGenerate:
             exact = near = 0
             for p in pairs:
                 for i in p.error_positions():
-                    src_r = {s.toneless() for s in ptable.readings(p.source[i])}
-                    tgt_r = {s.toneless() for s in ptable.readings(p.target[i])}
+                    src_r = {str(s) for s in ptable.get(p.source[i])}
+                    tgt_r = {str(s) for s in ptable.get(p.target[i])}
                     if src_r & tgt_r:
                         exact += 1
                     else:

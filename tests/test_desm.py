@@ -2,6 +2,7 @@ import json
 import re
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -24,7 +25,8 @@ from hanfix.desm import (
     sentence_features,
 )
 from hanfix.corpus import NoiseSpec, generate_synthetic, make_toy_inventory, make_toy_words
-from hanfix.lexicon import RANK_BITS, RANK_MASK, Lexicon, lexicon_from_words
+from hanfix.data import demo_fuzzy_path, demo_pinyin_path, demo_words_path
+from hanfix.lexicon import RANK_BITS, RANK_MASK, Lexicon, build_lexicon, lexicon_from_words
 from hanfix.pinyin import (
     FuzzyClassTable,
     PinyinTable,
@@ -514,6 +516,24 @@ class TestFeatures:
         assert max(len(c) for c in lat.per_char) == 3
         assert (ids == reference_ids(lat.per_char, 5)).all()
         assert (mask == (ids != WORD_PAD_ID)).all() and not mask[:, 3:].any()
+
+    def test_wide_rows_take_memory_linear_in_m_max(self):
+        # the bundled tables and lexicon; the index and window memo are
+        # built by the narrow call, so the traced one builds a lattice only
+        ptable = PinyinTable.from_file(demo_pinyin_path())
+        fuzzy = FuzzyClassTable.from_file(demo_fuzzy_path())
+        lex = build_lexicon(demo_words_path(), ptable, fuzzy)
+        narrow_ids, narrow_mask = sentence_features("参家会义", lex, ptable, fuzzy, 64)
+        assert narrow_mask.any() and not narrow_mask[:, -1].any()
+        tracemalloc.start()
+        try:
+            ids, mask = sentence_features("参家会义", lex, ptable, fuzzy, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, peak
+        assert (ids[:, :64] == narrow_ids).all() and (ids[:, 64:] == WORD_PAD_ID).all()
+        assert (mask[:, :64] == narrow_mask).all() and not mask[:, 64:].any()
 
     def test_featurization_builds_no_candidates(self, lex, ptable, fuzzy, monkeypatch):
         built = Counter()

@@ -153,6 +153,18 @@ class TestBuild:
         with pytest.raises(MissingPinyin):
             lexicon_from_words([("参外", 1)], ptable, fuzzy)
 
+    @pytest.mark.parametrize("freq", [-1, 1.5, True, "3"])
+    def test_rejects_a_frequency_its_file_could_not_hold(self, ptable, fuzzy, freq):
+        # Lexicon.load takes only non-bool ints >= 0, so the build does too
+        with pytest.raises(ValueError, match=r"^word #2 word '会议': frequency must be a "
+                                             r"non-negative int, got "):
+            lexicon_from_words([("参加", 1), ("会议", freq)], ptable, fuzzy)
+        with pytest.raises(ValueError, match="^words.tsv:3 word '会议'"):
+            lexicon_from_words([("参加", 1), ("会议", freq)], ptable, fuzzy,
+                               labels=["words.tsv:1", "words.tsv:3"])
+        with pytest.raises(ValueError, match="word #2 word '参加'"):  # merged or not
+            lexicon_from_words([("参加", 1), ("参加", freq)], ptable, fuzzy)
+
     def test_word_too_long(self, ptable, fuzzy):
         with pytest.raises(WordTooLong):
             lexicon_from_words([("参加参加参", 1)], ptable, fuzzy)
@@ -442,9 +454,10 @@ class TestPinyin2Gram:
 
     def test_pad_tails_fill_rows_to_m_max(self, lex):
         tails = lex.pad_tails(4)
-        assert tails == [[len(lex)] * (4 - k) for k in range(5)]
-        assert lex.pad_tails(4) is tails  # kept for the last m_max
-        assert lex.pad_tails(2) == [[len(lex)] * 2, [len(lex)], []]
+        assert [tails[k] for k in range(5)] == [[len(lex)] * (4 - k) for k in range(5)]
+        assert lex.pad_tails(4) is tails and tails[1] is tails[1]  # kept for the last m_max
+        tails = lex.pad_tails(2)
+        assert [tails[k] for k in range(3)] == [[len(lex)] * 2, [len(lex)], []]
 
     def test_each_table_keeps_its_index_and_window_hits(self, ptable):
         lex = lexicon_from_words(WORDS, ptable, FuzzyClassTable.default())
