@@ -26,11 +26,12 @@ padded to `m_max` per position, beside the trie matches and each window's
 fed hits.  Most rows are written without a sort or a set: a row fed by one
 source is that source, an EXACT key goes before a window's hits that lack
 its word, and two windows whose memo entries' bit filters share no bit
-share no word.  Featurization maps the flat keys to word ids in one numpy
-gather; the `MatchCandidate` objects, with the direction and span that only
-they carry, are derived on the first read of `per_char` and kept beside the
-keys.  So featurization takes one path, builds no candidate, and gives the
-same ids whether or not `per_char` was read.
+share no word.  Featurization maps the flat keys of a chunk of sentences
+to word ids in one numpy gather; the `MatchCandidate` objects, with the
+direction and span that only they carry, are derived on the first read of
+`per_char` and kept beside the keys.  So featurization takes one path,
+builds no candidate, and gives the same ids whether or not `per_char` was
+read.
 """
 
 from __future__ import annotations
@@ -281,30 +282,48 @@ def build_lattice(
     return lat
 
 
-def lattice_to_feature_ids(lat: CharWordLattice) -> tuple[np.ndarray, np.ndarray]:
-    """Rectangular [n, m_max] word-feature ids plus a 0/1 mask, at the m_max
-    build_lattice was given (build at another m_max for another width).
+def lattice_to_feature_ids(*lats: CharWordLattice) -> tuple[np.ndarray, np.ndarray]:
+    """Rectangular word-feature ids plus a 0/1 mask, [n, m_max] for one
+    lattice of n characters, at the m_max build_lattice was given (build at
+    another m_max for another width).  Several lattices give their rows
+    stacked in argument order, as one [sum of lengths, m_max] pair: the
+    fixed cost of the numpy calls is paid once per call, not per sentence.
 
     Ids live in the model's word vocabulary (lexicon word_id + 2, because
     ids 0/1 are reserved for UNK/PAD).  Slots beyond the candidate list are
     WORD_PAD_ID with mask 0.  A lattice not made by build_lattice holds no
-    keys: ValueError.
+    keys, and lattices built at different m_max or from different lexicons
+    cannot share one array: ValueError.
     """
-    built = lat._built
-    if built is None:
-        raise ValueError("only a lattice made by build_lattice can be featurized")
+    if not lats:
+        raise ValueError("lattice_to_feature_ids needs at least one lattice")
+    flat, m_max, lex = _built_keys(lats[0])
+    if len(lats) > 1:
+        flat = list(flat)
+        for lat in lats[1:]:
+            keys, width, other = _built_keys(lat)
+            if width != m_max or other is not lex:
+                raise ValueError("lattices built at different m_max or from different "
+                                 "lexicons cannot be featurized together")
+            flat += keys
     # the padded keys go into the array in one assignment, which beats two
     # numpy item writes per candidate, then through one gather from rank to
-    # feature id, in place.  Filled, not np.array(list).reshape(...): that
-    # view keeps a second array object alive per kept feature (~1 MB over
-    # 5000 training sentences).
-    flat, m_max, lex = built[0], built[1], built[2]
-    ids = np.empty((len(lat.sentence), m_max), dtype=np.int64)
+    # feature id, in place
+    ids = np.empty((len(flat) // m_max, m_max), dtype=np.int64)
     ids.reshape(-1)[:] = flat
     ids &= RANK_MASK
     lex.rank_ids(WORD_ID_OFFSET, WORD_PAD_ID).take(ids, out=ids)
     # every candidate id is at least WORD_ID_OFFSET, every pad id below it
     return ids, (ids >= WORD_ID_OFFSET).astype(np.float64)
+
+
+def _built_keys(lat: CharWordLattice) -> tuple[list[int], int, Lexicon]:
+    """A built lattice's (padded keys, m_max, lexicon); ValueError for a
+    lattice made by hand."""
+    built = lat._built
+    if built is None:
+        raise ValueError("only a lattice made by build_lattice can be featurized")
+    return built[0], built[1], built[2]
 
 
 LATTICE_MODES = ("desm", "ttm", "none")
@@ -324,6 +343,64 @@ def _check_features_args(m_max: int, mode: str) -> None:
     _check_m_max(m_max)
 
 
+# featurize_sentences builds lattices in chunks of at most this many
+# characters (or one longer sentence) and converts each chunk with one
+# lattice_to_feature_ids call, so a call holds one chunk's lattices at a
+# time.  1024, not 2048: at m_max 8 a 2048-character chunk's arrays are
+# 128 KiB, glibc's default mmap threshold, and training on perfbench's
+# correct_batch fixture read ~9% slower, with ~10% more minor page faults
+_FEATURIZE_CHARS = 1024
+
+
+def featurize_sentences(sentences, lex, ptable, fuzzy, m_max, mode="desm"):
+    """Model-ready candidate features, one (word_ids, word_mask) pair of
+    shape (len(sentence), m_max) per sentence, in order.
+
+    mode "desm" is the full lattice, "ttm" suppresses the pinyin probes
+    (exact trie matches only), "none" gives empty candidate lists, which
+    reduces the fusion layer to the identity.
+
+    The arguments are checked once, even when there is no sentence.  The
+    sentences go in chunks of at most _FEATURIZE_CHARS characters (a longer
+    sentence alone): each chunk's lattices are converted by one
+    lattice_to_feature_ids call and dropped before the next chunk is built,
+    and each sentence's pair is a view of its chunk's rows.  A repeated
+    sentence is featurized again, as corpora rarely repeat one within a call.
+    """
+    _check_features_args(m_max, mode)
+    feats: list[tuple[np.ndarray, np.ndarray]] = []
+    chunk: list[str] = []
+    size = 0
+    for s in sentences:
+        if chunk and size + len(s) > _FEATURIZE_CHARS:
+            _featurize_chunk(chunk, size, lex, ptable, fuzzy, m_max, mode, feats)
+            chunk, size = [], 0
+        chunk.append(s)
+        size += len(s)
+    if chunk:
+        _featurize_chunk(chunk, size, lex, ptable, fuzzy, m_max, mode, feats)
+    return feats
+
+
+def _featurize_chunk(chunk, size, lex, ptable, fuzzy, m_max, mode, feats) -> None:
+    """Append each sentence's (ids, mask) view of the chunk's stacked rows."""
+    if mode == "none":
+        ids = np.full((size, m_max), WORD_PAD_ID, dtype=np.int64)
+        mask = np.zeros((size, m_max), dtype=np.float64)
+    else:
+        pinyin = mode == "desm"
+        ids, mask = lattice_to_feature_ids(*[
+            build_lattice(lex, ptable, fuzzy, s, m_max=m_max, include_pinyin=pinyin)
+            for s in chunk])
+    if len(chunk) == 1:  # a live utterance: its arrays as they are
+        feats.append((ids, mask))
+        return
+    end = 0
+    for s in chunk:
+        start, end = end, end + len(s)
+        feats.append((ids[start:end], mask[start:end]))
+
+
 def sentence_features(
     sentence: str,
     lex: Lexicon,
@@ -332,31 +409,8 @@ def sentence_features(
     m_max: int,
     mode: str = "desm",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Model-ready candidate features for one sentence.
-
-    mode "desm" is the full lattice, "ttm" suppresses the pinyin probes
-    (exact trie matches only), "none" gives empty candidate lists, which
-    reduces the fusion layer to the identity.
-    """
-    _check_features_args(m_max, mode)
-    n = len(sentence)
-    if mode == "none":
-        return (
-            np.full((n, m_max), WORD_PAD_ID, dtype=np.int64),
-            np.zeros((n, m_max), dtype=np.float64),
-        )
-    lat = build_lattice(
-        lex, ptable, fuzzy, sentence, m_max=m_max, include_pinyin=(mode == "desm")
-    )
-    return lattice_to_feature_ids(lat)
-
-
-def featurize_sentences(sentences, lex, ptable, fuzzy, m_max, mode="desm"):
-    """sentence_features for each sentence, in order; a repeated sentence is
-    featurized again, as corpora rarely repeat one within a call.  The
-    arguments are checked even when there is no sentence."""
-    _check_features_args(m_max, mode)
-    return [sentence_features(s, lex, ptable, fuzzy, m_max, mode) for s in sentences]
+    """featurize_sentences for one sentence: its (word_ids, word_mask)."""
+    return featurize_sentences([sentence], lex, ptable, fuzzy, m_max, mode)[0]
 
 
 def lattice_records(lat: CharWordLattice, lex: Lexicon) -> list[dict]:

@@ -23,11 +23,17 @@ input character, gated per position:
 b2 starts at gate_bias_init (default +2) so a fresh model mostly copies its
 input; lower it when the generator needs gradient from clean positions early.
 
-Training and forward_batch compute the whole head.  correct_many sorts its
+Training and forward_batch compute the whole head, with every matmul whose
+rows are positions on the padded [B, n] grid.  correct_many sorts its
 sentences by length into passes of at most _PASS_CHARS padded characters,
-and lets the gate decide first: wherever w_i > 1/2 the argmax of P_i is
-x_i, so it runs the generator only at the positions the gate leaves open.
-Its outputs equal the argmax of forward_batch's P on the same pass.
+runs the encoder on each pass's grid and the rest on the pass's real
+characters as 2-D rows (a pass without padding keeps its grid), and lets
+the gate decide first: wherever
+w_i > 1/2 the argmax of P_i is x_i, so it runs the generator only at the
+positions the gate leaves open.  Its outputs equal the argmax of
+forward_batch's P on the same pass wherever BLAS rounds a row alike in
+every call of two or more rows, as OpenBLAS on x86-64 does at d_c = 16
+(correct_many's docstring has the details).
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import repeat
@@ -285,12 +292,15 @@ class _Rows:
 
 
 # The fusion layer and the head compute on the slots `rows` keeps: [..., d]
-# stands for [B, n, d] or [N, d].  A matmul whose rows are positions runs on
-# the [B, n] grid all the same: numpy calls BLAS once per sentence there, and
-# BLAS rounds a row by the call's row count (one row, a few, or many), though
-# never by where the row sits in the call or by what the other rows hold.
-# Elementwise work and reductions along the last axis do not depend on where
-# a row sits either.
+# stands for [B, n, d] or [N, d].  In training and forward_batch a matmul
+# whose rows are positions runs on the [B, n] grid all the same: numpy calls
+# BLAS once per sentence there, and BLAS rounds a row by the call's row count
+# (one row, a few, or many), though never by where the row sits in the call
+# or by what the other rows hold.  A matrix-vector product (gate.w2) is the
+# exception: OpenBLAS rounds its rows by their place in the call, so it runs
+# on the grid everywhere.  Elementwise work and reductions along the last
+# axis do not depend on where a row sits either.  correct_many runs the
+# gate's W1 and the generator on its packed rows (_rows_matmul).
 
 def word_states(tensors, groups: np.ndarray) -> np.ndarray:
     """The fusion layer's word states tanh(E_w[groups] @ W_w.T + b_w) for
@@ -355,13 +365,32 @@ def _fusion_backward(tensors, rows, fcache, dht, grads):
     return dhW
 
 
-def _gate_forward(tensors, cfg, rows, ht, char_ids):
-    """The copy gate: (omega, cache) at rows, from the [B, n, d] grid ht.
-    char_ids at rows give omega's shape; the cache is None when omega is
-    fixed (use_copy=False pins it at 0)."""
+def _rows_matmul(x: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """x [N, d], positions of a [B, n] grid, times w [d, k], each row
+    rounded as the grid's matmul, one call per sentence, rounds it.  BLAS
+    rounds a row alike in every call of two or more rows (OpenBLAS on x86-64
+    does at d_c = 16; at 32 and more it rounds a transposed weight's rows by
+    the call's size) but takes its matrix-vector path for a call of one row.
+    So a lone row runs in a call of two, and on a grid of length one each row
+    gets a call of its own."""
+    if n == 1:
+        return (x[:, None] @ w)[:, 0]
+    if len(x) == 1:
+        return (x[[0, 0]] @ w)[:1]
+    return x @ w
+
+
+def _gate_forward(tensors, cfg, rows, ht, grid=None):
+    """The copy gate: (omega, cache) at rows, from the fused states ht at
+    rows.  ht @ W1.T runs on `grid`, ht's [B, n, d] grid, when one is given
+    (the bit-compatible matmuls of training and forward_batch), else on the
+    rows (_rows_matmul).  The cache is None when omega is fixed
+    (use_copy=False pins it at 0)."""
     if not cfg.use_copy:
-        return np.zeros(char_ids.shape), None
-    g_pre = rows.take(ht @ tensors["gate.W1"].T) + tensors["gate.b1"]
+        return np.zeros(ht.shape[:-1]), None
+    w1 = tensors["gate.W1"].T
+    g_pre = rows.take(grid @ w1) if grid is not None else _rows_matmul(ht, w1, rows.shape[1])
+    g_pre += tensors["gate.b1"]
     g_act, g_t = gelu(g_pre)
     g_ln, lnc = ln_forward(g_act, tensors["gate.ln.g"], tensors["gate.ln.b"])
     g_ln = rows.grid(g_ln)
@@ -369,14 +398,11 @@ def _gate_forward(tensors, cfg, rows, ht, char_ids):
     return omega, (g_pre, g_t, g_ln, lnc)
 
 
-def _gen_forward(tensors, rows, ht):
-    """The generator softmax P_gen at rows, from the [B, n, d] grid ht.
-    Also returns the [B, n, v] grid the logits were computed on, which is
-    spent when rows are packed."""
-    logits_grid = ht @ tensors["W_gen"].T
-    logits = rows.take(logits_grid)
+def _gen_forward(tensors, logits: np.ndarray) -> np.ndarray:
+    """The generator softmax P_gen, in place of `logits`, ht @ W_gen.T at
+    some rows."""
     logits += tensors["b_gen"]
-    return softmax(logits, out=logits), logits_grid
+    return softmax(logits, out=logits)
 
 
 def _flat_index(p: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -393,12 +419,12 @@ def _check_length(params: ModelParams, batch: Batch) -> None:
 
 
 def _check_word_ids(params: ModelParams, batch: Batch, rows: _Rows,
-                    word_ids: np.ndarray, names) -> None:
+                    word_ids: np.ndarray, sentence_ids) -> None:
     """HanfixError when a candidate word id the fusion layer reads, one of
     `word_ids` (batch.word_ids at the slots `rows` keeps), is negative or at
     or beyond word_vocab_size: E_w would be read from its end, or past it.
-    The message names the batch row of the first such id: names[row], or
-    "batch row {row}" when names is None."""
+    The message names the batch row of the first such id: "sentence
+    {sentence_ids[row]}", or "batch row {row}" when sentence_ids is None."""
     limit = params.config.word_vocab_size
     # one reduction per batch: as uint64 a negative id is at least 2**63, so
     # one max finds it too
@@ -410,28 +436,32 @@ def _check_word_ids(params: ModelParams, batch: Batch, rows: _Rows,
     if rows.idx is not None:
         slot = int(rows.idx[slot])
     row = slot // batch.char_ids.shape[1]
+    where = f"batch row {row}" if sentence_ids is None else f"sentence {sentence_ids[row]}"
     raise HanfixError(
-        f"{f'batch row {row}' if names is None else names[row]}: candidate word id "
+        f"{where}: candidate word id "
         f"{int(ids[first])} out of range for word_vocab_size={limit}; "
         f"lexicon and checkpoint disagree")
 
 
-def _forward(params: ModelParams, batch: Batch, rows: _Rows, keep_cache=True, names=None):
-    """Encoder over the [B, n] grid (attention needs it), then fusion over
-    `rows`: (h, ht grid, (ht, attn) at rows, (encoder, fusion) caches).  The
-    head's two parts, _gen_forward and _gate_forward, run on ht.  With
-    keep_cache=False (inference) both caches are None, and each stage frees
-    its intermediates as soon as the next stage has its input.  The word ids
-    at `rows` are checked first (_check_word_ids, with `names`)."""
+def _forward(params: ModelParams, batch: Batch, rows: _Rows, keep_cache=True,
+             sentence_ids=None):
+    """Encoder over the [B, n] grid (attention needs it), then fusion at
+    `rows`: (h, fused states ht at rows, attention at rows, (encoder, fusion)
+    caches).  The head's two parts, _gen_forward and _gate_forward, run on
+    ht; training and forward_batch scatter it to the grid their matmuls
+    need.  With keep_cache=False (inference) both caches are None, and each
+    stage frees its intermediates as soon as the next stage has its input.
+    The word ids at `rows` are checked first (_check_word_ids, with
+    `sentence_ids`)."""
     t, cfg = params.tensors, params.config
     _check_length(params, batch)
     word_ids = rows.take(batch.word_ids)
-    _check_word_ids(params, batch, rows, word_ids, names)
+    _check_word_ids(params, batch, rows, word_ids, sentence_ids)
     h, ecache = encoder_forward(t, cfg, batch.char_ids, batch.char_mask,
                                 _keep_cache=keep_cache)
     ht, a, fcache = _fusion_forward(t, rows, h, word_ids,
                                     rows.take(batch.word_mask), keep_cache)
-    return h, rows.grid(ht), (ht, a), (ecache, fcache)
+    return h, ht, a, (ecache, fcache)
 
 
 def _mix(p: np.ndarray, omega: np.ndarray, char_ids: np.ndarray) -> np.ndarray:
@@ -448,10 +478,10 @@ def forward_batch(params: ModelParams, batch: Batch):
     HanfixError.  Returns (ForwardOut, None): the second value
     is always None, so callers that unpack two values, perfbench's held-out
     NLL among them, keep working."""
-    rows = _Rows()
-    h, ht, (_, a), _ = _forward(params, batch, rows, keep_cache=False)
-    p_gen = _gen_forward(params.tensors, rows, ht)[0]
-    omega = _gate_forward(params.tensors, params.config, rows, ht, batch.char_ids)[0]
+    t, rows = params.tensors, _Rows()
+    h, ht, a, _ = _forward(params, batch, rows, keep_cache=False)
+    p_gen = _gen_forward(t, ht @ t["W_gen"].T)
+    omega = _gate_forward(t, params.config, rows, ht, ht)[0]
     p = _mix(p_gen.copy(), omega, batch.char_ids)
     return ForwardOut(h=h, h_fused=ht, attn=a, omega=omega, p_gen=p_gen, p_out=p), None
 
@@ -489,10 +519,13 @@ def loss_and_grads(params: ModelParams, batch: Batch):
     t, cfg = params.tensors, params.config
     mask = batch.char_mask
     rows = _Rows(mask)
-    h, ht, _, (ecache, fcache) = _forward(params, batch, rows)
-    p_gen, spent = _gen_forward(t, rows, ht)
+    h, ht_rows, _, (ecache, fcache) = _forward(params, batch, rows)
+    ht = rows.grid(ht_rows)
+    spent = ht @ t["W_gen"].T
+    p_gen = _gen_forward(t, rows.take(spent))
     x = rows.take(batch.char_ids)
-    omega, gcache = _gate_forward(t, cfg, rows, ht, x)
+    omega, gcache = _gate_forward(t, cfg, rows, ht_rows, ht)
+    del ht_rows
     gold, m = rows.take(batch.gold_ids), rows.take(mask)
     copy_hit = (x == gold).astype(np.float64)
 
@@ -606,13 +639,24 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
     so little of a pass is padding.  Outputs, and the sentence index an
     error names, follow the input order.
 
-    Only the work that can change an output runs.  Fusion and the gate
-    compute on the real characters (on every slot when the batch has no
-    padding), and the gate decides first: a position with omega > 1/2 keeps
-    its input, because the mixture's argmax there is the input id, so the
-    generator softmax, the mixture and the argmax run only at the other
-    positions.  The outputs equal the argmax of forward_batch's p_out on the
-    same pass.
+    Only the work that can change an output runs.  The encoder runs on the
+    pass's [B, n] grid; fusion, the gate and the generator run on the N real
+    characters as 2-D rows, or on the grid itself when the pass has no
+    padding (a batch of one).  The gate decides first: a position with
+    omega > 1/2 keeps its input, because the mixture's argmax there is the
+    input id, so the generator softmax, the mixture and the argmax run only
+    at the other positions.
+
+    The outputs equal the argmax of forward_batch's p_out on the same pass
+    wherever BLAS rounds a row of a matrix product alike in every call of
+    two or more rows, as OpenBLAS on x86-64 does at d_c = 16.  The fusion
+    layer's W_attn product and the gate's matrix-vector w2 product run on
+    the grid, as in forward_batch.  The gate's W1 and the generator run on
+    the rows, in calls of two or more rows, or of one row each where
+    forward_batch's calls have one row (_rows_matmul).  Where BLAS rounds a
+    row by the size of its call (OpenBLAS with a transposed weight at d_c of
+    32 or more), a probability can differ from forward_batch's in its last
+    bit, which changes an output only where it breaks a tie.
     """
     if not isinstance(batch_size, int) or isinstance(batch_size, bool) or batch_size < 1:
         raise ValueError(f"batch_size must be an int of at least 1, got {batch_size!r}")
@@ -628,15 +672,23 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
     lengths = [len(s) for s in sentences]
     todo = sorted((i for i, k in enumerate(lengths) if k > 0), key=lengths.__getitem__)
     for chunk in _passes(lengths, todo, batch_size):
-        batch = assemble_batch(
-            [(params.char_to_ids(sentences[i]), None, feats[i][0], feats[i][1])
-             for i in chunk]
-        )
-        # with no pad slot, packing would only add gathers (a batch of one)
-        rows = _Rows() if batch.char_mask.all() else _Rows(batch.char_mask)
-        ht = _forward(params, batch, rows, keep_cache=False,
-                      names=[f"sentence {i}" for i in chunk])[1]
-        omega = _gate_forward(t, cfg, rows, ht, rows.take(batch.char_ids))[0]
+        # the pass's char ids in one conversion: its real positions in row
+        # order, the order of the N rows; each sentence's ids are a slice
+        x = params.char_to_ids("".join([sentences[i] for i in chunk]))
+        starts, items, end = [], [], 0
+        for i in chunk:
+            starts.append(end)
+            end += lengths[i]
+            items.append((x[starts[-1]:end], None, *feats[i]))
+        batch = assemble_batch(items)
+        n = batch.char_ids.shape[1]
+        # with no pad slot (a batch of one, or sentences of one length) the
+        # grid holds only real characters: it stays a grid, its own rows,
+        # where packing would only add reshapes
+        packed = not batch.char_mask.all()
+        rows = _Rows(batch.char_mask) if packed else _Rows()
+        ht = _forward(params, batch, rows, keep_cache=False, sentence_ids=chunk)[1]
+        omega = _gate_forward(t, cfg, rows, ht, None if packed else ht)[0]
         # Where omega > 1/2 the argmax of P = omega * onehot(x) + (1 - omega)
         # * P_gen is the input id x, so such a position keeps its input.  For
         # omega in (1/2, 1], 1 - omega is exact (Sterbenz).  With finite
@@ -645,21 +697,24 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
         # P_j = fl(p_j (1 - omega)) <= 1 - omega < 1/2 < omega
         # <= fl(fl(p_x (1 - omega)) + omega) = P_x.  A NaN omega, or one of
         # exactly 1/2, goes to the generator; use_copy=False pins omega at 0.
-        open_ = rows.grid(~(omega > 0.5))
-        if open_.any():
-            # matmuls whose rows are positions run on the grid; softmax, mix
-            # and argmax are row-wise, so the open rows alone round the same
-            gen = _Rows(open_)
-            x = gen.take(batch.char_ids)
-            k = _mix(_gen_forward(t, gen, ht)[0], gen.take(rows.grid(omega)), x).argmax(axis=-1)
+        # Flat positions follow x's order, packed or not.
+        at = (~(omega > 0.5)).ravel().nonzero()[0]
+        if len(at):
+            # softmax, mix and argmax are row-wise, so the open rows alone
+            # round the same
+            xo = x.take(at)
+            logits = _rows_matmul(ht.reshape(-1, ht.shape[-1]).take(at, axis=0),
+                                  t["W_gen"].T, n)
+            k = _mix(_gen_forward(t, logits), omega.take(at), xo).argmax(axis=-1)
+            del logits  # [K, v], the pass's largest array: not kept into the next pass
             # the input id and the reserved ids keep the input character
-            edit = (k != x) & (k >= CHAR_ID_OFFSET)
-            n, texts = open_.shape[1], {}
-            for at, c in zip(gen.idx[edit].tolist(), k[edit].tolist()):
-                row, j = divmod(at, n)
+            edit = (k != xo) & (k >= CHAR_ID_OFFSET)
+            texts = {}
+            for pos, c in zip(at[edit].tolist(), k[edit].tolist()):
+                row = bisect_right(starts, pos) - 1
                 if row not in texts:
                     texts[row] = list(sentences[chunk[row]])
-                texts[row][j] = chars[c - CHAR_ID_OFFSET]
+                texts[row][pos - starts[row]] = chars[c - CHAR_ID_OFFSET]
             for row, text in texts.items():
                 out[chunk[row]] = "".join(text)
         # the batch and its states go before the next batch's forward

@@ -78,16 +78,17 @@ class PinyinSyllable:
 def parse_syllable(s: str) -> PinyinSyllable:
     """Split a pinyin string into (initial, final).
 
-    Accepts lowercase ASCII with an optional trailing tone digit 0-4, which
-    is dropped.  The longest matching initial wins, so "zhan" is zh+an,
-    never z+han.  Raises InvalidSyllable for anything outside the closed
-    syllable set.
+    Accepts lowercase ASCII with an optional trailing ASCII tone digit 0-4,
+    which is dropped; any other trailing digit, such as "5", a fullwidth
+    "３" or a superscript "²", is rejected.  The longest matching initial
+    wins, so "zhan" is zh+an, never z+han.  Raises InvalidSyllable for
+    anything outside the closed syllable set.
     """
     if not s:
         raise InvalidSyllable(s, "empty string")
     body = s
-    if body[-1].isdigit():
-        if int(body[-1]) > 4:
+    if body[-1].isdigit():  # any Unicode digit; only an ASCII 0-4 is a tone
+        if body[-1] not in "01234":
             raise InvalidSyllable(s, "tone digit must be 0-4")
         body = body[:-1]
     if not body or not body.isascii() or not body.islower():

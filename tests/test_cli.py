@@ -485,6 +485,17 @@ class TestMalformedInputs:
         assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("reading", ["zhong\u00b2", "zhong\uff13", "zhong\u0663"],
+                         ids=["superscript", "fullwidth", "arabic-indic"])
+def test_pinyin_table_with_a_non_ascii_tone_digit_exits_2(reading, tmp_path, capsys):
+    table = tmp_path / "pinyin.tsv"
+    table.write_text(f"\u4e2d\tzhong1\n# a comment\n\u4e2d\t{reading}\n", encoding="utf-8")
+    assert main(["match", "\u4e2d", "--pinyin-table", str(table)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {table}:3"), err
+    assert "tone digit must be 0-4" in err[0], err
+
+
 def test_hanfix_log_enables_info_logging():
     env = dict(os.environ, HANFIX_LOG="info", PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "hanfix.cli", "match", "参家"],

@@ -728,6 +728,98 @@ def dense_corpus(n, seed):
         filler_rate=0.2)]
 
 
+def lattice_features(sentence, m_max, mode):
+    """The features of one lattice built alone, as the model reads them."""
+    if mode == "none":
+        return (np.full((len(sentence), m_max), WORD_PAD_ID, dtype=np.int64),
+                np.zeros((len(sentence), m_max)))
+    return lattice_to_feature_ids(build_lattice(DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, sentence,
+                                                m_max=m_max, include_pinyin=mode == "desm"))
+
+
+class TestChunkedFeaturization:
+    """featurize_sentences converts its lattices in chunks, one
+    lattice_to_feature_ids call per chunk, with the features of converting
+    each lattice alone."""
+
+    @pytest.mark.parametrize("mode", desm.LATTICE_MODES)
+    def test_equals_one_lattice_at_a_time(self, monkeypatch, mode):
+        # over three chunks, with empty and one-character sentences at the
+        # start, the end and among the others
+        sentences = dense_corpus(120, seed=3)
+        for at in (0, 7, 40, 41, 90, len(sentences)):
+            sentences.insert(at, "" if at % 2 else sentences[at][0])
+        sentences.append("")
+        calls = []
+
+        def spy(*lats):
+            calls.append([len(lat) for lat in lats])
+            return lattice_to_feature_ids(*lats)
+
+        monkeypatch.setattr(desm, "lattice_to_feature_ids", spy)
+        got = featurize_sentences(sentences, DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, 8, mode)
+        assert len(got) == len(sentences)
+        for s, (ids, mask) in zip(sentences, got):
+            want_ids, want_mask = lattice_features(s, 8, mode)
+            assert ids.dtype == np.int64 and mask.dtype == np.float64
+            assert np.array_equal(ids, want_ids) and np.array_equal(mask, want_mask), s
+        if mode != "none":
+            assert len(calls) > 2
+            assert [n for call in calls for n in call] == [len(s) for s in sentences]
+            assert all(sum(call) <= desm._FEATURIZE_CHARS for call in calls)
+
+    def test_a_long_sentence_is_a_chunk_of_its_own(self):
+        long = "".join(dense_corpus(80, seed=4))
+        assert len(long) > desm._FEATURIZE_CHARS
+        sentences = ["参", long, "", long[:30]]
+        got = featurize_sentences(sentences, DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, 4)
+        for s, (ids, mask) in zip(sentences, got):
+            want_ids, want_mask = lattice_features(s, 4, "desm")
+            assert np.array_equal(ids, want_ids) and np.array_equal(mask, want_mask)
+
+    def test_several_lattices_stack_by_rows(self):
+        a, b, c = (build_lattice(DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, s, m_max=5)
+                   for s in dense_corpus(2, seed=6) + [""])
+        ids, mask = lattice_to_feature_ids(a, c, b)
+        singles = [lattice_to_feature_ids(lat) for lat in (a, c, b)]
+        assert ids.shape == (len(a) + len(b), 5)
+        assert np.array_equal(ids, np.concatenate([f[0] for f in singles]))
+        assert np.array_equal(mask, np.concatenate([f[1] for f in singles]))
+
+    def test_a_hand_made_lattice_among_several_raises(self):
+        a, b = (build_lattice(DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, s, m_max=5)
+                for s in dense_corpus(2, seed=8))
+        hand = CharWordLattice(a.sentence, a.per_char, list(a.suspect))
+        for lats in ((a, hand, b), (hand, a), (a, b, hand)):
+            with pytest.raises(ValueError, match="made by build_lattice"):
+                lattice_to_feature_ids(*lats)
+        wide = build_lattice(DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, b.sentence, m_max=6)
+        with pytest.raises(ValueError, match="different m_max or from different lexicons"):
+            lattice_to_feature_ids(a, wide)
+        with pytest.raises(ValueError, match="at least one lattice"):
+            lattice_to_feature_ids()
+
+    def test_a_long_call_holds_one_chunk_of_lattices(self):
+        # the memory a call needs beyond the features it returns stays a
+        # fraction of what holding every lattice of the call would take
+        sentences = dense_corpus(240, seed=9)
+        assert sum(map(len, sentences)) > 4 * desm._FEATURIZE_CHARS
+        featurize_sentences(sentences, DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, 8)  # warm memo
+        tracemalloc.start()
+        try:
+            feats = featurize_sentences(sentences, DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, 8)
+            kept, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            lats = [build_lattice(DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, s, m_max=8)
+                    for s in sentences]
+            every_lattice = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(feats) == len(lats)
+        assert peak - kept < every_lattice / 2, (peak - kept, every_lattice)
+
+
 def test_threads_sharing_a_lexicon_featurize_as_one():
     sentences = dense_corpus(48, seed=5)
     words = [(e.surface, e.frequency) for e in DENSE_LEX.entries]

@@ -1,4 +1,5 @@
 import json
+import platform
 import re
 import tracemalloc
 import zlib
@@ -716,7 +717,9 @@ class TestInferencePass:
         # 4.4x where use_copy=False sends every position to it.  Length-sorted
         # passes of at most _PASS_CHARS padded characters, about a quarter of
         # the grid, read 0.44x and 1.18x, and 0.58x and 1.19x; the fusion
-        # layer's [B, n, m, d_c] candidate states dominate at d_c 64
+        # layer's [B, n, m, d_c] candidate states dominate at d_c 64.  With
+        # the generator's logits computed at the open rows only, not on the
+        # grid, use_copy=False reads 0.45x and 1.19x
         v, m = 182, 8
         cfg = ModelConfig(char_vocab_size=v, word_vocab_size=2000, d_c=d_c, d_w=16,
                           layers=layers, heads=2, ffn_dim=2 * d_c, gate_dim=16,
@@ -883,6 +886,94 @@ class TestPasses:
         with pytest.raises(ValueError, match=f"^batch_size must be an int of at least 1, "
                                              f"got {batch_size!r}$"):
             correct_many(params, sentences, feats, batch_size=batch_size)
+
+
+class TestPackedRows:
+    """correct_many runs fusion, the gate and the generator on the N real
+    characters of a pass as 2-D rows, with forward_batch's outputs on the
+    same pass (at d_c 16, where OpenBLAS rounds a row alike in every call of
+    two or more rows).  Sentences come sorted by length, so that
+    reference_decode's batches are correct_many's passes."""
+
+    LENGTHS = [1, 2, 2, 3, 5, 6, 7, 7, 9, 12, 12]
+
+    @staticmethod
+    def world(lengths, seed, b2=None, gen_scale=1.0):
+        params = inference_world(16)
+        params.tensors["W_gen"] *= gen_scale
+        if b2 is not None:
+            params.tensors["gate.b2"][...] = b2
+        rng = np.random.default_rng(seed)
+        sentences = ["".join(rng.choice(params.chars, k)) for k in lengths]
+        cfg = params.config
+        feats = [(rng.integers(2, cfg.word_vocab_size, size=(k, cfg.m_max)),
+                  (rng.random((k, cfg.m_max)) < 0.6).astype(float)) for k in lengths]
+        return params, sentences, feats
+
+    @pytest.mark.parametrize("b2", [None, -30.0], ids=["learned", "open"])
+    @pytest.mark.parametrize("batch_size", [1, 4, 64])
+    def test_equals_forward_batch(self, b2, batch_size):
+        # padded mixed-length passes, and a batch of one
+        params, sentences, feats = self.world(self.LENGTHS, 1, b2)
+        want, omega = reference_decode(params, sentences, feats, batch_size)
+        assert correct_many(params, sentences, feats, batch_size=batch_size) == want
+        if b2 is not None:  # the gate is open everywhere: the generator edits
+            assert (omega < 0.5).all()
+            assert sum(w != s for w, s in zip(want, sentences)) > len(sentences) // 2
+
+    @pytest.mark.parametrize("b2", [None, -30.0], ids=["learned", "open"])
+    def test_passes_of_one_character_sentences(self, b2):
+        # a [B, 1] grid: forward_batch's products are one row per call
+        params, sentences, feats = self.world([1] * 7, 2, b2)
+        for batch_size in (1, 3, 64):
+            want, _ = reference_decode(params, sentences, feats, batch_size)
+            assert correct_many(params, sentences, feats, batch_size=batch_size) == want
+
+    @pytest.mark.parametrize("lengths", [[9], [3, 5, 8]])
+    def test_one_open_position(self, lengths):
+        # b2 moved between the two lowest gate logits of the pass leaves one
+        # position to the generator, which a peaked P_gen makes edit
+        params, sentences, feats = self.world(lengths, 5, gen_scale=30.0)
+        _, omega = reference_decode(params, sentences, feats, 64)
+        logit = np.sort(np.log(omega) - np.log1p(-omega))
+        params.tensors["gate.b2"] -= (logit[0] + logit[1]) / 2
+        want, omega = reference_decode(params, sentences, feats, 64)
+        assert (omega <= 0.5).sum() == 1
+        assert want != sentences
+        assert correct_many(params, sentences, feats) == want
+
+    @pytest.mark.skipif(
+        platform.machine() != "x86_64"
+        or "openblas" not in str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]),
+        reason="the rounding claim is measured for OpenBLAS on x86-64 only")
+    @pytest.mark.parametrize("shape", [(1, 9), (4, 7), (5, 1), (64, 12)])
+    def test_rows_matmul_rounds_as_the_grid(self, shape):
+        # the BLAS property the equality rests on, at d_c 16: a packed row,
+        # a lone row and a few rows round as in the grid's per-sentence calls
+        rng = np.random.default_rng(shape[0])
+        B, n = shape
+        mask = np.zeros(shape, bool)
+        for b, k in enumerate(rng.integers(1, n + 1, size=B)):
+            mask[b, :n if b == 0 else k] = True
+        grid = rng.normal(size=(B, n, 16))
+        for w in (rng.normal(size=(16, 16)).T, rng.normal(size=(182, 16)).T):
+            want = (grid @ w)[mask]
+            rows = grid[mask]
+            assert np.array_equal(model_module._rows_matmul(rows, w, n), want)
+            for lo, hi in ((0, 1), (len(rows) - 1, len(rows)), (0, 3)):
+                got = model_module._rows_matmul(rows[lo:hi], w, n)
+                assert np.array_equal(got, want[lo:hi]), (lo, hi)
+
+    def test_a_foreign_id_in_a_padded_pass_names_its_sentence(self):
+        # input 2 is the longest, so its rows come last in the pass
+        params, sentences, feats = self.world([4, 2, 9, 2, 6], 4)
+        bad = params.config.word_vocab_size
+        for i, at in ((3, 1), (2, 8), (0, 0)):
+            wid = feats[i][0].copy()
+            wid[at, 0] = bad
+            broken = feats[:i] + [(wid, feats[i][1])] + feats[i + 1:]
+            with pytest.raises(HanfixError, match=f"^sentence {i}: candidate word id {bad} "):
+                correct_many(params, sentences, broken)
 
 
 class TestBatching:

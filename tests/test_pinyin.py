@@ -78,6 +78,15 @@ class TestParse:
         with pytest.raises(InvalidSyllable):
             parse_syllable(bad)
 
+    @pytest.mark.parametrize("bad", ["zhang\u0663", "zhang\uff13", "zhang\u00b2",
+                                     "zhang\u2083", "zhang\u0b69"],
+                             ids=["arabic-indic", "fullwidth", "superscript", "subscript",
+                                  "oriya"])
+    def test_only_an_ascii_tone_digit(self, bad):
+        # str.isdigit holds for these, and int() reads 3 from some of them
+        with pytest.raises(InvalidSyllable, match="tone digit must be 0-4"):
+            parse_syllable(bad)
+
     def test_constructor_validates(self):
         with pytest.raises(InvalidSyllable):
             PinyinSyllable("q", "q")
