@@ -205,31 +205,34 @@ def build_lattice(
     Characters without pinyin readings simply contribute no phonetic
     candidates; they are never an error here.
     """
-    _check_m_max(m_max)
+    if type(m_max) is not int or m_max < 1:  # one test on the common path
+        _check_m_max(m_max)
     n = len(sentence)
     rank = lex.rank
-    # per position, the ranks of the words matching exactly over it
-    exact: list[list[int]] = [[] for _ in range(n)]
+    # per position, the ranks of the words matching exactly over it, as a
+    # tuple: most positions have none or one, so no list is built for each
+    exact: list[tuple[int, ...]] = [()] * n
     # position i is suspect iff no exact match of length >= 2 covers it;
     # single-char matches cannot witness an intact word
     suspects = [True] * n
     matches = lex.trie_match_all(sentence)
     for start, end, wid in matches:
-        r = rank[wid]
+        r = (rank[wid],)
         if end == start:
-            exact[start].append(r)
+            exact[start] += r
         elif end == start + 1:  # most words: no range() for two positions
-            exact[start].append(r)
-            exact[end].append(r)
+            exact[start] += r
+            exact[end] += r
             suspects[start] = suspects[end] = False
         else:
             for i in range(start, end + 1):
-                exact[i].append(r)
+                exact[i] += r
                 suspects[i] = False
 
     # fed[lo]: the hits window (lo, lo + 1) feeds into both its positions;
-    # filters[lo]: the bit filter of its memo entry's words
-    if include_pinyin:
+    # filters[lo]: the bit filter of its memo entry's words.  With no
+    # suspect, no window is probed
+    if include_pinyin and True in suspects:
         fed, filters = lex.probe_windows(ptable, fuzzy, sentence, suspects, m_max)
     else:
         fed, filters = [()] * n, [0] * n
@@ -266,8 +269,7 @@ def build_lattice(
                     flat += hits[:-1]
                 continue
         # any other row: merge its sources, keep each word's first key
-        keys += left
-        keys += right
+        keys = [*keys, *left, *right]
         keys.sort()
         head = keys[:m_max]
         if len({key & RANK_MASK for key in head}) < len(head):
@@ -301,11 +303,13 @@ def lattice_to_feature_ids(*lats: CharWordLattice) -> tuple[np.ndarray, np.ndarr
     if len(lats) > 1:
         flat = list(flat)
         for lat in lats[1:]:
-            keys, width, other = _built_keys(lat)
-            if width != m_max or other is not lex:
+            # _built_keys only for a hand-made lattice, to raise: one call
+            # less per lattice
+            built = lat._built or _built_keys(lat)
+            if built[1] != m_max or built[2] is not lex:
                 raise ValueError("lattices built at different m_max or from different "
                                  "lexicons cannot be featurized together")
-            flat += keys
+            flat += built[0]
     # the padded keys go into the array in one assignment, which beats two
     # numpy item writes per candidate, then through one gather from rank to
     # feature id, in place

@@ -23,14 +23,16 @@ input character, gated per position:
 b2 starts at gate_bias_init (default +2) so a fresh model mostly copies its
 input; lower it when the generator needs gradient from clean positions early.
 
-Training and forward_batch compute the whole head, with every matmul whose
+Training and forward_batch compute the whole model, with every matmul whose
 rows are positions on the padded [B, n] grid.  correct_many sorts its
-sentences by length into passes of at most _PASS_CHARS padded characters,
-runs the encoder on each pass's grid and the rest on the pass's real
-characters as 2-D rows (a pass without padding keeps its grid), and lets
-the gate decide first: wherever
-w_i > 1/2 the argmax of P_i is x_i, so it runs the generator only at the
-positions the gate leaves open.  Its outputs equal the argmax of
+sentences by length into passes of at most _PASS_CHARS padded characters
+and computes each pass on its real characters as 2-D rows, padding-free as
+in ByteTransformer (Zhai et al., IPDPS 2023); a pass without padding keeps
+its grid.  Three products stay on the grid: attention's (scores, softmax
+and A @ V), the encoder FFN's W2 product and the gate's w2 product (the
+comment above word_states says why).  It lets the gate decide first:
+wherever w_i > 1/2 the argmax of P_i is x_i, so it runs the generator only
+at the positions the gate leaves open.  Its outputs equal the argmax of
 forward_batch's P on the same pass wherever BLAS rounds a row alike in
 every call of two or more rows, as OpenBLAS on x86-64 does at d_c = 16
 (correct_many's docstring has the details).
@@ -49,6 +51,7 @@ from itertools import repeat
 import numpy as np
 
 from .encoder import (
+    _Rows,
     encoder_backward,
     encoder_forward,
     encoder_tensor_specs,
@@ -258,49 +261,22 @@ class ForwardOut:
     p_out: np.ndarray    # [B, n, v]
 
 
-class _Rows:
-    """The slots of a [B, n] batch that the fusion layer and the head compute
-    on.
-
-    _Rows() keeps every slot: take() and grid() hand arrays back as they are.
-    _Rows(mask) keeps the real slots as N rows: take() gathers them from a
-    [B, n, ...] grid, and grid() scatters N rows back into a [B, n, ...] grid
-    that is 0 at every pad slot, a new one or a spent C-contiguous `out`.
-    """
-
-    def __init__(self, mask=None):
-        self.shape = self.idx = self.pad = None
-        if mask is not None:
-            self.shape = mask.shape
-            self.idx, self.pad = np.flatnonzero(mask), np.flatnonzero(mask == 0)
-
-    def take(self, x: np.ndarray) -> np.ndarray:
-        # ndarray.take gathers rows up to ~2x faster than fancy indexing (and
-        # than np.take on small arrays), with equal values
-        return x if self.idx is None else x.reshape(-1, *x.shape[2:]).take(self.idx, axis=0)
-
-    def grid(self, rows: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        if self.idx is None:
-            return rows
-        tail = rows.shape[1:]
-        if out is None:
-            out = np.zeros((*self.shape, *tail))
-        else:
-            out.reshape(-1, *tail)[self.pad] = 0.0
-        out.reshape(-1, *tail)[self.idx] = rows
-        return out
-
-
-# The fusion layer and the head compute on the slots `rows` keeps: [..., d]
-# stands for [B, n, d] or [N, d].  In training and forward_batch a matmul
-# whose rows are positions runs on the [B, n] grid all the same: numpy calls
-# BLAS once per sentence there, and BLAS rounds a row by the call's row count
-# (one row, a few, or many), though never by where the row sits in the call
-# or by what the other rows hold.  A matrix-vector product (gate.w2) is the
-# exception: OpenBLAS rounds its rows by their place in the call, so it runs
-# on the grid everywhere.  Elementwise work and reductions along the last
-# axis do not depend on where a row sits either.  correct_many runs the
-# gate's W1 and the generator on its packed rows (_rows_matmul).
+# The encoder (at inference), the fusion layer and the head compute on the
+# slots `rows` keeps: [..., d] stands for [B, n, d] or [N, d].  In training
+# and forward_batch a matmul whose rows are positions runs on the [B, n] grid
+# all the same: numpy calls BLAS once per sentence there.  BLAS rounds a row
+# by the call's row count (one row, or more), never by what the other rows
+# hold, and OpenBLAS on x86-64 rounds a row alike in every call of two or
+# more rows when the inner dimension is d_c = 16.  Three products run on the
+# grid everywhere: attention's, which mix a sentence's positions; the
+# encoder FFN's W2, whose inner dimension is ffn_dim (32 in the benchmark,
+# 128 by default), where OpenBLAS rounds a transposed weight's rows by the
+# call's size; and the gate's matrix-vector w2, whose rows OpenBLAS rounds
+# by their place in the call.  Elementwise work and reductions along the last axis do not depend
+# on where a row sits.  correct_many runs the rest on its packed rows: the
+# encoder's products and W_attn in calls of at least three rows (a padded
+# pass has that many, and its grid's calls at least two), the gate's W1 and
+# the generator through _rows_matmul.
 
 def word_states(tensors, groups: np.ndarray) -> np.ndarray:
     """The fusion layer's word states tanh(E_w[groups] @ W_w.T + b_w) for
@@ -335,17 +311,17 @@ def _slot_states(tensors, word_ids):
     return states.take(remap[word_ids], axis=0)
 
 
-def _fusion_forward(tensors, rows, h, word_ids, word_mask, keep_cache=True):
-    """(fused states, attention, cache for _fusion_backward).  With
+def _fusion_forward(tensors, h, hW, word_ids, word_mask, keep_cache=True):
+    """(fused states, attention, cache for _fusion_backward) from the
+    encoder states h and hW = h @ W_attn at the fusion rows.  With
     keep_cache=False the cache is None."""
     u = _slot_states(tensors, word_ids)                # [...,m,d]
-    hW = rows.take(h @ tensors["W_attn"])              # [...,d]
     scores = np.einsum("...md,...d->...m", u, hW)
     a = masked_softmax(scores, word_mask)
     z = np.einsum("...m,...md->...d", a, u)
     if not keep_cache:
-        return rows.take(h) + z, a, None
-    return rows.take(h) + z, a, (word_ids, u, hW, a)
+        return h + z, a, None
+    return h + z, a, (word_ids, u, hW, a)
 
 
 def _fusion_backward(tensors, rows, fcache, dht, grads):
@@ -445,22 +421,27 @@ def _check_word_ids(params: ModelParams, batch: Batch, rows: _Rows,
 
 def _forward(params: ModelParams, batch: Batch, rows: _Rows, keep_cache=True,
              sentence_ids=None):
-    """Encoder over the [B, n] grid (attention needs it), then fusion at
-    `rows`: (h, fused states ht at rows, attention at rows, (encoder, fusion)
-    caches).  The head's two parts, _gen_forward and _gate_forward, run on
-    ht; training and forward_batch scatter it to the grid their matmuls
-    need.  With keep_cache=False (inference) both caches are None, and each
-    stage frees its intermediates as soon as the next stage has its input.
-    The word ids at `rows` are checked first (_check_word_ids, with
+    """Encoder, then fusion at `rows`: (encoder states h, fused states ht at
+    rows, attention at rows, (encoder, fusion) caches).  With keep_cache
+    (training) the encoder runs on every slot of the [B, n] grid, which
+    encoder_backward needs, and h is that grid; without (inference) it runs
+    at `rows` too, and h is at rows.  The head's two parts, _gen_forward and
+    _gate_forward, run on ht; training and forward_batch scatter it to the
+    grid their matmuls need.  With keep_cache=False both caches are None,
+    and each stage frees its intermediates as soon as the next stage has its
+    input.  The word ids at `rows` are checked first (_check_word_ids, with
     `sentence_ids`)."""
     t, cfg = params.tensors, params.config
     _check_length(params, batch)
     word_ids = rows.take(batch.word_ids)
     _check_word_ids(params, batch, rows, word_ids, sentence_ids)
-    h, ecache = encoder_forward(t, cfg, batch.char_ids, batch.char_mask,
+    enc_rows = _Rows() if keep_cache else rows
+    h, ecache = encoder_forward(t, cfg, batch.char_ids, batch.char_mask, enc_rows,
                                 _keep_cache=keep_cache)
-    ht, a, fcache = _fusion_forward(t, rows, h, word_ids,
-                                    rows.take(batch.word_mask), keep_cache)
+    hW = h @ t["W_attn"]
+    h_at, hW = (h, hW) if enc_rows is rows else (rows.take(h), rows.take(hW))
+    ht, a, fcache = _fusion_forward(t, h_at, hW, word_ids, rows.take(batch.word_mask),
+                                    keep_cache)
     return h, ht, a, (ecache, fcache)
 
 
@@ -581,29 +562,45 @@ def loss_and_grads(params: ModelParams, batch: Batch):
 # ------------------------------------------------------ batching and decoding
 
 
+def _padded(rows, at, shape, fill, dtype) -> np.ndarray:
+    """A [B, n, ...] array of `fill` with the concatenated `rows`, cast to
+    dtype, at its flat slots `at` (every slot when at is None), in one
+    scatter.  A slot's trailing values go as one raw record, which copies
+    them byte for byte at a fraction of the cost of a fancy index with a
+    trailing axis."""
+    rows = np.concatenate(rows, dtype=dtype, casting="unsafe")
+    if at is None:  # no pad slot: the rows are the grid
+        return rows.reshape(shape)
+    grid = np.full(shape, fill, dtype=dtype)
+    k = math.prod(shape[2:])
+    record = np.dtype((np.void, k * grid.itemsize))
+    grid.reshape(-1, k).view(record)[at, 0] = rows.reshape(-1, k).view(record)[:, 0]
+    return grid
+
+
 def assemble_batch(items) -> Batch:
     """Pad per-sentence arrays into one Batch.
 
     items: (char_ids [n], gold_ids [n] or None, word_ids [n, m], word_mask
     [n, m]) per sentence.  Pad slots get CHAR_PAD_ID / WORD_PAD_ID (mask 0).
+    Each array is filled with one scatter of the sentences' concatenated
+    rows to the real slots (_padded), not a slice write per sentence; with
+    no pad slot (a batch of one), the concatenated rows are the array.
     """
     B = len(items)
-    n = max(len(it[0]) for it in items)
+    lengths = [len(it[0]) for it in items]
+    n = max(lengths)
     m = items[0][2].shape[1]
-    char_ids = np.full((B, n), CHAR_PAD_ID, dtype=np.int64)
-    char_mask = np.zeros((B, n))
-    word_ids = np.full((B, n, m), WORD_PAD_ID, dtype=np.int64)
-    word_mask = np.zeros((B, n, m))
-    has_gold = items[0][1] is not None
-    gold_ids = np.full((B, n), CHAR_PAD_ID, dtype=np.int64) if has_gold else None
-    for b, (cid, gid, wid, wmask) in enumerate(items):
-        k = len(cid)
-        char_ids[b, :k] = cid
-        char_mask[b, :k] = 1.0
-        word_ids[b, :k] = wid
-        word_mask[b, :k] = wmask
-        if has_gold:
-            gold_ids[b, :k] = gid
+    if min(lengths) == n:
+        at, char_mask = None, np.ones((B, n))
+    else:
+        real = np.arange(n) < np.array(lengths)[:, None]
+        at, char_mask = np.flatnonzero(real), real.astype(np.float64)
+    cid, gid, wid, wmask = zip(*items)
+    char_ids = _padded(cid, at, (B, n), CHAR_PAD_ID, np.int64)
+    word_ids = _padded(wid, at, (B, n, m), WORD_PAD_ID, np.int64)
+    word_mask = _padded(wmask, at, (B, n, m), 0.0, np.float64)
+    gold_ids = None if gid[0] is None else _padded(gid, at, (B, n), CHAR_PAD_ID, np.int64)
     return Batch(char_ids, char_mask, word_ids, word_mask, gold_ids)
 
 
@@ -639,24 +636,31 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
     so little of a pass is padding.  Outputs, and the sentence index an
     error names, follow the input order.
 
-    Only the work that can change an output runs.  The encoder runs on the
-    pass's [B, n] grid; fusion, the gate and the generator run on the N real
-    characters as 2-D rows, or on the grid itself when the pass has no
-    padding (a batch of one).  The gate decides first: a position with
+    Only the work that can change an output runs, row-wise work on the
+    pass's N real characters as 2-D rows: the encoder's embedding,
+    LayerNorms, Q/K/V/O and W1 products, GELU and residual adds
+    (encoder_forward), then fusion, the gate and the generator.  Attention's
+    scores, softmax and A @ V, the encoder FFN's W2 product and the gate's
+    w2 product run on the pass's [B, n] grid, to which their inputs are
+    scattered with 0 at pad slots.  A pass without padding (a batch of one)
+    keeps its grid as its rows.  The gate decides first: a position with
     omega > 1/2 keeps its input, because the mixture's argmax there is the
     input id, so the generator softmax, the mixture and the argmax run only
     at the other positions.
 
     The outputs equal the argmax of forward_batch's p_out on the same pass
     wherever BLAS rounds a row of a matrix product alike in every call of
-    two or more rows, as OpenBLAS on x86-64 does at d_c = 16.  The fusion
-    layer's W_attn product and the gate's matrix-vector w2 product run on
-    the grid, as in forward_batch.  The gate's W1 and the generator run on
-    the rows, in calls of two or more rows, or of one row each where
-    forward_batch's calls have one row (_rows_matmul).  Where BLAS rounds a
-    row by the size of its call (OpenBLAS with a transposed weight at d_c of
-    32 or more), a probability can differ from forward_batch's in its last
-    bit, which changes an output only where it breaks a tie.
+    two or more rows, as OpenBLAS on x86-64 does at d_c = 16.  The products
+    whose inner dimension is d_c run on the rows: the encoder's and the
+    fusion layer's W_attn in calls of at least three rows (a padded pass has
+    that many, and its grid's per-sentence calls at least two), the gate's
+    W1 and the generator in calls of two or more rows, or of one row each
+    where forward_batch's calls have one row (_rows_matmul).  The W2 and w2
+    products stay on the grid, as in forward_batch, because OpenBLAS rounds
+    their rows by the call (see the comment above word_states).  Where BLAS
+    rounds a row by the size of its call (OpenBLAS with a transposed weight
+    at d_c of 32 or more), a probability can differ from forward_batch's in
+    its last bit, which changes an output only where it breaks a tie.
     """
     if not isinstance(batch_size, int) or isinstance(batch_size, bool) or batch_size < 1:
         raise ValueError(f"batch_size must be an int of at least 1, got {batch_size!r}")

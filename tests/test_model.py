@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hanfix.desm import featurize_sentences
 from hanfix.encoder import (
+    _Rows,
     encoder_backward,
     encoder_forward,
     gelu,
@@ -633,8 +634,8 @@ def training_forward_batch(params, batch):
 def inference_world(d_c, **over):
     """Params of width d_c with every tensor random and clearly nonzero; their
     chars spell the sentences."""
-    cfg = tiny_config(char_vocab_size=40, word_vocab_size=20, d_c=d_c, d_w=8,
-                      ffn_dim=2 * d_c, gate_dim=16, **over)
+    cfg = tiny_config(**{**dict(char_vocab_size=40, word_vocab_size=20, d_c=d_c, d_w=8,
+                                ffn_dim=2 * d_c, gate_dim=16), **over})
     chars = [chr(0x4E00 + i) for i in range(cfg.char_vocab_size - 2)]
     params = init_params(cfg, chars)
     rng = np.random.default_rng(d_c)
@@ -942,6 +943,40 @@ class TestPackedRows:
         assert want != sentences
         assert correct_many(params, sentences, feats) == want
 
+    @pytest.mark.parametrize("lengths", [
+        # 130 rows: with an inner dimension of 32 or more (W2's ffn_dim),
+        # OpenBLAS rounds a call of over 1,152 output values apart from a
+        # sentence's call, so a packed W2 product would fail here
+        [1, 4, 1, 9, 2, 9, 1, 12, 7, 3, 12, 5, 8, 1, 11, 6, 10, 2, 12, 4],
+        [1, 12], [6] * 20, [9]], ids=["mixed", "one_long", "no_padding", "one"])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("ffn_dim", [32, 64])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_packed_encoder_states_equal_the_grid(self, layers, ffn_dim, heads, lengths):
+        # the encoder's row-wise work at the real rows, attention and W2 on
+        # the grid: each real row's state equals the grid's bit for bit
+        params = inference_world(16, layers=layers, heads=heads, ffn_dim=ffn_dim)
+        t, cfg = params.tensors, params.config
+        batch = batch_of_lengths(cfg, lengths)
+        grid, none = encoder_forward(t, cfg, batch.char_ids, batch.char_mask,
+                                     _keep_cache=False)
+        rows = _Rows(batch.char_mask)
+        packed, _ = encoder_forward(t, cfg, batch.char_ids, batch.char_mask, rows,
+                                    _keep_cache=False)
+        assert none is None
+        assert packed.shape == (sum(lengths), 16)
+        assert np.array_equal(packed, grid[batch.char_mask > 0])
+        # every slot (training's rows) is the grid itself, cache and all
+        same, cache = encoder_forward(t, cfg, batch.char_ids, batch.char_mask, _Rows())
+        assert np.array_equal(same, grid) and cache is not None
+
+    def test_packed_encoder_keeps_no_cache(self):
+        params = inference_world(16)
+        batch = batch_of_lengths(params.config, [3, 5])
+        with pytest.raises(ValueError, match="encoder_backward needs every slot"):
+            encoder_forward(params.tensors, params.config, batch.char_ids, batch.char_mask,
+                            _Rows(batch.char_mask))
+
     @pytest.mark.skipif(
         platform.machine() != "x86_64"
         or "openblas" not in str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]),
@@ -949,14 +984,19 @@ class TestPackedRows:
     @pytest.mark.parametrize("shape", [(1, 9), (4, 7), (5, 1), (64, 12)])
     def test_rows_matmul_rounds_as_the_grid(self, shape):
         # the BLAS property the equality rests on, at d_c 16: a packed row,
-        # a lone row and a few rows round as in the grid's per-sentence calls
+        # a lone row and a few rows round as in the grid's per-sentence calls.
+        # The weights: the gate's W1 and the generator's W_gen, transposed;
+        # the encoder's Q/K/V/O (d_c x d_c) and FFN W1 (ffn_dim 32 and 64 x
+        # d_c), transposed; the fusion layer's W_attn, as it is
         rng = np.random.default_rng(shape[0])
         B, n = shape
         mask = np.zeros(shape, bool)
         for b, k in enumerate(rng.integers(1, n + 1, size=B)):
             mask[b, :n if b == 0 else k] = True
         grid = rng.normal(size=(B, n, 16))
-        for w in (rng.normal(size=(16, 16)).T, rng.normal(size=(182, 16)).T):
+        for w in (rng.normal(size=(16, 16)).T, rng.normal(size=(182, 16)).T,
+                  rng.normal(size=(32, 16)).T, rng.normal(size=(64, 16)).T,
+                  rng.normal(size=(16, 16))):
             want = (grid @ w)[mask]
             rows = grid[mask]
             assert np.array_equal(model_module._rows_matmul(rows, w, n), want)
@@ -992,6 +1032,37 @@ class TestBatching:
         assert list(b.gold_ids[1]) == [6, CHAR_PAD_ID, CHAR_PAD_ID]
         assert (b.word_ids[1, 1:] == 1).all()
         assert (b.word_mask[1, 1:] == 0.0).all()
+
+    @pytest.mark.parametrize("lengths", [[7, 1, 0, 5, 7], [4, 4], [6], [0, 0]],
+                             ids=["padded", "no_padding", "one", "all_empty"])
+    @pytest.mark.parametrize("gold", [True, False])
+    def test_assemble_equals_slice_writes(self, lengths, gold):
+        # one scatter per array: the same arrays, dtypes and bytes as a
+        # slice write per sentence, from int32 ids and bool masks too
+        rng = np.random.default_rng(len(lengths))
+        m = 3
+        items = [(rng.integers(2, 40, k).astype(np.int32 if k % 2 else np.int64),
+                  rng.integers(2, 40, k) if gold else None,
+                  rng.integers(2, 20, (k, m)),
+                  rng.random((k, m)) < 0.5 if k % 2 else rng.random((k, m)))
+                 for k in lengths]
+        B, n = len(items), max(lengths)
+        want = Batch(np.full((B, n), CHAR_PAD_ID, np.int64), np.zeros((B, n)),
+                     np.full((B, n, m), 1, np.int64), np.zeros((B, n, m)),
+                     np.full((B, n), CHAR_PAD_ID, np.int64) if gold else None)
+        for b, (cid, gid, wid, wmask) in enumerate(items):
+            k = len(cid)
+            want.char_ids[b, :k], want.char_mask[b, :k] = cid, 1.0
+            want.word_ids[b, :k], want.word_mask[b, :k] = wid, wmask
+            if gold:
+                want.gold_ids[b, :k] = gid
+        got = assemble_batch(items)
+        for name in ("char_ids", "char_mask", "word_ids", "word_mask", "gold_ids"):
+            a, b = getattr(got, name), getattr(want, name)
+            if b is None:
+                assert a is None
+                continue
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
     def test_assemble_without_gold(self):
         items = [(np.array([2]), None, np.full((1, 1), 2, dtype=np.int64),
