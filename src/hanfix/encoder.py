@@ -200,11 +200,11 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 def _block_forward(tensors, heads, p, x, rows, kbias, keep=True):
     """One pre-LN block on x at `rows`: (its output, the block's cache).
-    Attention's scores, softmax and A @ V, and the FFN's W2 product, run on
-    the [B, n] grid: Q, K, V and the GELU output are scattered to it, with 0
-    at pad slots, and O and the W2 product are gathered from it.  With
-    keep=False the cache is None and the attention half's intermediates are
-    freed before the FFN half runs."""
+    Attention's scores, softmax and A @ V run on the [B, n] grid, since they
+    mix a sentence's positions: Q, K and V are scattered to it, with 0 at
+    pad slots, and O is gathered from it.  Every other product runs at the
+    rows.  With keep=False the cache is None and the attention half's
+    intermediates are freed before the FFN half runs."""
     t, ln1c = ln_forward(x, tensors[p + "ln1.g"], tensors[p + "ln1.b"])
     Qh, Kh, Vh = (_split_heads(rows.grid(t @ tensors[p + "W" + z].T + tensors[p + "b" + z]),
                                heads)
@@ -221,7 +221,7 @@ def _block_forward(tensors, heads, p, x, rows, kbias, keep=True):
     t2, ln2c = ln_forward(x1, tensors[p + "ln2.g"], tensors[p + "ln2.b"])
     pre = t2 @ tensors[p + "W1"].T + tensors[p + "c1"]
     f, th = gelu(pre)
-    x = x1 + rows.take(rows.grid(f) @ tensors[p + "W2"].T) + tensors[p + "c2"]
+    x = x1 + f @ tensors[p + "W2"].T + tensors[p + "c2"]
     return x, (*attn, t2, ln2c, pre, th, scale) if keep else None
 
 
@@ -233,10 +233,10 @@ def encoder_forward(tensors, cfg, char_ids: np.ndarray, cmask: np.ndarray, rows=
     cmask marks real (non-pad) positions; pad positions are excluded as
     attention keys so they never leak into real positions.  `rows` is a
     _Rows of the [B, n] grid, every slot when None: the states come back as
-    [B, n, d_c], or as [N, d_c] at the N real slots of _Rows(cmask).  The
-    row-wise work (embedding, LayerNorms, the Q/K/V/O and W1 products, GELU
-    and the residual adds) runs at `rows`; attention and the W2 product run
-    on the grid (_block_forward).  With _keep_cache=False (inference) the
+    [B, n, d_c], or as [N, d_c] at the N real slots of _Rows(cmask).  All
+    but attention runs at `rows` (_block_forward); at real slots a state
+    can differ from the grid's in its last bits, as BLAS rounds a product
+    by the call's shape.  With _keep_cache=False (inference) the
     cache is None, and each block's intermediates are freed before the next
     block runs; a cache is kept for every slot only (rows None).
     """

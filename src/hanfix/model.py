@@ -28,14 +28,12 @@ rows are positions on the padded [B, n] grid.  correct_many sorts its
 sentences by length into passes of at most _PASS_CHARS padded characters
 and computes each pass on its real characters as 2-D rows, padding-free as
 in ByteTransformer (Zhai et al., IPDPS 2023); a pass without padding keeps
-its grid.  Three products stay on the grid: attention's (scores, softmax
-and A @ V), the encoder FFN's W2 product and the gate's w2 product (the
-comment above word_states says why).  It lets the gate decide first:
-wherever w_i > 1/2 the argmax of P_i is x_i, so it runs the generator only
-at the positions the gate leaves open.  Its outputs equal the argmax of
-forward_batch's P on the same pass wherever BLAS rounds a row alike in
-every call of two or more rows, as OpenBLAS on x86-64 does at d_c = 16
-(correct_many's docstring has the details).
+its grid.  Only attention (scores, softmax and A @ V) and the gate's w2
+product stay on the grid.  It lets the gate decide first: wherever
+w_i > 1/2 the argmax of P_i is x_i, so it runs the generator only at the
+positions the gate leaves open.  Its outputs are the argmax of
+forward_batch's P on the same pass up to float rounding: a product over
+packed rows can round a state apart from the grid's in its last bits.
 """
 
 from __future__ import annotations
@@ -262,21 +260,14 @@ class ForwardOut:
 
 
 # The encoder (at inference), the fusion layer and the head compute on the
-# slots `rows` keeps: [..., d] stands for [B, n, d] or [N, d].  In training
-# and forward_batch a matmul whose rows are positions runs on the [B, n] grid
-# all the same: numpy calls BLAS once per sentence there.  BLAS rounds a row
-# by the call's row count (one row, or more), never by what the other rows
-# hold, and OpenBLAS on x86-64 rounds a row alike in every call of two or
-# more rows when the inner dimension is d_c = 16.  Three products run on the
-# grid everywhere: attention's, which mix a sentence's positions; the
-# encoder FFN's W2, whose inner dimension is ffn_dim (32 in the benchmark,
-# 128 by default), where OpenBLAS rounds a transposed weight's rows by the
-# call's size; and the gate's matrix-vector w2, whose rows OpenBLAS rounds
-# by their place in the call.  Elementwise work and reductions along the last axis do not depend
-# on where a row sits.  correct_many runs the rest on its packed rows: the
-# encoder's products and W_attn in calls of at least three rows (a padded
-# pass has that many, and its grid's calls at least two), the gate's W1 and
-# the generator through _rows_matmul.
+# slots `rows` keeps: [..., d] stands for [B, n, d] or [N, d].  Training
+# runs a matmul whose rows are positions (h @ W_attn, the gate's W1 and w2,
+# the generator's logits, and their backward) on the [B, n] grid all the
+# same, and sums across positions too: BLAS rounds a row by the call's row
+# count and blocks a sum by its length, so on packed rows loss and grads
+# would not equal those of the step on every slot bit for bit.
+# Elementwise work and reductions along the last axis do not depend on
+# where a row sits.
 
 def word_states(tensors, groups: np.ndarray) -> np.ndarray:
     """The fusion layer's word states tanh(E_w[groups] @ W_w.T + b_w) for
@@ -341,31 +332,17 @@ def _fusion_backward(tensors, rows, fcache, dht, grads):
     return dhW
 
 
-def _rows_matmul(x: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """x [N, d], positions of a [B, n] grid, times w [d, k], each row
-    rounded as the grid's matmul, one call per sentence, rounds it.  BLAS
-    rounds a row alike in every call of two or more rows (OpenBLAS on x86-64
-    does at d_c = 16; at 32 and more it rounds a transposed weight's rows by
-    the call's size) but takes its matrix-vector path for a call of one row.
-    So a lone row runs in a call of two, and on a grid of length one each row
-    gets a call of its own."""
-    if n == 1:
-        return (x[:, None] @ w)[:, 0]
-    if len(x) == 1:
-        return (x[[0, 0]] @ w)[:1]
-    return x @ w
-
-
 def _gate_forward(tensors, cfg, rows, ht, grid=None):
     """The copy gate: (omega, cache) at rows, from the fused states ht at
-    rows.  ht @ W1.T runs on `grid`, ht's [B, n, d] grid, when one is given
-    (the bit-compatible matmuls of training and forward_batch), else on the
-    rows (_rows_matmul).  The cache is None when omega is fixed
-    (use_copy=False pins it at 0)."""
+    rows.  ht @ W1.T runs at the rows, or on `grid`, ht's [B, n, d] grid,
+    when one is given (training's, see the comment above word_states).  The
+    w2 product runs on the grid, whose g_ln the cache keeps for training's
+    backward.  The cache is None when omega is fixed (use_copy=False pins
+    it at 0)."""
     if not cfg.use_copy:
         return np.zeros(ht.shape[:-1]), None
     w1 = tensors["gate.W1"].T
-    g_pre = rows.take(grid @ w1) if grid is not None else _rows_matmul(ht, w1, rows.shape[1])
+    g_pre = rows.take(grid @ w1) if grid is not None else ht @ w1
     g_pre += tensors["gate.b1"]
     g_act, g_t = gelu(g_pre)
     g_ln, lnc = ln_forward(g_act, tensors["gate.ln.g"], tensors["gate.ln.b"])
@@ -402,9 +379,11 @@ def _check_word_ids(params: ModelParams, batch: Batch, rows: _Rows,
     The message names the batch row of the first such id: "sentence
     {sentence_ids[row]}", or "batch row {row}" when sentence_ids is None."""
     limit = params.config.word_vocab_size
-    # one reduction per batch: as uint64 a negative id is at least 2**63, so
-    # one max finds it too
-    if int(word_ids.view(np.uint64).max(initial=0)) < limit:
+    # one reduction per batch: read as int64 (no copy when the ids are) and
+    # viewed as uint64, a negative id is at least 2**63, so one max finds it
+    # too
+    as_u64 = word_ids.astype(np.int64, copy=False).view(np.uint64)
+    if int(as_u64.max(initial=0)) < limit:
         return
     ids = word_ids.reshape(-1)
     first = int(np.flatnonzero((ids < 0) | (ids >= limit))[0])
@@ -426,11 +405,10 @@ def _forward(params: ModelParams, batch: Batch, rows: _Rows, keep_cache=True,
     (training) the encoder runs on every slot of the [B, n] grid, which
     encoder_backward needs, and h is that grid; without (inference) it runs
     at `rows` too, and h is at rows.  The head's two parts, _gen_forward and
-    _gate_forward, run on ht; training and forward_batch scatter it to the
-    grid their matmuls need.  With keep_cache=False both caches are None,
-    and each stage frees its intermediates as soon as the next stage has its
-    input.  The word ids at `rows` are checked first (_check_word_ids, with
-    `sentence_ids`)."""
+    _gate_forward, run on ht; training scatters it to the grid its matmuls
+    need.  With keep_cache=False both caches are None, and each stage frees
+    its intermediates as soon as the next stage has its input.  The word ids
+    at `rows` are checked first (_check_word_ids, with `sentence_ids`)."""
     t, cfg = params.tensors, params.config
     _check_length(params, batch)
     word_ids = rows.take(batch.word_ids)
@@ -462,7 +440,7 @@ def forward_batch(params: ModelParams, batch: Batch):
     t, rows = params.tensors, _Rows()
     h, ht, a, _ = _forward(params, batch, rows, keep_cache=False)
     p_gen = _gen_forward(t, ht @ t["W_gen"].T)
-    omega = _gate_forward(t, params.config, rows, ht, ht)[0]
+    omega = _gate_forward(t, params.config, rows, ht)[0]
     p = _mix(p_gen.copy(), omega, batch.char_ids)
     return ForwardOut(h=h, h_fused=ht, attn=a, omega=omega, p_gen=p_gen, p_out=p), None
 
@@ -638,29 +616,20 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
 
     Only the work that can change an output runs, row-wise work on the
     pass's N real characters as 2-D rows: the encoder's embedding,
-    LayerNorms, Q/K/V/O and W1 products, GELU and residual adds
-    (encoder_forward), then fusion, the gate and the generator.  Attention's
-    scores, softmax and A @ V, the encoder FFN's W2 product and the gate's
-    w2 product run on the pass's [B, n] grid, to which their inputs are
-    scattered with 0 at pad slots.  A pass without padding (a batch of one)
-    keeps its grid as its rows.  The gate decides first: a position with
-    omega > 1/2 keeps its input, because the mixture's argmax there is the
-    input id, so the generator softmax, the mixture and the argmax run only
-    at the other positions.
+    LayerNorms, products, GELU and residual adds (encoder_forward), then
+    fusion, the gate and the generator.  Attention's scores, softmax and
+    A @ V and the gate's w2 product run on the pass's [B, n] grid, to which
+    their inputs are scattered with 0 at pad slots.  A pass without padding
+    (a batch of one) keeps its grid as its rows.  The gate decides first: a
+    position with omega > 1/2 keeps its input, because the mixture's argmax
+    there is the input id, so the generator softmax, the mixture and the
+    argmax run only at the other positions.
 
-    The outputs equal the argmax of forward_batch's p_out on the same pass
-    wherever BLAS rounds a row of a matrix product alike in every call of
-    two or more rows, as OpenBLAS on x86-64 does at d_c = 16.  The products
-    whose inner dimension is d_c run on the rows: the encoder's and the
-    fusion layer's W_attn in calls of at least three rows (a padded pass has
-    that many, and its grid's per-sentence calls at least two), the gate's
-    W1 and the generator in calls of two or more rows, or of one row each
-    where forward_batch's calls have one row (_rows_matmul).  The W2 and w2
-    products stay on the grid, as in forward_batch, because OpenBLAS rounds
-    their rows by the call (see the comment above word_states).  Where BLAS
-    rounds a row by the size of its call (OpenBLAS with a transposed weight
-    at d_c of 32 or more), a probability can differ from forward_batch's in
-    its last bit, which changes an output only where it breaks a tie.
+    The outputs are the argmax of forward_batch's p_out on the same pass up
+    to float rounding: a product over the packed rows can round apart from
+    the grid's in its last bits (the encoder states agree to within 1e-12),
+    so an output can differ only at a position where two probabilities, or
+    omega and 1/2, are that close.
     """
     if not isinstance(batch_size, int) or isinstance(batch_size, bool) or batch_size < 1:
         raise ValueError(f"batch_size must be an int of at least 1, got {batch_size!r}")
@@ -685,14 +654,12 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
             end += lengths[i]
             items.append((x[starts[-1]:end], None, *feats[i]))
         batch = assemble_batch(items)
-        n = batch.char_ids.shape[1]
         # with no pad slot (a batch of one, or sentences of one length) the
         # grid holds only real characters: it stays a grid, its own rows,
         # where packing would only add reshapes
-        packed = not batch.char_mask.all()
-        rows = _Rows(batch.char_mask) if packed else _Rows()
+        rows = _Rows() if batch.char_mask.all() else _Rows(batch.char_mask)
         ht = _forward(params, batch, rows, keep_cache=False, sentence_ids=chunk)[1]
-        omega = _gate_forward(t, cfg, rows, ht, None if packed else ht)[0]
+        omega = _gate_forward(t, cfg, rows, ht)[0]
         # Where omega > 1/2 the argmax of P = omega * onehot(x) + (1 - omega)
         # * P_gen is the input id x, so such a position keeps its input.  For
         # omega in (1/2, 1], 1 - omega is exact (Sterbenz).  With finite
@@ -707,8 +674,7 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
             # softmax, mix and argmax are row-wise, so the open rows alone
             # round the same
             xo = x.take(at)
-            logits = _rows_matmul(ht.reshape(-1, ht.shape[-1]).take(at, axis=0),
-                                  t["W_gen"].T, n)
+            logits = ht.reshape(-1, ht.shape[-1]).take(at, axis=0) @ t["W_gen"].T
             k = _mix(_gen_forward(t, logits), omega.take(at), xo).argmax(axis=-1)
             del logits  # [K, v], the pass's largest array: not kept into the next pass
             # the input id and the reserved ids keep the input character
