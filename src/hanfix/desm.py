@@ -26,18 +26,23 @@ padded to `m_max` per position, beside the trie matches and each window's
 fed hits.  Most rows are written without a sort or a set: a row fed by one
 source is that source, an EXACT key goes before a window's hits that lack
 its word, and two windows whose memo entries' bit filters share no bit
-share no word.  Featurization maps the flat keys of a chunk of sentences
-to word ids in one numpy gather; the `MatchCandidate` objects, with the
-direction and span that only they carry, are derived on the first read of
-`per_char` and kept beside the keys.  So featurization takes one path,
-builds no candidate, and gives the same ids whether or not `per_char` was
-read.
+share no word.  Featurization builds one lattice per chunk of sentences,
+on their joined text, and maps its flat keys to word ids in one numpy
+gather; the `MatchCandidate` objects, with the direction and span that only
+they carry, are derived on the first read of `per_char` and kept beside the
+keys.  So featurization takes one path, builds no candidate, and gives the
+same ids whether or not `per_char` was read.
+
+A lattice over several sentences keeps them apart: a trie match across the
+end of a sentence is dropped, and the window across it feeds neither side,
+so each sentence's rows are those of its own lattice.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -79,7 +84,8 @@ class MatchCandidate(NamedTuple):
 
 
 class CharWordLattice:
-    """Ranked word candidates for every character of one sentence.
+    """Ranked word candidates for every character of a sentence (or of a
+    chunk of sentences joined, see build_lattice's `ends`).
 
     `build_lattice` stores each position's ranked int keys, padded to m_max
     in one flat list, which `lattice_to_feature_ids` reads; `per_char`, the
@@ -178,8 +184,11 @@ def build_lattice(
     sentence: str,
     m_max: int = 5,
     include_pinyin: bool = True,
+    *,
+    ends: list[int] | None = None,
 ) -> CharWordLattice:
-    """Assemble the candidate lattice for one sentence.
+    """Assemble the candidate lattice for one sentence, or for several
+    joined into `sentence` when `ends` lists where each of them ends.
 
     Exact matches are attached to every position they cover.  Each window
     of two adjacent characters with a suspect end is probed in the 2-gram
@@ -204,6 +213,15 @@ def build_lattice(
 
     Characters without pinyin readings simply contribute no phonetic
     candidates; they are never an error here.
+
+    `ends` (default: one sentence) gives the offsets at which each joined
+    sentence ends, rising from 0 to len(sentence), with equal offsets for
+    empty sentences; ValueError otherwise.  A trie match that crosses an
+    end is dropped before the suspects are computed, and each window
+    across an end is reset after the probes, so every sentence's rows,
+    suspects and candidates are those of its own lattice, with spans
+    shifted by its offset.  That costs one test per match and one
+    assignment per sentence, none per window.
     """
     if type(m_max) is not int or m_max < 1:  # one test on the common path
         _check_m_max(m_max)
@@ -216,6 +234,8 @@ def build_lattice(
     # single-char matches cannot witness an intact word
     suspects = [True] * n
     matches = lex.trie_match_all(sentence)
+    if ends is not None:
+        matches = _within_sentences(matches, ends, n)
     for start, end, wid in matches:
         r = (rank[wid],)
         if end == start:
@@ -234,6 +254,13 @@ def build_lattice(
     # suspect, no window is probed
     if include_pinyin and True in suspects:
         fed, filters = lex.probe_windows(ptable, fuzzy, sentence, suspects, m_max)
+        if ends is not None:
+            # the window (end - 1, end) joins two sentences, so it feeds
+            # neither.  An empty first sentence's end 0 resets window -1,
+            # the last one, which probe_windows never probes
+            for end in ends:
+                fed[end - 1] = ()
+                filters[end - 1] = 0
     else:
         fed, filters = [()] * n, [0] * n
 
@@ -284,32 +311,34 @@ def build_lattice(
     return lat
 
 
-def lattice_to_feature_ids(*lats: CharWordLattice) -> tuple[np.ndarray, np.ndarray]:
-    """Rectangular word-feature ids plus a 0/1 mask, [n, m_max] for one
+def _within_sentences(matches, ends, n) -> list[tuple[int, int, int]]:
+    """The trie matches that end in the sentence they start in, given the
+    sentences' `ends`; ValueError unless those rise from 0 to n."""
+    end_of: list[int] = []  # end_of[i]: the end of position i's sentence
+    start = 0
+    for end in ends:
+        # a falling offset adds nothing here, so with the last offset at n
+        # the list has n items iff the offsets rise from 0
+        end_of += [end] * (end - start)
+        start = end
+    if start != n or len(end_of) != n:
+        raise ValueError(f"sentence ends must rise from 0 to {n}, got {list(ends)}")
+    return [m for m in matches if m[1] < end_of[m[0]]]
+
+
+def lattice_to_feature_ids(lat: CharWordLattice) -> tuple[np.ndarray, np.ndarray]:
+    """Rectangular word-feature ids plus a 0/1 mask, [n, m_max] for a
     lattice of n characters, at the m_max build_lattice was given (build at
-    another m_max for another width).  Several lattices give their rows
-    stacked in argument order, as one [sum of lengths, m_max] pair: the
-    fixed cost of the numpy calls is paid once per call, not per sentence.
+    another m_max for another width).
 
     Ids live in the model's word vocabulary (lexicon word_id + 2, because
     ids 0/1 are reserved for UNK/PAD).  Slots beyond the candidate list are
     WORD_PAD_ID with mask 0.  A lattice not made by build_lattice holds no
-    keys, and lattices built at different m_max or from different lexicons
-    cannot share one array: ValueError.
+    keys: ValueError.
     """
-    if not lats:
-        raise ValueError("lattice_to_feature_ids needs at least one lattice")
-    flat, m_max, lex = _built_keys(lats[0])
-    if len(lats) > 1:
-        flat = list(flat)
-        for lat in lats[1:]:
-            # _built_keys only for a hand-made lattice, to raise: one call
-            # less per lattice
-            built = lat._built or _built_keys(lat)
-            if built[1] != m_max or built[2] is not lex:
-                raise ValueError("lattices built at different m_max or from different "
-                                 "lexicons cannot be featurized together")
-            flat += built[0]
+    if lat._built is None:
+        raise ValueError("only a lattice made by build_lattice can be featurized")
+    flat, m_max, lex = lat._built[:3]
     # the padded keys go into the array in one assignment, which beats two
     # numpy item writes per candidate, then through one gather from rank to
     # feature id, in place
@@ -319,15 +348,6 @@ def lattice_to_feature_ids(*lats: CharWordLattice) -> tuple[np.ndarray, np.ndarr
     lex.rank_ids(WORD_ID_OFFSET, WORD_PAD_ID).take(ids, out=ids)
     # every candidate id is at least WORD_ID_OFFSET, every pad id below it
     return ids, (ids >= WORD_ID_OFFSET).astype(np.float64)
-
-
-def _built_keys(lat: CharWordLattice) -> tuple[list[int], int, Lexicon]:
-    """A built lattice's (padded keys, m_max, lexicon); ValueError for a
-    lattice made by hand."""
-    built = lat._built
-    if built is None:
-        raise ValueError("only a lattice made by build_lattice can be featurized")
-    return built[0], built[1], built[2]
 
 
 LATTICE_MODES = ("desm", "ttm", "none")
@@ -347,9 +367,9 @@ def _check_features_args(m_max: int, mode: str) -> None:
     _check_m_max(m_max)
 
 
-# featurize_sentences builds lattices in chunks of at most this many
-# characters (or one longer sentence) and converts each chunk with one
-# lattice_to_feature_ids call, so a call holds one chunk's lattices at a
+# featurize_sentences builds one lattice per chunk of at most this many
+# characters (or one longer sentence) and converts it with one
+# lattice_to_feature_ids call, so a call holds one chunk's lattice at a
 # time.  1024, not 2048: at m_max 8 a 2048-character chunk's arrays are
 # 128 KiB, glibc's default mmap threshold, and training on perfbench's
 # correct_batch fixture read ~9% slower, with ~10% more minor page faults
@@ -366,10 +386,14 @@ def featurize_sentences(sentences, lex, ptable, fuzzy, m_max, mode="desm"):
 
     The arguments are checked once, even when there is no sentence.  The
     sentences go in chunks of at most _FEATURIZE_CHARS characters (a longer
-    sentence alone): each chunk's lattices are converted by one
+    sentence alone).  A chunk is one lattice, built on its sentences'
+    joined text with their ends, so the lattice's fixed costs are paid once
+    per chunk, not per sentence; it is converted by one
     lattice_to_feature_ids call and dropped before the next chunk is built,
-    and each sentence's pair is a view of its chunk's rows.  A repeated
-    sentence is featurized again, as corpora rarely repeat one within a call.
+    and each sentence's pair is a view of its rows.  A chunk of one
+    sentence, such as a live utterance, is built from that sentence as it
+    is.  A repeated sentence is featurized again, as corpora rarely repeat
+    one within a call.
     """
     _check_features_args(m_max, mode)
     feats: list[tuple[np.ndarray, np.ndarray]] = []
@@ -387,22 +411,24 @@ def featurize_sentences(sentences, lex, ptable, fuzzy, m_max, mode="desm"):
 
 
 def _featurize_chunk(chunk, size, lex, ptable, fuzzy, m_max, mode, feats) -> None:
-    """Append each sentence's (ids, mask) view of the chunk's stacked rows."""
+    """Append each sentence's (ids, mask) view of the chunk's rows."""
+    # a chunk of one sentence, such as a live utterance, is built and
+    # returned as it is: no join, no ends, no view
+    ends = None if len(chunk) == 1 else list(accumulate(map(len, chunk)))
     if mode == "none":
         ids = np.full((size, m_max), WORD_PAD_ID, dtype=np.int64)
         mask = np.zeros((size, m_max), dtype=np.float64)
     else:
-        pinyin = mode == "desm"
-        ids, mask = lattice_to_feature_ids(*[
-            build_lattice(lex, ptable, fuzzy, s, m_max=m_max, include_pinyin=pinyin)
-            for s in chunk])
-    if len(chunk) == 1:  # a live utterance: its arrays as they are
+        text = chunk[0] if ends is None else "".join(chunk)
+        ids, mask = lattice_to_feature_ids(build_lattice(
+            lex, ptable, fuzzy, text, m_max=m_max, include_pinyin=mode == "desm", ends=ends))
+    if ends is None:
         feats.append((ids, mask))
         return
-    end = 0
-    for s in chunk:
-        start, end = end, end + len(s)
+    start = 0
+    for end in ends:
         feats.append((ids[start:end], mask[start:end]))
+        start = end
 
 
 def sentence_features(

@@ -728,19 +728,19 @@ def dense_corpus(n, seed):
         filler_rate=0.2)]
 
 
-def lattice_features(sentence, m_max, mode):
+def lattice_features(sentence, m_max, mode, world=(DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY)):
     """The features of one lattice built alone, as the model reads them."""
     if mode == "none":
         return (np.full((len(sentence), m_max), WORD_PAD_ID, dtype=np.int64),
                 np.zeros((len(sentence), m_max)))
-    return lattice_to_feature_ids(build_lattice(DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, sentence,
-                                                m_max=m_max, include_pinyin=mode == "desm"))
+    return lattice_to_feature_ids(build_lattice(*world, sentence, m_max=m_max,
+                                                include_pinyin=mode == "desm"))
 
 
 class TestChunkedFeaturization:
-    """featurize_sentences converts its lattices in chunks, one
-    lattice_to_feature_ids call per chunk, with the features of converting
-    each lattice alone."""
+    """featurize_sentences builds and converts one lattice per chunk of
+    sentences, with the features of converting each sentence's lattice
+    alone."""
 
     @pytest.mark.parametrize("mode", desm.LATTICE_MODES)
     def test_equals_one_lattice_at_a_time(self, monkeypatch, mode):
@@ -752,9 +752,9 @@ class TestChunkedFeaturization:
         sentences.append("")
         calls = []
 
-        def spy(*lats):
-            calls.append([len(lat) for lat in lats])
-            return lattice_to_feature_ids(*lats)
+        def spy(lat):
+            calls.append(lat.sentence)
+            return lattice_to_feature_ids(lat)
 
         monkeypatch.setattr(desm, "lattice_to_feature_ids", spy)
         got = featurize_sentences(sentences, DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, 8, mode)
@@ -764,40 +764,35 @@ class TestChunkedFeaturization:
             assert ids.dtype == np.int64 and mask.dtype == np.float64
             assert np.array_equal(ids, want_ids) and np.array_equal(mask, want_mask), s
         if mode != "none":
+            # one lattice per call, over consecutive sentences, each within
+            # _FEATURIZE_CHARS
             assert len(calls) > 2
-            assert [n for call in calls for n in call] == [len(s) for s in sentences]
-            assert all(sum(call) <= desm._FEATURIZE_CHARS for call in calls)
+            assert "".join(calls) == "".join(sentences)
+            assert all(len(text) <= desm._FEATURIZE_CHARS for text in calls)
 
-    def test_a_long_sentence_is_a_chunk_of_its_own(self):
+    def test_a_long_sentence_is_a_chunk_of_its_own(self, monkeypatch):
         long = "".join(dense_corpus(80, seed=4))
         assert len(long) > desm._FEATURIZE_CHARS
         sentences = ["参", long, "", long[:30]]
+        texts = []
+
+        def spy(*args, **kwargs):
+            texts.append(args[3])
+            return build_lattice(*args, **kwargs)
+
+        monkeypatch.setattr(desm, "build_lattice", spy)
         got = featurize_sentences(sentences, DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, 4)
+        assert texts == ["参", long, long[:30]]
         for s, (ids, mask) in zip(sentences, got):
             want_ids, want_mask = lattice_features(s, 4, "desm")
             assert np.array_equal(ids, want_ids) and np.array_equal(mask, want_mask)
 
-    def test_several_lattices_stack_by_rows(self):
-        a, b, c = (build_lattice(DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, s, m_max=5)
-                   for s in dense_corpus(2, seed=6) + [""])
-        ids, mask = lattice_to_feature_ids(a, c, b)
-        singles = [lattice_to_feature_ids(lat) for lat in (a, c, b)]
-        assert ids.shape == (len(a) + len(b), 5)
-        assert np.array_equal(ids, np.concatenate([f[0] for f in singles]))
-        assert np.array_equal(mask, np.concatenate([f[1] for f in singles]))
-
-    def test_a_hand_made_lattice_among_several_raises(self):
-        a, b = (build_lattice(DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, s, m_max=5)
-                for s in dense_corpus(2, seed=8))
+    def test_a_hand_made_lattice_raises(self):
+        a = build_lattice(DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, dense_corpus(1, seed=8)[0],
+                          m_max=5)
         hand = CharWordLattice(a.sentence, a.per_char, list(a.suspect))
-        for lats in ((a, hand, b), (hand, a), (a, b, hand)):
-            with pytest.raises(ValueError, match="made by build_lattice"):
-                lattice_to_feature_ids(*lats)
-        wide = build_lattice(DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY, b.sentence, m_max=6)
-        with pytest.raises(ValueError, match="different m_max or from different lexicons"):
-            lattice_to_feature_ids(a, wide)
-        with pytest.raises(ValueError, match="at least one lattice"):
-            lattice_to_feature_ids()
+        with pytest.raises(ValueError, match="made by build_lattice"):
+            lattice_to_feature_ids(hand)
 
     def test_a_long_call_holds_one_chunk_of_lattices(self):
         # the memory a call needs beyond the features it returns stays a
@@ -818,6 +813,109 @@ class TestChunkedFeaturization:
             tracemalloc.stop()
         assert len(feats) == len(lats)
         assert peak - kept < every_lattice / 2, (peak - kept, every_lattice)
+
+
+# ---------------------------------------------- sentence ends in a chunk
+# a chunk's lattice is built on its sentences joined: nothing may reach
+# across the end of one into the next
+
+
+def sentence_ends(sentences):
+    ends, end = [], 0
+    for s in sentences:
+        end += len(s)
+        ends.append(end)
+    return ends
+
+
+def shifted_records(records, by):
+    """lattice_records of a sentence as they read at offset `by` of a chunk."""
+    return [{**r, "pos": r["pos"] + by,
+             "candidates": [{**c, "span": [c["span"][0] + by, c["span"][1] + by]}
+                            for c in r["candidates"]]}
+            for r in records]
+
+
+def assert_reads_as_its_sentences(world, sentences, m_max, include_pinyin):
+    """A chunk's lattice has, at each sentence's offset, the suspects, rows,
+    candidates and records of that sentence's own lattice, with shifted spans."""
+    lex = world[0]
+    chunk = build_lattice(*world, "".join(sentences), m_max=m_max,
+                          include_pinyin=include_pinyin, ends=sentence_ends(sentences))
+    ids, mask = lattice_to_feature_ids(chunk)
+    records = lattice_records(chunk, lex)
+    start = 0
+    for s in sentences:
+        end = start + len(s)
+        lat = build_lattice(*world, s, m_max=m_max, include_pinyin=include_pinyin)
+        want_ids, want_mask = lattice_to_feature_ids(lat)
+        assert np.array_equal(ids[start:end], want_ids), s
+        assert np.array_equal(mask[start:end], want_mask), s
+        assert chunk.suspect[start:end] == lat.suspect, s
+        assert chunk.per_char[start:end] == [
+            [c._replace(span=(c.span[0] + start, c.span[1] + start)) for c in cands]
+            for cands in lat.per_char], s
+        assert records[start:end] == shifted_records(lattice_records(lat, lex), start), s
+        start = end
+    return chunk
+
+
+BOUNDARY_CASES = {
+    # 参加 is a word only across the end of 我参
+    "word-across": ["我参", "加会议"],
+    # the window 参家 sounds like 参加 and 禅家 only across the end of 我参
+    "window-across": ["我参", "家会议"],
+    "empty-and-one-char": ["参", "", "家", "参", "", "加", ""],
+    "empty-first-and-last": ["", "参加", "", "会", "议", ""],
+    "empty-only": ["", "", ""],
+    "one-char-only": ["会", "议", "很", "好"],
+}
+
+
+class TestSentenceEnds:
+    @pytest.mark.parametrize("m_max", [1, 3, 8])
+    @pytest.mark.parametrize("mode", desm.LATTICE_MODES)
+    @pytest.mark.parametrize("case", BOUNDARY_CASES)
+    def test_features_equal_one_lattice_per_sentence(self, lex, ptable, fuzzy, case, mode,
+                                                     m_max):
+        sentences = BOUNDARY_CASES[case]
+        got = featurize_sentences(sentences, lex, ptable, fuzzy, m_max, mode)
+        assert len(got) == len(sentences)
+        for s, (ids, mask) in zip(sentences, got):
+            want_ids, want_mask = lattice_features(s, m_max, mode, (lex, ptable, fuzzy))
+            assert np.array_equal(ids, want_ids) and np.array_equal(mask, want_mask), s
+
+    @pytest.mark.parametrize("m_max", [1, 3, 8])
+    @pytest.mark.parametrize("include_pinyin", [True, False])
+    @pytest.mark.parametrize("case", BOUNDARY_CASES)
+    def test_a_chunk_reads_as_its_sentences(self, lex, ptable, fuzzy, case, include_pinyin,
+                                            m_max):
+        assert_reads_as_its_sentences((lex, ptable, fuzzy), BOUNDARY_CASES[case], m_max,
+                                      include_pinyin)
+
+    def test_nothing_reaches_across_an_end(self, lex, ptable, fuzzy):
+        wid = lex.surfaces.index("参加")
+        for sentences, provenance, direction in (
+                (["我参", "加会议"], Provenance.EXACT, Direction.NONE),
+                (["我参", "家会议"], Provenance.PINYIN_EXACT, Direction.FORWARD)):
+            # joined, 参加 covers positions 1-2; with the end between them, not
+            whole = build_lattice(lex, ptable, fuzzy, "".join(sentences), m_max=8)
+            assert MatchCandidate(wid, (1, 2), provenance, direction) in whole.per_char[1]
+            chunk = assert_reads_as_its_sentences((lex, ptable, fuzzy), sentences, 8, True)
+            assert all(c.span[0] >= 2 or c.span[1] < 2 for row in chunk.per_char for c in row)
+            assert chunk.suspect[1:3] == [True, True]
+
+    @given(st.lists(st.lists(DENSE_CHUNKS, max_size=4).map("".join), max_size=6),
+           st.integers(1, 9), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_dense_chunks_read_as_their_sentences(self, sentences, m_max, include_pinyin):
+        assert_reads_as_its_sentences((DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY), sentences, m_max,
+                                      include_pinyin)
+
+    @pytest.mark.parametrize("ends", [[], [3], [6], [2, 1, 5], [-1, 5], [5, 5, 4]])
+    def test_ends_must_rise_to_the_length(self, lex, ptable, fuzzy, ends):
+        with pytest.raises(ValueError, match="sentence ends must rise from 0 to 5"):
+            build_lattice(lex, ptable, fuzzy, "我参家会议", ends=ends)
 
 
 def test_threads_sharing_a_lexicon_featurize_as_one():
