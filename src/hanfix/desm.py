@@ -34,8 +34,8 @@ keys.  So featurization takes one path, builds no candidate, and gives the
 same ids whether or not `per_char` was read.
 
 A lattice over several sentences keeps them apart: a trie match across the
-end of a sentence is dropped, and the window across it feeds neither side,
-so each sentence's rows are those of its own lattice.
+end of a sentence is dropped, and the window across it is never probed, so
+each sentence's rows are those of its own lattice.
 """
 
 from __future__ import annotations
@@ -217,11 +217,11 @@ def build_lattice(
     `ends` (default: one sentence) gives the offsets at which each joined
     sentence ends, rising from 0 to len(sentence), with equal offsets for
     empty sentences; ValueError otherwise.  A trie match that crosses an
-    end is dropped before the suspects are computed, and each window
-    across an end is reset after the probes, so every sentence's rows,
-    suspects and candidates are those of its own lattice, with spans
-    shifted by its offset.  That costs one test per match and one
-    assignment per sentence, none per window.
+    end is dropped before the suspects are computed, and the windows are
+    probed sentence by sentence, so a window across an end is never probed
+    and every sentence's rows, suspects and candidates are those of its own
+    lattice, with spans shifted by its offset.  That costs one test per
+    match and one loop per sentence, none per window.
     """
     if type(m_max) is not int or m_max < 1:  # one test on the common path
         _check_m_max(m_max)
@@ -253,14 +253,8 @@ def build_lattice(
     # filters[lo]: the bit filter of its memo entry's words.  With no
     # suspect, no window is probed
     if include_pinyin and True in suspects:
-        fed, filters = lex.probe_windows(ptable, fuzzy, sentence, suspects, m_max)
-        if ends is not None:
-            # the window (end - 1, end) joins two sentences, so it feeds
-            # neither.  An empty first sentence's end 0 resets window -1,
-            # the last one, which probe_windows never probes
-            for end in ends:
-                fed[end - 1] = ()
-                filters[end - 1] = 0
+        # the window (end - 1, end) joins two sentences, so it is not probed
+        fed, filters = lex.probe_windows(ptable, fuzzy, sentence, suspects, m_max, ends)
     else:
         fed, filters = [()] * n, [0] * n
 

@@ -12,9 +12,10 @@ A Lexicon keeps its words as three columns indexed by word id: `surfaces`,
 arguments.  lexicon_from_words() and Lexicon.load() check their own input
 and then call it; building, loading and saving read and write the columns,
 never one object per word.  Word ids are positions, and surfaces are
-distinct.  A lexicon file stores the entries only, so lexicon_fingerprint()
-covers the entries only; everything else is derived from the columns, with
-one of three lifetimes:
+distinct.  A lexicon file (format version 4) stores the three columns as
+they are, as JSON lists indexed by word id, so lexicon_fingerprint() covers
+the columns only; everything else is derived from the columns, with one of
+three lifetimes:
 
 * Built with the lexicon, and frozen: the trie and the word ranking.  A
   trie node is a plain dict from character to child node, holding the id of
@@ -55,7 +56,6 @@ import weakref
 import zlib
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -79,8 +79,9 @@ from .pinyin import (
 MAX_WORD_LEN = 4
 
 _LEXICON_MAGIC = "hanfix-lexicon"
-_LEXICON_VERSION = 3
-_FILE_FIELDS = frozenset(("magic", "version", "entries"))
+_LEXICON_VERSION = 4
+_COLUMNS = ("surfaces", "frequencies", "readings")
+_FILE_FIELDS = frozenset(("magic", "version", *_COLUMNS))
 
 RANK_BITS = 28
 RANK_MASK = (1 << RANK_BITS) - 1
@@ -279,13 +280,15 @@ class Lexicon:
 
     def probe_windows(
         self, ptable: PinyinTable, fuzzy: FuzzyClassTable, sentence: str,
-        probed: list[bool], m_max: int,
+        probed: list[bool], m_max: int, ends: list[int] | None = None,
     ) -> tuple[list[tuple[int, ...]], list[int]]:
         """(fed, filters) over the windows (lo, lo + 1) of `sentence`: for
         each window with `probed[lo]` or `probed[lo + 1]`, the first m_max
         of its hits and its memo entry's filter; () and 0 for the others.
         The table's entry is read once, and each character's reading set
-        looked up once.
+        looked up once.  With `ends` (build_lattice's, already checked), the
+        windows are walked sentence by sentence, so a window across an end
+        is never probed and costs no test.
 
         A window's hits are the 2-char entries that sound like it, as sorted
         lattice keys, one per word: provenance 1 (PINYIN_EXACT) when some
@@ -311,16 +314,19 @@ class Lexicon:
         fed: list[tuple[int, ...]] = [()] * n
         filters = [0] * n
         sets = ptable.toneless_sets(sentence)
-        for lo in range(n - 1):
-            if probed[lo] or probed[lo + 1]:
-                ra, rb = sets[lo], sets[lo + 1]
-                row = memo.get(ra)
-                entry = None if row is None else row.get(rb)
-                if entry is None:
-                    entry = self._window_entry(ptable, fuzzy, memo, sentence[lo],
-                                               sentence[lo + 1], ra, rb)
-                fed[lo] = entry[0][:m_max]
-                filters[lo] = entry[1]
+        start = 0
+        for end in (n,) if ends is None else ends:
+            for lo in range(start, end - 1):
+                if probed[lo] or probed[lo + 1]:
+                    ra, rb = sets[lo], sets[lo + 1]
+                    row = memo.get(ra)
+                    entry = None if row is None else row.get(rb)
+                    if entry is None:
+                        entry = self._window_entry(ptable, fuzzy, memo, sentence[lo],
+                                                   sentence[lo + 1], ra, rb)
+                    fed[lo] = entry[0][:m_max]
+                    filters[lo] = entry[1]
+            start = end
         return fed, filters
 
     def _window_entry(self, ptable, fuzzy, memo, a, b, ra, rb) -> tuple[tuple[int, ...], int]:
@@ -357,17 +363,12 @@ class Lexicon:
     def to_json(self) -> str:
         """Deterministic serialization: same lexicon -> identical bytes.
 
-        Every object's keys are written in sorted order, and the readings
-        tuples as JSON arrays."""
-        payload = {
-            "entries": [
-                {"frequency": f, "readings": r, "surface": s}
-                for s, f, r in zip(self.surfaces, self.frequencies, self.readings)
-            ],
-            "magic": _LEXICON_MAGIC,
-            "version": _LEXICON_VERSION,
-        }
-        return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+        One object holding the three columns as JSON lists, readings as
+        nested lists, its keys in sorted order."""
+        payload = {"magic": _LEXICON_MAGIC, "version": _LEXICON_VERSION,
+                   "surfaces": self.surfaces, "frequencies": self.frequencies,
+                   "readings": self.readings}
+        return json.dumps(payload, ensure_ascii=False, separators=(",", ":"), sort_keys=True)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -388,48 +389,41 @@ class Lexicon:
             )
         unknown = payload.keys() - _FILE_FIELDS
         if unknown:
-            raise LexiconFormatError(f"{path}: unknown field(s) {_names(unknown)}")
+            raise LexiconFormatError(f"{path}: unknown field(s) {', '.join(sorted(unknown))}")
         try:
-            return cls(*_entry_columns(payload["entries"]))
+            return cls(*_checked_columns(*(payload[c] for c in _COLUMNS)))
         except KeyError as e:
             raise LexiconFormatError(f"{path}: missing field {e}") from e
         except (TypeError, ValueError, WordTooLong) as e:
             raise LexiconFormatError(f"{path}: malformed field ({e})") from e
 
 
-_ENTRY_NAMES = ("surface", "frequency", "readings")
-_ENTRY_FIELDS = itemgetter(*_ENTRY_NAMES)
 _BAD_READINGS = "entry readings are not one list of toneless syllables per character"
-
-
-def _names(fields) -> str:
-    return ", ".join(sorted(fields))
 
 
 def _only(kind: type, xs) -> bool:
     return {kind}.issuperset(map(type, xs))
 
 
-def _entry_columns(raw) -> tuple[tuple, tuple, tuple]:
-    """The (surfaces, frequencies, readings) columns of the serialized
-    entries, readings as tuples: one tuple object per distinct reading list,
-    shared as lexicon_from_words shares them.  ValueError unless every entry
-    has exactly a surface of 1 to MAX_WORD_LEN characters (WordTooLong when
-    longer), a non-negative int frequency and one non-empty list of toneless
-    syllables per character (KeyError when one of them is missing).
+def _checked_columns(surface, frequency, readings) -> tuple[tuple, tuple, tuple]:
+    """The serialized columns as tuples, readings as tuples: one tuple
+    object per distinct reading list, shared as lexicon_from_words shares
+    them.  ValueError unless the columns are lists of one length, holding
+    for each word a surface of 1 to MAX_WORD_LEN characters (WordTooLong
+    when longer), a non-negative int frequency and one non-empty list of
+    toneless syllables per character.
 
-    Each test is a C loop over one field of all entries: checking entry by
-    entry in Python made Lexicon.load ~12% slower.
+    Each test is a C loop over one column: checking word by word in Python
+    made Lexicon.load ~12% slower.
     """
-    if not isinstance(raw, list):
-        raise ValueError("entries is not a list")
-    if not raw:
+    for name, column in zip(_COLUMNS, (surface, frequency, readings)):
+        if not isinstance(column, list):
+            raise ValueError(f"{name} is not a list")
+    if not len(surface) == len(frequency) == len(readings):
+        raise ValueError(f"columns of unequal length: {len(surface)} surfaces, "
+                         f"{len(frequency)} frequencies, {len(readings)} readings")
+    if not surface:
         return (), (), ()
-    surface, frequency, readings = zip(*map(_ENTRY_FIELDS, raw))
-    # every entry holds the three fields, so a longer one holds another
-    if set(map(len, raw)) != {len(_ENTRY_NAMES)}:
-        raise ValueError(f"an entry holds unknown field(s) "
-                         f"{_names(set().union(*raw).difference(_ENTRY_NAMES))}")
     if not _only(str, surface) or not all(surface):
         raise ValueError("an entry surface is not a non-empty string")
     if max(map(len, surface)) > MAX_WORD_LEN:
@@ -449,8 +443,9 @@ def _entry_columns(raw) -> tuple[tuple, tuple, tuple]:
     if not all(shared):
         bad = next(s for s, rs in zip(surface, readings) if not all(rs))
         raise ValueError(f"a character of {bad!r} has no reading")
-    # each entry takes its characters' tuples, in order, from the one iterator
-    return surface, frequency, tuple(map(tuple, map(islice, repeat(per_char), map(len, surface))))
+    # each word takes its characters' tuples, in order, from the one iterator
+    return (tuple(surface), tuple(frequency),
+            tuple(map(tuple, map(islice, repeat(per_char), map(len, surface)))))
 
 
 def _parse_word_file(path: Path):
@@ -546,6 +541,6 @@ def build_lexicon(
 
 
 def lexicon_fingerprint(lex: Lexicon) -> str:
-    """CRC32 of the canonical serialization (the entries only); handy for
+    """CRC32 of the canonical serialization (the columns only); handy for
     determinism checks."""
     return f"{zlib.crc32(lex.to_json().encode('utf-8')):08x}"

@@ -44,7 +44,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -766,21 +766,25 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointError(f"{path}: payload checksum mismatch")
     if [name for name, _ in manifest] != list(expected.keys()):
         raise CheckpointError(f"{path}: tensor manifest does not match config")
-    tensors: dict[str, np.ndarray] = {}
-    pos = 0
     for name, shape in manifest:
         if expected[name] != shape:
             raise CheckpointError(
                 f"{path}: tensor {name} has shape {shape}, config implies {expected[name]}"
             )
-        count = int(np.prod(shape)) if shape else 1
-        raw = payload[pos : pos + 4 * count]
-        if len(raw) != 4 * count:
-            raise CheckpointError(f"{path}: payload truncated at tensor {name}")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-        if not np.all(np.isfinite(tensors[name])):
-            raise CheckpointError(f"{path}: tensor {name} has non-finite values")
-        pos += 4 * count
-    if pos != len(payload):
-        raise CheckpointError(f"{path}: {len(payload) - pos} trailing payload bytes")
+    # the payload is decoded and checked in one pass, and each tensor is a
+    # view of it; stops[i] is the float offset at which tensor i ends
+    stops = list(accumulate(math.prod(expected[name]) for name, _ in manifest))
+    whole = bisect_right(stops, len(payload) // 4)  # tensors the payload holds
+    values = np.frombuffer(payload, dtype="<f4", count=stops[whole - 1] if whole else 0)
+    values = values.astype(np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        name = manifest[bisect_right(stops, int(finite.argmin()))][0]
+        raise CheckpointError(f"{path}: tensor {name} has non-finite values")
+    if whole < len(manifest):
+        raise CheckpointError(f"{path}: payload truncated at tensor {manifest[whole][0]}")
+    if 4 * stops[-1] != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - 4 * stops[-1]} trailing payload bytes")
+    tensors = {name: values[lo:stop].reshape(expected[name])
+               for (name, _), lo, stop in zip(manifest, [0] + stops, stops)}
     return ModelParams(config=config, chars=chars, tensors=tensors)

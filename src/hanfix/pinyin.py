@@ -246,6 +246,7 @@ class PinyinTable:
         """
         path = Path(path)
         pairs = []
+        parsed: dict[str, PinyinSyllable] = {}  # each distinct reading parsed once
         for line_no, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
             line = raw.split("#", 1)[0].rstrip()
             if not line.strip():
@@ -255,10 +256,14 @@ class PinyinTable:
                 raise MalformedLine(
                     str(path), line_no, f"expected `char<TAB>reading`, got {raw!r}"
                 )
-            try:
-                pairs.append((parts[0], parse_syllable(parts[1].strip())))
-            except InvalidSyllable as e:
-                raise MalformedLine(str(path), line_no, str(e)) from e
+            reading = parts[1].strip()
+            syllable = parsed.get(reading)
+            if syllable is None:
+                try:
+                    syllable = parsed[reading] = parse_syllable(reading)
+                except InvalidSyllable as e:
+                    raise MalformedLine(str(path), line_no, str(e)) from e
+            pairs.append((parts[0], syllable))
         return cls.from_pairs(pairs)
 
     def get(self, char: str) -> tuple[PinyinSyllable, ...]:

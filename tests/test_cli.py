@@ -88,7 +88,8 @@ class TestBuildLexicon:
         assert "words ->" in msg and "fingerprint" in msg
         assert len(Lexicon.load(out2)) > 0
         assert out2.read_bytes() == lex_path.read_bytes()  # deterministic
-        assert "(fingerprint fe26a402)" in msg  # the bundled demo words
+        # the bundled demo words, in lexicon format version 4 (the columns)
+        assert "(fingerprint ece840d9)" in msg
 
     def test_missing_words_file(self, tmp_path, capsys):
         assert main(["build-lexicon", "--words", str(tmp_path / "nope.tsv"),
@@ -129,8 +130,9 @@ class TestMatch:
         # loaded, it would list 参加 twice at each of its positions
         _, lex_path, *_ = work
         payload = json.loads(lex_path.read_text(encoding="utf-8"))
-        payload["entries"].append(
-            next(e for e in payload["entries"] if e["surface"] == "参加"))
+        first = payload["surfaces"].index("参加")
+        for column in ("surfaces", "frequencies", "readings"):
+            payload[column].append(payload[column][first])
         bad = tmp_path / "repeated.lexicon"
         bad.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
         assert main(["match", "参加", "--lexicon", str(bad)]) == 2
@@ -450,12 +452,11 @@ class TestMalformedInputs:
         else:
             payload = json.loads(lex_path.read_text(encoding="utf-8"))
             if what == "lexicon-no-entries":
-                del payload["entries"]
-            elif what == "entry-no-readings":
-                del payload["entries"][0]["readings"]
+                del payload["surfaces"], payload["frequencies"], payload["readings"]
+            elif what == "entry-no-readings":  # the readings column is one short
+                del payload["readings"][0]
             else:  # 参加 would silently leave the window hits of 参家
-                entry = next(e for e in payload["entries"] if e["surface"] == "参加")
-                entry["readings"][0] = []
+                payload["readings"][payload["surfaces"].index("参加")][0] = []
             lex_path = tmp_path / "bad.lexicon"
             lex_path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
         assert main(["correct", "我们参加会议", "--checkpoint", str(ckpt),
@@ -466,18 +467,19 @@ class TestMalformedInputs:
             assert f"version {what[-1]}" in err[0] and "retrain" in err[0], err
 
     @pytest.mark.parametrize("field,value", [
-        ("surface", ""), ("surface", 7), ("frequency", "10"), ("frequency", True),
-        ("frequency", -1),
+        ("surfaces", ""), ("surfaces", 7), ("frequencies", "10"), ("frequencies", True),
+        ("frequencies", -1),
         ("readings", [["can"], 5]), ("readings", [["can"], [5]]), ("readings", []),
-        ("readings", lambda entry: [["cxn"]] * len(entry["surface"])),
-        ("pinyin", lambda entry: ["can1"] * len(entry["surface"])),
+        ("readings", lambda surface: [["cxn"]] * len(surface)),
+        ("pinyin", lambda surface: ["can1"] * len(surface)),
     ], ids=["surface-empty", "surface-int", "frequency-str", "frequency-bool",
             "frequency-negative", "readings-int", "readings-item-int", "readings-short",
             "readings-bad-syllable", "unknown-field"])
     def test_mistyped_lexicon_field_exits_2(self, field, value, work, tmp_path, capsys):
+        # every word's item of one column; "pinyin" is an unknown top-level
+        # column, the tonal readings version 2 stored per word
         payload = json.loads(work[1].read_text(encoding="utf-8"))
-        for entry in payload["entries"]:
-            entry[field] = value(entry) if callable(value) else value
+        payload[field] = [value(s) if callable(value) else value for s in payload["surfaces"]]
         lex_path = tmp_path / "bad.lexicon"
         lex_path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
         assert main(["match", "参家", "--lexicon", str(lex_path)]) == 2

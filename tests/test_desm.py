@@ -912,6 +912,22 @@ class TestSentenceEnds:
         assert_reads_as_its_sentences((DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY), sentences, m_max,
                                       include_pinyin)
 
+    def test_the_memo_keeps_only_windows_within_sentences(self, lex, ptable, fuzzy):
+        # a window across an end is never probed, so a chunk leaves the
+        # window memo that its sentences featurized one at a time leave
+        boundary = [s for case in BOUNDARY_CASES.values() for s in case]
+        for (world, sentences) in (((lex, ptable, fuzzy), boundary),
+                                   ((DENSE_LEX, DENSE_PTABLE, DENSE_FUZZY), dense_corpus(64, 3))):
+            base, table, fz = world
+            pairs = []
+            for calls in ([sentences], [[s] for s in sentences]):
+                fresh = Lexicon(base.surfaces, base.frequencies, base.readings)
+                for call in calls:
+                    featurize_sentences(call, fresh, table, fz, 8)
+                memo = fresh._table_entry(fz)[1]
+                pairs.append({(ra, rb) for ra, row in memo.items() for rb in row})
+            assert pairs[0] == pairs[1]
+
     @pytest.mark.parametrize("ends", [[], [3], [6], [2, 1, 5], [-1, 5], [5, 5, 4]])
     def test_ends_must_rise_to_the_length(self, lex, ptable, fuzzy, ends):
         with pytest.raises(ValueError, match="sentence ends must rise from 0 to 5"):

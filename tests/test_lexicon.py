@@ -86,9 +86,16 @@ def write_payload(payload, tmp_path):
     return p
 
 
-def load_entries(entries, tmp_path):
+def load_columns(surfaces, frequencies, readings, tmp_path):
     return Lexicon.load(write_payload(
-        {"magic": "hanfix-lexicon", "version": 3, "entries": entries}, tmp_path))
+        {"magic": "hanfix-lexicon", "version": 4, "surfaces": surfaces,
+         "frequencies": frequencies, "readings": readings}, tmp_path))
+
+
+def v3_entries(lex):
+    """The words as a version 3 file stored them, one object per word."""
+    return [{"frequency": f, "readings": r, "surface": s}
+            for s, f, r in zip(lex.surfaces, lex.frequencies, lex.readings)]
 
 
 def window_hits(lex, ptable, fuzzy, a, b):
@@ -137,7 +144,7 @@ class TestBuild:
         assert [e.readings for e in lex.entries] == [
             (("zhong",), ("guo",)), (("chang", "zhang"), ("zhong",))]
         payload = json.loads(lex.to_json())
-        payload["entries"][0]["readings"][0] = ["zhong", "zhong"]
+        payload["readings"][0][0] = ["zhong", "zhong"]
         path = tmp_path / "repeated.lexicon"
         path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
         assert Lexicon.load(path).pinyin2gram_index(fuzzy) == lex.pinyin2gram_index(fuzzy)
@@ -180,7 +187,7 @@ class TestBuild:
                                                          tmp_path):
         # the 2-gram index reads readings[0] and readings[1] of every 2-char word
         with pytest.raises(LexiconFormatError, match="one list of toneless syllables per"):
-            load_entries([{"frequency": 1, "readings": readings, "surface": "参加"}], tmp_path)
+            load_columns(["参加"], [1], [readings], tmp_path)
         lex2 = Lexicon(("参加",), (1,), ((("can",), ("jia",)),))
         # one PINYIN_EXACT hit, the word of rank 0
         assert window_hits(lex2, ptable, fuzzy, "参", "家") == (1 << RANK_BITS | 0,)
@@ -190,7 +197,7 @@ class TestBuild:
     def test_entry_needs_a_reading_per_character(self, readings, tmp_path):
         # a character without readings would drop the word from the 2-gram index
         with pytest.raises(LexiconFormatError, match="no reading"):
-            load_entries([{"frequency": 1, "readings": readings, "surface": "参加"}], tmp_path)
+            load_columns(["参加"], [1], [readings], tmp_path)
 
     def test_from_file(self, tmp_path, ptable, fuzzy):
         p = tmp_path / "words.tsv"
@@ -286,7 +293,8 @@ class TestOneIdPerWord:
         lex = build_lexicon(bundled.demo_words_path(), table, FuzzyClassTable.default())
         payload = json.loads(lex.to_json())
         first = lex.surfaces.index("参加")
-        payload["entries"].append(dict(payload["entries"][first]))
+        for column in ("surfaces", "frequencies", "readings"):
+            payload[column].append(payload[column][first])
         with pytest.raises(LexiconFormatError,
                            match=f"entry {len(lex)} repeats the surface '参加' of entry {first}"):
             Lexicon.load(write_payload(payload, tmp_path))
@@ -299,13 +307,10 @@ class TestColumns:
         lex = lexicon_from_words([("参加", 80), ("参加会议", 3), ("参", 10), ("会", 0)],
                                  ptable, fuzzy)
         assert lex.to_json() == (
-            '{"entries":['
-            '{"frequency":80,"readings":[["can","shen"],["jia"]],"surface":"参加"},'
-            '{"frequency":3,"readings":[["can","shen"],["jia"],["hui","kuai"],["yi"]],'
-            '"surface":"参加会议"},'
-            '{"frequency":10,"readings":[["can","shen"]],"surface":"参"},'
-            '{"frequency":0,"readings":[["hui","kuai"]],"surface":"会"}],'
-            '"magic":"hanfix-lexicon","version":3}')
+            '{"frequencies":[80,3,10,0],"magic":"hanfix-lexicon",'
+            '"readings":[[["can","shen"],["jia"]],[["can","shen"],["jia"],["hui","kuai"],["yi"]],'
+            '[["can","shen"]],[["hui","kuai"]]],'
+            '"surfaces":["参加","参加会议","参","会"],"version":4}')
         assert lex.trie_match_all("参加会议") == [(0, 0, 2), (0, 1, 0), (0, 3, 1), (2, 2, 3)]
 
     @given(st.lists(st.tuples(st.text("参加禅家会议计我好山单", min_size=1, max_size=4),
@@ -529,40 +534,56 @@ class TestSerialization:
         assert lex2.trie_match_all("我参加会议") == lex.trie_match_all("我参加会议")
         assert lex2.pinyin2gram_index(fuzzy) == lex.pinyin2gram_index(fuzzy)
 
-    def test_file_holds_entries_only(self, lex):
+    def test_file_holds_columns_only(self, lex):
         payload = json.loads(lex.to_json())
-        assert sorted(payload) == ["entries", "magic", "version"]
-        assert payload["version"] == 3
-        assert {tuple(sorted(e)) for e in payload["entries"]} == {
-            ("frequency", "readings", "surface")}
+        assert sorted(payload) == ["frequencies", "magic", "readings", "surfaces", "version"]
+        assert payload["version"] == 4
+        assert [tuple(payload[c]) for c in ("surfaces", "frequencies")] == [
+            lex.surfaces, lex.frequencies]
+        assert [tuple(map(tuple, rs)) for rs in payload["readings"]] == list(lex.readings)
 
     @pytest.mark.parametrize("where", ["file", "entry", "entry-pinyin"])
     def test_rejects_unknown_fields(self, lex, tmp_path, where):
         payload = json.loads(lex.to_json())
         if where == "file":
             payload["trie"] = {}
-        elif where == "entry":
-            payload["entries"][-1]["note"] = "x"
-        else:  # a version 2 entry relabelled as version 3
-            for e in payload["entries"]:
-                e["pinyin"] = ["can1"] * len(e["surface"])
+        elif where == "entry":  # the version 3 entry list beside the columns
+            payload["entries"] = v3_entries(lex)
+        else:  # a version 2 tonal reading per character, as a fourth column
+            payload["pinyin"] = [["can1"] * len(s) for s in payload["surfaces"]]
         with pytest.raises(LexiconFormatError, match="unknown field"):
+            Lexicon.load(write_payload(payload, tmp_path))
+
+    @pytest.mark.parametrize("column", ["surfaces", "frequencies", "readings"])
+    def test_rejects_columns_of_unequal_length(self, lex, tmp_path, column):
+        # the trie, the ranking and the 2-gram index read one word id across
+        # all three columns
+        payload = json.loads(lex.to_json())
+        del payload[column][-1]
+        with pytest.raises(LexiconFormatError, match="columns of unequal length"):
+            Lexicon.load(write_payload(payload, tmp_path))
+
+    @pytest.mark.parametrize("column", ["surfaces", "frequencies", "readings"])
+    def test_rejects_a_missing_column(self, lex, tmp_path, column):
+        payload = json.loads(lex.to_json())
+        del payload[column]
+        with pytest.raises(LexiconFormatError, match=f"missing field '{column}'"):
             Lexicon.load(write_payload(payload, tmp_path))
 
     @pytest.mark.parametrize("reading", ["cxn", "can1", "", "CAN", 5])
     def test_rejects_reading_that_is_not_a_toneless_syllable(self, lex, tmp_path, reading):
         payload = json.loads(lex.to_json())
-        payload["entries"][0]["readings"][0] = [reading]
+        payload["readings"][0][0] = [reading]
         with pytest.raises(LexiconFormatError, match="toneless"):
             Lexicon.load(write_payload(payload, tmp_path))
 
     def test_rejects_empty_surface(self, tmp_path):
         with pytest.raises(LexiconFormatError, match="surface is not a non-empty string"):
-            load_entries([{"frequency": 1, "readings": [], "surface": ""}], tmp_path)
+            load_columns([""], [1], [[]], tmp_path)
 
     def test_rejects_character_without_readings(self, lex, tmp_path):
         payload = json.loads(lex.to_json())
-        payload["entries"][0]["readings"][0] = []
+        payload["readings"][0][0] = []
         with pytest.raises(LexiconFormatError, match="no reading"):
             Lexicon.load(write_payload(payload, tmp_path))
 
@@ -572,10 +593,13 @@ class TestSerialization:
         assert a.to_json() == b.to_json()
 
     @pytest.mark.parametrize("entries", [None, {}, "", 0], ids=["null", "object", "string", "zero"])
-    def test_rejects_entries_that_are_not_a_list(self, tmp_path, entries):
-        payload = {"magic": "hanfix-lexicon", "version": 3, "entries": entries}
-        with pytest.raises(LexiconFormatError, match="entries is not a list"):
-            Lexicon.load(write_payload(payload, tmp_path))
+    def test_rejects_entries_that_are_not_a_list(self, lex, tmp_path, entries):
+        # the word entries are the three columns: each is mistyped alone
+        for column in ("surfaces", "frequencies", "readings"):
+            payload = json.loads(lex.to_json())
+            payload[column] = entries
+            with pytest.raises(LexiconFormatError, match=f"{column} is not a list"):
+                Lexicon.load(write_payload(payload, tmp_path))
 
     def test_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -591,19 +615,23 @@ class TestSerialization:
 
     def test_rejects_surface_longer_than_four(self, lex, tmp_path):
         payload = json.loads(lex.to_json())
-        entry = payload["entries"][0]
-        entry["readings"] *= 3
-        entry["surface"] *= 3
+        payload["readings"][0] *= 3
+        payload["surfaces"][0] *= 3
         with pytest.raises(LexiconFormatError, match="too long"):
             Lexicon.load(write_payload(payload, tmp_path))
 
     def test_rejects_wrong_version(self, lex, tmp_path):
         # version 1 files also stored the trie and a fuzzy index frozen
         # under the build-time table; version 2 entries also held a tonal
-        # primary reading that nothing read
-        for version in (1, 2, 99):
+        # primary reading that nothing read; version 3 stored one object
+        # per word instead of the columns
+        for version in (1, 2, 3, 99):
             payload = json.loads(lex.to_json())
             payload["version"] = version
             with pytest.raises(LexiconFormatError,
                                match="rebuild it with `hanfix build-lexicon`"):
                 Lexicon.load(write_payload(payload, tmp_path))
+        v3 = {"magic": "hanfix-lexicon", "version": 3, "entries": v3_entries(lex)}
+        with pytest.raises(LexiconFormatError, match=r"unsupported version 3 \(expected 4\); "
+                                                     "rebuild it with `hanfix build-lexicon`"):
+            Lexicon.load(write_payload(v3, tmp_path))

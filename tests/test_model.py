@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import re
 import tracemalloc
 import zlib
@@ -1345,6 +1347,41 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(p)
 
+    def test_a_payload_fault_names_its_tensor(self, saved, tmp_path):
+        # the payload is checked in one pass; each fault names the tensor
+        # it falls in, at either end of that tensor
+        header, payload = self._split(saved[1].read_bytes())
+        names = [name for name, _ in header["tensors"]]
+        stops = list(itertools.accumulate(math.prod(s) for _, s in header["tensors"]))
+        inf = np.array([np.inf], dtype="<f4").tobytes()
+        p = tmp_path / "fault"
+        for i in (1, len(names) // 2, len(names) - 1):
+            lo = stops[i - 1]
+            for at in (lo, stops[i] - 1):  # the tensor's first and last value
+                bad = payload[:4 * at] + inf + payload[4 * at + 4:]
+                header["payload_crc32"] = zlib.crc32(bad)
+                p.write_bytes(self._join(header, bad))
+                with pytest.raises(CheckpointError,
+                                   match=f"tensor {names[i]} has non-finite values$"):
+                    load_checkpoint(p)
+            for cut in (4 * lo, 4 * lo + 2, 4 * stops[i] - 4):  # tensor i incomplete
+                header["payload_crc32"] = zlib.crc32(payload[:cut])
+                p.write_bytes(self._join(header, payload[:cut]))
+                with pytest.raises(CheckpointError,
+                                   match=f"payload truncated at tensor {names[i]}$"):
+                    load_checkpoint(p)
+        # a non-finite value ahead of a truncation is what is reported
+        short = inf + payload[4:4 * stops[-1] - 4]
+        header["payload_crc32"] = zlib.crc32(short)
+        p.write_bytes(self._join(header, short))
+        with pytest.raises(CheckpointError, match=f"tensor {names[0]} has non-finite values$"):
+            load_checkpoint(p)
+        longer = payload + b"\x00" * 3
+        header["payload_crc32"] = zlib.crc32(longer)
+        p.write_bytes(self._join(header, longer))
+        with pytest.raises(CheckpointError, match=": 3 trailing payload bytes$"):
+            load_checkpoint(p)
+
     def test_header_corruption(self, saved, tmp_path):
         _, path = saved
         blob = bytearray(path.read_bytes())
@@ -1395,6 +1432,17 @@ class TestCheckpoint:
         p.write_bytes(self._join(header, payload))
         with pytest.raises(CheckpointError, match="shape"):
             load_checkpoint(p)
+
+    def test_a_shape_written_as_floats_takes_the_config_shape(self, saved, tmp_path):
+        # [4.0, 4] equals the config's (4, 4): the tensor is shaped by the
+        # config, not by the header's floats
+        params, path = saved
+        header, payload = self._split(path.read_bytes())
+        header["tensors"][0][1] = [float(d) for d in header["tensors"][0][1]]
+        p = tmp_path / "floats"
+        p.write_bytes(self._join(header, payload))
+        name = header["tensors"][0][0]
+        assert load_checkpoint(p).tensors[name].shape == params.tensors[name].shape
 
     def test_truncated_payload(self, saved, tmp_path):
         _, path = saved

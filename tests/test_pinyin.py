@@ -236,6 +236,34 @@ class TestPinyinTable:
             PinyinTable.from_file(p)
         assert "1" in str(ei.value)
 
+    def test_from_file_parses_each_reading_once(self, monkeypatch):
+        calls = []
+
+        def counted(s):
+            calls.append(s)
+            return parse_syllable(s)
+
+        monkeypatch.setattr(hanfix.pinyin, "parse_syllable", counted)
+        t = PinyinTable.from_file(demo_pinyin_path())
+        lines = [line.split("#", 1)[0].split("\t") for line in
+                 demo_pinyin_path().read_text(encoding="utf-8-sig").splitlines()]
+        pairs = [(parts[0], parts[1].strip()) for parts in lines if len(parts) == 2]
+        readings = [r for _, r in pairs]
+        assert sorted(calls) == sorted(set(readings)) and len(calls) < len(readings)
+        monkeypatch.undo()
+        per_line = PinyinTable.from_pairs(pairs)  # parses every line's reading
+        assert {c: t.get(c) for c in t.characters()} == {
+            c: per_line.get(c) for c in per_line.characters()}
+
+    def test_from_file_names_the_first_bad_line(self, tmp_path):
+        # a bad reading seen again later is reported at its first line
+        p = tmp_path / "py.tsv"
+        p.write_text("好\thao3\n参\tcxn1\n好\thao3\n家\tcxn1\n", encoding="utf-8")
+        with pytest.raises(MalformedLine) as ei:
+            PinyinTable.from_file(p)
+        assert (ei.value.path, ei.value.line_no) == (str(p), 2)
+        assert str(ei.value).startswith(f"{p}:2: ")
+
     def test_toneless_readings_match_get(self):
         t = PinyinTable.from_file(demo_pinyin_path())
         for ch in t.characters():
