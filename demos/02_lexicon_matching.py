@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""The word lexicon: trie matching and the fuzzy-pinyin 2-gram index.
+"""The word lexicon: exact matching and the fuzzy-pinyin 2-gram index.
 
 The bundled demo lexicon is a small frequency-weighted word list.  Exact
-substring hits come from the trie; the 2-gram index answers "which
+substring hits come from the surface index; the 2-gram index answers "which
 two-character words *sound like* this syllable pair", which is how the
 lattice later proposes replacements for characters that are wrong on the
 page but right in the ear.
@@ -18,7 +18,7 @@ lex = build_lexicon(data.demo_words_path(), ptable, fuzzy)
 print(f"{len(lex)} words loaded")
 
 sentence = "我们参加会议"
-print(f"\nexact trie matches in {sentence!r}")
+print(f"\nexact matches in {sentence!r}")
 for start, end, wid in lex.trie_match_all(sentence):
     e = lex.entries[wid]
     print(f"  [{start},{end}] {e.surface}  freq={e.frequency}")

@@ -5,7 +5,7 @@ Take the misspelling 参家 for 参加 (can1+jia1).  No two-character word
 matches exactly, so both positions are suspects.  Probing the 2-gram index
 with each position's readings recovers 参加 (the intended word) and also
 禅家 chan2+jia1, which is only reachable because the fuzzy table merges
-ch/c.  On the clean control sentence the trie covers everything and no
+ch/c.  On the clean control sentence exact matches cover everything and no
 probe fires at all.
 """
 

@@ -8,7 +8,7 @@ variant:
 
   plain      no candidates, no copy gate
   copy       copy gate only
-  ttm+copy   exact trie candidates only
+  ttm+copy   exact-match candidates only
   desm+copy  full lattice with pinyin probes
 
 With candidates and the gate both on, detection and correction improve

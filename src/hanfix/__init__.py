@@ -1,7 +1,7 @@
 """hanfix: phonetic error correction for Chinese ASR transcripts.
 
 Pipeline pieces, roughly in dependency order: pinyin parsing and fuzzy
-equivalence -> word lexicon (trie + fuzzy 2-gram index) -> candidate
+equivalence -> word lexicon (surface index + fuzzy 2-gram index) -> candidate
 lattice -> numpy corrector model with char-word attention and a copy gate
 -> corpus tools, metrics, and the CLI.
 """

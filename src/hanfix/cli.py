@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", metavar="FILE", help="lexicon file (default: bundled demo words)")
     _add_table_flags(p)
     p.add_argument("--m-max", type=int, default=5, help="candidates kept per position")
-    p.add_argument("--ttm-only", action="store_true", help="exact trie matches only, no pinyin probes")
+    p.add_argument("--ttm-only", action="store_true", help="exact matches only, no pinyin probes")
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.add_argument("--out", metavar="FILE", help="write here instead of stdout")
     p.set_defaults(func=cmd_match)

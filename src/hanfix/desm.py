@@ -2,7 +2,7 @@
 
 Two complementary strategies feed the lattice:
 
-* error reduction — exact trie matches attach real dictionary words to the
+* error reduction — exact matches attach real dictionary words to the
   characters they cover, so correct words (and correct characters inside
   broken words) keep pulling toward themselves;
 * error amplification — characters not covered by any exact multi-char
@@ -22,7 +22,7 @@ hits into the lattice.
 
 A built lattice keeps its rows of ranked keys, one int per candidate
 (`provenance << RANK_BITS | word rank`, see lexicon.py), in one flat list
-padded to `m_max` per position, beside the trie matches and each window's
+padded to `m_max` per position, beside the exact matches and each window's
 fed hits.  Most rows are written without a sort or a set: a row fed by one
 source is that source, an EXACT key goes before a window's hits that lack
 its word, and two windows whose memo entries' bit filters share no bit
@@ -33,9 +33,9 @@ they carry, are derived on the first read of `per_char` and kept beside the
 keys.  So featurization takes one path, builds no candidate, and gives the
 same ids whether or not `per_char` was read.
 
-A lattice over several sentences keeps them apart: a trie match across the
-end of a sentence is dropped, and the window across it is never probed, so
-each sentence's rows are those of its own lattice.
+A lattice over several sentences keeps them apart: exact matching and the
+window probes run within each sentence, so nothing crosses the end of one,
+and each sentence's rows are those of its own lattice.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
+from operator import le
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +54,10 @@ from .pinyin import FuzzyClassTable, PinyinTable
 # word-feature ids 0 and 1 are reserved in the model's word vocabulary
 WORD_PAD_ID = 1
 WORD_ID_OFFSET = 2
+
+# the widest m_max a lattice takes: a row is padded to m_max, so a huge one
+# would fail on memory, not as a bad argument
+M_MAX_LIMIT = 4096
 
 
 class Provenance(str, Enum):
@@ -101,7 +106,7 @@ class CharWordLattice:
         self.sentence = sentence
         self.suspect = [] if suspect is None else suspect
         self.per_char = per_char
-        # build_lattice's (padded keys, m_max, lexicon, trie matches, fed
+        # build_lattice's (padded keys, m_max, lexicon, exact matches, fed
         # window hits)
         self._built: tuple | None = None
 
@@ -125,9 +130,9 @@ class CharWordLattice:
 
 def _candidates(suspects, flat, width, lex, matches, fed) -> list[list[MatchCandidate]]:
     """The MatchCandidate rows of a built lattice, one rule per key.  An
-    EXACT key's span starts at the first trie match of its word that covers
-    the position (matches come sorted by start).  A window key takes the
-    left window if that window fed it and either the left neighbour is
+    EXACT key's span starts at the first exact match of its word that
+    covers the position (matches come sorted by start).  A window key takes
+    the left window if that window fed it and either the left neighbour is
     suspect or the right window did not feed it, else the right window.
     A window candidate is FORWARD iff its span starts at a suspect.  One
     candidate object stands for one (key, start), at every position that
@@ -216,16 +221,19 @@ def build_lattice(
 
     `ends` (default: one sentence) gives the offsets at which each joined
     sentence ends, rising from 0 to len(sentence), with equal offsets for
-    empty sentences; ValueError otherwise.  A trie match that crosses an
-    end is dropped before the suspects are computed, and the windows are
-    probed sentence by sentence, so a window across an end is never probed
-    and every sentence's rows, suspects and candidates are those of its own
-    lattice, with spans shifted by its offset.  That costs one test per
-    match and one loop per sentence, none per window.
+    empty sentences; ValueError otherwise.  Exact matches are looked up and
+    windows probed sentence by sentence, so no match or window crosses an
+    end, and every sentence's rows, suspects and candidates are those of
+    its own lattice, with spans shifted by its offset.  That costs one loop
+    per sentence, and no test per match or window.
     """
-    if type(m_max) is not int or m_max < 1:  # one test on the common path
+    if type(m_max) is not int or not 1 <= m_max <= M_MAX_LIMIT:  # one test on the common path
         _check_m_max(m_max)
     n = len(sentence)
+    if ends is None:
+        ends = [n]
+    elif (ends[-1] if ends else 0) != n or not all(map(le, [0, *ends], ends)):
+        raise ValueError(f"sentence ends must rise from 0 to {n}, got {list(ends)}")
     rank = lex.rank
     # per position, the ranks of the words matching exactly over it, as a
     # tuple: most positions have none or one, so no list is built for each
@@ -233,9 +241,7 @@ def build_lattice(
     # position i is suspect iff no exact match of length >= 2 covers it;
     # single-char matches cannot witness an intact word
     suspects = [True] * n
-    matches = lex.trie_match_all(sentence)
-    if ends is not None:
-        matches = _within_sentences(matches, ends, n)
+    matches = lex.trie_match_all(sentence, ends)
     for start, end, wid in matches:
         r = (rank[wid],)
         if end == start:
@@ -305,21 +311,6 @@ def build_lattice(
     return lat
 
 
-def _within_sentences(matches, ends, n) -> list[tuple[int, int, int]]:
-    """The trie matches that end in the sentence they start in, given the
-    sentences' `ends`; ValueError unless those rise from 0 to n."""
-    end_of: list[int] = []  # end_of[i]: the end of position i's sentence
-    start = 0
-    for end in ends:
-        # a falling offset adds nothing here, so with the last offset at n
-        # the list has n items iff the offsets rise from 0
-        end_of += [end] * (end - start)
-        start = end
-    if start != n or len(end_of) != n:
-        raise ValueError(f"sentence ends must rise from 0 to {n}, got {list(ends)}")
-    return [m for m in matches if m[1] < end_of[m[0]]]
-
-
 def lattice_to_feature_ids(lat: CharWordLattice) -> tuple[np.ndarray, np.ndarray]:
     """Rectangular word-feature ids plus a 0/1 mask, [n, m_max] for a
     lattice of n characters, at the m_max build_lattice was given (build at
@@ -348,11 +339,13 @@ LATTICE_MODES = ("desm", "ttm", "none")
 
 
 def _check_m_max(m_max: int) -> None:
-    """ValueError unless m_max is a non-bool int of at least 1."""
+    """ValueError unless m_max is a non-bool int from 1 to M_MAX_LIMIT."""
     if not isinstance(m_max, int) or isinstance(m_max, bool):
         raise ValueError(f"m_max must be an int, got {m_max!r}")
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
+    if m_max > M_MAX_LIMIT:
+        raise ValueError(f"m_max must be at most {M_MAX_LIMIT}, got {m_max}")
 
 
 def _check_features_args(m_max: int, mode: str) -> None:
@@ -375,7 +368,7 @@ def featurize_sentences(sentences, lex, ptable, fuzzy, m_max, mode="desm"):
     shape (len(sentence), m_max) per sentence, in order.
 
     mode "desm" is the full lattice, "ttm" suppresses the pinyin probes
-    (exact trie matches only), "none" gives empty candidate lists, which
+    (exact matches only), "none" gives empty candidate lists, which
     reduces the fusion layer to the identity.
 
     The arguments are checked once, even when there is no sentence.  The
@@ -384,10 +377,9 @@ def featurize_sentences(sentences, lex, ptable, fuzzy, m_max, mode="desm"):
     joined text with their ends, so the lattice's fixed costs are paid once
     per chunk, not per sentence; it is converted by one
     lattice_to_feature_ids call and dropped before the next chunk is built,
-    and each sentence's pair is a view of its rows.  A chunk of one
-    sentence, such as a live utterance, is built from that sentence as it
-    is.  A repeated sentence is featurized again, as corpora rarely repeat
-    one within a call.
+    and each sentence's pair is a view of its rows, a chunk of one sentence
+    (such as a live utterance) included.  A repeated sentence is featurized
+    again, as corpora rarely repeat one within a call.
     """
     _check_features_args(m_max, mode)
     feats: list[tuple[np.ndarray, np.ndarray]] = []
@@ -406,19 +398,14 @@ def featurize_sentences(sentences, lex, ptable, fuzzy, m_max, mode="desm"):
 
 def _featurize_chunk(chunk, size, lex, ptable, fuzzy, m_max, mode, feats) -> None:
     """Append each sentence's (ids, mask) view of the chunk's rows."""
-    # a chunk of one sentence, such as a live utterance, is built and
-    # returned as it is: no join, no ends, no view
-    ends = None if len(chunk) == 1 else list(accumulate(map(len, chunk)))
+    ends = list(accumulate(map(len, chunk)))
     if mode == "none":
         ids = np.full((size, m_max), WORD_PAD_ID, dtype=np.int64)
         mask = np.zeros((size, m_max), dtype=np.float64)
     else:
-        text = chunk[0] if ends is None else "".join(chunk)
         ids, mask = lattice_to_feature_ids(build_lattice(
-            lex, ptable, fuzzy, text, m_max=m_max, include_pinyin=mode == "desm", ends=ends))
-    if ends is None:
-        feats.append((ids, mask))
-        return
+            lex, ptable, fuzzy, "".join(chunk), m_max=m_max, include_pinyin=mode == "desm",
+            ends=ends))
     start = 0
     for end in ends:
         feats.append((ids[start:end], mask[start:end]))

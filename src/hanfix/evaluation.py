@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 
-from .desm import featurize_sentences
+from .desm import _check_m_max, featurize_sentences
 from .errors import LengthMismatch
 from .model import ModelConfig, correct_many
 from .training import TrainConfig, train
@@ -172,13 +172,15 @@ def run_ablation(
     Each model is what train() makes of train_pairs at that seed, and all
     variants share the per-mode candidate features, so the only differences
     are the toggled components and the seed.  A variant that raises keeps
-    its error message in its row instead of aborting the others.
+    its error message in its row instead of aborting the others; a bad
+    m_max, which every variant shares, raises ValueError before any runs.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     tconf = tconf or TrainConfig()
     base_over = dict(model_overrides or {})
     m_max = base_over.get("m_max", ModelConfig.m_max)
+    _check_m_max(m_max)  # every variant's features share it: not one variant's fault
     test_sources = [p.source for p in test_pairs]
     train_sources = [p.source for p in train_pairs]
 

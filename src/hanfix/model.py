@@ -64,7 +64,7 @@ from .encoder import (
     softmax_backward,
     sum_outer,
 )
-from .desm import LATTICE_MODES, WORD_ID_OFFSET, WORD_PAD_ID
+from .desm import LATTICE_MODES, M_MAX_LIMIT, WORD_ID_OFFSET, WORD_PAD_ID
 from .errors import CheckpointError, HanfixError, SequenceTooLong
 
 CHAR_UNK_ID = 0
@@ -130,6 +130,8 @@ class ModelConfig:
 
     def __post_init__(self):
         check_fields(self, _MODEL_MINIMUM, _MODEL_CHOICES)
+        if self.m_max > M_MAX_LIMIT:
+            raise ValueError(f"ModelConfig.m_max must be at most {M_MAX_LIMIT}, got {self.m_max}")
         if self.d_c % self.heads != 0:
             raise ValueError(f"d_c={self.d_c} not divisible by heads={self.heads}")
 

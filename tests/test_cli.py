@@ -421,6 +421,22 @@ class TestAblate:
             assert err == [f"error: --seeds takes comma-separated integers, got {seeds!r}"]
 
 
+def rewrite_header(ckpt, out, edit):
+    """Write `ckpt` to `out` with its header JSON changed in place by
+    edit(header), which returns the format version to write, or None to keep
+    the file's; the header checksum is recomputed."""
+    blob = ckpt.read_bytes()
+    off = len(_CKPT_MAGIC)
+    hlen = int.from_bytes(blob[off + 4 : off + 8], "little")
+    header = json.loads(blob[off + 12 : off + 12 + hlen])
+    version = edit(header)
+    version = blob[off : off + 4] if version is None else version.to_bytes(4, "little")
+    hb = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    out.write_bytes(blob[:off] + version + len(hb).to_bytes(4, "little")
+                    + zlib.crc32(hb).to_bytes(4, "little") + hb + blob[off + 12 + hlen :])
+    return out
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("what", ["lexicon-no-entries", "entry-no-readings",
                                       "entry-empty-reading", "checkpoint-no-chars",
@@ -429,26 +445,18 @@ class TestMalformedInputs:
     def test_exit_2_with_one_line_error(self, what, work, tmp_path, capsys):
         _, lex_path, _, _, _, ckpt = work
         if what.startswith("checkpoint"):
-            blob = ckpt.read_bytes()
-            off = len(_CKPT_MAGIC)
-            hlen = int.from_bytes(blob[off + 4 : off + 8], "little")
-            header = json.loads(blob[off + 12 : off + 12 + hlen])
-            version = blob[off : off + 4]
-            if what == "checkpoint-no-chars":
-                del header["chars"]
-            elif what == "checkpoint-v1":  # its config has no lattice mode
-                del header["config"]["lattice_mode"]
-                version = (1).to_bytes(4, "little")
-            elif what == "checkpoint-v2":  # its config also holds these two
-                header["config"].update(gate_activation="gelu", seed=0)
-                version = (2).to_bytes(4, "little")
-            else:  # a vocabulary entry that is not one character
-                header["chars"][4] = "XYZ" if what.endswith("str") else 4
-            hb = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
-            ckpt = tmp_path / "bad.ckpt"
-            ckpt.write_bytes(blob[:off] + version + len(hb).to_bytes(4, "little")
-                             + zlib.crc32(hb).to_bytes(4, "little") + hb
-                             + blob[off + 12 + hlen :])
+            def edit(header):  # returns the version to write, if not the file's
+                if what == "checkpoint-no-chars":
+                    del header["chars"]
+                elif what == "checkpoint-v1":  # its config has no lattice mode
+                    del header["config"]["lattice_mode"]
+                    return 1
+                elif what == "checkpoint-v2":  # its config also holds these two
+                    header["config"].update(gate_activation="gelu", seed=0)
+                    return 2
+                else:  # a vocabulary entry that is not one character
+                    header["chars"][4] = "XYZ" if what.endswith("str") else 4
+            ckpt = rewrite_header(ckpt, tmp_path / "bad.ckpt", edit)
         else:
             payload = json.loads(lex_path.read_text(encoding="utf-8"))
             if what == "lexicon-no-entries":
@@ -485,6 +493,45 @@ class TestMalformedInputs:
         assert main(["match", "参家", "--lexicon", str(lex_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+class TestHugeMMax:
+    """An m_max above M_MAX_LIMIT would pad every lattice row to it, and
+    fail on memory: each way it can arrive is refused as a bad argument."""
+
+    HUGE = 10 ** 12
+
+    @pytest.mark.parametrize("command", ["match", "train", "ablate", "correct", "evaluate"])
+    def test_every_subcommand_exits_2_with_one_line_error(self, command, work, tmp_path,
+                                                          capsys):
+        _, lex_path, _, train_tsv, test_tsv, ckpt = work
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(dict(CONFIG, epochs=1, m_max=self.HUGE)), encoding="utf-8")
+
+        def huge(header):
+            header["config"]["m_max"] = self.HUGE
+
+        bad_ckpt = str(rewrite_header(ckpt, tmp_path / "huge.ckpt", huge))
+        argv = {
+            "match": ["match", "参家", "--m-max", str(self.HUGE)],
+            "train": ["train", "--corpus", str(train_tsv), "--lexicon", str(lex_path),
+                      "--config", str(cfg), "--out", str(tmp_path / "nope.ckpt")],
+            "ablate": ["ablate", "--train-corpus", str(train_tsv), "--test-corpus",
+                       str(test_tsv), "--lexicon", str(lex_path), "--config", str(cfg),
+                       "--seeds", "0", "--variants", "plain"],
+            "correct": ["correct", "参家", "--checkpoint", bad_ckpt,
+                        "--lexicon", str(lex_path)],
+            "evaluate": ["evaluate", "--checkpoint", bad_ckpt, "--lexicon", str(lex_path),
+                         "--test", str(test_tsv)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "at most 4096" in err[0], err
+
+    def test_the_limit_itself_is_taken(self, capsys):
+        assert main(["match", "参家", "--m-max", "4096", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["sentence"] == "参家"
 
 
 @pytest.mark.parametrize("reading", ["zhong\u00b2", "zhong\uff13", "zhong\u0663"],

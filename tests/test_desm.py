@@ -146,7 +146,7 @@ class TestLattice:
         # the single kept candidate at position 1 is the best-ranked one
         assert lex.surfaces[lat.per_char[1][0].word_id] == "参"
 
-    @pytest.mark.parametrize("m_max", [0, 2.0, True, "3"])
+    @pytest.mark.parametrize("m_max", [0, 2.0, True, "3", desm.M_MAX_LIMIT + 1, 10 ** 12])
     def test_m_max_validation(self, lex, ptable, fuzzy, m_max):
         with pytest.raises(ValueError, match="m_max must be"):
             build_lattice(lex, ptable, fuzzy, "我", m_max=m_max)

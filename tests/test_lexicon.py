@@ -61,6 +61,10 @@ def lex(ptable, fuzzy):
     return lexicon_from_words(WORDS, ptable, fuzzy)
 
 
+DEMO_TABLE = PinyinTable.from_file(bundled.demo_pinyin_path())
+DEMO_LEX = build_lexicon(bundled.demo_words_path(), DEMO_TABLE, FuzzyClassTable.default())
+
+
 def equivalence_oracle(lex, a, b, fuzzy):
     """2-char entries with some reading pair equivalent to (a, b) under
     `fuzzy`, ranked like the index: descending frequency, then word_id."""
@@ -388,6 +392,25 @@ class TestTrie:
     def test_matches_brute_force(self, lex, chars):
         s = "".join(chars)
         assert lex.trie_match_all(s) == brute_force_spans(lex, s)
+
+
+    @given(st.lists(st.lists(st.sampled_from(DEMO_LEX.surfaces + ("X",)), max_size=4)
+                    .map("".join), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_with_ends_matches_each_sentence_alone(self, sentences):
+        # the demo words have 1 to 4 characters, so joined sentences put
+        # words of every length across their ends; empty sentences are ends
+        # at one offset
+        ends = list(itertools.accumulate(map(len, sentences)))
+        want = [(start + offset, end + offset, wid)
+                for s, offset in zip(sentences, [0, *ends])
+                for start, end, wid in brute_force_spans(DEMO_LEX, s)]
+        assert DEMO_LEX.trie_match_all("".join(sentences), ends) == want
+
+    def test_an_empty_surface_matches_nothing(self):
+        lex = Lexicon(("", "参"), (5, 1), ((), (("can", "shen"),)))
+        assert lex.trie_match_all("") == lex.trie_match_all("", [0, 0]) == []
+        assert lex.trie_match_all("参参", [1, 1, 2]) == [(0, 0, 1), (1, 1, 1)]
 
 
 class TestPinyin2Gram:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hanfix.desm import featurize_sentences
+from hanfix.desm import M_MAX_LIMIT, featurize_sentences
 from hanfix.encoder import (
     _Rows,
     encoder_backward,
@@ -129,6 +129,7 @@ class TestConfig:
         dict(word_vocab_size=1), dict(d_c=10, heads=4),
         dict(max_len=0), dict(use_copy="false"), dict(use_copy=1),
         dict(gate_bias_init=float("nan")), dict(gate_bias_init="2"),
+        dict(m_max=M_MAX_LIMIT + 1),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
