@@ -28,8 +28,23 @@ def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d gelu(x) / dx given the tanh term `t` from gelu(x)."""
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+    """d gelu(x) / dx given the tanh term `t` from gelu(x):
+
+        0.5 (1 + t) + 0.5 x (1 - t t) C (1 + 3 A x x)
+
+    in two arrays, each operation in place in the expression's order, which
+    rounds as the expression does; the two terms are added in the other
+    order, and addition commutes exactly."""
+    r = np.multiply(0.5, x)
+    s = np.multiply(t, t)
+    r *= np.subtract(1.0, s, out=s)
+    r *= _GELU_C
+    np.multiply(3.0 * _GELU_A, x, out=s)
+    s *= x
+    r *= np.add(1.0, s, out=s)
+    np.add(1.0, t, out=s)
+    r += np.multiply(0.5, s, out=s)
+    return r
 
 
 def sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -90,7 +105,9 @@ def softmax_backward(a: np.ndarray, da: np.ndarray) -> np.ndarray:
 
     Valid for masked softmax too: zero rows/entries yield zero gradient.
     """
-    return a * (da - (da * a).sum(axis=-1, keepdims=True))
+    r = da - (da * a).sum(axis=-1, keepdims=True)
+    r *= a
+    return r
 
 
 # ------------------------------------------------------------------ layernorm
@@ -115,12 +132,22 @@ def ln_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
 
 
 def ln_backward(dy: np.ndarray, cache):
+    """(dx, dg, db) given the upstream gradient dy and ln_forward's cache:
+
+        dxhat = dy g;  dx = inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat))
+
+    in two arrays of dy's shape, each operation in place in the
+    expression's order, which rounds as the expression does."""
     xhat, inv, g = cache
     lead = tuple(range(dy.ndim - 1))
-    dg = np.add.reduce(dy * xhat, axis=lead)
+    s = np.multiply(dy, xhat)
+    dg = np.add.reduce(s, axis=lead)
     db = np.add.reduce(dy, axis=lead)
-    dxhat = dy * g
-    dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
+    dx = np.multiply(dy, g)  # dxhat until it is spent
+    mean_dx_xhat = _mean_last(np.multiply(dx, xhat, out=s))
+    dx -= _mean_last(dx)
+    dx -= np.multiply(xhat, mean_dx_xhat, out=s)
+    dx *= inv
     return dx, dg, db
 
 
@@ -273,30 +300,43 @@ def encoder_backward(tensors, cfg, cache, dh: np.ndarray) -> dict[str, np.ndarra
         p = f"blk{l}."
         t, ln1c, Qh, Kh, Vh, A, O, t2, ln2c, pre, th, scale = caches[l]
         # FFN sublayer; gelu(pre) is rebuilt from its cached tanh, because
-        # caching it as well raised peak RSS by ~1 MB on small batches
-        grads[p + "W2"] = sum_outer(dx, 0.5 * pre * (1.0 + th))
+        # caching it as well raised peak RSS by ~1 MB on small batches.  Here
+        # and below, a fresh product is scaled, added to or multiplied in
+        # place, in the expression's order: the bits are the expression's,
+        # and a step frees fewer arrays for malloc to hand back to the kernel
+        f = np.multiply(0.5, pre)
+        f *= np.add(1.0, th)
+        grads[p + "W2"] = sum_outer(dx, f)
+        del f
         grads[p + "c2"] = dx.sum(axis=(0, 1))
-        dpre = (dx @ tensors[p + "W2"]) * gelu_grad(pre, th)
+        dpre = dx @ tensors[p + "W2"]
+        dpre *= gelu_grad(pre, th)
         grads[p + "W1"] = sum_outer(dpre, t2)
         grads[p + "c1"] = dpre.sum(axis=(0, 1))
         dt2 = dpre @ tensors[p + "W1"]
         dx1_ln, grads[p + "ln2.g"], grads[p + "ln2.b"] = ln_backward(dt2, ln2c)
-        dx1 = dx + dx1_ln
+        dx1 = dx1_ln
+        dx1 += dx
         # attention sublayer
         grads[p + "Wo"] = sum_outer(dx1, O)
         grads[p + "bo"] = dx1.sum(axis=(0, 1))
         dOh = _split_heads(dx1 @ tensors[p + "Wo"], cfg.heads)
         dVh = A.transpose(0, 1, 3, 2) @ dOh
         dS = softmax_backward(A, dOh @ Vh.transpose(0, 1, 3, 2))
-        dQh = (dS @ Kh) * scale
-        dKh = (dS.transpose(0, 1, 3, 2) @ Qh) * scale
+        dQh = dS @ Kh
+        dQh *= scale
+        dKh = dS.transpose(0, 1, 3, 2) @ Qh
+        dKh *= scale
         dQ, dK, dV = (_merge_heads(z) for z in (dQh, dKh, dVh))
         for z, dz in zip("qkv", (dQ, dK, dV)):
             grads[p + "W" + z] = sum_outer(dz, t)
             grads[p + "b" + z] = dz.sum(axis=(0, 1))
-        dt = dQ @ tensors[p + "Wq"] + dK @ tensors[p + "Wk"] + dV @ tensors[p + "Wv"]
+        dt = dQ @ tensors[p + "Wq"]
+        dt += dK @ tensors[p + "Wk"]
+        dt += dV @ tensors[p + "Wv"]
         dx_ln, grads[p + "ln1.g"], grads[p + "ln1.b"] = ln_backward(dt, ln1c)
-        dx = dx1 + dx_ln
+        dx = dx_ln
+        dx += dx1
     grads["E_c"] = scatter_rows(char_ids, dx, len(tensors["E_c"]))
     grads["P"] = np.zeros_like(tensors["P"])
     grads["P"][:n] = dx.sum(axis=0)

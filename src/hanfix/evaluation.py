@@ -12,9 +12,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 
-from .desm import _check_m_max, featurize_sentences
+from .desm import WORD_ID_OFFSET, featurize_sentences
 from .errors import LengthMismatch
-from .model import ModelConfig, correct_many
+from .model import CHAR_ID_OFFSET, ModelConfig, correct_many
 from .training import TrainConfig, train
 
 logger = logging.getLogger("hanfix.evaluation")
@@ -172,15 +172,18 @@ def run_ablation(
     Each model is what train() makes of train_pairs at that seed, and all
     variants share the per-mode candidate features, so the only differences
     are the toggled components and the seed.  A variant that raises keeps
-    its error message in its row instead of aborting the others; a bad
-    m_max, which every variant shares, raises ValueError before any runs.
+    its error message in its row instead of aborting the others.  The model
+    overrides other than use_copy and lattice_mode, which each variant sets,
+    are every variant's: a bad one (m_max among them, which the features
+    share) raises ValueError once, before any variant runs.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     tconf = tconf or TrainConfig()
     base_over = dict(model_overrides or {})
-    m_max = base_over.get("m_max", ModelConfig.m_max)
-    _check_m_max(m_max)  # every variant's features share it: not one variant's fault
+    shared = {k: v for k, v in base_over.items() if k not in ("use_copy", "lattice_mode")}
+    m_max = ModelConfig(char_vocab_size=CHAR_ID_OFFSET, word_vocab_size=WORD_ID_OFFSET,
+                        **shared).m_max
     test_sources = [p.source for p in test_pairs]
     train_sources = [p.source for p in train_pairs]
 

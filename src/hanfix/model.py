@@ -317,18 +317,21 @@ def _fusion_forward(tensors, h, hW, word_ids, word_mask, keep_cache=True):
     return h + z, a, (word_ids, u, hW, a)
 
 
-def _fusion_backward(tensors, rows, fcache, dht, grads):
-    """dht [N, d]; returns dhW [N, d]."""
+def _fusion_backward(tensors, rows, fcache, dht, grid_ids, grads):
+    """dht [N, d]; returns dhW [N, d].  grid_ids [B, n, m] are the batch's
+    word ids with WORD_PAD_ID at every pad slot, so no id there is read: E_w
+    is gathered at them straight onto the grid, where W_w's product meets
+    rows of dpre that are 0."""
     word_ids, u, hW, a = fcache
     da = np.einsum("nd,nmd->nm", dht, u)
-    du = a[..., None] * dht[:, None, :]
+    dpre = np.multiply(a[..., None], dht[:, None, :])  # du until it is spent
     ds = softmax_backward(a, da)
-    du += ds[..., None] * hW[:, None, :]
+    s = np.multiply(ds[..., None], hW[:, None, :])
+    dpre += s
     dhW = np.einsum("nm,nmd->nd", ds, u)
-    dpre = du  # in place: du is spent
-    dpre *= 1.0 - u * u
-    ew = tensors["E_w"].take(word_ids, axis=0)
-    grads["W_w"] = sum_outer(rows.grid(dpre), rows.grid(ew))
+    dpre *= np.subtract(1.0, np.multiply(u, u, out=s), out=s)
+    del s
+    grads["W_w"] = sum_outer(rows.grid(dpre), tensors["E_w"].take(grid_ids, axis=0))
     grads["b_w"] = dpre.sum(axis=(0, 1))
     grads["E_w"] = scatter_rows(word_ids, dpre @ tensors["W_w"], len(tensors["E_w"]))
     return dhW
@@ -524,16 +527,19 @@ def loss_and_grads(params: ModelParams, batch: Batch):
         grads["gate.b2"] = np.array(dsg_grid.sum())
         dg_ln = dsg[:, None] * t["gate.w2"]
         dg_act, grads["gate.ln.g"], grads["gate.ln.b"] = ln_backward(dg_ln, lnc)
-        dg_pre = rows.grid(dg_act * gelu_grad(g_pre, g_t))
+        dg_act *= gelu_grad(g_pre, g_t)
+        dg_pre = rows.grid(dg_act)
         grads["gate.W1"] = sum_outer(dg_pre, ht)
         grads["gate.b1"] = dg_pre.sum(axis=(0, 1))
-        dht = dht + dg_pre @ t["gate.W1"]
+        dht += dg_pre @ t["gate.W1"]
     else:
         grads.update((k, np.zeros_like(v)) for k, v in t.items() if k.startswith("gate."))
 
-    dhW = rows.grid(_fusion_backward(t, rows, fcache, rows.take(dht), grads))
+    grid_ids = np.where(mask[..., None] != 0, batch.word_ids, WORD_PAD_ID)
+    dhW = rows.grid(_fusion_backward(t, rows, fcache, rows.take(dht), grid_ids, grads))
     del fcache
-    dh = dht + dhW @ t["W_attn"].T
+    dh = dht  # in place: dht is spent
+    dh += dhW @ t["W_attn"].T
     grads["W_attn"] = sum_outer(h, dhW)
     grads.update(encoder_backward(t, cfg, ecache, dh))
     return loss, grads

@@ -6,6 +6,13 @@ so each training step is pure numpy.  Both settings live in ModelConfig and
 so travel in the checkpoint, where `correct` and `evaluate` read them.
 TrainConfig.seed draws the initial tensors and seeds the RNG that shuffles,
 so two runs with the same configs produce byte-identical parameters.
+
+Adam keeps the parameters and its moments in flat buffers and updates them
+with one pass of each operation per step; the model's tensors become views
+of the parameter buffer.  The backward kernels (hanfix.model, hanfix.encoder)
+run each expression's operations in place on arrays they have spent, so a
+step allocates and frees less; both keep every bit of the per-tensor and
+per-operator forms they replaced.
 """
 
 from __future__ import annotations
@@ -76,26 +83,70 @@ def split_config(d: dict) -> tuple[dict, TrainConfig]:
     return model, TrainConfig(**train)
 
 
+def _flat(tensors, buf: np.ndarray) -> dict[str, np.ndarray]:
+    """Views of `buf` shaped like each of `tensors`, laid end to end in the
+    dict's order."""
+    views, at = {}, 0
+    for k, v in tensors.items():
+        views[k] = buf[at : at + v.size].reshape(v.shape)
+        at += v.size
+    return views
+
+
 class Adam:
-    """Adam with bias correction, state keyed like the tensor dict."""
+    """Adam with bias correction over one flat float64 buffer.
+
+    The constructor copies the tensors into a flat parameter buffer and
+    rebinds each entry of the dict it is given to a view of it; m and v are
+    dicts of views of their own flat buffers, keyed like the tensors.  A step
+    concatenates the grads in tensor order and runs each operation of the
+    per-tensor update once over the whole buffer, in the same order, so the
+    parameters equal those of a per-tensor loop bit for bit.  The grads must
+    be keyed and shaped exactly like the tensors.
+    """
 
     def __init__(self, tensors, lr=5e-5, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
-        self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
+        self._shapes = {k: np.shape(v) for k, v in tensors.items()}
+        self._p = np.concatenate([np.ravel(v) for v in tensors.values()]).astype(
+            np.float64, copy=False)
+        self._m, self._v = np.zeros_like(self._p), np.zeros_like(self._p)
+        self._scratch = np.empty_like(self._p)
+        tensors.update(_flat(tensors, self._p))
+        self.m, self.v = _flat(tensors, self._m), _flat(tensors, self._v)
 
     def step(self, tensors, grads) -> None:
+        """One update of the parameter buffer, which `tensors` (the dict
+        given to the constructor) views.  ValueError, before any update, when
+        the grads' keys or shapes differ from the tensors' or a tensor is not
+        a view of the buffer."""
+        if grads.keys() != self._shapes.keys():
+            raise ValueError(f"grads keys differ from the tensors': missing "
+                             f"{sorted(self._shapes.keys() - grads.keys())}, extra "
+                             f"{sorted(grads.keys() - self._shapes.keys())}")
+        bad = [k for k, s in self._shapes.items()
+               if np.shape(grads[k]) != s or tensors[k].base is not self._p]
+        if bad:
+            raise ValueError(f"grads shaped unlike their tensors, or tensors that are "
+                             f"not views of this optimizer's parameters: {bad}")
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        for k, g in grads.items():
-            m, v = self.m[k], self.v[k]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * (g * g)
-            tensors[k] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        g = np.concatenate([np.ravel(grads[k]) for k in self._shapes])
+        m, v, s = self._m, self._v, self._scratch
+        # the per-tensor update, one operation at a time:
+        #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g)
+        #   p -= lr (m / c1) / (sqrt(v / c2) + eps)
+        m *= self.b1
+        m += np.multiply(1.0 - self.b1, g, out=s)
+        v *= self.b2
+        np.multiply(g, g, out=g)
+        v += np.multiply(1.0 - self.b2, g, out=g)
+        np.multiply(self.lr, np.divide(m, c1, out=s), out=s)
+        np.sqrt(np.divide(v, c2, out=g), out=g)
+        g += self.eps
+        self._p -= np.divide(s, g, out=s)
 
 
 def train(

@@ -394,6 +394,22 @@ class TestAblate:
         setter = "--seeds" if key == "seed" else "each variant"
         assert repr(key) in err[0] and f"{setter} sets it" in err[0]
 
+    @pytest.mark.parametrize("bad,message", [
+        ({"d_c": 7, "heads": 2}, "d_c=7 not divisible by heads=2"),
+        ({"layers": 0}, "ModelConfig.layers must be at least 1, got 0"),
+    ], ids=["d_c-heads", "layers"])
+    def test_bad_model_key_is_one_error(self, bad, message, work, capsys):
+        # every variant shares the model config: one error line, no FAILED rows
+        d, lex_path, _, train_tsv, test_tsv, _ = work
+        cfg = d / "ablate-bad-model.json"
+        cfg.write_text(json.dumps(dict(CONFIG, epochs=1, **bad)), encoding="utf-8")
+        assert main(["ablate", "--train-corpus", str(train_tsv),
+                     "--test-corpus", str(test_tsv), "--lexicon", str(lex_path),
+                     "--config", str(cfg), "--seeds", "0", "--variants", "plain,copy"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_unknown_variant(self, work, capsys):
         d, lex_path, _, train_tsv, test_tsv, _ = work
         assert main(["ablate", "--train-corpus", str(train_tsv),

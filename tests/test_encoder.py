@@ -212,9 +212,37 @@ def old_ln_backward(dy, cache):
     return dx, dg, db
 
 
+def _mean_last(x):
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
+# gelu_grad and ln_backward as one expression each, a fresh array per
+# operator; the kernels run the same operations in place
+
+
+def expr_gelu_grad(x, t):
+    c, a = np.sqrt(2.0 / np.pi), 0.044715
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * a * x * x)
+
+
+def expr_ln_backward(dy, cache):
+    xhat, inv, g = cache
+    lead = tuple(range(dy.ndim - 1))
+    dg = np.add.reduce(dy * xhat, axis=lead)
+    db = np.add.reduce(dy, axis=lead)
+    dxhat = dy * g
+    dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
+    return dx, dg, db
+
+
 def assert_same(a, b):
     assert a.shape == b.shape and a.dtype == b.dtype
     assert np.array_equal(a, b)
+
+
+def bit_equal(a, b):
+    """Same shape, dtype and bytes: unlike array_equal, -0.0 differs from 0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestBitIdentity:
@@ -285,6 +313,27 @@ class TestBitIdentity:
         want = old_masked_softmax((Qh @ Kh.transpose(0, 1, 3, 2)) * scale,
                                   np.broadcast_to(cmask[:, None, None, :], S.shape))
         assert_same(softmax(S), want)
+
+    # [rows, d] as the gate computes, [B, n, d] as the encoder does; the last
+    # two are the train workload's gate and FFN shapes
+    KERNEL_SHAPES = [(5, 8), (3, 7, 16), (1500, 16), (64, 40, 32)]
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_gelu_grad_equals_its_expression(self, shape):
+        x = np.random.default_rng(27).normal(size=shape) * 3
+        x.reshape(-1)[:4] = [0.0, -0.0, 40.0, -40.0]  # t is exactly +-1 at +-40
+        t = gelu(x)[1]
+        assert bit_equal(gelu_grad(x, t), expr_gelu_grad(x, t))
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_ln_backward_equals_its_expression(self, shape):
+        rng = np.random.default_rng(28)
+        _, cache = ln_forward(rng.normal(0.5, 2.0, shape), rng.normal(1.0, 0.2, shape[-1]),
+                              rng.normal(0.0, 0.2, shape[-1]))
+        dy = rng.normal(size=shape)
+        dy.reshape(-1)[:3] = 0.0
+        for got, want in zip(ln_backward(dy, cache), expr_ln_backward(dy, cache)):
+            assert bit_equal(got, want)
 
     def test_sigmoid(self):
         x = np.concatenate([

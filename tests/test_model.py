@@ -632,15 +632,18 @@ class TestPackedStep:
                 run(params, batch)
 
     def test_foreign_word_id_at_a_pad_slot(self):
-        # loss_and_grads reads real positions only; forward_batch reads every slot
+        # loss_and_grads reads real positions only; forward_batch reads every
+        # slot.  E_w.take wraps -1 but raises IndexError at and beyond
+        # word_vocab_size (6), so those show a pad-slot id that is read
         cfg = tiny_config()
         params = healthy_params(cfg)
         batch = make_batch(cfg)
         want = loss_and_grads(params, batch)
-        batch.word_ids[1, 4, 0] = -1
-        assert_same_step(loss_and_grads(params, batch), want)
-        with pytest.raises(HanfixError, match="batch row 1: candidate word id -1"):
-            forward_batch(params, batch)
+        for bad in (-1, 6, 10**6):
+            batch.word_ids[1, 4, 0] = bad
+            assert_same_step(loss_and_grads(params, batch), want)
+            with pytest.raises(HanfixError, match=f"batch row 1: candidate word id {bad} "):
+                forward_batch(params, batch)
 
 
 # ------------------------------------------------------ the inference pass

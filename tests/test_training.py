@@ -12,7 +12,7 @@ from hanfix.corpus import (
 from hanfix.desm import featurize_sentences
 from hanfix.errors import SequenceTooLong
 from hanfix.lexicon import lexicon_from_words
-from hanfix.model import correct_many, init_params
+from hanfix.model import ModelConfig, correct_many, init_params
 from hanfix.pinyin import FuzzyClassTable, PinyinTable
 from hanfix.training import Adam, TrainConfig, build_char_vocab, split_config, train
 
@@ -76,6 +76,72 @@ class TestAdam:
         assert opt.m["a"].shape == (2, 3)
         # first bias-corrected step equals -lr regardless of gradient scale
         assert np.allclose(t["a"], -0.01, atol=1e-6)
+
+    def test_equals_the_per_tensor_update(self):
+        cfg = ModelConfig(char_vocab_size=12, word_vocab_size=7, d_c=8, d_w=4, layers=2,
+                          heads=2, ffn_dim=16, gate_dim=4, m_max=3, max_len=16)
+        tensors = init_params(cfg, CHARS).tensors
+        assert tensors["gate.b2"].shape == ()
+        ref = {k: v.copy() for k, v in tensors.items()}
+        opt, ref_opt = Adam(tensors, lr=0.01), PerTensorAdam(ref, lr=0.01)
+        rng = np.random.default_rng(9)
+        for step in range(5):
+            grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-6, 3)
+                     for k, v in ref.items()}
+            grads["blk0.c1"][:3] = [0.0, -0.0, 1e-300]
+            opt.step(tensors, grads)
+            ref_opt.step(ref, grads)
+            for k in ref:
+                for got, want in ((tensors[k], ref[k]), (opt.m[k], ref_opt.m[k]),
+                                  (opt.v[k], ref_opt.v[k])):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (step, k)
+
+    @pytest.mark.parametrize("change", ["missing", "extra", "shape"])
+    def test_grads_keyed_or_shaped_unlike_the_tensors(self, change):
+        t = {"a": np.zeros((2, 3)), "b": np.zeros(())}
+        opt = Adam(t, lr=0.01)
+        grads = {"a": np.ones((2, 3)), "b": np.ones(())}
+        if change == "missing":
+            del grads["b"]
+        elif change == "extra":
+            grads["c"] = np.ones(1)
+        else:
+            grads["a"] = np.ones((3, 2))
+        with pytest.raises(ValueError, match="grads"):
+            opt.step(t, grads)
+        assert opt.t == 0 and not t["a"].any()
+
+    def test_step_updates_the_tensors_it_was_given(self):
+        t = {"a": np.zeros(2)}
+        opt = Adam(t, lr=0.01)
+        with pytest.raises(ValueError, match="views"):
+            opt.step({"a": np.zeros(2)}, {"a": np.ones(2)})
+
+
+CHARS = [chr(0x4E00 + i) for i in range(10)]
+
+
+class PerTensorAdam:
+    """Adam as one loop over the tensors, each operation per tensor: the
+    reference the flat-buffer Adam must equal bit for bit."""
+
+    def __init__(self, tensors, lr=5e-5, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
+        self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
+
+    def step(self, tensors, grads) -> None:
+        self.t += 1
+        c1 = 1.0 - self.b1**self.t
+        c2 = 1.0 - self.b2**self.t
+        for k, g in grads.items():
+            m, v = self.m[k], self.v[k]
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * (g * g)
+            tensors[k] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 OVER = dict(d_c=8, d_w=4, layers=1, heads=2, ffn_dim=16, gate_dim=4,
