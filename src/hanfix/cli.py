@@ -3,7 +3,8 @@
 Subcommands: build-lexicon, match, gen-data, train, correct, evaluate,
 ablate.  Exit codes: 0 success, 1 usage error, 2 data/config error, 3
 degenerate evaluation (a metric denominator was zero and
---allow-zero-denominators was not given).
+--allow-zero-denominators was not given), 141 stdout's reader closed the
+pipe before the output was written.
 
 The pinyin table and fuzzy class file default to the bundled demo
 resources; --lexicon defaults to building one from the bundled word list
@@ -47,6 +48,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DEGENERATE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
 
 
 class _Parser(argparse.ArgumentParser):
@@ -370,14 +372,25 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:  # --help, or a usage error argparse printed
+            code = int(e.code or 0)
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # output still buffered fails here, not at exit
+    except BrokenPipeError:
+        # stdout's reader left (`hanfix match ... | head -1`), which is no
+        # data error; point stdout at os.devnull, so the flush at exit
+        # writes nowhere instead of failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (HanfixError, OSError, ValueError) as e:  # JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
+    return code
 
 
 if __name__ == "__main__":

@@ -569,6 +569,29 @@ def test_hanfix_log_enables_info_logging():
     assert "INFO hanfix.cli: no --lexicon given" in proc.stderr
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["match", "参家会议", "--format", "json"], ["--help"]],
+                         ids=["match", "help"])
+def test_a_reader_that_left_is_not_bad_input(argv, unbuffered):
+    # `hanfix match ... | head -1`: the write fails at once when stdout is
+    # unbuffered, and at the final flush when it is buffered; argparse
+    # ignores a failed write of its help, so unbuffered help exits 0
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has left before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hanfix", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    code = 0 if argv == ["--help"] and unbuffered else 141
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
 def test_python_m_hanfix_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "hanfix", "--help"],

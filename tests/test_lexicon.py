@@ -242,13 +242,25 @@ class TestBuild:
         with pytest.raises(ValueError):
             ids[0] = 5
 
-    def test_views_beyond_the_ranking_are_built_on_first_use(self, lex):
-        # a lexicon built only to be saved pays for its trie and ranking only
-        fresh = Lexicon(*columns(lex))
-        assert (fresh.rank, fresh.order) == (lex.rank, lex.order)
-        assert not {"entries", "_hit_keys"} & vars(fresh).keys()
-        assert (fresh._ids_memo, fresh._tails_memo) == (None, None)
-        assert len(fresh._tables) == 0
+    def test_views_beyond_the_ranking_are_built_on_first_use(self, lex, ptable, fuzzy):
+        # a lexicon built only to be saved pays for its surface index and
+        # ranking only, whether made from columns or from words
+        built = lexicon_from_words(WORDS, ptable, fuzzy)
+        for fresh in (Lexicon(*columns(lex)), built):
+            assert (fresh.rank, fresh.order) == (lex.rank, lex.order)
+            assert not {"entries", "_hit_keys"} & vars(fresh).keys()
+            assert (fresh._ids_memo, fresh._tails_memo) == (None, None)
+            assert len(fresh._tables) == 0
+        # the first probe builds the table's index, with the features of a
+        # lexicon whose index was built first
+        warm = lexicon_from_words(WORDS, ptable, fuzzy)
+        warm.pinyin2gram_index(fuzzy)
+        sentences = ["我参家会议", "禅家会计", "山单参加"]
+        got = featurize_sentences(sentences, built, ptable, fuzzy, 3)
+        assert len(built._tables) == 1
+        want = featurize_sentences(sentences, warm, ptable, fuzzy, 3)
+        for (ids, mask), (want_ids, want_mask) in zip(got, want, strict=True):
+            assert ids.tolist() == want_ids.tolist() and mask.tolist() == want_mask.tolist()
 
     def test_threads_building_rank_ids_agree(self, lex):
         fresh = [Lexicon(*columns(lex)) for _ in range(200)]
@@ -502,6 +514,7 @@ class TestPinyin2Gram:
         build = FuzzyClassTable.default()
         lex = lexicon_from_words(WORDS, ptable, build)
         other = FuzzyClassTable()
+        window_hits(lex, ptable, build, "禅", "家")
         window_hits(lex, ptable, other, "禅", "家")
         assert len(lex._tables) == 2
         gone = weakref.ref(other)
