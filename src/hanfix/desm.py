@@ -21,15 +21,16 @@ per lexicon and fuzzy table, and each window feeds only its `m_max` best
 hits into the lattice.
 
 A built lattice keeps its rows of ranked keys, one int per candidate
-(`provenance << RANK_BITS | word rank`, see lexicon.py), in one flat list
-padded to `m_max` per position, beside the exact matches and each window's
-fed hits.  Most rows are written without a sort or a set: a row fed by one
-source is that source, an EXACT key goes before a window's hits that lack
-its word, and two windows whose memo entries' bit filters share no bit
-share no word.  Featurization builds one lattice per chunk of sentences,
-on their joined text, and maps its flat keys to word ids in one numpy
-gather; the `MatchCandidate` objects, with the direction and span that only
-they carry, are derived on the first read of `per_char` and kept beside the
+(`provenance << RANK_BITS | word rank`, see lexicon.py), back to back in one
+flat list with each row's length beside it, and the exact matches and each
+window's fed hits.  Most rows are written without a sort or a set: a row
+fed by one source is that source, an EXACT key goes before a window's hits
+that lack its word, and two windows whose memo entries' bit filters share
+no bit share no word.  Featurization builds one lattice per chunk of
+sentences, on their joined text, and spreads its flat keys over an
+[n, m_max] array of word ids in one masked numpy gather; the
+`MatchCandidate` objects, with the direction and span that only they
+carry, are derived on the first read of `per_char` and kept beside the
 keys.  So featurization takes one path, builds no candidate, and gives the
 same ids whether or not `per_char` was read.
 
@@ -55,8 +56,8 @@ from .pinyin import FuzzyClassTable, PinyinTable
 WORD_PAD_ID = 1
 WORD_ID_OFFSET = 2
 
-# the widest m_max a lattice takes: a row is padded to m_max, so a huge one
-# would fail on memory, not as a bad argument
+# the widest m_max a lattice takes: the feature arrays are m_max wide, so a
+# huge one would fail on memory, not as a bad argument
 M_MAX_LIMIT = 4096
 
 
@@ -92,11 +93,11 @@ class CharWordLattice:
     """Ranked word candidates for every character of a sentence (or of a
     chunk of sentences joined, see build_lattice's `ends`).
 
-    `build_lattice` stores each position's ranked int keys, padded to m_max
-    in one flat list, which `lattice_to_feature_ids` reads; `per_char`, the
-    `MatchCandidate` lists, is a cached property derived from the keys on
-    first read (one object per candidate, shared by every position of its
-    span).  A lattice made by hand, CharWordLattice(sentence, per_char,
+    `build_lattice` stores each position's ranked int keys in one flat list,
+    beside the row lengths, which `lattice_to_feature_ids` reads;
+    `per_char`, the `MatchCandidate` lists, is a cached property derived
+    from the keys on first read (one object per candidate, shared by every
+    position of its span).  A lattice made by hand, CharWordLattice(sentence, per_char,
     suspect), assigns `per_char` and holds candidate lists only: `per_char`
     and `lattice_records` read it, and featurizing it is a ValueError.
     """
@@ -106,8 +107,8 @@ class CharWordLattice:
         self.sentence = sentence
         self.suspect = [] if suspect is None else suspect
         self.per_char = per_char
-        # build_lattice's (padded keys, m_max, lexicon, exact matches, fed
-        # window hits)
+        # build_lattice's (keys, row lengths, m_max, lexicon, exact matches,
+        # fed window hits)
         self._built: tuple | None = None
 
     @cached_property
@@ -128,7 +129,7 @@ class CharWordLattice:
                 f"per_char={self.per_char!r}, suspect={self.suspect!r})")
 
 
-def _candidates(suspects, flat, width, lex, matches, fed) -> list[list[MatchCandidate]]:
+def _candidates(suspects, flat, lens, _m_max, lex, matches, fed) -> list[list[MatchCandidate]]:
     """The MatchCandidate rows of a built lattice, one rule per key.  An
     EXACT key's span starts at the first exact match of its word that
     covers the position (matches come sorted by start).  A window key takes
@@ -137,19 +138,18 @@ def _candidates(suspects, flat, width, lex, matches, fed) -> list[list[MatchCand
     A window candidate is FORWARD iff its span starts at a suspect.  One
     candidate object stands for one (key, start), at every position that
     takes it."""
-    order, rank, surfaces, pad = lex.order, lex.rank, lex.surfaces, len(lex)
+    order, rank, surfaces = lex.order, lex.rank, lex.surfaces
     first: dict[tuple[int, int], int] = {}  # (position, word rank) -> start
     for start, end, wid in matches:
         for i in range(start, end + 1):
             first.setdefault((i, rank[wid]), start)
     made: dict[tuple[int, int], MatchCandidate] = {}  # (key, start) -> candidate
     per_char = []
-    for i in range(len(suspects)):
+    stop = 0
+    for i, k in enumerate(lens):
         left, right = fed[i - 1] if i else (), fed[i]
         cands = []
-        for key in flat[i * width:(i + 1) * width]:
-            if key == pad:
-                break
+        for key in flat[stop:stop + k]:
             if key <= RANK_MASK:  # provenance 0: EXACT
                 start = first[i, key]
             elif key in left and (suspects[i - 1] or key not in right):
@@ -165,6 +165,7 @@ def _candidates(suspects, flat, width, lex, matches, fed) -> list[list[MatchCand
                     _DIRECTIONS[direction])
             cands.append(cand)
         per_char.append(cands)
+        stop += k
     return per_char
 
 
@@ -264,36 +265,38 @@ def build_lattice(
     else:
         fed, filters = [()] * n, [0] * n
 
-    # each row goes into one flat list, padded to m_max with the pad rank
-    # len(lex).  A window's fed hits are sorted, one per word and at most
-    # m_max, and EXACT keys sort first, so most rows need no sort or set
-    tails = lex.pad_tails(m_max)
+    # each row goes into one flat list, and its length into lens.  A
+    # window's fed hits are sorted, one per word and at most m_max, and
+    # EXACT keys sort first, so most rows need no sort or set.  Shares of
+    # rows per path at m_max 8 on the seed-3 inputs of perfbench's three
+    # workloads: one window (or none) 3-14%, two disjoint windows 21-45%,
+    # EXACT and one window 19-27%, EXACT alone 21-45%, the general merge
+    # 0.7-5% and its duplicate-word fallback at most 0.4%
     flat: list[int] = []
+    lens: list[int] = []
     for keys, left, right, lf, rf in zip(exact, [()] + fed, fed, [0] + filters, filters):
         if not keys:
             if not (left and right):  # fed by one window: its hits
                 row = left or right
                 flat += row
-                flat += tails[len(row)]
+                lens.append(len(row))
                 continue
             if not lf & rf:  # two windows that share no word: a sorted merge
                 keys = [*left, *right]
                 keys.sort()
                 del keys[m_max:]
                 flat += keys
-                flat += tails[len(keys)]
+                lens.append(len(keys))
                 continue
         elif len(keys) == 1 and not (left and right):
             # one EXACT key, then the hits of at most one window, if they
-            # lack its word
+            # lack its word; a slice of all of a tuple is that tuple
             r, hits = keys[0], left or right
             if not (lf | rf) >> (r % FILTER_BITS) & 1:
+                hits = hits[:m_max - 1]
                 flat.append(r)
-                if len(hits) < m_max:
-                    flat += hits
-                    flat += tails[len(hits) + 1]
-                else:
-                    flat += hits[:-1]
+                flat += hits
+                lens.append(len(hits) + 1)
                 continue
         # any other row: merge its sources, keep each word's first key
         keys = [*keys, *left, *right]
@@ -302,12 +305,12 @@ def build_lattice(
         if len({key & RANK_MASK for key in head}) < len(head):
             head = _first_per_word(keys, m_max)
         flat += head
-        flat += tails[len(head)]
+        lens.append(len(head))
 
     # not through __init__, which assigns per_char: here it is derived
     lat = CharWordLattice.__new__(CharWordLattice)
     lat.sentence, lat.suspect = sentence, suspects
-    lat._built = (flat, m_max, lex, matches, fed)
+    lat._built = (flat, lens, m_max, lex, matches, fed)
     return lat
 
 
@@ -323,16 +326,16 @@ def lattice_to_feature_ids(lat: CharWordLattice) -> tuple[np.ndarray, np.ndarray
     """
     if lat._built is None:
         raise ValueError("only a lattice made by build_lattice can be featurized")
-    flat, m_max, lex = lat._built[:3]
-    # the padded keys go into the array in one assignment, which beats two
-    # numpy item writes per candidate, then through one gather from rank to
-    # feature id, in place
-    ids = np.empty((len(flat) // m_max, m_max), dtype=np.int64)
-    ids.reshape(-1)[:] = flat
-    ids &= RANK_MASK
-    lex.rank_ids(WORD_ID_OFFSET, WORD_PAD_ID).take(ids, out=ids)
-    # every candidate id is at least WORD_ID_OFFSET, every pad id below it
-    return ids, (ids >= WORD_ID_OFFSET).astype(np.float64)
+    flat, lens, m_max, lex = lat._built[:4]
+    # a row's keys fill its first slots, so the mask is a row's slots below
+    # its length, and its keys go into them in one masked assignment, which
+    # takes them in row-major order, the order of flat
+    mask = np.arange(m_max) < np.array(lens, dtype=np.int64)[:, None]
+    ids = np.full(mask.shape, WORD_PAD_ID, dtype=np.int64)
+    ranks = np.array(flat, dtype=np.int64)
+    ranks &= RANK_MASK
+    ids[mask] = lex.order_ids.take(ranks) + WORD_ID_OFFSET
+    return ids, mask.astype(np.float64)
 
 
 LATTICE_MODES = ("desm", "ttm", "none")

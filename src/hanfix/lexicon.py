@@ -23,14 +23,12 @@ three lifetimes:
   sorted tuple of the surfaces' lengths.  `rank[word_id]` is the word's
   place when the words are ordered by descending frequency, then word id,
   and `order[place]` is the word id at that place.
-* Built on first use, and kept: `entries` (the words as WordEntry tuples)
-  and the window-hit keys, as cached properties, and the rank-to-id array
-  and the pad rows, each kept for the last arguments it was asked for; a
-  pad row of each length is built on the first use of that length, so the
-  rows take memory linear in m_max.  A lexicon built only to be saved never
-  pays for them.  Each is computed whole and then stored in one assignment:
-  two threads may both build one (a cached property takes no lock from
-  Python 3.12 on), but each gets a complete and equal value.
+* Built on first use, and kept, as cached properties: `entries` (the words
+  as WordEntry tuples), `order_ids` (`order` as a read-only int64 array)
+  and the window-hit keys.  A lexicon built only to be saved never pays for
+  them.  Each is computed whole and then stored in one assignment: two
+  threads may both build one (a cached property takes no lock from Python
+  3.12 on), but each gets a complete and equal value.
 * Built per fuzzy table, on that table's first query, for built and loaded
   lexicons alike, so a lexicon built only to be saved pays for none: the
   table's 2-gram index and its window memo, one entry per table, stored
@@ -93,22 +91,6 @@ RANK_MASK = (1 << RANK_BITS) - 1
 FILTER_BITS = 1024
 
 
-class _PadTails(dict):
-    """k -> [pad] * (m_max - k), built on the first use of k: a lattice's
-    rows take few distinct lengths, so the kept tails grow with m_max, not
-    with its square."""
-
-    __slots__ = ("pad", "m_max")
-
-    def __init__(self, pad: int, m_max: int):
-        super().__init__()
-        self.pad, self.m_max = pad, m_max
-
-    def __missing__(self, k: int) -> list[int]:
-        tail = self[k] = [self.pad] * (self.m_max - k)
-        return tail
-
-
 class WordEntry(NamedTuple):
     """One dictionary word, as `Lexicon.entries` yields it.
 
@@ -162,8 +144,6 @@ class Lexicon:
             rank[wid] = place
         self.rank: tuple[int, ...] = tuple(rank)
         self.order: tuple[int, ...] = tuple(order)
-        self._ids_memo: tuple[int, int, np.ndarray] | None = None
-        self._tails_memo: _PadTails | None = None
         # fuzzy table -> (its 2-gram index, its window memo)
         self._tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -177,26 +157,13 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.surfaces)
 
-    def rank_ids(self, offset: int, pad: int) -> np.ndarray:
-        """ids[rank] = order[rank] + offset, and ids[len(self)] = pad: one
-        gather maps ranks, and the pad rank len(self), to ids.  The
-        read-only array of the last (offset, pad) is kept."""
-        memo = self._ids_memo
-        if memo is None or memo[:2] != (offset, pad):
-            ids = np.append(np.array(self.order, dtype=np.int64) + offset, pad)
-            ids.flags.writeable = False
-            memo = self._ids_memo = (offset, pad, ids)
-        return memo[2]
-
-    def pad_tails(self, m_max: int) -> _PadTails:
-        """tails[k] = [len(self)] * (m_max - k): the pad ranks that fill a
-        row of k lattice keys to m_max, for 0 <= k <= m_max.  Each list is
-        built on the first use of its k; the lists of the last m_max are
-        kept and shared, so callers read them and never change them."""
-        memo = self._tails_memo
-        if memo is None or memo.m_max != m_max:
-            memo = self._tails_memo = _PadTails(len(self), m_max)
-        return memo
+    @cached_property
+    def order_ids(self) -> np.ndarray:
+        """`order` as a read-only int64 array: one gather maps lattice key
+        ranks to word ids.  Built on first use."""
+        ids = np.array(self.order, dtype=np.int64)
+        ids.flags.writeable = False
+        return ids
 
     @cached_property
     def _hit_keys(self) -> tuple[tuple[int, int], ...]:

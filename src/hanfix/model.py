@@ -31,9 +31,10 @@ in ByteTransformer (Zhai et al., IPDPS 2023); a pass without padding keeps
 its grid.  Only attention (scores, softmax and A @ V) and the gate's w2
 product stay on the grid.  It lets the gate decide first: wherever
 w_i > 1/2 the argmax of P_i is x_i, so it runs the generator only at the
-positions the gate leaves open.  Its outputs are the argmax of
-forward_batch's P on the same pass up to float rounding: a product over
-packed rows can round a state apart from the grid's in its last bits.
+positions the gate leaves open, and an unknown character keeps its input.
+Its other outputs are the argmax of forward_batch's P on the same pass up
+to float rounding: a product over packed rows can round a state apart from
+the grid's in its last bits.
 """
 
 from __future__ import annotations
@@ -610,11 +611,12 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
 
     feats is featurize_sentences(sentences, ...) at the checkpoint's m_max:
     feats[i] = (word_ids, word_mask) for sentences[i], each of shape
-    (len(sentences[i]), m_max).  Unknown characters map to UNK, and a
-    position whose argmax lands on a reserved id keeps its input character,
-    so each output is as long as its input.  Features of another shape, or
-    word ids that are negative or at or beyond word_vocab_size, mean the
-    features were not made for this checkpoint: HanfixError.
+    (len(sentences[i]), m_max).  Unknown characters map to UNK and keep
+    their input character, as does a position whose argmax lands on a
+    reserved id, so each output is as long as its input.  Features of
+    another shape, or word ids that are negative or at or beyond
+    word_vocab_size, mean the features were not made for this checkpoint:
+    HanfixError.
 
     The non-empty sentences run in forward passes in order of length (equal
     lengths in input order), each of at most batch_size sentences (an int of
@@ -631,13 +633,13 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
     (a batch of one) keeps its grid as its rows.  The gate decides first: a
     position with omega > 1/2 keeps its input, because the mixture's argmax
     there is the input id, so the generator softmax, the mixture and the
-    argmax run only at the other positions.
+    argmax run only at the other positions whose input is known.
 
-    The outputs are the argmax of forward_batch's p_out on the same pass up
-    to float rounding: a product over the packed rows can round apart from
-    the grid's in its last bits (the encoder states agree to within 1e-12),
-    so an output can differ only at a position where two probabilities, or
-    omega and 1/2, are that close.
+    Every other output is the argmax of forward_batch's p_out on the same
+    pass up to float rounding: a product over the packed rows can round
+    apart from the grid's in its last bits (the encoder states agree to
+    within 1e-12), so an output can differ only at a position where two
+    probabilities, or omega and 1/2, are that close.
     """
     if not isinstance(batch_size, int) or isinstance(batch_size, bool) or batch_size < 1:
         raise ValueError(f"batch_size must be an int of at least 1, got {batch_size!r}")
@@ -676,8 +678,10 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
         # P_j = fl(p_j (1 - omega)) <= 1 - omega < 1/2 < omega
         # <= fl(fl(p_x (1 - omega)) + omega) = P_x.  A NaN omega, or one of
         # exactly 1/2, goes to the generator; use_copy=False pins omega at 0.
-        # Flat positions follow x's order, packed or not.
-        at = (~(omega > 0.5)).ravel().nonzero()[0]
+        # Flat positions follow x's order, packed or not.  An unknown
+        # character keeps its input too: the generator only knows the
+        # vocabulary, so nothing it picks there is a correction of it.
+        at = (~(omega > 0.5).ravel() & (x != CHAR_UNK_ID)).nonzero()[0]
         if len(at):
             # softmax, mix and argmax are row-wise, so the open rows alone
             # round the same

@@ -231,14 +231,13 @@ class TestBuild:
         assert ties.rank == (1, 2, 0)
         assert ties.order == (2, 0, 1)
 
-    def test_rank_ids_gather_ranks_and_the_pad_rank(self, lex):
+    def test_order_ids_gather_ranks_to_word_ids(self, lex):
         order = lex.order
         assert sorted(order) == list(range(len(lex)))
         assert all(order[r] == wid for wid, r in enumerate(lex.rank))
-        ids = lex.rank_ids(2, 1)
-        assert ids.tolist() == [w + 2 for w in order] + [1]
-        assert lex.rank_ids(2, 1) is ids
-        assert lex.rank_ids(0, -1).tolist() == list(order) + [-1]
+        ids = lex.order_ids
+        assert ids.dtype == "int64" and ids.tolist() == list(order)
+        assert lex.order_ids is ids
         with pytest.raises(ValueError):
             ids[0] = 5
 
@@ -248,8 +247,7 @@ class TestBuild:
         built = lexicon_from_words(WORDS, ptable, fuzzy)
         for fresh in (Lexicon(*columns(lex)), built):
             assert (fresh.rank, fresh.order) == (lex.rank, lex.order)
-            assert not {"entries", "_hit_keys"} & vars(fresh).keys()
-            assert (fresh._ids_memo, fresh._tails_memo) == (None, None)
+            assert not {"entries", "_hit_keys", "order_ids"} & vars(fresh).keys()
             assert len(fresh._tables) == 0
         # the first probe builds the table's index, with the features of a
         # lexicon whose index was built first
@@ -262,14 +260,14 @@ class TestBuild:
         for (ids, mask), (want_ids, want_mask) in zip(got, want, strict=True):
             assert ids.tolist() == want_ids.tolist() and mask.tolist() == want_mask.tolist()
 
-    def test_threads_building_rank_ids_agree(self, lex):
+    def test_threads_building_order_ids_agree(self, lex):
         fresh = [Lexicon(*columns(lex)) for _ in range(200)]
-        expect = lex.rank_ids(2, 1).tolist()
+        expect = lex.order_ids.tolist()
         wrong = []
 
         def rank_all():
             for other in fresh:
-                got = other.rank_ids(2, 1).tolist()
+                got = other.order_ids.tolist()
                 if got != expect:
                     wrong.append(got)
 
@@ -491,13 +489,6 @@ class TestPinyin2Gram:
         a, b = parse_syllable("can"), parse_syllable("jia")
         assert loaded.surfaces.index("禅家") in loaded.pinyin_2gram_lookup(a, b, tables[0])
         assert loaded.surfaces.index("禅家") not in loaded.pinyin_2gram_lookup(a, b, tables[1])
-
-    def test_pad_tails_fill_rows_to_m_max(self, lex):
-        tails = lex.pad_tails(4)
-        assert [tails[k] for k in range(5)] == [[len(lex)] * (4 - k) for k in range(5)]
-        assert lex.pad_tails(4) is tails and tails[1] is tails[1]  # kept for the last m_max
-        tails = lex.pad_tails(2)
-        assert [tails[k] for k in range(3)] == [[len(lex)] * 2, [len(lex)], []]
 
     def test_each_table_keeps_its_index_and_window_hits(self, ptable):
         lex = lexicon_from_words(WORDS, ptable, FuzzyClassTable.default())

@@ -676,8 +676,9 @@ def inference_world(d_c, **over):
 
 def reference_decode(params, sentences, feats, batch_size, forward=None):
     """correct_many as it decoded every position: the argmax of the mixture
-    p_out (forward_batch's, or `forward`'s), where a reserved id keeps the
-    input character.  Also returns the omegas of the real positions."""
+    p_out (forward_batch's, or `forward`'s), where a reserved id and an
+    unknown character keep the input character.  Also returns the omegas of
+    the real positions."""
     forward = forward or (lambda params_, batch: forward_batch(params_, batch)[0])
     out, omegas = [""] * len(sentences), []
     todo = [i for i, s in enumerate(sentences) if len(s) > 0]
@@ -689,7 +690,8 @@ def reference_decode(params, sentences, feats, batch_size, forward=None):
         omegas.append(fwd.omega[batch.char_mask > 0])
         for row, i in enumerate(chunk):
             pred = fwd.p_out[row, :len(sentences[i])].argmax(axis=-1).tolist()
-            out[i] = "".join(ch if k < CHAR_ID_OFFSET else params.chars[k - CHAR_ID_OFFSET]
+            out[i] = "".join(ch if k < CHAR_ID_OFFSET or ch not in params.char_index
+                             else params.chars[k - CHAR_ID_OFFSET]
                              for ch, k in zip(sentences[i], pred))
     return out, np.concatenate(omegas) if omegas else np.zeros(0)
 
@@ -839,7 +841,7 @@ class TestGateFirstDecode:
         want, omega = reference_decode(params, sentences, feats, 4)
         assert params.config.use_copy and (omega == 0.5).all()
         assert correct_many(params, sentences, feats, batch_size=4) == want
-        assert want == [first * len(s) for s in sentences]
+        assert want == ["".join("X" if ch == "X" else first for ch in s) for s in sentences]
 
     @pytest.mark.parametrize("use_copy", [True, False])
     def test_batch_of_one(self, use_copy):
@@ -850,6 +852,31 @@ class TestGateFirstDecode:
         assert correct_many(params, sentences, feats, batch_size=1) == want
         if not use_copy:  # omega is 0: every output is the generator's
             assert want != sentences
+
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_unknown_characters_are_kept_with_the_gate_open(self, batch_size):
+        # b2 = -30 sends every position to the generator, which only knows
+        # the vocabulary: an unknown character is never rewritten as one
+        params = inference_world(16)
+        params.tensors["gate.b2"][...] = -30.0
+        known = params.chars
+        sentences = ["亪世丶A3z😀乌一", known[3] + "X" + known[5] * 3 + "😀",
+                     "XYZ", known[7] * 6, known[1] + "Q"]
+        rng = np.random.default_rng(11)
+        cfg = params.config
+        feats = [(rng.integers(2, cfg.word_vocab_size, size=(len(s), cfg.m_max)),
+                  (rng.random((len(s), cfg.m_max)) < 0.6).astype(float)) for s in sentences]
+        got = correct_many(params, sentences, feats, batch_size=batch_size)
+        want, omega = reference_decode(params, sentences, feats, batch_size)
+        assert (omega < 0.5).all()
+        assert got == want
+        for s, out in zip(sentences, got):
+            assert len(out) == len(s)
+            assert [o for ch, o in zip(s, out) if ch not in params.char_index] == \
+                [ch for ch in s if ch not in params.char_index], (s, out)
+        # the generator does edit the known characters
+        assert sum(o != ch for s, out in zip(sentences, got) for ch, o in zip(s, out)
+                   if ch in params.char_index) > 0
 
     @given(st.floats(0.5, 1.0, exclude_min=True), st.integers(0, 4),
            st.integers(0, 4), st.booleans(), st.integers(0, 2**32 - 1))
