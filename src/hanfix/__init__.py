@@ -46,6 +46,7 @@ from .evaluation import (
     AblationRow,
     AblationVariant,
     EvalReport,
+    evaluate,
     f1,
     format_ablation,
     format_report,

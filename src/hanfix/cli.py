@@ -34,10 +34,10 @@ from .desm import build_lattice, featurize_sentences, lattice_records
 from .errors import HanfixError
 from .evaluation import (
     DEFAULT_VARIANTS,
+    evaluate,
     format_ablation,
     format_report,
     run_ablation,
-    score,
 )
 from .lexicon import Lexicon, build_lexicon, lexicon_fingerprint
 from .model import correct_many, load_checkpoint, save_checkpoint
@@ -228,15 +228,7 @@ def cmd_evaluate(args) -> int:
     lex = _load_lexicon(args, ptable, fuzzy, allow_default=False)
     params = load_checkpoint(args.checkpoint)
     pairs = load_parallel_tsv(args.test)
-    sources = [p.source for p in pairs]
-    feats = featurize_sentences(
-        sources, lex, ptable, fuzzy, params.config.m_max, params.config.lattice_mode
-    )
-    preds = correct_many(params, sources, feats)
-    report = score(
-        [(p.source, p.target, yh) for p, yh in zip(pairs, preds)],
-        tag=Path(args.test).name,
-    )
+    report = evaluate(params, pairs, lex, ptable, fuzzy, tag=Path(args.test).name)
     if args.format == "json":
         _emit(json.dumps(report.to_dict(), ensure_ascii=False, indent=2), args.out)
     else:
@@ -387,7 +379,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except (HanfixError, OSError, ValueError) as e:  # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError; MemoryError is a config asking for
+    # tensors larger than the machine, which numpy refuses up front
+    except (HanfixError, MemoryError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     return code

@@ -236,18 +236,17 @@ _TOY_FINAL_BASES = ("an", "en", "in")
 def make_toy_inventory(
     homophones: int = 3,
     fuzzy: FuzzyClassTable | None = None,
-    first_char: int = 0x4E00,
 ) -> list[tuple[str, str]]:
     """(char, toneless reading) pairs over confusable syllable families.
 
     Each (initial, final) base expands through its fuzzy classes, so the
     base (z, an) yields zan/zhan/zang/zhang, four syllables that collide
     under the default table.  Every syllable gets `homophones` distinct
-    characters, assigned sequentially from `first_char` (no RNG involved).
+    characters, assigned sequentially from U+4E00 (no RNG involved).
     """
     fuzzy = fuzzy or FuzzyClassTable.default()
     pairs: list[tuple[str, str]] = []
-    code = first_char
+    code = 0x4E00
     for ib in _TOY_INITIAL_BASES:
         for fb in _TOY_FINAL_BASES:
             for ini in fuzzy.initial_class(ib):

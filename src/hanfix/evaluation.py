@@ -5,6 +5,10 @@ correction asks "did the edits produce the gold character".  Correction
 precision is conditioned on true detections (hits / correctly-detected
 positions), so it can legitimately exceed detection precision.  All metrics
 are micro-averaged over characters across the corpus.
+
+evaluate() is the one decode-and-score path: it featurizes the test sources
+at the model's own config, decodes them and scores the result; `hanfix
+evaluate` and every ablation seed go through it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .desm import WORD_ID_OFFSET, featurize_sentences
 from .errors import LengthMismatch
-from .model import CHAR_ID_OFFSET, ModelConfig, correct_many
+from .model import CHAR_ID_OFFSET, ModelConfig, ModelParams, correct_many
 from .training import TrainConfig, train
 
 logger = logging.getLogger("hanfix.evaluation")
@@ -93,6 +97,17 @@ def score(triples, tag: str = "") -> EvalReport:
     )
 
 
+def evaluate(params: ModelParams, pairs, lexicon, ptable, fuzzy, tag: str = "") -> EvalReport:
+    """Correct the pairs' sources with `params`, candidate features made at
+    the model's own m_max and lattice_mode, and score the predictions
+    against the pairs' targets."""
+    sources = [p.source for p in pairs]
+    cfg = params.config
+    feats = featurize_sentences(sources, lexicon, ptable, fuzzy, cfg.m_max, cfg.lattice_mode)
+    preds = correct_many(params, sources, feats)
+    return score([(p.source, p.target, yh) for p, yh in zip(pairs, preds)], tag=tag)
+
+
 def format_report(report: EvalReport) -> str:
     lines = []
     if report.tag:
@@ -169,36 +184,21 @@ def run_ablation(
 ) -> list[AblationRow]:
     """Train/evaluate every variant over every seed.
 
-    Each model is what train() makes of train_pairs at that seed, and all
-    variants share the per-mode candidate features, so the only differences
-    are the toggled components and the seed.  A variant that raises keeps
-    its error message in its row instead of aborting the others.  The model
-    overrides other than use_copy and lattice_mode, which each variant sets,
-    are every variant's: a bad one (m_max among them, which the features
-    share) raises ValueError once, before any variant runs.
+    Each model is what train() makes of train_pairs at that seed and is
+    scored by evaluate(), so each featurizes at its own config and nothing
+    is shared across variants or seeds: the only differences are the
+    toggled components and the seed.  A variant that raises keeps its error
+    message in its row instead of aborting the others.  The model overrides
+    other than use_copy and lattice_mode, which each variant sets, are
+    every variant's: a bad one raises ValueError once, before any variant
+    runs.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     tconf = tconf or TrainConfig()
     base_over = dict(model_overrides or {})
     shared = {k: v for k, v in base_over.items() if k not in ("use_copy", "lattice_mode")}
-    m_max = ModelConfig(char_vocab_size=CHAR_ID_OFFSET, word_vocab_size=WORD_ID_OFFSET,
-                        **shared).m_max
-    test_sources = [p.source for p in test_pairs]
-    train_sources = [p.source for p in train_pairs]
-
-    # featurization is shared across variants and seeds but computed lazily,
-    # so a bad lattice mode fails only its own variant
-    feats_cache: dict = {}
-
-    def feats_for(mode: str, which: str):
-        key = (mode, which)
-        if key not in feats_cache:
-            sentences = train_sources if which == "train" else test_sources
-            feats_cache[key] = featurize_sentences(
-                sentences, lexicon, ptable, fuzzy, m_max, mode
-            )
-        return feats_cache[key]
+    ModelConfig(char_vocab_size=CHAR_ID_OFFSET, word_vocab_size=WORD_ID_OFFSET, **shared)
 
     rows: list[AblationRow] = []
     for var in variants:
@@ -209,15 +209,9 @@ def run_ablation(
                 params, _ = train(
                     train_pairs, lexicon, ptable, fuzzy,
                     tconf=replace(tconf, seed=seed), model_overrides=over,
-                    feats=feats_for(var.lattice_mode, "train"),
                 )
-                preds = correct_many(
-                    params, test_sources, feats_for(var.lattice_mode, "test")
-                )
-                rep = score(
-                    [(p.source, p.target, yh) for p, yh in zip(test_pairs, preds)],
-                    tag=f"{var.name}/seed{seed}",
-                )
+                rep = evaluate(params, test_pairs, lexicon, ptable, fuzzy,
+                               tag=f"{var.name}/seed{seed}")
                 reports.append(rep)
                 if log:
                     log(

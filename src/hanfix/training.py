@@ -1,9 +1,10 @@
 """Training loop: vocabulary building, Adam, seeded epochs.
 
-Candidate-word features are precomputed once per corpus (they depend on
-the lexicon and on the model's lattice_mode and m_max, not on its weights),
-so each training step is pure numpy.  Both settings live in ModelConfig and
-so travel in the checkpoint, where `correct` and `evaluate` read them.
+train featurizes its sources once, at its own ModelConfig's lattice_mode
+and m_max (features depend on the lexicon and those two settings, not on
+the weights), so each training step is pure numpy and no caller can hand
+a model features of another mode or width.  Both settings travel in the
+checkpoint, where `correct` and `evaluate` read them.
 TrainConfig.seed draws the initial tensors and seeds the RNG that shuffles,
 so two runs with the same configs produce byte-identical parameters.
 
@@ -93,6 +94,9 @@ def _flat(tensors, buf: np.ndarray) -> dict[str, np.ndarray]:
     return views
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with bias correction over one flat float64 buffer.
 
@@ -105,8 +109,8 @@ class Adam:
     be keyed and shaped exactly like the tensors.
     """
 
-    def __init__(self, tensors, lr=5e-5, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, tensors, lr: float):
+        self.lr = lr
         self.t = 0
         self._shapes = {k: np.shape(v) for k, v in tensors.items()}
         self._p = np.concatenate([np.ravel(v) for v in tensors.values()]).astype(
@@ -131,21 +135,21 @@ class Adam:
             raise ValueError(f"grads shaped unlike their tensors, or tensors that are "
                              f"not views of this optimizer's parameters: {bad}")
         self.t += 1
-        c1 = 1.0 - self.b1**self.t
-        c2 = 1.0 - self.b2**self.t
+        c1 = 1.0 - BETA1**self.t
+        c2 = 1.0 - BETA2**self.t
         g = np.concatenate([np.ravel(grads[k]) for k in self._shapes])
         m, v, s = self._m, self._v, self._scratch
         # the per-tensor update, one operation at a time:
         #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g)
         #   p -= lr (m / c1) / (sqrt(v / c2) + eps)
-        m *= self.b1
-        m += np.multiply(1.0 - self.b1, g, out=s)
-        v *= self.b2
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, g, out=s)
+        v *= BETA2
         np.multiply(g, g, out=g)
-        v += np.multiply(1.0 - self.b2, g, out=g)
+        v += np.multiply(1.0 - BETA2, g, out=g)
         np.multiply(self.lr, np.divide(m, c1, out=s), out=s)
         np.sqrt(np.divide(v, c2, out=g), out=g)
-        g += self.eps
+        g += EPS
         self._p -= np.divide(s, g, out=s)
 
 
@@ -156,16 +160,15 @@ def train(
     fuzzy,
     tconf: TrainConfig | None = None,
     model_overrides: dict | None = None,
-    feats=None,
     log=None,
 ) -> tuple[ModelParams, list[float]]:
     """Train a fresh model on ParallelPairs; returns (params, loss history).
 
     The character vocabulary is build_char_vocab over the pairs' sources
-    and targets.  feats can be passed in to reuse precomputed sentence
-    features (the ablation harness shares features across seeds).  log,
-    when given, receives one line per epoch.  Raises SequenceTooLong,
-    before any featurization, when a source exceeds the model's max_len.
+    and targets, and the sources' candidate features are always made at the
+    model's own m_max and lattice_mode.  log, when given, receives one line
+    per epoch.  Raises SequenceTooLong, before any featurization, when a
+    source exceeds the model's max_len.
     """
     if not pairs:
         raise ValueError("empty training corpus")
@@ -180,11 +183,9 @@ def train(
     if longest > cfg.max_len:
         raise SequenceTooLong(longest, cfg.max_len)
     params = init_params(cfg, chars, tconf.seed)
-    if feats is None:
-        feats = featurize_sentences(
-            [p.source for p in pairs], lexicon, ptable, fuzzy,
-            cfg.m_max, cfg.lattice_mode,
-        )
+    feats = featurize_sentences(
+        [p.source for p in pairs], lexicon, ptable, fuzzy, cfg.m_max, cfg.lattice_mode,
+    )
     items = [
         (params.char_to_ids(p.source), params.char_to_ids(p.target),
          feats[i][0], feats[i][1])

@@ -15,7 +15,7 @@ from hanfix.corpus import load_parallel_tsv
 from hanfix.desm import featurize_sentences
 from hanfix.evaluation import score
 from hanfix.lexicon import Lexicon, build_lexicon
-from hanfix.model import _CKPT_MAGIC, correct_many, load_checkpoint
+from hanfix.model import _CKPT_MAGIC, correct_many, load_checkpoint, save_checkpoint
 from hanfix.pinyin import FuzzyClassTable, PinyinTable
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -253,6 +253,21 @@ class TestTrain:
                      str(lex_path), "--config", str(cfg_path),
                      "--out", str(d / "nope.ckpt")]) == 2
 
+    # each asks init_params for a tensor of a PiB or more (P, of max_len x d_c
+    # float64s, or E_c, of vocab x d_c), past any address space, so numpy
+    # refuses it before touching memory
+    @pytest.mark.parametrize("sizes", [{"max_len": 2 ** 50}, {"d_c": 2 ** 47, "heads": 1}],
+                             ids=["max_len", "d_c"])
+    def test_absurd_model_size_exits_2(self, sizes, work, tmp_path, capsys):
+        _, lex_path, _, train_tsv, *_ = work
+        cfg = tmp_path / "absurd.json"
+        cfg.write_text(json.dumps(dict(CONFIG, epochs=1, **sizes)), encoding="utf-8")
+        assert main(["train", "--corpus", str(train_tsv), "--lexicon", str(lex_path),
+                     "--config", str(cfg), "--out", str(tmp_path / "nope.ckpt")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "allocate" in err[0], err
+        assert not (tmp_path / "nope.ckpt").exists()
+
 
 class TestCorrect:
     def test_text_output_lines(self, work, capsys):
@@ -323,6 +338,24 @@ class TestCorrect:
                      "--test", str(test_tsv), "--format", "json",
                      "--allow-zero-denominators"]) == 0
         assert json.loads(capsys.readouterr().out) == ttm[1]
+
+    def test_unknown_characters_pass_through(self, work, tmp_path, capsys):
+        # with the copy gate shut (gate.b2 -30) the generator writes every
+        # known position, yet a character outside the vocabulary comes back
+        # as it went in, and the line keeps its length
+        _, lex_path, *_, ckpt = work
+        params = load_checkpoint(ckpt)
+        params.tensors["gate.b2"][...] = -30.0
+        open_ckpt = tmp_path / "open.ckpt"
+        save_checkpoint(params, open_ckpt)
+        line = "ok参家2024\U0001F600\uFF0C会议A9"
+        unknown = [i for i, c in enumerate(line) if c not in params.chars]
+        assert "参" in params.chars and len(unknown) >= 9
+        assert main(["correct", line, "--checkpoint", str(open_ckpt),
+                     "--lexicon", str(lex_path)]) == 0
+        [out] = capsys.readouterr().out.splitlines()
+        assert len(out) == len(line)
+        assert [out[i] for i in unknown] == [line[i] for i in unknown]
 
 
 class TestEvaluate:

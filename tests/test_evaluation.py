@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hanfix import evaluation
 from hanfix.corpus import ParallelPair, generate_synthetic, NoiseSpec
 from hanfix.corpus import make_toy_inventory, make_toy_words
 from hanfix.desm import featurize_sentences
@@ -11,6 +12,7 @@ from hanfix.evaluation import (
     DEFAULT_VARIANTS,
     AblationVariant,
     EvalReport,
+    evaluate,
     f1,
     format_ablation,
     format_report,
@@ -159,6 +161,25 @@ def tiny_world():
 
 SMALL_OVER = {"d_c": 16, "d_w": 8, "layers": 1, "heads": 2, "ffn_dim": 32,
               "gate_dim": 8, "m_max": 4, "max_len": 32}
+
+
+class TestEvaluate:
+    def test_scores_at_the_models_own_config(self, tiny_world, monkeypatch):
+        # a ttm model of m_max 3 is decoded with ttm features of width 3,
+        # whatever featurize_sentences' defaults are
+        lex, ptable, fuzzy, train_pairs, test_pairs = tiny_world
+        over = dict(SMALL_OVER, m_max=3, lattice_mode="ttm", use_copy=False)
+        params, _ = train(train_pairs, lex, ptable, fuzzy, TrainConfig(lr=1e-3, epochs=2),
+                          model_overrides=over)
+        sources = [p.source for p in test_pairs]
+        feats = featurize_sentences(sources, lex, ptable, fuzzy, 3, "ttm")
+        preds = correct_many(params, sources, feats)
+        want = score([(p.source, p.target, yh) for p, yh in zip(test_pairs, preds)], tag="t")
+        calls = []
+        monkeypatch.setattr(evaluation, "featurize_sentences",
+                            lambda *a: calls.append(a[4:]) or featurize_sentences(*a))
+        assert evaluate(params, test_pairs, lex, ptable, fuzzy, tag="t") == want
+        assert calls == [(3, "ttm")]
 
 
 class TestAblation:

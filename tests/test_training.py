@@ -191,21 +191,21 @@ class TestTrain:
         for name in p1.tensors:
             assert np.array_equal(p1.tensors[name], p2.tensors[name])
 
-    def test_features_follow_the_model_lattice_mode(self, tiny_world):
+    def test_features_follow_the_model_lattice_mode(self, tiny_world, monkeypatch):
         ptable, fuzzy, lexicon, pairs = tiny_world
         sources = [p.source for p in pairs]
         tconf = TrainConfig(lr=1e-3, batch_size=4, epochs=2)
-        over = dict(OVER, lattice_mode="ttm")
+        calls = []
+        monkeypatch.setattr(training, "featurize_sentences",
+                            lambda *a: calls.append(a[:1] + a[4:]) or featurize_sentences(*a))
 
-        def history(feats=None):
+        def history(mode):
             return train(pairs, lexicon, ptable, fuzzy, tconf,
-                         model_overrides=over, feats=feats)[1]
+                         model_overrides=dict(OVER, lattice_mode=mode))[1]
 
-        def feats(mode):
-            return featurize_sentences(sources, lexicon, ptable, fuzzy, OVER["m_max"], mode)
-
-        assert history() == history(feats("ttm"))
-        assert history() != history(feats("desm"))
+        ttm, desm = history("ttm"), history("desm")
+        assert calls == [(sources, OVER["m_max"], "ttm"), (sources, OVER["m_max"], "desm")]
+        assert ttm != desm
 
     def test_seed_changes_run(self, tiny_world):
         ptable, fuzzy, lexicon, pairs = tiny_world
