@@ -1,28 +1,22 @@
 #!/usr/bin/env python3
 """Pinyin parsing and fuzzy phonetic equivalence.
 
-Every syllable splits into an initial and a final; a tone digit is
-accepted and dropped, as nothing downstream reads it.  A fuzzy class table
-declares which initials (z/zh, c/ch, s/sh, n/l, f/h, r/l) and which finals
-(an/ang, en/eng, in/ing, ian/iang, uan/uang) southern speakers tend to
-merge; two syllables are confusable when both halves fall in the same
-classes.
+A reading is its toneless string, an initial followed by a final; a tone
+digit is accepted and dropped, as nothing downstream reads it.  A fuzzy
+class table declares which initials (z/zh, c/ch, s/sh, n/l, f/h) and which
+finals (an/ang, en/eng, in/ing) southern speakers tend to merge; two
+readings are confusable when both halves fall in the same classes, that
+is, when their fuzzy keys are equal.
 """
 
-from hanfix.pinyin import FuzzyClassTable, fuzzy_key, parse_syllable, syllables_equivalent
+from hanfix.pinyin import FuzzyClassTable, fuzzy_key, parse_syllable
 
 fuzzy = FuzzyClassTable.default()
 
-print("parsing")
-for text in ("zhang1", "chan2", "an4", "lv3", "xiong2"):
-    s = parse_syllable(text)
-    print(f"  {text:<8} initial={s.initial!r:<6} final={s.final!r}")
-
-print()
-print("fuzzy keys (class representatives)")
-for text in ("zang1", "zhang4", "san1", "shang1", "lan2", "nan2"):
-    s = parse_syllable(text)
-    print(f"  {text:<8} -> {fuzzy_key(s, fuzzy)}")
+print("parsing: reading, then its fuzzy key (class representatives)")
+for text in ("zhang1", "chan2", "an4", "lv3", "xiong2", "zang1", "shang1", "nan2"):
+    reading = parse_syllable(text)
+    print(f"  {text:<8} -> {reading:<7} key={fuzzy_key(reading, fuzzy)}")
 
 print()
 print("equivalence under the default table")
@@ -35,5 +29,5 @@ pairs = [
     ("ma1", "ba1"),        # not confusable: m and b are distinct
 ]
 for a, b in pairs:
-    eq = syllables_equivalent(parse_syllable(a), parse_syllable(b), fuzzy)
-    print(f"  {a:<8} ~ {b:<8} {eq}")
+    ka, kb = (fuzzy_key(parse_syllable(t), fuzzy) for t in (a, b))
+    print(f"  {a:<8} ~ {b:<8} {ka == kb}  ({ka} / {kb})")

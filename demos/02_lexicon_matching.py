@@ -10,7 +10,7 @@ page but right in the ear.
 
 from hanfix import data
 from hanfix.lexicon import build_lexicon
-from hanfix.pinyin import FuzzyClassTable, PinyinTable, parse_syllable
+from hanfix.pinyin import FuzzyClassTable, PinyinTable
 
 ptable = PinyinTable.from_file(data.demo_pinyin_path())
 fuzzy = FuzzyClassTable.from_file(data.demo_fuzzy_path())
@@ -23,8 +23,8 @@ for start, end, wid in lex.trie_match_all(sentence):
     e = lex.entries[wid]
     print(f"  [{start},{end}] {e.surface}  freq={e.frequency}")
 
-print("\n2-gram probes (syllable pair -> words, best frequency first)")
-for a, b in (("can1", "jia1"), ("chan2", "jia1"), ("hui4", "yi4")):
-    wids = lex.pinyin_2gram_lookup(parse_syllable(a), parse_syllable(b), fuzzy)
+print("\n2-gram probes (reading pair -> words, best frequency first)")
+for a, b in (("can", "jia"), ("chan", "jia"), ("hui", "yi")):
+    wids = lex.pinyin_2gram_lookup(a, b, fuzzy)
     words = ", ".join(f"{lex.surfaces[w]}({lex.frequencies[w]})" for w in wids)
     print(f"  {a + '+' + b:<12} -> {words or '(none)'}")

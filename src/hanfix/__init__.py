@@ -81,11 +81,9 @@ from .pinyin import (
     FINALS,
     INITIALS,
     FuzzyClassTable,
-    PinyinSyllable,
     PinyinTable,
     fuzzy_key,
     parse_syllable,
-    syllables_equivalent,
 )
 from .training import Adam, TrainConfig, build_char_vocab, split_config, train
 

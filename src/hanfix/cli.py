@@ -103,11 +103,13 @@ def _read_sentences(args) -> list[str]:
     return [line.rstrip("\n") for line in sys.stdin]
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(lines: list[str], out: str | None) -> None:
+    """Write each line with its newline, so no line gives no output."""
+    text = "".join(line + "\n" for line in lines)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        Path(out).write_text(text, encoding="utf-8")
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 # ------------------------------------------------------------- subcommands
@@ -133,7 +135,7 @@ def cmd_match(args) -> int:
         )
         results.append({"sentence": s, "positions": lattice_records(lat, lex)})
     if args.format == "json":
-        _emit(json.dumps(results, ensure_ascii=False, indent=2), args.out)
+        _emit([json.dumps(results, ensure_ascii=False, indent=2)], args.out)
         return EXIT_OK
     lines = []
     for r in results:
@@ -146,7 +148,7 @@ def cmd_match(args) -> int:
                 for c in rec["candidates"]
             ) or "-"
             lines.append(f"{rec['pos']:>3}{mark} {rec['char']}  {cands}")
-    _emit("\n".join(lines), args.out)
+    _emit(lines, args.out)
     return EXIT_OK
 
 
@@ -217,9 +219,9 @@ def cmd_correct(args) -> int:
     outputs = correct_many(params, sentences, feats)
     if args.format == "json":
         payload = [{"input": s, "output": o} for s, o in zip(sentences, outputs)]
-        _emit(json.dumps(payload, ensure_ascii=False, indent=2), args.out)
+        _emit([json.dumps(payload, ensure_ascii=False, indent=2)], args.out)
     else:
-        _emit("\n".join(outputs), args.out)
+        _emit(outputs, args.out)
     return EXIT_OK
 
 
@@ -230,9 +232,9 @@ def cmd_evaluate(args) -> int:
     pairs = load_parallel_tsv(args.test)
     report = evaluate(params, pairs, lex, ptable, fuzzy, tag=Path(args.test).name)
     if args.format == "json":
-        _emit(json.dumps(report.to_dict(), ensure_ascii=False, indent=2), args.out)
+        _emit([json.dumps(report.to_dict(), ensure_ascii=False, indent=2)], args.out)
     else:
-        _emit(format_report(report), args.out)
+        _emit([format_report(report)], args.out)
     if report.flags and not args.allow_zero_denominators:
         print(
             f"degenerate evaluation: zero denominator for {', '.join(report.flags)}",
@@ -270,10 +272,10 @@ def cmd_ablate(args) -> int:
         log=lambda line: print(line, file=sys.stderr),
     )
     if args.format == "json":
-        _emit(json.dumps([r.to_dict() for r in rows], ensure_ascii=False, indent=2),
+        _emit([json.dumps([r.to_dict() for r in rows], ensure_ascii=False, indent=2)],
               args.out)
     else:
-        _emit(format_ablation(rows), args.out)
+        _emit([format_ablation(rows)], args.out)
     return EXIT_DATA if any(r.error for r in rows) else EXIT_OK
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import LengthMismatch, MalformedLine
 from .lexicon import Lexicon
-from .pinyin import FuzzyClassTable, PinyinTable, fuzzy_key, parse_syllable
+from .pinyin import FuzzyClassTable, PinyinTable, fuzzy_key
 
 logger = logging.getLogger("hanfix.corpus")
 
@@ -116,8 +116,8 @@ def homophone_pools(ptable: PinyinTable, fuzzy: FuzzyClassTable):
     readings: dict[str, set[str]] = {}
     fkeys: dict[str, set[str]] = {}
     for ch in ptable.characters():
-        tl = {str(s) for s in ptable.get(ch)}
-        fk = {fuzzy_key(s, fuzzy) for s in ptable.get(ch)}
+        tl = set(ptable.get(ch))
+        fk = {fuzzy_key(r, fuzzy) for r in tl}
         readings[ch], fkeys[ch] = tl, fk
         for r in tl:
             by_reading.setdefault(r, set()).add(ch)
@@ -348,7 +348,7 @@ def make_toy_words(
     fuzzy = fuzzy or FuzzyClassTable.default()
     reading = dict(inventory)
     chars = sorted(reading)
-    fkey = {c: fuzzy_key(parse_syllable(r), fuzzy) for c, r in reading.items()}
+    fkey = {c: fuzzy_key(r, fuzzy) for c, r in reading.items()}
     rng = np.random.default_rng(seed)
     words: list[tuple[str, int]] = []
     seen: set[str] = set()

@@ -67,14 +67,7 @@ from .errors import (
     MissingPinyin,
     WordTooLong,
 )
-from .pinyin import (
-    TONELESS_SYLLABLES,
-    FuzzyClassTable,
-    PinyinSyllable,
-    PinyinTable,
-    fuzzy_key,
-    parse_syllable,
-)
+from .pinyin import TONELESS_SYLLABLES, FuzzyClassTable, PinyinTable, fuzzy_key
 
 MAX_WORD_LEN = 4
 
@@ -224,7 +217,7 @@ class Lexicon:
     def _build_index(self, fuzzy: FuzzyClassTable) -> dict[tuple[str, str], tuple[int, ...]]:
         surfaces, readings = self.surfaces, self.readings
         pairs = [w for w in self.order if len(surfaces[w]) == 2]
-        key = {r: fuzzy_key(parse_syllable(r), fuzzy)
+        key = {r: fuzzy_key(r, fuzzy)
                for r in {r for w in pairs for rs in readings[w] for r in rs}}
         ranked: dict[tuple[str, str], dict[int, None]] = {}
         for w in pairs:  # cross-product of polyphone readings
@@ -234,10 +227,9 @@ class Lexicon:
                     ranked.setdefault((key[ra], key[rb]), {})[w] = None
         return {k: tuple(ids) for k, ids in ranked.items()}
 
-    def pinyin_2gram_lookup(
-        self, a: PinyinSyllable, b: PinyinSyllable, fuzzy: FuzzyClassTable
-    ) -> list[int]:
-        """2-char entries whose fuzzy-normalized pinyin pair matches (a, b).
+    def pinyin_2gram_lookup(self, a: str, b: str, fuzzy: FuzzyClassTable) -> list[int]:
+        """2-char entries whose fuzzy-normalized pinyin pair matches the
+        readings (a, b).
 
         Ordered by descending frequency, then word_id.
         """
@@ -261,11 +253,8 @@ class Lexicon:
         reading of the word matches both characters' readings literally,
         else 2 (PINYIN_FUZZY), over the word's `rank`.  They are those of
         pinyin_2gram_lookup over every reading pair of the two characters,
-        and they are remembered under the pair of the characters' reading
-        sets (their str() forms), beside the 2-gram index of `fuzzy`: a
-        lookup reads only a syllable's fuzzy key, which reads only its
-        initial and final, and str() is initial + final, which no other
-        pair spells (no final starts with a consonant or with h).  So two
+        computed from the pair of the characters' reading sets alone and
+        remembered under it, beside the 2-gram index of `fuzzy`.  So two
         characters with equal reading sets get equal hits, in any
         PinyinTable, and a character without readings gets none.
 
@@ -288,18 +277,18 @@ class Lexicon:
                     row = memo.get(ra)
                     entry = None if row is None else row.get(rb)
                     if entry is None:
-                        entry = self._window_entry(ptable, fuzzy, memo, sentence[lo],
-                                                   sentence[lo + 1], ra, rb)
+                        entry = self._window_entry(fuzzy, memo, ra, rb)
                     fed[lo] = entry[0][:m_max]
                     filters[lo] = entry[1]
             start = end
         return fed, filters
 
-    def _window_entry(self, ptable, fuzzy, memo, a, b, ra, rb) -> tuple[tuple[int, ...], int]:
-        """memo's (hits, filter) for the reading sets ra, rb of `a` and `b`,
-        computed whole and stored in one assignment when missing.  The
-        filter is an int with bit `rank % FILTER_BITS` set for each hit's
-        word, so two entries whose filters share no bit share no word."""
+    def _window_entry(self, fuzzy, memo, ra, rb) -> tuple[tuple[int, ...], int]:
+        """memo's (hits, filter) for a window whose characters' reading sets
+        are ra and rb, computed from those two sets alone and stored under
+        them in one assignment when missing.  The filter is an int with bit
+        `rank % FILTER_BITS` set for each hit's word, so two entries whose
+        filters share no bit share no word."""
         # one row per first set: no key tuple is built per window or kept per
         # entry (kept objects are what sets off the cyclic GC's full passes)
         row = memo.get(ra)
@@ -311,8 +300,8 @@ class Lexicon:
             # exactness reads the word and the two reading sets only, so a
             # word that several reading pairs find gets one hit
             found: dict[int, int] = {}
-            for sa in ptable.get(a):
-                for sb in ptable.get(b):
+            for sa in ra:
+                for sb in rb:
                     for wid in self.pinyin_2gram_lookup(sa, sb, fuzzy):
                         first, second = readings[wid]
                         exact = not (ra.isdisjoint(first) or rb.isdisjoint(second))
@@ -470,7 +459,9 @@ def lexicon_from_words(
     frequencies: list[int] = []
     readings: list[tuple[tuple[str, ...], ...]] = []
     by_surface: dict[str, int] = {}
-    char_readings: dict[str, tuple[str, ...]] = {}  # one tuple per character
+    # the table's tuple of each character, shared by every word: a dict
+    # read is cheaper than a call to pinyin_table.get
+    char_readings: dict[str, tuple[str, ...]] = {}
     for pos, (surface, freq) in enumerate(words):
         if not 1 <= len(surface) <= MAX_WORD_LEN:
             raise WordTooLong(surface)
@@ -485,10 +476,9 @@ def lexicon_from_words(
         for ch in surface:
             found = char_readings.get(ch)
             if found is None:
-                syls = pinyin_table.get(ch)
-                if not syls:
+                found = char_readings[ch] = pinyin_table.get(ch)
+                if not found:
                     raise MissingPinyin(ch, f"{_word_label(labels, pos)} word {surface!r}")
-                found = char_readings[ch] = tuple(map(str, syls))
             word.append(found)
         by_surface[surface] = len(surfaces)
         surfaces.append(surface)

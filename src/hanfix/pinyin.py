@@ -1,29 +1,30 @@
-"""Pinyin syllables, reading tables, and fuzzy phonetic equivalence.
+"""Pinyin readings, reading tables, and fuzzy phonetic equivalence.
 
-A syllable is stored as (initial, final), its written form without a tone:
-every use of a reading here (the lexicon's 2-gram index, a window's
-PINYIN_EXACT test, the lexicon file and the noise generator) reads that form
-only, so a tone digit is accepted and dropped when a syllable is parsed.
-The initial is one of the 23 standard onsets (y/w included) or empty; the
-final is one of the written finals below.  Parsing accepts any
-initial+final combination, not just syllables attested in a dictionary:
-canonical keys produced by fuzzy-class substitution (e.g. neng -> len) must
-themselves re-parse, so the valid set has to be closed under that
-substitution.
+A reading is its toneless written form, a str such as 'zhang': every use of
+a reading here (the lexicon's 2-gram index, a window's PINYIN_EXACT test,
+the lexicon file and the noise generator) reads that form only, so a tone
+digit is accepted and dropped when a syllable is parsed.  A reading is an
+initial, one of the 23 standard onsets (y/w included) or empty, followed
+by one of the written finals below.  Parsing accepts any initial+final
+combination, not just syllables attested in a dictionary: canonical keys
+produced by fuzzy-class substitution (e.g. neng -> len) must themselves
+re-parse, so the valid set has to be closed under that substitution.
 
 Fuzzy equivalence groups initials and finals into confusion classes
-(flat/retroflex tongue, front/back nasal, ...).  Two syllables are
-equivalent when both their initials and finals fall in the same classes.
+(flat/retroflex tongue, front/back nasal, ...).  Two readings are
+equivalent when both their initials and finals fall in the same classes,
+which is when their fuzzy keys are equal.
 
     >>> parse_syllable("chan2")
-    PinyinSyllable(initial='ch', final='an')
-    >>> fuzzy_key(parse_syllable("chan"), FuzzyClassTable.default())
+    'chan'
+    >>> fuzzy_key("chan", FuzzyClassTable.default())
     'can'
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 from .errors import InvalidSyllable, MalformedLine
@@ -51,37 +52,21 @@ FINALS = (
 _INITIAL_SET = frozenset(INITIALS)
 _FINAL_SET = frozenset(FINALS)
 
-# Every string parse_syllable accepts without a tone digit; each one parses
-# back into the initial and final it was built from.
+# The readings: every string parse_syllable returns.  No final starts with a
+# consonant or with h, so each is spelled by one initial and final only.
 TONELESS_SYLLABLES = frozenset(i + f for i in ("",) + INITIALS for f in FINALS)
 
 
-@dataclass(frozen=True)
-class PinyinSyllable:
-    """One character's pronunciation, decomposed for segment-level matching;
-    str() is its written form, e.g. 'zhang'."""
-
-    initial: str
-    final: str
-
-    def __post_init__(self):
-        if self.initial and self.initial not in _INITIAL_SET:
-            raise InvalidSyllable(self.initial + self.final, "unknown initial")
-        if self.final not in _FINAL_SET:
-            raise InvalidSyllable(self.initial + self.final, "unknown final")
-
-    def __str__(self) -> str:
-        return self.initial + self.final
-
-
-def parse_syllable(s: str) -> PinyinSyllable:
-    """Split a pinyin string into (initial, final).
+def parse_syllable(s: str) -> str:
+    """The toneless reading that a pinyin string spells, e.g. 'zhang' for
+    "zhang1".
 
     Accepts lowercase ASCII with an optional trailing ASCII tone digit 0-4,
     which is dropped; any other trailing digit, such as "5", a fullwidth
-    "３" or a superscript "²", is rejected.  The longest matching initial
-    wins, so "zhan" is zh+an, never z+han.  Raises InvalidSyllable for
-    anything outside the closed syllable set.
+    "３" or a superscript "²", is rejected.  Raises InvalidSyllable for
+    anything outside the closed syllable set, naming the longest initial
+    the string starts with when no final follows it, so "zhxx" is zh+xx,
+    never z+hxx.
     """
     if not s:
         raise InvalidSyllable(s, "empty string")
@@ -90,16 +75,13 @@ def parse_syllable(s: str) -> PinyinSyllable:
         if body[-1] not in "01234":
             raise InvalidSyllable(s, "tone digit must be 0-4")
         body = body[:-1]
+    if body in TONELESS_SYLLABLES:
+        return body
     if not body or not body.isascii() or not body.islower():
         raise InvalidSyllable(s, "expected lowercase ASCII letters")
     for initial in INITIALS:  # two-letter initials listed first
         if body.startswith(initial):
-            final = body[len(initial):]
-            if final in _FINAL_SET:
-                return PinyinSyllable(initial, final)
-            raise InvalidSyllable(s, f"no final {final!r} after {initial!r}")
-    if body in _FINAL_SET:
-        return PinyinSyllable("", body)
+            raise InvalidSyllable(s, f"no final {body[len(initial):]!r} after {initial!r}")
     raise InvalidSyllable(s, "no initial or final matches")
 
 
@@ -182,11 +164,12 @@ class FuzzyClassTable:
         except _BadClass as e:
             raise MalformedLine(str(path), line_nos[e.index], str(e)) from e
 
-    def initial_rep(self, initial: str) -> str:
-        return self._initial_rep[initial]
-
-    def final_rep(self, final: str) -> str:
-        return self._final_rep[final]
+    @cached_property
+    def _keys(self) -> dict[str, str]:
+        """Reading -> fuzzy key, for each of TONELESS_SYLLABLES; built on
+        first use and kept."""
+        ir, fr = self._initial_rep, self._final_rep
+        return {i + f: ir[i] + fr[f] for i in ("",) + INITIALS for f in FINALS}
 
     def initial_class(self, initial: str) -> tuple[str, ...]:
         """All initials confusable with `initial`, itself included, sorted."""
@@ -199,20 +182,18 @@ class FuzzyClassTable:
         return tuple(sorted(m for m, r in self._final_rep.items() if r == rep))
 
 
-def fuzzy_key(s: PinyinSyllable, table: FuzzyClassTable) -> str:
-    """Canonical key: class representatives of initial and final.
+def fuzzy_key(reading: str, table: FuzzyClassTable) -> str:
+    """Canonical key: the class representatives of the reading's initial
+    and final, e.g. 'can' for 'chan' under the default table.
 
-    Two syllables collide on this key exactly when they are confusable
-    under `table`.  The key is itself a parseable syllable string.
+    Two readings collide on this key exactly when they are confusable
+    under `table`.  The key is itself a reading.  Raises InvalidSyllable
+    for a string that is not a toneless reading.
     """
-    return table.initial_rep(s.initial) + table.final_rep(s.final)
-
-
-def syllables_equivalent(
-    a: PinyinSyllable, b: PinyinSyllable, table: FuzzyClassTable
-) -> bool:
-    """True iff a and b share fuzzy initial and final classes."""
-    return fuzzy_key(a, table) == fuzzy_key(b, table)
+    key = table._keys.get(reading)
+    if key is None:
+        raise InvalidSyllable(reading, "not a toneless reading")
+    return key
 
 
 _NO_READINGS: frozenset[str] = frozenset()
@@ -222,18 +203,28 @@ class PinyinTable:
     """Character -> readings map (polyphones keep every reading, each once,
     in first-seen order)."""
 
-    def __init__(self, readings: dict[str, tuple[PinyinSyllable, ...]]):
+    def __init__(self, readings: dict[str, tuple[str, ...]]):
+        """InvalidSyllable for a reading outside TONELESS_SYLLABLES, such as
+        'can1': parse_syllable makes a reading of a table's string."""
+        if not TONELESS_SYLLABLES.issuperset(chain.from_iterable(readings.values())):
+            bad = next(r for r in chain.from_iterable(readings.values())
+                       if r not in TONELESS_SYLLABLES)
+            raise InvalidSyllable(bad, "not a toneless reading")
         self._readings = {c: tuple(dict.fromkeys(r)) for c, r in readings.items()}
-        # char -> the written forms of its readings, read by toneless_sets
-        self._sets = {c: frozenset(map(str, r)) for c, r in self._readings.items()}
+        # char -> the set of its readings, read by toneless_sets
+        self._sets = {c: frozenset(r) for c, r in self._readings.items()}
 
     @classmethod
     def from_pairs(cls, pairs) -> "PinyinTable":
-        """Build from (char, syllable_string) pairs; duplicates accumulate."""
-        readings: dict[str, list[PinyinSyllable]] = {}
+        """Build from (char, syllable_string) pairs; duplicates accumulate.
+        Each distinct string is parsed once."""
+        parsed: dict[str, str] = {}
+        readings: dict[str, list[str]] = {}
         for char, syl in pairs:
-            parsed = syl if isinstance(syl, PinyinSyllable) else parse_syllable(syl)
-            readings.setdefault(char, []).append(parsed)
+            reading = parsed.get(syl)
+            if reading is None:
+                reading = parsed[syl] = parse_syllable(syl)
+            readings.setdefault(char, []).append(reading)
         return cls(readings)
 
     @classmethod
@@ -242,11 +233,12 @@ class PinyinTable:
         and dropped, so tone variants of a reading are one reading).
 
         Repeat a character on multiple lines to record polyphone readings.
-        Blank lines and '#' comments are skipped.
+        Blank lines and '#' comments are skipped.  Each distinct reading is
+        parsed once; a bad one is reported at its first line.
         """
         path = Path(path)
-        pairs = []
-        parsed: dict[str, PinyinSyllable] = {}  # each distinct reading parsed once
+        parsed: dict[str, str] = {}
+        readings: dict[str, list[str]] = {}
         for line_no, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
             line = raw.split("#", 1)[0].rstrip()
             if not line.strip():
@@ -256,22 +248,22 @@ class PinyinTable:
                 raise MalformedLine(
                     str(path), line_no, f"expected `char<TAB>reading`, got {raw!r}"
                 )
-            reading = parts[1].strip()
-            syllable = parsed.get(reading)
-            if syllable is None:
+            text = parts[1].strip()
+            reading = parsed.get(text)
+            if reading is None:
                 try:
-                    syllable = parsed[reading] = parse_syllable(reading)
+                    reading = parsed[text] = parse_syllable(text)
                 except InvalidSyllable as e:
                     raise MalformedLine(str(path), line_no, str(e)) from e
-            pairs.append((parts[0], syllable))
-        return cls.from_pairs(pairs)
+            readings.setdefault(parts[0], []).append(reading)
+        return cls(readings)
 
-    def get(self, char: str) -> tuple[PinyinSyllable, ...]:
+    def get(self, char: str) -> tuple[str, ...]:
         """All readings of `char`; () for an unknown character."""
         return self._readings.get(char, ())
 
     def toneless_sets(self, text: str) -> list[frozenset[str]]:
-        """The written forms of get(ch) for each character ch of `text`, e.g.
+        """The set of get(ch) for each character ch of `text`, e.g.
         {'can', 'shen'} for a 参 read can and shen; empty for unknown
         characters.  Each set is built with the table, so a character's
         set is one object.  A list comprehension: at a sentence's length its

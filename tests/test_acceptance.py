@@ -38,7 +38,7 @@ from hanfix.model import (
     init_params,
     loss_and_grads,
 )
-from hanfix.pinyin import FuzzyClassTable, PinyinTable, fuzzy_key, parse_syllable
+from hanfix.pinyin import FuzzyClassTable, PinyinTable, fuzzy_key
 from hanfix.training import TrainConfig, train
 
 RNG = np.random.default_rng(20240817)
@@ -77,7 +77,7 @@ def reference_lattice(lex, ptable, fuzzy, sentence, m_max):
     suspects = [not c for c in covered]
 
     def keyset(readings):
-        return frozenset(fuzzy_key(parse_syllable(r), fuzzy) for r in readings)
+        return frozenset(fuzzy_key(r, fuzzy) for r in readings)
 
     two_char = [
         (e.word_id, keyset(e.readings[0]), keyset(e.readings[1]),
@@ -85,7 +85,7 @@ def reference_lattice(lex, ptable, fuzzy, sentence, m_max):
         for e in entries
         if len(e.surface) == 2
     ]
-    sent_readings = [tuple(map(str, ptable.get(ch))) for ch in sentence]
+    sent_readings = [ptable.get(ch) for ch in sentence]
     sent_keys = [keyset(r) for r in sent_readings]
 
     def probe(lo, hi, direction):

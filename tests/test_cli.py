@@ -116,6 +116,16 @@ class TestMatch:
         assert main(["match", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)[0]["sentence"] == "参家"
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_no_input_lines_give_no_output_lines(self, to_file, monkeypatch, tmp_path,
+                                                 capsys):
+        out = tmp_path / "match.txt"
+        for fmt, want in (("text", ""), ("json", "[]\n")):
+            monkeypatch.setattr("sys.stdin", io.StringIO(""))
+            assert main(["match", "--format", fmt] + (["--out", str(out)] if to_file else [])) == 0
+            assert (out.read_text(encoding="utf-8") if to_file else capsys.readouterr().out) \
+                == want, fmt
+
     def test_ttm_only_drops_pinyin_candidates(self, capsys):
         assert main(["match", "参家", "--ttm-only", "--format", "json"]) == 0
         records = json.loads(capsys.readouterr().out)
@@ -277,6 +287,20 @@ class TestCorrect:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2
         assert all(len(line) == 2 for line in lines)
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("text,want", [("", ""), ("\n", "\n"), ("a\n\nb\n", "a\n\nb\n")],
+                             ids=["none", "one-empty", "three"])
+    def test_one_output_line_per_input_line(self, text, want, to_file, work, monkeypatch,
+                                            tmp_path, capsys):
+        # no input gives no output, and one empty line one empty line
+        _, lex_path, _, _, _, ckpt = work
+        out = tmp_path / "corrected.txt"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["correct", "--checkpoint", str(ckpt), "--lexicon", str(lex_path)]
+                    + (["--out", str(out)] if to_file else [])) == 0
+        got = out.read_bytes() if to_file else capsys.readouterr().out.encode("utf-8")
+        assert got == want.encode("utf-8")
 
     def test_json_output(self, work, capsys):
         _, lex_path, _, _, _, ckpt = work

@@ -17,13 +17,7 @@ from hanfix.corpus import (
 )
 from hanfix.errors import LengthMismatch, MalformedLine
 from hanfix.lexicon import lexicon_from_words
-from hanfix.pinyin import (
-    FuzzyClassTable,
-    PinyinTable,
-    fuzzy_key,
-    parse_syllable,
-    syllables_equivalent,
-)
+from hanfix.pinyin import FuzzyClassTable, PinyinTable, fuzzy_key, parse_syllable
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +177,7 @@ class TestGenerate:
             for i in p.error_positions():
                 src, tgt = p.source[i], p.target[i]
                 assert any(
-                    syllables_equivalent(a, b, fuzzy)
+                    fuzzy_key(a, fuzzy) == fuzzy_key(b, fuzzy)
                     for a in ptable.get(src)
                     for b in ptable.get(tgt)
                 )
@@ -199,8 +193,8 @@ class TestGenerate:
             exact = near = 0
             for p in pairs:
                 for i in p.error_positions():
-                    src_r = {str(s) for s in ptable.get(p.source[i])}
-                    tgt_r = {str(s) for s in ptable.get(p.target[i])}
+                    src_r = set(ptable.get(p.source[i]))
+                    tgt_r = set(ptable.get(p.target[i]))
                     if src_r & tgt_r:
                         exact += 1
                     else:
@@ -247,7 +241,7 @@ class TestToyWorld:
         assert len(set(chars)) == len(chars)
         by_reading: dict[str, int] = {}
         for _, r in inv:
-            parse_syllable(r)  # must all be valid
+            assert parse_syllable(r) == r  # each a toneless reading
             by_reading[r] = by_reading.get(r, 0) + 1
         assert set(by_reading.values()) == {3}
 
@@ -273,8 +267,7 @@ class TestToyWorld:
         buckets: dict[tuple[str, str], int] = {}
         for w in surfaces:
             assert w[0] != w[1]
-            k = (fuzzy_key(parse_syllable(reading[w[0]]), fuzzy),
-                 fuzzy_key(parse_syllable(reading[w[1]]), fuzzy))
+            k = (fuzzy_key(reading[w[0]], fuzzy), fuzzy_key(reading[w[1]], fuzzy))
             buckets[k] = buckets.get(k, 0) + 1
         assert max(buckets.values()) <= 4
 

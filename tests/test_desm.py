@@ -27,12 +27,7 @@ from hanfix.desm import (
 from hanfix.corpus import NoiseSpec, generate_synthetic, make_toy_inventory, make_toy_words
 from hanfix.data import demo_fuzzy_path, demo_pinyin_path, demo_words_path
 from hanfix.lexicon import RANK_BITS, RANK_MASK, Lexicon, build_lexicon, lexicon_from_words
-from hanfix.pinyin import (
-    FuzzyClassTable,
-    PinyinTable,
-    parse_syllable,
-    syllables_equivalent,
-)
+from hanfix.pinyin import FuzzyClassTable, PinyinTable, fuzzy_key
 
 PAIRS = [
     ("我", "wo3"), ("参", "can1"), ("参", "shen1"), ("加", "jia1"),
@@ -232,11 +227,11 @@ class TestLattice:
                         if len(e.surface) != 2:
                             continue
                         ok_a = any(
-                            syllables_equivalent(x, parse_syllable(r), fuzzy)
+                            fuzzy_key(x, fuzzy) == fuzzy_key(r, fuzzy)
                             for x in ptable.get(s[lo]) for r in e.readings[0]
                         )
                         ok_b = any(
-                            syllables_equivalent(x, parse_syllable(r), fuzzy)
+                            fuzzy_key(x, fuzzy) == fuzzy_key(r, fuzzy)
                             for x in ptable.get(s[hi]) for r in e.readings[1]
                         )
                         if ok_a and ok_b:

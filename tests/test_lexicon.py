@@ -25,13 +25,7 @@ from hanfix.lexicon import (
     lexicon_fingerprint,
     lexicon_from_words,
 )
-from hanfix.pinyin import (
-    FuzzyClassTable,
-    PinyinTable,
-    fuzzy_key,
-    parse_syllable,
-    syllables_equivalent,
-)
+from hanfix.pinyin import FuzzyClassTable, PinyinTable, fuzzy_key
 
 PAIRS = [
     ("参", "can1"), ("参", "shen1"), ("加", "jia1"), ("家", "jia1"),
@@ -66,16 +60,17 @@ DEMO_LEX = build_lexicon(bundled.demo_words_path(), DEMO_TABLE, FuzzyClassTable.
 
 
 def equivalence_oracle(lex, a, b, fuzzy):
-    """2-char entries with some reading pair equivalent to (a, b) under
-    `fuzzy`, ranked like the index: descending frequency, then word_id."""
+    """2-char entries with some reading pair equivalent to the readings
+    (a, b) under `fuzzy`, ranked like the index: descending frequency, then
+    word_id."""
     expect = set()
     for e in lex.entries:
         if len(e.surface) != 2:
             continue
         for ra in e.readings[0]:
             for rb in e.readings[1]:
-                if syllables_equivalent(a, parse_syllable(ra), fuzzy) and \
-                   syllables_equivalent(b, parse_syllable(rb), fuzzy):
+                if fuzzy_key(a, fuzzy) == fuzzy_key(ra, fuzzy) and \
+                   fuzzy_key(b, fuzzy) == fuzzy_key(rb, fuzzy):
                     expect.add(e.word_id)
     return sorted(expect, key=lambda w: (-lex.entries[w].frequency, w))
 
@@ -425,7 +420,7 @@ class TestTrie:
 
 class TestPinyin2Gram:
     def test_exact_pair(self, lex, fuzzy):
-        a, b = parse_syllable("can1"), parse_syllable("jia1")
+        a, b = "can", "jia"
         ids = lex.pinyin_2gram_lookup(a, b, fuzzy)
         assert lex.surfaces.index("参加") in ids
         assert lex.surfaces.index("禅家") in ids  # chan ~ can under z/zh c/ch s/sh
@@ -441,16 +436,16 @@ class TestPinyin2Gram:
     def test_polyphone_cross_product(self, lex, fuzzy):
         # 会计 is kuai4 ji4, but 会 also reads hui4: both keys must hit
         ids_hui = lex.pinyin_2gram_lookup(
-            parse_syllable("hui4"), parse_syllable("ji4"), fuzzy
+            "hui", "ji", fuzzy
         )
         ids_kuai = lex.pinyin_2gram_lookup(
-            parse_syllable("kuai4"), parse_syllable("ji4"), fuzzy
+            "kuai", "ji", fuzzy
         )
         assert lex.surfaces.index("会计") in ids_hui
         assert lex.surfaces.index("会计") in ids_kuai
         # 参 polyphone: shen reading must find 参加 too
         ids_shen = lex.pinyin_2gram_lookup(
-            parse_syllable("shen2"), parse_syllable("jia3"), fuzzy
+            "shen", "jia", fuzzy
         )
         assert lex.surfaces.index("参加") in ids_shen
 
@@ -461,16 +456,15 @@ class TestPinyin2Gram:
 
     def test_miss_returns_empty(self, lex, fuzzy):
         assert lex.pinyin_2gram_lookup(
-            parse_syllable("wo3"), parse_syllable("wo3"), fuzzy
+            "wo", "wo", fuzzy
         ) == []
 
     @given(st.sampled_from(ORACLE_SYLLABLES), st.sampled_from(ORACLE_SYLLABLES))
     @settings(max_examples=150)
     def test_lookup_matches_equivalence_filter(self, lex, fuzzy, sa, sb):
-        # oracle: filter 2-char entries by syllables_equivalent on any
-        # reading combination, then rank like the index does
-        a, b = parse_syllable(sa), parse_syllable(sb)
-        assert lex.pinyin_2gram_lookup(a, b, fuzzy) == equivalence_oracle(lex, a, b, fuzzy)
+        # oracle: filter 2-char entries by equal fuzzy keys on any reading
+        # combination, then rank like the index does
+        assert lex.pinyin_2gram_lookup(sa, sb, fuzzy) == equivalence_oracle(lex, sa, sb, fuzzy)
 
     def test_loaded_lexicon_follows_query_table(self, lex, tmp_path):
         # each table a query passes gets its own index, so one loaded
@@ -481,12 +475,11 @@ class TestPinyin2Gram:
         pairs = list(itertools.product(ORACLE_SYLLABLES, repeat=2))
         for _ in range(2):
             for table in tables:
-                for sa, sb in pairs:
-                    a, b = parse_syllable(sa), parse_syllable(sb)
+                for a, b in pairs:
                     assert loaded.pinyin_2gram_lookup(a, b, table) == \
-                        equivalence_oracle(loaded, a, b, table), (sa, sb)
+                        equivalence_oracle(loaded, a, b, table), (a, b)
         # 禅家 (chan) sounds like 参加 (can) only under the default classes
-        a, b = parse_syllable("can"), parse_syllable("jia")
+        a, b = "can", "jia"
         assert loaded.surfaces.index("禅家") in loaded.pinyin_2gram_lookup(a, b, tables[0])
         assert loaded.surfaces.index("禅家") not in loaded.pinyin_2gram_lookup(a, b, tables[1])
 
@@ -500,6 +493,21 @@ class TestPinyin2Gram:
         # querying b neither rebuilt a's index nor emptied a's window memo
         assert lex.pinyin2gram_index(a) is index
         assert window_hits(lex, ptable, a, "禅", "家") is hits
+
+    def test_equal_reading_sets_share_one_window_entry(self, fuzzy):
+        # X reads as 参 does, in another order: a window's hits are a
+        # function of the two reading sets, so 参家 and X家 share one entry
+        table = PinyinTable.from_pairs(PAIRS + [("X", "shen1"), ("X", "can4")])
+        lex = lexicon_from_words(WORDS, table, fuzzy)
+        hits = window_hits(lex, table, fuzzy, "参", "家")
+        assert hits and window_hits(lex, table, fuzzy, "X", "家") is hits
+        memo = lex._table_entry(fuzzy)[1]
+        sets = table.toneless_sets("参X家")
+        assert sets[0] == sets[1] and sets[0] is not sets[1]
+        assert list(memo) == [sets[0]] and list(memo[sets[1]]) == [sets[2]]
+        # another lexicon meets X first and computes the same hits
+        fresh = lexicon_from_words(WORDS, table, fuzzy)
+        assert window_hits(fresh, table, fuzzy, "X", "家") == hits
 
     def test_entry_goes_with_its_table(self, ptable):
         build = FuzzyClassTable.default()
@@ -518,7 +526,7 @@ class TestPinyin2Gram:
 
     def test_threads_sharing_a_lexicon_see_their_own_table(self, lex, ptable):
         tables = [FuzzyClassTable.default(), FuzzyClassTable()]
-        a, b = parse_syllable("can"), parse_syllable("jia")
+        a, b = "can", "jia"
         expect = [equivalence_oracle(lex, a, b, t) for t in tables]
         assert expect[0] != expect[1]
         # window hits are remembered beside each table's index

@@ -11,23 +11,17 @@ from hanfix.errors import InvalidSyllable, MalformedLine
 from hanfix.pinyin import (
     FINALS,
     INITIALS,
+    TONELESS_SYLLABLES,
     FuzzyClassTable,
-    PinyinSyllable,
     PinyinTable,
     fuzzy_key,
     parse_syllable,
-    syllables_equivalent,
 )
 
-ALL_SYLLABLES = [
-    PinyinSyllable(i, f) for i in INITIALS + ("",) for f in FINALS
-]
+# (initial, final) of every reading; a reading is their concatenation
+ALL_PARTS = [(i, f) for i in INITIALS + ("",) for f in FINALS]
 
-syllable_st = st.builds(
-    PinyinSyllable,
-    initial=st.sampled_from(INITIALS + ("",)),
-    final=st.sampled_from(FINALS),
-)
+parts_st = st.tuples(st.sampled_from(INITIALS + ("",)), st.sampled_from(FINALS))
 
 
 # Independent re-derivation of the default class representatives.  Kept as
@@ -36,10 +30,8 @@ ORACLE_INITIAL_REP = {"zh": "z", "ch": "c", "sh": "s", "n": "l", "h": "f"}
 ORACLE_FINAL_REP = {"ang": "an", "eng": "en", "ing": "in"}
 
 
-def oracle_key(syl):
-    i = ORACLE_INITIAL_REP.get(syl.initial, syl.initial)
-    f = ORACLE_FINAL_REP.get(syl.final, syl.final)
-    return i + f
+def oracle_key(initial, final):
+    return ORACLE_INITIAL_REP.get(initial, initial) + ORACLE_FINAL_REP.get(final, final)
 
 
 class TestParse:
@@ -63,13 +55,16 @@ class TestParse:
     def test_examples(self, text, initial, final, tone):
         # `tone` is the digit the input carries, and parsing drops it
         s = parse_syllable(text)
-        assert (s.initial, s.final) == (initial, final)
-        assert str(s) + (str(tone) if tone else "") == text
+        assert s == initial + final
+        assert s + (str(tone) if tone else "") == text
 
     def test_longest_prefix_wins(self):
         # "zhan" must be zh+an; a greedy single-letter match would try z+han
-        assert parse_syllable("zhan") == PinyinSyllable("zh", "an")
-        assert parse_syllable("shi4") == PinyinSyllable("sh", "i")
+        t = FuzzyClassTable([("zh", "j"), ("sh", "b")])
+        assert parse_syllable("zhan") == "zhan" and fuzzy_key("zhan", t) == "jan"
+        assert parse_syllable("shi4") == "shi" and fuzzy_key("shi", t) == "bi"
+        with pytest.raises(InvalidSyllable, match="no final 'xx' after 'zh'"):
+            parse_syllable("zhxx")
 
     @pytest.mark.parametrize(
         "bad", ["", "q", "zh", "xyz", "ZHANG", "zhang5", "zh ang", "zhang12"]
@@ -87,36 +82,30 @@ class TestParse:
         with pytest.raises(InvalidSyllable, match="tone digit must be 0-4"):
             parse_syllable(bad)
 
-    def test_constructor_validates(self):
-        with pytest.raises(InvalidSyllable):
-            PinyinSyllable("q", "q")
-
     def test_round_trip_whole_inventory(self):
         # the syllable set is the full initial x final cross product, closed
-        # by construction; str() of any member must re-parse to itself
-        for s in ALL_SYLLABLES:
-            assert parse_syllable(str(s)) == s
-        for s in ALL_SYLLABLES:
+        # by construction; any member must parse to itself, toned or not
+        assert len(TONELESS_SYLLABLES) == len(ALL_PARTS) == 840
+        for s in TONELESS_SYLLABLES:
+            assert parse_syllable(s) == s
             assert parse_syllable(f"{s}3") == s
 
-    @given(syllable_st)
-    def test_round_trip_property(self, s):
-        assert parse_syllable(str(s)) == s
-        assert str(s) == s.initial + s.final
+    @given(parts_st)
+    def test_round_trip_property(self, parts):
+        s = "".join(parts)
+        assert parse_syllable(s) == s
+        assert s in TONELESS_SYLLABLES
 
 
 class TestFuzzy:
     def test_default_reps(self):
+        # a key is the initial's representative, then the final's
         t = FuzzyClassTable.default()
-        assert t.initial_rep("zh") == "z"
-        assert t.initial_rep("z") == "z"
-        assert t.initial_rep("n") == "l"
-        assert t.initial_rep("h") == "f"
-        assert t.initial_rep("b") == "b"
-        assert t.initial_rep("") == ""
-        assert t.final_rep("ang") == "an"
-        assert t.final_rep("ing") == "in"
-        assert t.final_rep("ong") == "ong"
+        for initial, rep in [("zh", "z"), ("z", "z"), ("n", "l"), ("h", "f"),
+                             ("b", "b"), ("", "")]:
+            assert fuzzy_key(initial + "a", t) == rep + "a"
+        for final, rep in [("ang", "an"), ("ing", "in"), ("ong", "ong")]:
+            assert fuzzy_key("b" + final, t) == "b" + rep
 
     def test_class_accessors(self):
         t = FuzzyClassTable.default()
@@ -128,8 +117,8 @@ class TestFuzzy:
 
     def test_key_matches_independent_oracle(self):
         t = FuzzyClassTable.default()
-        for s in ALL_SYLLABLES:
-            assert fuzzy_key(s, t) == oracle_key(s)
+        for initial, final in ALL_PARTS:
+            assert fuzzy_key(initial + final, t) == oracle_key(initial, final)
 
     def test_key_examples(self):
         t = FuzzyClassTable.default()
@@ -139,38 +128,51 @@ class TestFuzzy:
         assert fuzzy_key(parse_syllable("hua4"), t) == "fua"
         assert fuzzy_key(parse_syllable("jia"), t) == "jia"
 
+    @pytest.mark.parametrize("bad", ["zz", "", "can1", "ZHANG", "zhxx"])
+    def test_key_of_a_non_reading_is_invalid_syllable(self, bad):
+        # not a KeyError: a string that is no reading is a syllable error
+        with pytest.raises(InvalidSyllable, match="not a toneless reading"):
+            fuzzy_key(bad, FuzzyClassTable.default())
+
     def test_key_is_parseable_and_idempotent(self):
         t = FuzzyClassTable.default()
-        for s in ALL_SYLLABLES:
+        for s in TONELESS_SYLLABLES:
             k = fuzzy_key(s, t)
-            reparsed = parse_syllable(k)
-            assert fuzzy_key(reparsed, t) == k
+            assert parse_syllable(k) == k
+            assert fuzzy_key(k, t) == k
 
     def test_tone_ignored(self):
         t = FuzzyClassTable.default()
-        assert syllables_equivalent(
-            parse_syllable("can1"), parse_syllable("can4"), t
-        )
+        assert parse_syllable("can1") == parse_syllable("can4") == "can"
+        assert fuzzy_key(parse_syllable("can1"), t) == fuzzy_key(parse_syllable("can4"), t)
 
-    @given(syllable_st, syllable_st, syllable_st)
+    @given(parts_st, parts_st, parts_st)
     @settings(max_examples=300)
     def test_equivalence_relation(self, a, b, c):
+        # "same initial class and same final class", read off the class
+        # accessors, is an equivalence relation: the classes partition
         t = FuzzyClassTable.default()
-        assert syllables_equivalent(a, a, t)
-        assert syllables_equivalent(a, b, t) == syllables_equivalent(b, a, t)
-        if syllables_equivalent(a, b, t) and syllables_equivalent(b, c, t):
-            assert syllables_equivalent(a, c, t)
 
-    @given(syllable_st, syllable_st)
+        def equivalent(x, y):
+            return y[0] in t.initial_class(x[0]) and y[1] in t.final_class(x[1])
+
+        assert equivalent(a, a)
+        assert equivalent(a, b) == equivalent(b, a)
+        if equivalent(a, b) and equivalent(b, c):
+            assert equivalent(a, c)
+
+    @given(parts_st, parts_st)
     @settings(max_examples=300)
     def test_equivalence_iff_same_key(self, a, b):
         t = FuzzyClassTable.default()
-        assert syllables_equivalent(a, b, t) == (fuzzy_key(a, t) == fuzzy_key(b, t))
+        same_classes = (t.initial_class(a[0]) == t.initial_class(b[0])
+                        and t.final_class(a[1]) == t.final_class(b[1]))
+        assert same_classes == (fuzzy_key("".join(a), t) == fuzzy_key("".join(b), t))
 
     def test_empty_table_is_identity(self):
         t = FuzzyClassTable()
-        for s in ALL_SYLLABLES:
-            assert fuzzy_key(s, t) == str(s)
+        for s in TONELESS_SYLLABLES:
+            assert fuzzy_key(s, t) == s
 
     def test_bad_classes(self):
         with pytest.raises(ValueError):
@@ -186,9 +188,9 @@ class TestFuzzy:
         p = tmp_path / "fuzzy.txt"
         p.write_text("# comment\nz zh\n\nan ang  # trailing\n", encoding="utf-8")
         t = FuzzyClassTable.from_file(p)
-        assert t.initial_rep("zh") == "z"
-        assert t.final_rep("ang") == "an"
-        assert t.initial_rep("c") == "c"  # untouched -> singleton
+        assert fuzzy_key("zha", t) == "za"
+        assert fuzzy_key("bang", t) == "ban"
+        assert fuzzy_key("cha", t) == "cha"  # untouched -> singleton
 
     def test_from_file_bad(self, tmp_path):
         p = tmp_path / "fuzzy.txt"
@@ -213,8 +215,17 @@ class TestPinyinTable:
         t = PinyinTable.from_pairs(
             [("参", "can1"), ("参", "shen1"), ("参", "can4"), ("加", "jia1")]
         )
-        assert [str(s) for s in t.get("参")] == ["can", "shen"]
-        assert t.get("加") == (parse_syllable("jia"),)
+        assert t.get("参") == ("can", "shen")
+        assert t.get("加") == ("jia",)
+
+    def test_constructor_validates(self):
+        # the constructor takes readings, not strings to parse: a toned or
+        # unknown one is refused
+        for bad in ("can1", "qq", "", "CAN"):
+            with pytest.raises(InvalidSyllable, match="not a toneless reading") as ei:
+                PinyinTable({"加": ("jia",), "参": ("can", bad)})
+            assert ei.value.text == bad
+        assert PinyinTable({"参": ("can", "can", "shen")}).get("参") == ("can", "shen")
 
     def test_missing(self):
         t = PinyinTable.from_pairs([("好", "hao3")])
@@ -251,7 +262,7 @@ class TestPinyinTable:
         readings = [r for _, r in pairs]
         assert sorted(calls) == sorted(set(readings)) and len(calls) < len(readings)
         monkeypatch.undo()
-        per_line = PinyinTable.from_pairs(pairs)  # parses every line's reading
+        per_line = PinyinTable.from_pairs(pairs)
         assert {c: t.get(c) for c in t.characters()} == {
             c: per_line.get(c) for c in per_line.characters()}
 
@@ -267,12 +278,11 @@ class TestPinyinTable:
     def test_toneless_readings_match_get(self):
         t = PinyinTable.from_file(demo_pinyin_path())
         for ch in t.characters():
-            want = frozenset(map(str, t.get(ch)))
+            want = frozenset(t.get(ch))
             assert t.toneless_sets(ch) == [want], ch
             # kept, not rebuilt per call
             assert t.toneless_sets(ch)[0] is t.toneless_sets(ch)[0]
-        assert t.toneless_sets("\u2603") == [frozenset(
-            map(str, t.get("\u2603")))] == [frozenset()]
+        assert t.toneless_sets("\u2603") == [frozenset(t.get("\u2603"))] == [frozenset()]
         assert t.toneless_sets("参") == [{"can", "shen", "cen"}]
 
     def test_toneless_sets_of_a_text(self):
