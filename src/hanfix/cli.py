@@ -100,7 +100,8 @@ def _load_lexicon(args, ptable, fuzzy, allow_default: bool) -> Lexicon:
 def _read_sentences(args) -> list[str]:
     if args.sentences:
         return list(args.sentences)
-    return [line.rstrip("\n") for line in sys.stdin]
+    # splitlines, as for file inputs: a CRLF line loses its "\r" too
+    return sys.stdin.read().splitlines()
 
 
 def _emit(lines: list[str], out: str | None) -> None:

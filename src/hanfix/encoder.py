@@ -1,9 +1,13 @@
 """Small transformer encoder over character embeddings, with hand-written
 backward passes.
 
-Everything runs in float64 numpy so the analytic gradients can be checked
-against central finite differences tightly.  Shapes follow the [out, in]
-weight convention: y = x @ W.T + b.  Pre-LN blocks plus a final LayerNorm:
+Every forward kernel computes in its tensors' dtype: float64 as
+init_params draws them and training keeps them, so the analytic gradients
+can be checked against central finite differences tightly, and float32 as
+load_checkpoint reads them.  Constants are Python floats and every array a
+forward kernel allocates takes its input's dtype, so no float64 enters a
+float32 pass.  Shapes follow the [out, in] weight convention:
+y = x @ W.T + b.  Pre-LN blocks plus a final LayerNorm:
 
     x = x + MHA(LN1(x));  x = x + FFN(LN2(x));  ...;  h = LNf(x)
 
@@ -14,9 +18,12 @@ a flat {tensor_name: array} dict keyed exactly like the parameter dict.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+# Python floats: an np.float64 scalar would promote a float32 array
+_GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
@@ -208,7 +215,7 @@ class _Rows:
             return rows
         tail = rows.shape[1:]
         if out is None:
-            out = np.zeros((*self.shape, *tail))
+            out = np.zeros((*self.shape, *tail), rows.dtype)
         else:
             out.reshape(-1, *tail)[self.pad] = 0.0
         out.reshape(-1, *tail)[self.idx] = rows
@@ -236,7 +243,7 @@ def _block_forward(tensors, heads, p, x, rows, kbias, keep=True):
     Qh, Kh, Vh = (_split_heads(rows.grid(t @ tensors[p + "W" + z].T + tensors[p + "b" + z]),
                                heads)
                   for z in "qkv")
-    scale = 1.0 / np.sqrt(Qh.shape[-1])
+    scale = 1.0 / math.sqrt(Qh.shape[-1])
     S = Qh @ Kh.transpose(0, 1, 3, 2)
     S *= scale
     S += kbias
@@ -281,7 +288,7 @@ def encoder_forward(tensors, cfg, char_ids: np.ndarray, cmask: np.ndarray, rows=
     # masked_softmax(S, mask) bit for bit on rows with a real key.  Every row
     # of a batch with a non-empty sentence has one; a sentence with no
     # characters (correct_many skips them) has no positions that carry loss.
-    kbias = np.where(cmask > 0, 0.0, -1e30)[:, None, None, :]
+    kbias = np.where(cmask > 0, 0.0, -1e30).astype(x.dtype, copy=False)[:, None, None, :]
     caches = []
     for l in range(cfg.layers):
         x, cache = _block_forward(tensors, cfg.heads, f"blk{l}.", x, rows, kbias, _keep_cache)

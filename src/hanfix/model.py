@@ -33,8 +33,13 @@ product stay on the grid.  It lets the gate decide first: wherever
 w_i > 1/2 the argmax of P_i is x_i, so it runs the generator only at the
 positions the gate leaves open, and an unknown character keeps its input.
 Its other outputs are the argmax of forward_batch's P on the same pass up
-to float rounding: a product over packed rows can round a state apart from
-the grid's in its last bits.
+to rounding in the tensors' dtype: a product over packed rows can round a
+state apart from the grid's in its last bits.
+
+Inference computes in the tensors' dtype.  init_params draws float64
+tensors and training keeps them so, and load_checkpoint returns the
+checkpoint's float32 values as float32 tensors: a loaded model decodes in
+float32, at half the width, on weights that hold no more than float32.
 """
 
 from __future__ import annotations
@@ -346,7 +351,7 @@ def _gate_forward(tensors, cfg, rows, ht, grid=None):
     backward.  The cache is None when omega is fixed (use_copy=False pins
     it at 0)."""
     if not cfg.use_copy:
-        return np.zeros(ht.shape[:-1]), None
+        return np.zeros(ht.shape[:-1], ht.dtype), None
     w1 = tensors["gate.W1"].T
     g_pre = rows.take(grid @ w1) if grid is not None else ht @ w1
     g_pre += tensors["gate.b1"]
@@ -636,10 +641,10 @@ def correct_many(params: ModelParams, sentences, feats, batch_size: int = 64):
     argmax run only at the other positions whose input is known.
 
     Every other output is the argmax of forward_batch's p_out on the same
-    pass up to float rounding: a product over the packed rows can round
-    apart from the grid's in its last bits (the encoder states agree to
-    within 1e-12), so an output can differ only at a position where two
-    probabilities, or omega and 1/2, are that close.
+    pass up to rounding in the tensors' dtype: a product over the packed
+    rows can round apart from the grid's in its last bits (in float64 the
+    encoder states agree to within 1e-12), so an output can differ only at
+    a position where two probabilities, or omega and 1/2, are that close.
     """
     if not isinstance(batch_size, int) or isinstance(batch_size, bool) or batch_size < 1:
         raise ValueError(f"batch_size must be an int of at least 1, got {batch_size!r}")
@@ -741,6 +746,10 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """The ModelParams save_checkpoint wrote, with writable, native-endian
+    float32 tensors: the payload's own values, which inference computes in.
+    Raises CheckpointError for a file that is not a whole, consistent
+    checkpoint of this version."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
@@ -787,8 +796,9 @@ def load_checkpoint(path) -> ModelParams:
     # view of it; stops[i] is the float offset at which tensor i ends
     stops = list(accumulate(math.prod(expected[name]) for name, _ in manifest))
     whole = bisect_right(stops, len(payload) // 4)  # tensors the payload holds
-    values = np.frombuffer(payload, dtype="<f4", count=stops[whole - 1] if whole else 0)
-    values = values.astype(np.float64)
+    # astype copies: the tensors are writable and in the machine's byte order
+    values = np.frombuffer(payload, dtype="<f4", count=stops[whole - 1] if whole else 0
+                           ).astype(np.float32)
     finite = np.isfinite(values)
     if not finite.all():
         name = manifest[bisect_right(stops, int(finite.argmin()))][0]

@@ -116,6 +116,17 @@ class TestMatch:
         assert main(["match", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)[0]["sentence"] == "参家"
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_crlf_stdin_reads_as_lf(self, fmt, monkeypatch, capsys):
+        # a CRLF line loses its "\r", as a line of a file input does
+        outs = []
+        for text in ("参家\n\n会义\n", "参家\r\n\r\n会义\r\n"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main(["match", "--format", fmt]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0]
+        assert "\r" not in outs[1]
+
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     def test_no_input_lines_give_no_output_lines(self, to_file, monkeypatch, tmp_path,
                                                  capsys):
@@ -301,6 +312,19 @@ class TestCorrect:
                     + (["--out", str(out)] if to_file else [])) == 0
         got = out.read_bytes() if to_file else capsys.readouterr().out.encode("utf-8")
         assert got == want.encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_crlf_stdin_reads_as_lf(self, fmt, work, monkeypatch, capsys):
+        # "\r" is not a character of the sentence: CRLF input corrects as LF
+        _, lex_path, _, _, _, ckpt = work
+        outs = []
+        for text in ("参家\n\n会义\n", "参家\r\n\r\n会义\r\n"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main(["correct", "--checkpoint", str(ckpt), "--lexicon", str(lex_path),
+                         "--format", fmt]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0]
+        assert "\r" not in outs[1]
 
     def test_json_output(self, work, capsys):
         _, lex_path, _, _, _, ckpt = work

@@ -674,6 +674,13 @@ def inference_world(d_c, **over):
     return params
 
 
+def with_dtype(params, dtype):
+    """params with every tensor cast to dtype: float32 is how load_checkpoint
+    returns them."""
+    return ModelParams(params.config, params.chars,
+                       {k: v.astype(dtype) for k, v in params.tensors.items()})
+
+
 def reference_decode(params, sentences, feats, batch_size, forward=None):
     """correct_many as it decoded every position: the argmax of the mixture
     p_out (forward_batch's, or `forward`'s), where a reserved id and an
@@ -773,6 +780,36 @@ class TestInferencePass:
         grid = 64 * 60 * v * 8
         assert peak < bound * grid, peak / grid
 
+    @pytest.mark.parametrize("use_copy", [True, False])
+    def test_float32_stays_float32(self, use_copy, monkeypatch):
+        # a loaded checkpoint's float32 tensors: no array of a pass widens to
+        # float64, on a padded grid, on packed rows or in a batch of one
+        params = with_dtype(inference_world(16, use_copy=use_copy), np.float32)
+        params.tensors["gate.b2"][...] = -30.0  # the gate opens every position
+        for lengths in ([6, 2, 5], [4]):
+            out, _ = forward_batch(params, batch_of_lengths(params.config, lengths))
+            for name in ("h", "h_fused", "attn", "omega", "p_gen", "p_out"):
+                assert getattr(out, name).dtype == np.float32, (lengths, name)
+        seen = []
+        gen_forward, mix = model_module._gen_forward, model_module._mix
+
+        def gen_spy(tensors, logits):
+            seen.append(("logits", logits.dtype))
+            return gen_forward(tensors, logits)
+
+        def mix_spy(p, omega, char_ids):
+            seen.extend((("p", p.dtype), ("omega", omega.dtype)))
+            return mix(p, omega, char_ids)
+
+        monkeypatch.setattr(model_module, "_gen_forward", gen_spy)
+        monkeypatch.setattr(model_module, "_mix", mix_spy)
+        sentences, feats = random_sentences(np.random.default_rng(6), params, 12, (1, 13))
+        for batch_size in (64, 1):  # one packed pass, then grids of one sentence
+            seen.clear()
+            got = correct_many(params, sentences, feats, batch_size=batch_size)
+            assert got == reference_decode(params, sentences, feats, batch_size)[0]
+            assert seen and {dtype for _, dtype in seen} == {np.dtype(np.float32)}, seen
+
 
 # ------------------------------------------------------ the gate decides first
 
@@ -811,20 +848,29 @@ class TestGateFirstDecode:
     """correct_many runs the generator only where omega > 1/2 does not settle
     the position, with the outputs of decoding every position."""
 
-    def test_equals_reference_decode(self):
+    @staticmethod
+    def decode_random_worlds(dtype):
         rng = np.random.default_rng(2024)
         opened = total = 0
         for trial in range(60):
-            params = random_decode_world(rng)
+            params = with_dtype(random_decode_world(rng), dtype)
             sentences, feats = random_sentences(rng, params, int(rng.integers(1, 70)))
             batch_size = int(rng.choice([1, 7, 64]))
             want, omega = reference_decode(params, sentences, feats, batch_size)
             got = correct_many(params, sentences, feats, batch_size=batch_size)
             assert got == want, (trial, params.config)
+            assert omega.dtype == dtype
             opened += int((~(omega > 0.5)).sum())
             total += omega.size
         # both branches are exercised: many positions go to the generator
         assert 0.2 < opened / total < 0.8, opened / total
+
+    def test_equals_reference_decode(self):
+        self.decode_random_worlds(np.float64)
+
+    def test_equals_reference_decode_in_float32(self):
+        # the same worlds, cast as load_checkpoint returns tensors
+        self.decode_random_worlds(np.float32)
 
     def test_omega_exactly_half_goes_to_the_generator(self):
         # omega = sigmoid(0) = 1/2 exactly, and P_gen is one-hot at the first
@@ -878,31 +924,50 @@ class TestGateFirstDecode:
         assert sum(o != ch for s, out in zip(sentences, got) for ch, o in zip(s, out)
                    if ch in params.char_index) > 0
 
-    @given(st.floats(0.5, 1.0, exclude_min=True), st.integers(0, 4),
-           st.integers(0, 4), st.booleans(), st.integers(0, 2**32 - 1))
-    @settings(max_examples=300, deadline=None)
-    def test_mix_argmax_is_the_input_above_half(self, omega, x, j, one_hot, seed):
+    @staticmethod
+    def mix_argmax(dtype, omega, x, j, one_hot, seed):
         # the lemma correct_many rests on, for any softmax row: random, or
         # one-hot at j with all of its mass away from x
         v = 5
         if one_hot:
             j = j if j != x else (x + 1) % v
-            p = np.zeros((1, v))
+            p = np.zeros((1, v), dtype)
             p[0, j] = 1.0
         else:
-            p = softmax(np.random.default_rng(seed).normal(0.0, 30.0, (1, v)))
-        mixed = model_module._mix(p, np.array([omega]), np.array([x]))
+            p = softmax(np.random.default_rng(seed).normal(0.0, 30.0, (1, v)).astype(dtype))
+        mixed = model_module._mix(p, np.array([omega], dtype), np.array([x]))
+        assert mixed.dtype == dtype
         assert mixed.argmax(axis=-1)[0] == x
 
-    def test_mix_argmax_at_the_edges(self):
+    @given(st.floats(0.5, 1.0, exclude_min=True), st.integers(0, 4),
+           st.integers(0, 4), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_mix_argmax_is_the_input_above_half(self, omega, x, j, one_hot, seed):
+        self.mix_argmax(np.float64, omega, x, j, one_hot, seed)
+
+    @given(st.floats(0.5, 1.0, exclude_min=True, width=32), st.integers(0, 4),
+           st.integers(0, 4), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_mix_argmax_is_the_input_above_half_in_float32(self, omega, x, j, one_hot, seed):
+        self.mix_argmax(np.float32, omega, x, j, one_hot, seed)
+
+    @staticmethod
+    def mix_argmax_at_the_edges(dtype):
         v = 7
-        for omega in (np.nextafter(0.5, 1.0), 0.75, np.nextafter(1.0, 0.0), 1.0):
+        half, one = dtype(0.5), dtype(1.0)
+        for omega in (np.nextafter(half, one), dtype(0.75), np.nextafter(one, half), one):
             for x in range(v):
                 for j in range(v):
-                    p = np.zeros((1, v))
+                    p = np.zeros((1, v), dtype)
                     p[0, j] = 1.0
-                    mixed = model_module._mix(p, np.array([omega]), np.array([x]))
+                    mixed = model_module._mix(p, np.array([omega], dtype), np.array([x]))
                     assert mixed.argmax(axis=-1)[0] == x, (omega, x, j)
+
+    def test_mix_argmax_at_the_edges(self):
+        self.mix_argmax_at_the_edges(np.float64)
+
+    def test_mix_argmax_at_the_edges_in_float32(self):
+        self.mix_argmax_at_the_edges(np.float32)
 
 
 class TestPasses:
@@ -1292,7 +1357,32 @@ class TestCheckpoint:
         assert loaded.chars == params.chars
         for name, t in params.tensors.items():
             assert np.allclose(loaded.tensors[name], t, rtol=1e-6, atol=1e-6), name
-            assert loaded.tensors[name].dtype == np.float64
+            assert loaded.tensors[name].dtype == np.float32
+
+    def test_loaded_tensors_are_the_payload_as_writable_float32(self, saved):
+        params, path = saved
+        loaded = load_checkpoint(path)
+        for name, t in params.tensors.items():
+            got = loaded.tensors[name]
+            assert got.dtype == np.float32 and got.dtype.isnative, name
+            assert got.flags.writeable, name
+            assert np.array_equal(got, t.astype(np.float32)), name
+
+    def test_an_in_place_edit_of_a_loaded_tensor_is_decoded_and_saved(self, tmp_path):
+        params = inference_world(16)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        sentences, feats = random_sentences(np.random.default_rng(3), loaded, 9, (1, 12))
+        before = correct_many(loaded, sentences, feats)
+        for p in (loaded, params):
+            p.tensors["gate.b2"][...] = -30.0  # the gate opens: the generator writes
+        after = correct_many(loaded, sentences, feats)
+        assert after != before
+        assert after == reference_decode(loaded, sentences, feats, 64)[0]
+        save_checkpoint(loaded, tmp_path / "loaded.ckpt")
+        save_checkpoint(params, tmp_path / "edited.ckpt")
+        assert (tmp_path / "loaded.ckpt").read_bytes() == (tmp_path / "edited.ckpt").read_bytes()
 
     def test_load_draws_no_random_numbers(self, saved, monkeypatch):
         # names and shapes come from tensor_specs, not from a throwaway init
